@@ -15,9 +15,9 @@ use ute_core::error::Result;
 use ute_format::file_io::FileIntervalReader;
 use ute_format::frame::NO_DIR;
 use ute_format::profile::Profile;
-use ute_format::record::Interval;
+use ute_format::record::{Interval, IntervalType};
 use ute_format::state::StateCode;
-use ute_format::value::Value;
+use ute_format::view::Record;
 
 /// Column sentinel for "this record has no such field".
 pub const NO_FIELD: u64 = u64::MAX;
@@ -54,6 +54,30 @@ pub struct TraceTable {
     pub markers: Vec<(u32, String)>,
 }
 
+/// Name indices of the extra fields the table keeps a column for,
+/// resolved against the profile once per load rather than once per row.
+struct ExtraColumns {
+    rank: Option<u16>,
+    peer: Option<u16>,
+    seq: Option<u16>,
+    sent: Option<u16>,
+    recvd: Option<u16>,
+    marker_id: Option<u16>,
+}
+
+impl ExtraColumns {
+    fn resolve(profile: &Profile) -> ExtraColumns {
+        ExtraColumns {
+            rank: profile.field_name_index("rank"),
+            peer: profile.field_name_index("peer"),
+            seq: profile.field_name_index("seq"),
+            sent: profile.field_name_index("msgSizeSent"),
+            recvd: profile.field_name_index("msgSizeRecvd"),
+            marker_id: profile.field_name_index("markerId"),
+        }
+    }
+}
+
 impl TraceTable {
     /// An empty table carrying a marker table.
     pub fn new(markers: Vec<(u32, String)>) -> TraceTable {
@@ -61,6 +85,22 @@ impl TraceTable {
             markers,
             ..TraceTable::default()
         }
+    }
+
+    /// Makes room for `rows` more rows in every column.
+    fn reserve(&mut self, rows: usize) {
+        self.state.reserve(rows);
+        self.bebits.reserve(rows);
+        self.start.reserve(rows);
+        self.duration.reserve(rows);
+        self.cpu.reserve(rows);
+        self.node.reserve(rows);
+        self.thread.reserve(rows);
+        self.rank.reserve(rows);
+        self.peer.reserve(rows);
+        self.seq.reserve(rows);
+        self.bytes.reserve(rows);
+        self.marker_id.reserve(rows);
     }
 
     /// Number of rows.
@@ -95,28 +135,65 @@ impl TraceTable {
 
     /// Appends one decoded record.
     pub fn push(&mut self, profile: &Profile, iv: &Interval) {
-        let uint = |name: &str| iv.extra(profile, name).and_then(Value::as_uint);
-        self.state.push(iv.itype.state.0);
-        self.bebits.push(iv.itype.bebits);
-        self.start.push(iv.start);
-        self.duration.push(iv.duration);
-        self.cpu.push(iv.cpu.raw());
-        self.node.push(iv.node.raw());
-        self.thread.push(iv.thread.raw());
-        self.rank.push(uint("rank").unwrap_or(NO_FIELD));
+        self.push_interval(&ExtraColumns::resolve(profile), iv);
+    }
+
+    fn push_interval(&mut self, cols: &ExtraColumns, iv: &Interval) {
+        let uint = |idx: Option<u16>| {
+            let idx = idx?;
+            let (_, v) = iv.extras.iter().find(|(i, _)| *i == idx)?;
+            v.as_uint()
+        };
+        self.push_row(
+            cols,
+            iv.itype,
+            [iv.start, iv.duration],
+            [iv.cpu.raw(), iv.node.raw(), iv.thread.raw()],
+            uint,
+        );
+    }
+
+    /// Appends one record read off a file, without materialising it.
+    fn push_record(&mut self, cols: &ExtraColumns, rec: &Record<'_>) {
+        self.push_row(
+            cols,
+            rec.itype(),
+            [rec.start(), rec.duration()],
+            [rec.cpu().raw(), rec.node().raw(), rec.thread().raw()],
+            |idx| rec.extra_uint(idx?),
+        );
+    }
+
+    /// The one place a row's columns are derived from a record's fields.
+    fn push_row(
+        &mut self,
+        cols: &ExtraColumns,
+        itype: IntervalType,
+        [start, duration]: [u64; 2],
+        [cpu, node, thread]: [u16; 3],
+        uint: impl Fn(Option<u16>) -> Option<u64>,
+    ) {
+        self.state.push(itype.state.0);
+        self.bebits.push(itype.bebits);
+        self.start.push(start);
+        self.duration.push(duration);
+        self.cpu.push(cpu);
+        self.node.push(node);
+        self.thread.push(thread);
+        self.rank.push(uint(cols.rank).unwrap_or(NO_FIELD));
         // The converter writes `u32::MAX` for "no peer".
-        let peer = uint("peer").unwrap_or(NO_FIELD);
+        let peer = uint(cols.peer).unwrap_or(NO_FIELD);
         self.peer.push(if peer == u32::MAX as u64 {
             NO_FIELD
         } else {
             peer
         });
-        self.seq.push(uint("seq").unwrap_or(0));
-        let sent = uint("msgSizeSent").unwrap_or(0);
-        let recvd = uint("msgSizeRecvd").unwrap_or(0);
+        self.seq.push(uint(cols.seq).unwrap_or(0));
+        let sent = uint(cols.sent).unwrap_or(0);
+        let recvd = uint(cols.recvd).unwrap_or(0);
         self.bytes.push(sent.max(recvd));
         self.marker_id
-            .push(uint("markerId").unwrap_or(0).min(u32::MAX as u64) as u32);
+            .push(uint(cols.marker_id).unwrap_or(0).min(u32::MAX as u64) as u32);
     }
 
     /// Builds a table from in-memory records (tests, benches, and the
@@ -127,8 +204,9 @@ impl TraceTable {
         markers: Vec<(u32, String)>,
     ) -> TraceTable {
         let mut t = TraceTable::new(markers);
+        let cols = ExtraColumns::resolve(profile);
         for iv in intervals {
-            t.push(profile, iv);
+            t.push_interval(&cols, iv);
         }
         t
     }
@@ -154,16 +232,16 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// Record-level filter: does this record belong in the table?
-    pub fn admits(&self, iv: &Interval) -> bool {
+    /// Record-level filter: does a record spanning `[start, end]` on
+    /// `node` belong in the table?
+    pub fn admits(&self, start: u64, end: u64, node: u16) -> bool {
         if let Some((t0, t1)) = self.window {
-            if iv.end() < t0 || iv.start > t1 {
+            if end < t0 || start > t1 {
                 return false;
             }
         }
         if let Some((a, b)) = self.nodes {
-            let n = iv.node.raw();
-            if n < a || n > b {
+            if node < a || node > b {
                 return false;
             }
         }
@@ -177,32 +255,46 @@ impl LoadOptions {
 /// A frame whose `[start_time, end_time]` envelope misses the window is
 /// skipped without decoding (its entry metadata alone proves no record
 /// in it can overlap: `end_time` is the max record end, `start_time` the
-/// min record start). The surviving frames are decoded and filtered
-/// per-record, which makes windowed loading *exactly* equivalent to
-/// loading everything and filtering — a property the test suite checks.
+/// min record start). The records of the surviving frames are read in
+/// place ([`Record`]), filtered on their time and node fields, and the
+/// admitted ones pushed straight into the columns — no `Interval` is
+/// built. Windowed loading stays *exactly* equivalent to loading
+/// everything and filtering — a property the test suite checks.
 pub fn load_table(path: &Path, profile: &Profile, opts: &LoadOptions) -> Result<TraceTable> {
     let _span = ute_obs::Span::enter("analyze", format!("load {}", path.display()));
     let mut r = FileIntervalReader::open(path, profile)?;
     let mut table = TraceTable::new(r.markers.clone());
+    let cols = ExtraColumns::resolve(profile);
+    // The directory chain first: which frames overlap the window, and
+    // how many rows they can hold at most, so the columns are sized once
+    // instead of doubling their way up.
+    let mut frames = Vec::new();
+    let mut skipped = 0u64;
     let mut at = r.first_dir;
-    let (mut read, mut skipped) = (0u64, 0u64);
     while at != NO_DIR {
         let dir = r.read_frame_dir(at)?;
-        for entry in &dir.entries {
-            if let Some((t0, t1)) = opts.window {
-                if entry.end_time < t0 || entry.start_time > t1 {
-                    skipped += 1;
-                    continue;
-                }
-            }
-            read += 1;
-            for iv in r.frame_intervals(entry)? {
-                if opts.admits(&iv) {
-                    table.push(profile, &iv);
-                }
+        for entry in dir.entries {
+            match opts.window {
+                Some((t0, t1)) if entry.end_time < t0 || entry.start_time > t1 => skipped += 1,
+                _ => frames.push(entry),
             }
         }
         at = dir.next;
+    }
+    let read = frames.len() as u64;
+    // A record is a length byte and a type word at least, whatever a
+    // damaged entry counts.
+    let rows: u64 = frames
+        .iter()
+        .map(|e| (e.nrecords as u64).min(e.size / 5))
+        .sum();
+    table.reserve(rows.min(r.file_len() / 5) as usize);
+    for entry in &frames {
+        r.for_each_record(entry, |rec| {
+            if opts.admits(rec.start(), rec.end(), rec.node().raw()) {
+                table.push_record(&cols, &rec);
+            }
+        })?;
     }
     ute_obs::counter("analyze/frames_read").add(read);
     ute_obs::counter("analyze/frames_skipped").add(skipped);

@@ -18,12 +18,10 @@ pub mod codec;
 pub mod error;
 pub mod event;
 pub mod ids;
-pub mod inline;
 pub mod time;
 
 pub use bebits::BeBits;
 pub use error::{Result, UteError};
 pub use event::{EventCode, MpiOp};
 pub use ids::{CpuId, LogicalThreadId, NodeId, Pid, SystemThreadId, TaskId, ThreadType};
-pub use inline::InlineVec;
 pub use time::{Duration, LocalTime, Time, TICKS_PER_SEC};

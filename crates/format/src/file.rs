@@ -18,13 +18,13 @@
 
 use ute_core::codec::{ByteReader, ByteWriter};
 use ute_core::error::{Result, UteError};
-use ute_core::ids::NodeId;
 
 use crate::frame::{FrameDirectory, FrameEntry, NO_DIR};
 use crate::plan::PlanSet;
 use crate::profile::Profile;
 use crate::record::{read_record, write_record, Interval};
 use crate::thread_table::ThreadTable;
+use crate::view::{Record, RecordDecoder};
 
 /// Magic bytes opening an interval file.
 pub const MAGIC: &[u8; 8] = b"UTEIVL\0\0";
@@ -91,8 +91,9 @@ pub struct IntervalFileWriter<'p> {
     pending: Vec<PendingFrame>,
     last_end: u64,
     total_records: u64,
-    /// Cached metric handles — resolved once so the per-record path
-    /// stays a single atomic add.
+    /// Cached metric handles. Records are added a closed frame at a time:
+    /// a per-record add on the shared counter is contended by every
+    /// convert worker.
     obs_records: &'static ute_obs::Counter,
     obs_frames: &'static ute_obs::Counter,
     obs_dirs: &'static ute_obs::Counter,
@@ -168,7 +169,6 @@ impl<'p> IntervalFileWriter<'p> {
         }
         self.current.nrecords += 1;
         self.total_records += 1;
-        self.obs_records.inc();
         if self.current.nrecords as usize >= self.policy.max_records_per_frame {
             self.close_frame();
         }
@@ -180,6 +180,7 @@ impl<'p> IntervalFileWriter<'p> {
             return;
         }
         let frame = std::mem::take(&mut self.current);
+        self.obs_records.add(frame.nrecords as u64);
         self.obs_frames.inc();
         self.pending.push(frame);
         if self.pending.len() >= self.policy.max_frames_per_dir {
@@ -248,10 +249,7 @@ impl<'p> IntervalFileWriter<'p> {
 /// A parsed interval-file header plus the means to walk its records.
 pub struct IntervalFileReader<'a> {
     data: &'a [u8],
-    profile: &'a Profile,
-    /// Precompiled field plans for this file's mask; decode falls back
-    /// to [`Interval::decode_body`] for record types without one.
-    plans: PlanSet,
+    decoder: RecordDecoder<'a>,
     /// Field selection mask of this file.
     pub mask: u32,
     /// Producing node ([`MERGED_NODE`] for merged files).
@@ -299,35 +297,13 @@ impl<'a> IntervalFileReader<'a> {
         ute_obs::counter("format/files_opened").inc();
         Ok(IntervalFileReader {
             data,
-            profile,
-            plans: PlanSet::build(profile, mask),
+            decoder: RecordDecoder::new(profile, mask, node),
             mask,
             node,
             threads,
             markers,
             first_dir,
         })
-    }
-
-    /// The default node used when decoding records of this file.
-    fn default_node(&self) -> NodeId {
-        NodeId(if self.node == MERGED_NODE {
-            0
-        } else {
-            self.node
-        })
-    }
-
-    /// Decodes one record body through the plan cache (reference-path
-    /// fallback for unplanned record types).
-    fn decode_record(&self, body: &[u8], node: NodeId) -> Result<Interval> {
-        if body.len() >= 4 {
-            let itype_raw = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-            if let Some(plan) = self.plans.plan(itype_raw) {
-                return plan.decode_body(body, node);
-            }
-        }
-        Interval::decode_body(self.profile, self.mask, body, node)
     }
 
     /// Retrieves a marker string by identifier (§2.4).
@@ -369,21 +345,13 @@ impl<'a> IntervalFileReader<'a> {
     pub fn frame_intervals(&self, entry: &FrameEntry) -> Result<Vec<Interval>> {
         ute_obs::counter("format/frames_read").inc();
         ute_obs::counter("format/bytes_read").add(entry.size);
-        let mut r = ByteReader::new(self.data);
-        r.seek(entry.offset)?;
-        let cap = ute_core::codec::clamped_capacity(entry.nrecords as usize, 2, r.remaining());
+        let remaining = self.data.len().saturating_sub(entry.offset as usize);
+        let cap = ute_core::codec::clamped_capacity(entry.nrecords as usize, 2, remaining);
         let mut out = Vec::with_capacity(cap);
-        let node = self.default_node();
-        for _ in 0..entry.nrecords {
-            let body = read_record(&mut r)?;
-            out.push(self.decode_record(body, node)?);
-        }
-        if Some(r.pos()) != entry.offset.checked_add(entry.size) {
-            return Err(UteError::corrupt_at(
-                "frame size disagrees with its records",
-                entry.offset,
-            ));
-        }
+        self.decoder
+            .walk_frame(self.data, entry.offset, entry, |rec| {
+                out.push(rec.into_interval())
+            })?;
         Ok(out)
     }
 
@@ -395,7 +363,7 @@ impl<'a> IntervalFileReader<'a> {
         let mut r = ByteReader::new(self.data);
         r.seek(offset)?;
         let body = read_record(&mut r)?;
-        let iv = self.decode_record(body, self.default_node())?;
+        let iv = self.decoder.read(body)?.into_interval();
         Ok((iv, r.pos()))
     }
 
@@ -413,11 +381,17 @@ impl<'a> IntervalFileReader<'a> {
         }
     }
 
+    /// Sequential access yielding each record viewed in place where its
+    /// layout allows — for readers that want a few fields of each record,
+    /// or all fields of a few records.
+    pub fn records(&self) -> impl Iterator<Item = Result<Record<'_>>> + '_ {
+        self.record_bodies()
+            .map(move |body| body.and_then(|b| self.decoder.read(b)))
+    }
+
     /// Sequential access yielding decoded [`Interval`]s.
     pub fn intervals(&self) -> impl Iterator<Item = Result<Interval>> + '_ {
-        let node = self.default_node();
-        self.record_bodies()
-            .map(move |body| body.and_then(|b| self.decode_record(b, node)))
+        self.records().map(|rec| rec.map(Record::into_interval))
     }
 
     /// Finds the frame containing (or next after) time `t` by walking the
@@ -567,7 +541,7 @@ mod tests {
     use crate::profile::{MASK_MERGED, MASK_PER_NODE};
     use crate::record::IntervalType;
     use crate::state::StateCode;
-    use ute_core::ids::{CpuId, LogicalThreadId, Pid, SystemThreadId, TaskId, ThreadType};
+    use ute_core::ids::{CpuId, LogicalThreadId, NodeId, Pid, SystemThreadId, TaskId, ThreadType};
 
     fn threads() -> ThreadTable {
         let mut t = ThreadTable::new();
@@ -763,7 +737,7 @@ mod api_completeness_tests {
     use crate::profile::MASK_PER_NODE;
     use crate::record::IntervalType;
     use crate::state::StateCode;
-    use ute_core::ids::{CpuId, LogicalThreadId};
+    use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
 
     #[test]
     fn interval_at_steps_through_a_frame() {

@@ -15,30 +15,43 @@ use std::path::Path;
 
 use ute_core::codec::ByteReader;
 use ute_core::error::{Result, UteError};
-use ute_core::ids::NodeId;
 
-use crate::file::{HEADER_VERSION, MAGIC, MERGED_NODE};
+use crate::file::{HEADER_VERSION, MAGIC};
 use crate::frame::{FrameDirectory, FrameEntry, DIR_HEADER_LEN, FRAME_ENTRY_LEN, NO_DIR};
 use crate::profile::Profile;
-use crate::record::{read_record, Interval};
+use crate::record::Interval;
 use crate::thread_table::ThreadTable;
+use crate::view::{Record, RecordDecoder};
 
-/// Incremental reader over a [`File`] with the codec's vocabulary.
+/// Positioned reads over a [`File`] with the codec's vocabulary.
 struct FileCursor {
     file: File,
+    /// File length at open: no read is sized past it, whatever a damaged
+    /// directory claims.
+    len: u64,
 }
 
 impl FileCursor {
-    fn read_at(&mut self, offset: u64, len: usize, what: &str) -> Result<Vec<u8>> {
+    /// Fills `buf` with the `len` bytes at `offset`.
+    fn read_into(&mut self, buf: &mut Vec<u8>, offset: u64, len: u64, what: &str) -> Result<()> {
+        let short = || UteError::corrupt_at(format!("{what}: short read of {len} bytes"), offset);
+        if offset.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(short());
+        }
         self.file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        self.file.read_exact(&mut buf).map_err(|e| {
+        buf.resize(len as usize, 0);
+        self.file.read_exact(buf).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                UteError::corrupt_at(format!("{what}: short read of {len} bytes"), offset)
+                short()
             } else {
                 UteError::Io(e)
             }
-        })?;
+        })
+    }
+
+    fn read_at(&mut self, offset: u64, len: usize, what: &str) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_into(&mut buf, offset, len as u64, what)?;
         Ok(buf)
     }
 }
@@ -49,7 +62,9 @@ type ParsedHeader = (u32, u16, ThreadTable, Vec<(u32, String)>);
 /// Streaming interval-file reader over an open file.
 pub struct FileIntervalReader<'p> {
     cursor: FileCursor,
-    profile: &'p Profile,
+    decoder: RecordDecoder<'p>,
+    /// The frame being walked; one buffer serves every frame.
+    frame: Vec<u8>,
     /// Field selection mask of this file.
     pub mask: u32,
     /// Producing node ([`MERGED_NODE`] for merged files).
@@ -68,7 +83,7 @@ impl<'p> FileIntervalReader<'p> {
         use ute_core::error::PathContext;
         let file = File::open(path).in_file(path)?;
         let total = file.metadata().in_file(path)?.len();
-        let mut cursor = FileCursor { file };
+        let mut cursor = FileCursor { file, len: total };
         // The header is variable-length (thread table + marker strings).
         // Read a generous prefix and parse it with the slice reader; grow
         // if it turns out to be longer.
@@ -83,7 +98,8 @@ impl<'p> FileIntervalReader<'p> {
                     let first_dir = r.get_u64()?;
                     return Ok(FileIntervalReader {
                         cursor,
-                        profile,
+                        decoder: RecordDecoder::new(profile, mask, node),
+                        frame: Vec::new(),
                         mask,
                         node,
                         threads,
@@ -97,6 +113,11 @@ impl<'p> FileIntervalReader<'p> {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Length of the file in bytes, as of opening it.
+    pub fn file_len(&self) -> u64 {
+        self.cursor.len
     }
 
     fn parse_header(r: &mut ByteReader<'_>) -> Result<ParsedHeader> {
@@ -121,14 +142,6 @@ impl<'p> FileIntervalReader<'p> {
             markers.push((id, r.get_str()?));
         }
         Ok((mask, node, threads, markers))
-    }
-
-    fn default_node(&self) -> NodeId {
-        NodeId(if self.node == MERGED_NODE {
-            0
-        } else {
-            self.node
-        })
     }
 
     /// Reads the frame directory at `offset` ([`NO_DIR`] → the first)
@@ -156,26 +169,20 @@ impl<'p> FileIntervalReader<'p> {
         FrameDirectory::decode(&mut r)
     }
 
-    /// Decodes one frame's records with a single bounded read.
+    /// Fetches one frame with a single bounded read and hands each of
+    /// its records to `f`, viewed in place where its layout allows.
+    pub fn for_each_record(&mut self, entry: &FrameEntry, f: impl FnMut(Record<'_>)) -> Result<()> {
+        self.cursor
+            .read_into(&mut self.frame, entry.offset, entry.size, "frame")?;
+        self.decoder.walk_frame(&self.frame, 0, entry, f)
+    }
+
+    /// Decodes one frame's records.
     pub fn frame_intervals(&mut self, entry: &FrameEntry) -> Result<Vec<Interval>> {
-        let buf = self
-            .cursor
-            .read_at(entry.offset, entry.size as usize, "frame")?;
-        let mut r = ByteReader::new(&buf);
-        let mut out = Vec::with_capacity(ute_core::codec::clamped_capacity(
-            entry.nrecords as usize,
-            2,
-            buf.len(),
-        ));
-        for _ in 0..entry.nrecords {
-            let body = read_record(&mut r)?;
-            out.push(Interval::decode_body(
-                self.profile,
-                self.mask,
-                body,
-                self.default_node(),
-            )?);
-        }
+        let cap =
+            ute_core::codec::clamped_capacity(entry.nrecords as usize, 2, entry.size as usize);
+        let mut out = Vec::with_capacity(cap);
+        self.for_each_record(entry, |rec| out.push(rec.into_interval()))?;
         Ok(out)
     }
 
@@ -232,7 +239,7 @@ mod tests {
     use crate::profile::MASK_PER_NODE;
     use crate::record::IntervalType;
     use crate::state::StateCode;
-    use ute_core::ids::{CpuId, LogicalThreadId};
+    use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
 
     fn write_sample(path: &Path, n: u64) -> Profile {
         let p = Profile::standard();

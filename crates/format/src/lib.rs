@@ -34,6 +34,7 @@ pub mod record;
 pub mod state;
 pub mod thread_table;
 pub mod value;
+pub mod view;
 
 pub use datatype::FieldType;
 pub use file::{FramePolicy, IntervalFileReader, IntervalFileWriter};
@@ -45,3 +46,4 @@ pub use record::{Interval, IntervalType};
 pub use state::StateCode;
 pub use thread_table::{ThreadEntry, ThreadTable};
 pub use value::Value;
+pub use view::{Record, RecordView};

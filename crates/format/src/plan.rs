@@ -7,7 +7,9 @@
 //! resolution, mask filtering, and length precomputation **once** per
 //! `(profile, mask)` pair; after that, encoding a record is a straight
 //! walk over enum-dispatched fields written directly into the caller's
-//! buffer, and decoding is the mirror walk.
+//! buffer, and reading one is a [`RecordView`] over the plan's
+//! [`Layout`] — fields loaded from known places, an [`Interval`] built
+//! only for the caller that asks for one.
 //!
 //! The plans are a pure acceleration layer: for every record they produce
 //! exactly the bytes (and exactly the decoded [`Interval`]) the reference
@@ -15,19 +17,18 @@
 //! cross-checked end-to-end by the `fast-vs-reference` oracle in
 //! `ute-verify`. Record types the plan builder cannot resolve (a spec
 //! naming a field index outside the profile's name table) simply get no
-//! plan, and callers fall back to the reference path, which reports the
-//! same errors it always did.
+//! plan, and a body no view accepts is handed to the reference decoder,
+//! which reports the same errors it always did.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use ute_core::codec::{ByteReader, ByteWriter};
+use ute_core::codec::ByteWriter;
 use ute_core::error::{Result, UteError};
-use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
+use ute_core::ids::NodeId;
 
 use crate::datatype::FieldType;
 use crate::profile::Profile;
-use crate::record::{Interval, IntervalType};
-use crate::value::{decode_value, encode_value, encoded_len, Value};
+use crate::record::Interval;
+use crate::value::{encode_value, encoded_len, Value};
+use crate::view::{Layout, RecordView};
 
 /// Where a planned field's value comes from (encode) or goes (decode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,22 +73,11 @@ pub struct RecordPlan {
     pub itype_raw: u32,
     /// All mask-present fields in spec order (encode walks these).
     encode_fields: Vec<PlanField>,
-    /// Mask-present fields after the leading record-type field (decode
-    /// walks these once the type word has been consumed).
-    decode_fields: Vec<PlanField>,
     /// Body length when every present field is fixed-size.
     fixed_len: Option<usize>,
-    /// Number of extras the decode walk produces — lets decode size the
-    /// extras vector exactly, one allocation, no growth.
-    extras_count: usize,
-    /// Whether the spec's first field is present under the mask — the
-    /// decode path requires the leading record-type word on disk.
-    first_present: bool,
-    /// True when every present field is a fixed-width scalar and the
-    /// leading record-type word is the 4 bytes the decoder consumes:
-    /// decode can then walk precomputed byte offsets with one length
-    /// check instead of a bounds-checked reader per field.
-    fixed_decode: bool,
+    /// Where a reader finds each field of a body, for every spec a
+    /// [`RecordView`] can express.
+    layout: Option<Layout>,
 }
 
 impl RecordPlan {
@@ -248,82 +238,6 @@ impl RecordPlan {
         }
         Ok(())
     }
-
-    /// Decodes a record body previously sized by [`read_record`]'s length
-    /// prefix. `body` starts at the record-type word. Produces exactly
-    /// what [`Interval::decode_body`] produces for the same input.
-    ///
-    /// [`read_record`]: crate::record::read_record
-    pub fn decode_body(&self, body: &[u8], default_node: NodeId) -> Result<Interval> {
-        // Offset-walk fast path for all-scalar records of exactly the
-        // planned length. Any other length falls through to the reader
-        // path, which reports the same truncation / trailing-bytes
-        // errors the reference decoder always has.
-        if self.fixed_decode && Some(body.len()) == self.fixed_len {
-            return self.decode_body_fixed(body, default_node);
-        }
-        let mut r = ByteReader::new(body);
-        let itype_raw = r.get_u32()?;
-        let itype = IntervalType::from_u32(itype_raw)?;
-        if !self.first_present {
-            return Err(UteError::corrupt("recType field masked out"));
-        }
-        let mut out = Interval::basic(itype, 0, 0, CpuId(0), default_node, LogicalThreadId(0));
-        out.extras = Vec::with_capacity(self.extras_count);
-        for f in &self.decode_fields {
-            let v = decode_value(&mut r, f.ftype, f.vector, f.counter_len)?;
-            match f.kind {
-                FieldKind::Start => out.start = v.as_uint().unwrap_or(0),
-                FieldKind::Dura => out.duration = v.as_uint().unwrap_or(0),
-                FieldKind::Cpu => out.cpu = CpuId(v.as_uint().unwrap_or(0) as u16),
-                FieldKind::Node => out.node = NodeId(v.as_uint().unwrap_or(0) as u16),
-                FieldKind::Thread => out.thread = LogicalThreadId(v.as_uint().unwrap_or(0) as u16),
-                _ => out.extras.push((f.name_idx, v)),
-            }
-        }
-        if !r.is_empty() {
-            return Err(UteError::corrupt(format!(
-                "record body has {} trailing bytes",
-                r.remaining()
-            )));
-        }
-        Ok(out)
-    }
-
-    /// The all-scalar decode walk: one length check up front (done by the
-    /// caller), then direct little-endian reads at precomputed offsets.
-    /// Field-for-field this computes exactly what the reader path does —
-    /// same `Value` per field, same `as_uint` widening into the common
-    /// slots — it only skips the per-field bounds bookkeeping.
-    fn decode_body_fixed(&self, body: &[u8], default_node: NodeId) -> Result<Interval> {
-        let itype_raw = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-        let itype = IntervalType::from_u32(itype_raw)?;
-        let mut out = Interval::basic(itype, 0, 0, CpuId(0), default_node, LogicalThreadId(0));
-        out.extras = Vec::with_capacity(self.extras_count);
-        let mut off = 4usize;
-        for f in &self.decode_fields {
-            let w = f.ftype.elem_len() as usize;
-            let b = &body[off..off + w];
-            off += w;
-            let v = match f.ftype {
-                FieldType::U8 | FieldType::Char => Value::Uint(b[0] as u64),
-                FieldType::U16 => Value::Uint(u16::from_le_bytes([b[0], b[1]]) as u64),
-                FieldType::U32 => Value::Uint(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64),
-                FieldType::U64 => Value::Uint(u64::from_le_bytes(b.try_into().unwrap())),
-                FieldType::I64 => Value::Int(i64::from_le_bytes(b.try_into().unwrap())),
-                FieldType::F64 => Value::Float(f64::from_le_bytes(b.try_into().unwrap())),
-            };
-            match f.kind {
-                FieldKind::Start => out.start = v.as_uint().unwrap_or(0),
-                FieldKind::Dura => out.duration = v.as_uint().unwrap_or(0),
-                FieldKind::Cpu => out.cpu = CpuId(v.as_uint().unwrap_or(0) as u16),
-                FieldKind::Node => out.node = NodeId(v.as_uint().unwrap_or(0) as u16),
-                FieldKind::Thread => out.thread = LogicalThreadId(v.as_uint().unwrap_or(0) as u16),
-                _ => out.extras.push((f.name_idx, v)),
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Finds an extra by name index. `cursor` exploits that both the
@@ -348,9 +262,19 @@ fn lookup_extra<'a>(iv: &'a Interval, name_idx: u16, cursor: &mut usize) -> Opti
 /// record type word.
 pub struct PlanSet {
     plans: Vec<RecordPlan>,
-    /// Last plan index hit — record streams run the same type for long
-    /// stretches, so this turns most lookups into one comparison.
-    last: AtomicUsize,
+    /// Open-addressed hash index over `plans`: `(type word, plan index)`,
+    /// [`NO_PLAN`] marking a free slot. Interleaved threads make nearly
+    /// every record of a stream a different type from the one before it,
+    /// so the lookup has to be cheap on a miss of any "last type" guess.
+    index: Vec<(u32, u32)>,
+}
+
+const NO_PLAN: u32 = u32::MAX;
+
+/// Slot a type word hashes to in an index of `len` (a power of two) slots.
+#[inline]
+fn index_slot(itype_raw: u32, len: usize) -> usize {
+    (itype_raw.wrapping_mul(0x9E37_79B1) >> 7) as usize & (len - 1)
 }
 
 impl PlanSet {
@@ -361,13 +285,11 @@ impl PlanSet {
         let mut plans = Vec::with_capacity(profile.specs.len());
         'spec: for (&itype_raw, spec) in &profile.specs {
             let mut encode_fields = Vec::with_capacity(spec.fields.len());
-            let mut decode_fields = Vec::with_capacity(spec.fields.len());
             let mut fixed_len = Some(0usize);
             if spec.fields.is_empty() {
                 continue; // reference path reports "record spec has no fields"
             }
-            let first_present = spec.fields[0].present_in(mask);
-            for (i, f) in spec.fields.iter().enumerate() {
+            for f in &spec.fields {
                 if !f.present_in(mask) {
                     continue;
                 }
@@ -383,72 +305,68 @@ impl PlanSet {
                     "thread" => FieldKind::Thread,
                     _ => FieldKind::Extra,
                 };
-                let pf = PlanField {
+                if f.vector {
+                    fixed_len = None;
+                } else if let Some(n) = fixed_len.as_mut() {
+                    *n += f.ftype.elem_len() as usize;
+                }
+                encode_fields.push(PlanField {
                     kind,
                     name_idx: f.name_idx,
                     name: name.clone(),
                     ftype: f.ftype,
                     vector: f.vector,
                     counter_len: f.counter_len,
-                };
-                if f.vector {
-                    fixed_len = None;
-                } else if let Some(n) = fixed_len.as_mut() {
-                    *n += f.ftype.elem_len() as usize;
-                }
-                if i > 0 {
-                    // The decode path consumes the leading type word
-                    // itself; any later field named recType decodes by
-                    // the reference rules (i.e. as an extra).
-                    let mut df = pf.clone();
-                    if df.kind == FieldKind::RecType {
-                        df.kind = FieldKind::Extra;
-                    }
-                    decode_fields.push(df);
-                }
-                encode_fields.push(pf);
+                });
             }
-            let extras_count = decode_fields
-                .iter()
-                .filter(|f| f.kind == FieldKind::Extra)
-                .count();
-            let first = &spec.fields[0];
-            let fixed_decode = fixed_len.is_some()
-                && first_present
-                && !first.vector
-                && first.ftype.elem_len() == 4;
+            // The reference decoder wants the type word on disk.
+            let layout = if spec.fields[0].present_in(mask) {
+                Layout::after_type_word(&encode_fields[1..])
+            } else {
+                None
+            };
             plans.push(RecordPlan {
                 itype_raw,
                 encode_fields,
-                decode_fields,
                 fixed_len,
-                extras_count,
-                first_present,
-                fixed_decode,
+                layout,
             });
         }
-        plans.sort_by_key(|p| p.itype_raw);
-        PlanSet {
-            plans,
-            last: AtomicUsize::new(0),
+        // At most half full, so a probe ends after a slot or two.
+        let mut index = vec![(0, NO_PLAN); (plans.len() * 2).next_power_of_two()];
+        for (i, p) in plans.iter().enumerate() {
+            let mut at = index_slot(p.itype_raw, index.len());
+            while index[at].1 != NO_PLAN {
+                at = (at + 1) & (index.len() - 1);
+            }
+            index[at] = (p.itype_raw, i as u32);
         }
+        PlanSet { plans, index }
     }
 
     /// The plan for a record type word, if one was compiled.
     #[inline]
     pub fn plan(&self, itype_raw: u32) -> Option<&RecordPlan> {
-        let last = self.last.load(Ordering::Relaxed);
-        if let Some(p) = self.plans.get(last) {
-            if p.itype_raw == itype_raw {
-                return Some(p);
+        let mut at = index_slot(itype_raw, self.index.len());
+        loop {
+            let (key, i) = self.index[at];
+            if i == NO_PLAN {
+                return None;
             }
+            if key == itype_raw {
+                return Some(&self.plans[i as usize]);
+            }
+            at = (at + 1) & (self.index.len() - 1);
         }
-        let idx = self
-            .plans
-            .binary_search_by_key(&itype_raw, |p| p.itype_raw)
-            .ok()?;
-        self.last.store(idx, Ordering::Relaxed);
-        Some(&self.plans[idx])
+    }
+
+    /// Views a record body in place through the plan its type word
+    /// selects. `None` when no view serves it; the reference decoder
+    /// then says whether that is the body's fault.
+    #[inline]
+    pub fn view<'a>(&'a self, body: &'a [u8], default_node: NodeId) -> Option<RecordView<'a>> {
+        let word = u32::from_le_bytes(*body.first_chunk()?);
+        RecordView::new(self.plan(word)?.layout.as_ref()?, body, default_node)
     }
 
     /// Number of compiled plans (diagnostics).
@@ -466,10 +384,11 @@ impl PlanSet {
 mod tests {
     use super::*;
     use crate::profile::{MASK_MERGED, MASK_PER_NODE};
-    use crate::record::write_record;
+    use crate::record::{write_record, IntervalType};
     use crate::state::StateCode;
     use ute_core::bebits::BeBits;
     use ute_core::event::MpiOp;
+    use ute_core::ids::{CpuId, LogicalThreadId};
 
     fn sample_intervals(p: &Profile) -> Vec<Interval> {
         let mut out = vec![Interval::basic(
@@ -541,9 +460,21 @@ mod tests {
             for iv in sample_intervals(&p) {
                 let body = iv.encode_body(&p, mask).unwrap();
                 let reference = Interval::decode_body(&p, mask, &body, default_node).unwrap();
-                let plan = plans.plan(iv.itype.to_u32()).unwrap();
-                let fast = plan.decode_body(&body, default_node).unwrap();
-                assert_eq!(fast, reference);
+                let view = plans.view(&body, default_node).unwrap();
+                assert_eq!(view.to_interval(), reference);
+                assert_eq!(view.itype(), reference.itype);
+                assert_eq!(view.start(), reference.start);
+                assert_eq!(view.duration(), reference.duration);
+                assert_eq!(view.cpu(), reference.cpu);
+                assert_eq!(view.node(), reference.node);
+                assert_eq!(view.thread(), reference.thread);
+                for name in ["rank", "seq", "address", "reqSeqs", "markerId"] {
+                    assert_eq!(
+                        view.extra_uint(p.field_name_index(name).unwrap()),
+                        reference.extra(&p, name).and_then(Value::as_uint),
+                        "{name}"
+                    );
+                }
             }
         }
     }
@@ -570,8 +501,14 @@ mod tests {
         let good = sample_intervals(&p).remove(1);
         let mut body = good.encode_body(&p, MASK_MERGED).unwrap();
         body.push(0);
-        let plan = plans.plan(good.itype.to_u32()).unwrap();
-        assert!(plan.decode_body(&body, NodeId(0)).is_err());
+        assert!(plans.view(&body, NodeId(0)).is_none());
+        // A vector whose counter promises more than the body holds.
+        let waitall = sample_intervals(&p).remove(2);
+        let mut body = waitall.encode_body(&p, MASK_MERGED).unwrap();
+        assert!(plans.view(&body, NodeId(0)).is_some());
+        body.truncate(body.len() - 1);
+        assert!(plans.view(&body, NodeId(0)).is_none());
+        assert!(Interval::decode_body(&p, MASK_MERGED, &body, NodeId(0)).is_err());
     }
 
     #[test]

@@ -1,0 +1,491 @@
+//! Reading interval records in place (§2.4, Figure 5).
+//!
+//! The paper's read API pulls fields straight off the record bytes; the
+//! length prefix exists so "a program reader can always find the next
+//! interval record without examining the current record in detail". A
+//! [`RecordView`] is that idea with the name resolution done once: the
+//! [`crate::plan::RecordPlan`] of a record type carries a [`Layout`] —
+//! where each field sits and what type it has — and a view is that
+//! layout plus a body it has been checked against. The check is
+//! everything a decode checks (the type word unpacks, the type has a
+//! plan, every vector's counter and payload lie inside the body, text is
+//! UTF-8, and the fields fill the body exactly); after it every accessor
+//! is a load at a known place, nothing is allocated, and a consumer that
+//! wants three fields pays for three.
+//!
+//! A body that fails the check gets no view and no error of the view's
+//! own: the caller hands it to the reference decoder
+//! ([`Interval::decode_body`]), which says what is wrong with it in the
+//! words it always has — so nothing that fails a decode passes a view,
+//! and no error text has a second author. The same goes for the few
+//! specs a layout does not express (a field name outside the profile, a
+//! masked-out type word, a vector of signed integers). [`Record`] is the
+//! sum of the two outcomes and [`RecordDecoder`] the one place that
+//! chooses between them; both interval-file readers walk their frames
+//! through it.
+
+use ute_core::codec::ByteReader;
+use ute_core::error::{Result, UteError};
+use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
+
+use crate::datatype::FieldType;
+use crate::file::MERGED_NODE;
+use crate::frame::FrameEntry;
+use crate::plan::{FieldKind, PlanField, PlanSet};
+use crate::profile::Profile;
+use crate::record::{read_record, Interval, IntervalType};
+use crate::value::Value;
+
+/// Where one field sits in a record body: `off` bytes from the start,
+/// counting every scalar and vector counter before it, plus the payloads
+/// of the `nvec` vector fields before it, whose sizes the body says.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    off: u32,
+    nvec: u8,
+    ftype: FieldType,
+    /// Width of the vector counter; 0 for a scalar field.
+    counter_len: u8,
+}
+
+impl Slot {
+    /// Element count of this vector field, whose counter is at `at`.
+    #[inline]
+    fn count(self, body: &[u8], at: usize) -> Option<usize> {
+        Some(match self.counter_len {
+            1 => *body.get(at)? as usize,
+            2 => u16::from_le_bytes(*body.get(at..)?.first_chunk()?) as usize,
+            _ => u32::from_le_bytes(*body.get(at..)?.first_chunk()?) as usize,
+        })
+    }
+
+    /// The field at `at` as the [`Value`] a decode produces for it.
+    fn value(self, body: &[u8], at: usize) -> Value {
+        let w = self.ftype.elem_len() as usize;
+        if self.counter_len == 0 {
+            return match self.ftype {
+                FieldType::I64 => Value::Int(i64::from_le_bytes(bytes(body, at))),
+                FieldType::F64 => Value::Float(f64::from_le_bytes(bytes(body, at))),
+                t => Value::Uint(scalar(t, body, at)),
+            };
+        }
+        let n = self.count(body, at).expect("counter checked by the view");
+        let from = at + self.counter_len as usize;
+        let payload = &body[from..from + n * w];
+        match self.ftype {
+            FieldType::Char => Value::Str(
+                std::str::from_utf8(payload)
+                    .expect("text checked by the view")
+                    .into(),
+            ),
+            FieldType::F64 => Value::FloatVec(
+                payload
+                    .chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(bytes(c, 0)))
+                    .collect(),
+            ),
+            _ => Value::UintVec(
+                payload
+                    .chunks_exact(w)
+                    .map(|c| scalar(self.ftype, c, 0))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `self.value(..).as_uint()` without building the `Value`.
+    #[inline]
+    fn uint(self, body: &[u8], at: usize) -> Option<u64> {
+        match (self.counter_len, self.ftype) {
+            (0, FieldType::I64) => u64::try_from(i64::from_le_bytes(bytes(body, at))).ok(),
+            (0, FieldType::F64) => None,
+            (0, t) => Some(scalar(t, body, at)),
+            _ => None,
+        }
+    }
+}
+
+/// An unsigned scalar of type `t` at `at`, widened.
+#[inline]
+fn scalar(t: FieldType, body: &[u8], at: usize) -> u64 {
+    match t.elem_len() {
+        1 => body[at] as u64,
+        2 => u16::from_le_bytes(bytes(body, at)) as u64,
+        4 => u32::from_le_bytes(bytes(body, at)) as u64,
+        _ => u64::from_le_bytes(bytes(body, at)),
+    }
+}
+
+/// `N` bytes of `body` at `at`. A view only asks for places its check
+/// found inside the body.
+#[inline]
+fn bytes<const N: usize>(body: &[u8], at: usize) -> [u8; N] {
+    *body[at..]
+        .first_chunk()
+        .expect("field inside the checked body")
+}
+
+/// Field places of one record type under one mask.
+///
+/// A common slot names the *last* field of that name and `extras` keeps
+/// spec order — what the reference decoder's field-by-field walk leaves
+/// behind in the struct.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Layout {
+    /// Bytes of the type word, every scalar and every vector counter.
+    static_len: usize,
+    start: Option<Slot>,
+    dura: Option<Slot>,
+    cpu: Option<Slot>,
+    node: Option<Slot>,
+    thread: Option<Slot>,
+    /// Every other field after the type word: (field name index, slot).
+    extras: Vec<(u16, Slot)>,
+    /// Position in `extras` of the first extra with each field name
+    /// index ([`NO_EXTRA`]: none), so a lookup by name index is a load.
+    extra_at: Vec<u8>,
+    /// The vector fields, in body order.
+    vectors: Vec<Slot>,
+}
+
+const NO_EXTRA: u8 = u8::MAX;
+
+impl Layout {
+    /// Lays out the mask-present fields that follow the type word (which
+    /// the decoder reads as 4 bytes whatever the spec calls it). `None`
+    /// when some field decodes to an error whatever the bytes: a vector
+    /// of signed integers, a counter that is not 1, 2 or 4 bytes wide.
+    pub(crate) fn after_type_word(fields: &[PlanField]) -> Option<Layout> {
+        let mut layout = Layout::default();
+        let mut off = 4u32;
+        for f in fields {
+            let slot = Slot {
+                off,
+                nvec: u8::try_from(layout.vectors.len()).ok()?,
+                ftype: f.ftype,
+                counter_len: if f.vector { f.counter_len } else { 0 },
+            };
+            if f.vector {
+                if f.ftype == FieldType::I64 || !matches!(f.counter_len, 1 | 2 | 4) {
+                    return None;
+                }
+                layout.vectors.push(slot);
+                off += f.counter_len as u32;
+            } else {
+                off += f.ftype.elem_len() as u32;
+            }
+            match f.kind {
+                FieldKind::Start => layout.start = Some(slot),
+                FieldKind::Dura => layout.dura = Some(slot),
+                FieldKind::Cpu => layout.cpu = Some(slot),
+                FieldKind::Node => layout.node = Some(slot),
+                FieldKind::Thread => layout.thread = Some(slot),
+                // A later field named recType decodes as an extra.
+                FieldKind::RecType | FieldKind::Extra => {
+                    let idx = f.name_idx as usize;
+                    if layout.extra_at.len() <= idx {
+                        layout.extra_at.resize(idx + 1, NO_EXTRA);
+                    }
+                    // A spec holds at most 255 fields on disk, so the
+                    // position fits a byte.
+                    let at = u8::try_from(layout.extras.len()).ok()?;
+                    if at == NO_EXTRA {
+                        return None;
+                    }
+                    if layout.extra_at[idx] == NO_EXTRA {
+                        layout.extra_at[idx] = at;
+                    }
+                    layout.extras.push((f.name_idx, slot));
+                }
+            }
+        }
+        layout.static_len = off as usize;
+        Some(layout)
+    }
+}
+
+/// A validated, borrowed view of one record body — the interval-file
+/// twin of `ute_rawtrace::RawRecordView`.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    layout: &'a Layout,
+    body: &'a [u8],
+    itype: IntervalType,
+    default_node: NodeId,
+}
+
+impl<'a> RecordView<'a> {
+    /// Checks `body` against `layout`; `None` when a decode of it would
+    /// fail.
+    #[inline]
+    pub(crate) fn new(
+        layout: &'a Layout,
+        body: &'a [u8],
+        default_node: NodeId,
+    ) -> Option<RecordView<'a>> {
+        let itype = IntervalType::from_u32(u32::from_le_bytes(*body.first_chunk()?)).ok()?;
+        let mut len = layout.static_len;
+        for v in &layout.vectors {
+            // `len` so far is this vector's `off` plus the payloads
+            // before it, which puts its counter at:
+            let at = v.off as usize + (len - layout.static_len);
+            let from = at + v.counter_len as usize;
+            let size = v
+                .count(body, at)?
+                .checked_mul(v.ftype.elem_len() as usize)?;
+            let payload = body.get(from..from.checked_add(size)?)?;
+            if v.ftype == FieldType::Char && std::str::from_utf8(payload).is_err() {
+                return None;
+            }
+            len += size;
+        }
+        (len == body.len()).then_some(RecordView {
+            layout,
+            body,
+            itype,
+            default_node,
+        })
+    }
+
+    /// Where `slot`'s field starts in this body.
+    #[inline]
+    fn at(&self, slot: Slot) -> usize {
+        let mut shift = 0;
+        for v in &self.layout.vectors[..slot.nvec as usize] {
+            let n = v
+                .count(self.body, v.off as usize + shift)
+                .expect("counter checked by the view");
+            shift += n * v.ftype.elem_len() as usize;
+        }
+        slot.off as usize + shift
+    }
+
+    #[inline]
+    fn common(&self, slot: Option<Slot>) -> Option<u64> {
+        slot.map(|s| s.uint(self.body, self.at(s)).unwrap_or(0))
+    }
+
+    /// State + bebits.
+    #[inline]
+    pub fn itype(&self) -> IntervalType {
+        self.itype
+    }
+
+    /// Start timestamp, ticks.
+    #[inline]
+    pub fn start(&self) -> u64 {
+        self.common(self.layout.start).unwrap_or(0)
+    }
+
+    /// Duration, ticks.
+    #[inline]
+    pub fn duration(&self) -> u64 {
+        self.common(self.layout.dura).unwrap_or(0)
+    }
+
+    /// Processor id.
+    #[inline]
+    pub fn cpu(&self) -> CpuId {
+        CpuId(self.common(self.layout.cpu).unwrap_or(0) as u16)
+    }
+
+    /// Node id: the record's own field, or the file's node when the
+    /// field is masked out (per-node files).
+    #[inline]
+    pub fn node(&self) -> NodeId {
+        match self.common(self.layout.node) {
+            Some(n) => NodeId(n as u16),
+            None => self.default_node,
+        }
+    }
+
+    /// Logical thread id.
+    #[inline]
+    pub fn thread(&self) -> LogicalThreadId {
+        LogicalThreadId(self.common(self.layout.thread).unwrap_or(0) as u16)
+    }
+
+    /// The first extra field with this name index as an unsigned
+    /// integer — what `Interval::extra(..).and_then(Value::as_uint)`
+    /// returns on the decoded record.
+    #[inline]
+    pub fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        let at = *self.layout.extra_at.get(name_idx as usize)?;
+        let (_, slot) = *self.layout.extras.get(at as usize)?;
+        slot.uint(self.body, self.at(slot))
+    }
+
+    /// Materialises the record: exactly the [`Interval`] the reference
+    /// decoder produces for these bytes.
+    pub fn to_interval(&self) -> Interval {
+        let mut out = Interval::basic(
+            self.itype,
+            self.start(),
+            self.duration(),
+            self.cpu(),
+            self.node(),
+            self.thread(),
+        );
+        out.extras = Vec::with_capacity(self.layout.extras.len());
+        for &(idx, slot) in &self.layout.extras {
+            out.extras.push((idx, slot.value(self.body, self.at(slot))));
+        }
+        out
+    }
+}
+
+/// One record read off its body: viewed in place, or — a record type no
+/// layout expresses — decoded.
+#[derive(Debug)]
+pub enum Record<'a> {
+    /// Fields read on demand.
+    View(RecordView<'a>),
+    /// Decoded by the reference decoder.
+    Owned(Interval),
+}
+
+impl Record<'_> {
+    /// State + bebits.
+    #[inline]
+    pub fn itype(&self) -> IntervalType {
+        match self {
+            Record::View(v) => v.itype(),
+            Record::Owned(iv) => iv.itype,
+        }
+    }
+
+    /// Start timestamp, ticks.
+    #[inline]
+    pub fn start(&self) -> u64 {
+        match self {
+            Record::View(v) => v.start(),
+            Record::Owned(iv) => iv.start,
+        }
+    }
+
+    /// Duration, ticks.
+    #[inline]
+    pub fn duration(&self) -> u64 {
+        match self {
+            Record::View(v) => v.duration(),
+            Record::Owned(iv) => iv.duration,
+        }
+    }
+
+    /// End timestamp (saturating, as [`Interval::end`]).
+    #[inline]
+    pub fn end(&self) -> u64 {
+        self.start().saturating_add(self.duration())
+    }
+
+    /// Processor id.
+    #[inline]
+    pub fn cpu(&self) -> CpuId {
+        match self {
+            Record::View(v) => v.cpu(),
+            Record::Owned(iv) => iv.cpu,
+        }
+    }
+
+    /// Node id.
+    #[inline]
+    pub fn node(&self) -> NodeId {
+        match self {
+            Record::View(v) => v.node(),
+            Record::Owned(iv) => iv.node,
+        }
+    }
+
+    /// Logical thread id.
+    #[inline]
+    pub fn thread(&self) -> LogicalThreadId {
+        match self {
+            Record::View(v) => v.thread(),
+            Record::Owned(iv) => iv.thread,
+        }
+    }
+
+    /// The first extra field with this name index, as an unsigned
+    /// integer.
+    #[inline]
+    pub fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        match self {
+            Record::View(v) => v.extra_uint(name_idx),
+            Record::Owned(iv) => iv
+                .extras
+                .iter()
+                .find(|(i, _)| *i == name_idx)
+                .and_then(|(_, v)| v.as_uint()),
+        }
+    }
+
+    /// The decoded record.
+    pub fn into_interval(self) -> Interval {
+        match self {
+            Record::View(v) => v.to_interval(),
+            Record::Owned(iv) => iv,
+        }
+    }
+}
+
+/// Everything needed to read the records of one interval file: the
+/// profile and mask it was written under, the plans compiled for them,
+/// and the node its per-node records belong to.
+pub(crate) struct RecordDecoder<'p> {
+    profile: &'p Profile,
+    mask: u32,
+    plans: PlanSet,
+    default_node: NodeId,
+}
+
+impl<'p> RecordDecoder<'p> {
+    /// `node` is the file header's node field ([`MERGED_NODE`] for
+    /// merged files, whose records carry their own).
+    pub(crate) fn new(profile: &'p Profile, mask: u32, node: u16) -> RecordDecoder<'p> {
+        RecordDecoder {
+            profile,
+            mask,
+            plans: PlanSet::build(profile, mask),
+            default_node: NodeId(if node == MERGED_NODE { 0 } else { node }),
+        }
+    }
+
+    /// Reads one record body: a view when it passes a view's check,
+    /// otherwise whatever the reference decoder makes of it.
+    #[inline]
+    pub(crate) fn read<'a>(&'a self, body: &'a [u8]) -> Result<Record<'a>> {
+        match self.plans.view(body, self.default_node) {
+            Some(v) => Ok(Record::View(v)),
+            None => self.decode(body).map(Record::Owned),
+        }
+    }
+
+    #[cold]
+    fn decode(&self, body: &[u8]) -> Result<Interval> {
+        Interval::decode_body(self.profile, self.mask, body, self.default_node)
+    }
+
+    /// Walks the records of one frame, which starts `at` bytes into
+    /// `data`, and checks that they fill it: `nrecords` records in
+    /// exactly `size` bytes.
+    pub(crate) fn walk_frame<'a>(
+        &'a self,
+        data: &'a [u8],
+        at: u64,
+        entry: &FrameEntry,
+        mut f: impl FnMut(Record<'a>),
+    ) -> Result<()> {
+        let mut r = ByteReader::new(data);
+        r.seek(at)?;
+        for _ in 0..entry.nrecords {
+            f(self.read(read_record(&mut r)?)?);
+        }
+        if r.pos() - at != entry.size {
+            return Err(UteError::corrupt_at(
+                "frame size disagrees with its records",
+                entry.offset,
+            ));
+        }
+        Ok(())
+    }
+}

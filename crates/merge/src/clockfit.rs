@@ -86,14 +86,19 @@ fn clock_sample(
 }
 
 /// Pulls the (G, L) pairs out of a per-node interval file.
+///
+/// Every record is validated — a damaged body anywhere in the file fails
+/// the fit as it always has — but only the one-in-thousands CLOCK record
+/// is materialised; the rest are recognised by their type word.
 pub fn extract_clock_samples(
     reader: &IntervalFileReader<'_>,
     profile: &Profile,
 ) -> Result<Vec<ClockSample>> {
     let mut out = Vec::new();
-    for iv in reader.intervals() {
-        if let Some(s) = clock_sample(&iv?, profile)? {
-            out.push(s);
+    for rec in reader.records() {
+        let rec = rec?;
+        if rec.itype().state == StateCode::CLOCK {
+            out.extend(clock_sample(&rec.into_interval(), profile)?);
         }
     }
     Ok(out)

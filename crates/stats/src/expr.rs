@@ -72,67 +72,124 @@ fn truthy(v: f64) -> bool {
     v != 0.0
 }
 
-fn field_value(profile: &Profile, iv: &Interval, name: &str) -> Result<f64> {
-    Ok(match name {
-        "start" => iv.start as f64 / TICKS_PER_SEC as f64,
-        "dura" | "duration" => iv.duration as f64 / TICKS_PER_SEC as f64,
-        "end" => iv.end() as f64 / TICKS_PER_SEC as f64,
-        "node" => iv.node.raw() as f64,
-        "cpu" | "processor" => iv.cpu.raw() as f64,
-        "thread" => iv.thread.raw() as f64,
-        "recType" => iv.itype.to_u32() as f64,
-        "state" => iv.itype.state.0 as f64,
-        "interesting" => {
-            if iv.itype.state.is_interesting() {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        other => iv
-            .extra(profile, other)
-            .and_then(|v| v.as_float())
-            .ok_or_else(|| {
-                UteError::NotFound(format!("field {other} on a {} record", iv.itype.state))
-            })?,
-    })
+/// A field reference resolved against a profile: the common and
+/// synthetic fields by kind, every other name by its index in the
+/// profile's field-name table.
+#[derive(Debug, Clone, PartialEq)]
+enum FieldRef {
+    Start,
+    Dura,
+    End,
+    Node,
+    Cpu,
+    Thread,
+    RecType,
+    State,
+    Interesting,
+    /// An extra field, by name index; `None` when the profile does not
+    /// know the name, which no record can then carry. The name is kept
+    /// for the error message.
+    Extra(Option<u16>, String),
 }
 
-impl Expr {
+/// A field named by an expression that the record at hand does not
+/// carry. Cheap to return: a condition treats it as "does not match",
+/// and only an `x`/`y` that has to report it pays for the message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MissingField<'e>(&'e str);
+
+impl MissingField<'_> {
+    /// The error [`Expr::eval`] has always reported for this.
+    pub fn on(self, iv: &Interval) -> UteError {
+        UteError::NotFound(format!("field {} on a {} record", self.0, iv.itype.state))
+    }
+}
+
+/// An [`Expr`] with its field names resolved against one profile, so
+/// evaluating it over a record compares no strings.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledExpr(Node);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    Num(f64),
+    Field(FieldRef),
+    Bin(BinOp, Box<Node>, Box<Node>),
+    Neg(Box<Node>),
+    TimeBin(Box<Node>, u32),
+}
+
+impl CompiledExpr {
     /// Evaluates against one interval record.
-    pub fn eval(&self, ctx: &EvalContext, profile: &Profile, iv: &Interval) -> Result<f64> {
+    pub fn eval<'e>(
+        &'e self,
+        ctx: &EvalContext,
+        iv: &Interval,
+    ) -> std::result::Result<f64, MissingField<'e>> {
+        self.0.eval(ctx, iv)
+    }
+}
+
+impl Node {
+    fn compile(e: &Expr, profile: &Profile) -> Node {
+        let sub = |e: &Expr| Box::new(Node::compile(e, profile));
+        match e {
+            Expr::Num(v) => Node::Num(*v),
+            Expr::Field(name) => Node::Field(match name.as_str() {
+                "start" => FieldRef::Start,
+                "dura" | "duration" => FieldRef::Dura,
+                "end" => FieldRef::End,
+                "node" => FieldRef::Node,
+                "cpu" | "processor" => FieldRef::Cpu,
+                "thread" => FieldRef::Thread,
+                "recType" => FieldRef::RecType,
+                "state" => FieldRef::State,
+                "interesting" => FieldRef::Interesting,
+                other => FieldRef::Extra(profile.field_name_index(other), name.clone()),
+            }),
+            Expr::Bin(op, a, b) => Node::Bin(*op, sub(a), sub(b)),
+            Expr::Neg(e) => Node::Neg(sub(e)),
+            Expr::TimeBin(e, n) => Node::TimeBin(sub(e), *n),
+        }
+    }
+
+    fn eval<'e>(
+        &'e self,
+        ctx: &EvalContext,
+        iv: &Interval,
+    ) -> std::result::Result<f64, MissingField<'e>> {
         Ok(match self {
-            Expr::Num(v) => *v,
-            Expr::Field(name) => field_value(profile, iv, name)?,
-            Expr::Neg(e) => -e.eval(ctx, profile, iv)?,
-            Expr::TimeBin(e, n) => {
-                let t = e.eval(ctx, profile, iv)?;
+            Node::Num(v) => *v,
+            Node::Field(field) => match field {
+                FieldRef::Start => iv.start as f64 / TICKS_PER_SEC as f64,
+                FieldRef::Dura => iv.duration as f64 / TICKS_PER_SEC as f64,
+                FieldRef::End => iv.end() as f64 / TICKS_PER_SEC as f64,
+                FieldRef::Node => iv.node.raw() as f64,
+                FieldRef::Cpu => iv.cpu.raw() as f64,
+                FieldRef::Thread => iv.thread.raw() as f64,
+                FieldRef::RecType => iv.itype.to_u32() as f64,
+                FieldRef::State => iv.itype.state.0 as f64,
+                FieldRef::Interesting => iv.itype.state.is_interesting() as u8 as f64,
+                FieldRef::Extra(idx, name) => idx
+                    .and_then(|idx| iv.extras.iter().find(|(i, _)| *i == idx))
+                    .and_then(|(_, v)| v.as_float())
+                    .ok_or(MissingField(name))?,
+            },
+            Node::Neg(e) => -e.eval(ctx, iv)?,
+            Node::TimeBin(e, n) => {
+                let t = e.eval(ctx, iv)?;
                 let span = (ctx.span_end - ctx.span_start).max(f64::MIN_POSITIVE);
                 let b = ((t - ctx.span_start) / span * *n as f64).floor();
                 b.clamp(0.0, *n as f64 - 1.0)
             }
-            Expr::Bin(op, a, b) => {
-                let x = a.eval(ctx, profile, iv)?;
+            Node::Bin(op, a, b) => {
+                let x = a.eval(ctx, iv)?;
                 match op {
                     // Short-circuiting boolean ops.
-                    BinOp::And => {
-                        if !truthy(x) {
-                            0.0
-                        } else if truthy(b.eval(ctx, profile, iv)?) {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    BinOp::Or => {
-                        if truthy(x) || truthy(b.eval(ctx, profile, iv)?) {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
+                    BinOp::And => (truthy(x) && truthy(b.eval(ctx, iv)?)) as u8 as f64,
+                    BinOp::Or => (truthy(x) || truthy(b.eval(ctx, iv)?)) as u8 as f64,
                     _ => {
-                        let y = b.eval(ctx, profile, iv)?;
+                        let y = b.eval(ctx, iv)?;
                         match op {
                             BinOp::Eq => (x == y) as u8 as f64,
                             BinOp::Ne => (x != y) as u8 as f64,
@@ -150,6 +207,21 @@ impl Expr {
                 }
             }
         })
+    }
+}
+
+impl Expr {
+    /// Resolves the expression's field names against `profile`.
+    pub fn compile(&self, profile: &Profile) -> CompiledExpr {
+        CompiledExpr(Node::compile(self, profile))
+    }
+
+    /// Evaluates against one interval record. A caller with more than
+    /// one record to evaluate should [`Expr::compile`] once instead.
+    pub fn eval(&self, ctx: &EvalContext, profile: &Profile, iv: &Interval) -> Result<f64> {
+        self.compile(profile)
+            .eval(ctx, iv)
+            .map_err(|missing| missing.on(iv))
     }
 
     /// Convenience constructor for a field reference.

@@ -8,10 +8,21 @@ use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
 
-use crate::expr::EvalContext;
+use crate::expr::{CompiledExpr, EvalContext};
 use crate::table::{Cell, Key, Table, TableSpec};
 
+/// One [`TableSpec`] resolved against the profile, with its groups.
+struct Program {
+    condition: Option<CompiledExpr>,
+    xs: Vec<CompiledExpr>,
+    ys: Vec<CompiledExpr>,
+    groups: BTreeMap<Vec<Key>, Vec<Cell>>,
+}
+
 /// Runs every spec over the interval stream, producing one table each.
+///
+/// Each spec is compiled against the profile once; per record a table
+/// then costs its expressions and one map lookup on a reused key buffer.
 ///
 /// Clock bookkeeping records are excluded up front: they carry no
 /// activity and their pseudo-thread would pollute groupings.
@@ -37,44 +48,55 @@ pub fn run_tables(
         span_start,
         span_end,
     };
-    let mut acc: Vec<BTreeMap<Vec<Key>, Vec<Cell>>> =
-        specs.iter().map(|_| BTreeMap::new()).collect();
+    let mut programs: Vec<Program> = specs
+        .iter()
+        .map(|spec| Program {
+            condition: spec.condition.as_ref().map(|e| e.compile(profile)),
+            xs: spec.xs.iter().map(|(_, e)| e.compile(profile)).collect(),
+            ys: spec.ys.iter().map(|(_, e, _)| e.compile(profile)).collect(),
+            groups: BTreeMap::new(),
+        })
+        .collect();
+    let mut key: Vec<Key> = Vec::new();
     for iv in intervals {
         if iv.itype.state == StateCode::CLOCK || iv.itype.state == StateCode::GAP {
             continue;
         }
-        for (spec, groups) in specs.iter().zip(&mut acc) {
-            if let Some(cond) = &spec.condition {
+        for prog in &mut programs {
+            if let Some(cond) = &prog.condition {
                 // A record type that lacks a field named in the condition
                 // cannot match it — skip rather than error, so one program
                 // can range over heterogeneous record types.
-                match cond.eval(&ctx, profile, iv) {
+                match cond.eval(&ctx, iv) {
                     Ok(v) if v != 0.0 => {}
-                    Ok(_) => continue,
-                    Err(ute_core::error::UteError::NotFound(_)) => continue,
-                    Err(e) => return Err(e),
+                    _ => continue,
                 }
             }
-            let mut key = Vec::with_capacity(spec.xs.len());
-            for (_, e) in &spec.xs {
-                key.push(Key(e.eval(&ctx, profile, iv)?));
+            key.clear();
+            for e in &prog.xs {
+                key.push(Key(e.eval(&ctx, iv).map_err(|m| m.on(iv))?));
             }
-            let cells = groups
-                .entry(key)
-                .or_insert_with(|| vec![Cell::default(); spec.ys.len()]);
-            for ((_, e, _), cell) in spec.ys.iter().zip(cells) {
-                cell.add(e.eval(&ctx, profile, iv)?);
+            let cells = match prog.groups.get_mut(key.as_slice()) {
+                Some(cells) => cells,
+                None => prog
+                    .groups
+                    .entry(key.clone())
+                    .or_insert_with(|| vec![Cell::default(); prog.ys.len()]),
+            };
+            for (e, cell) in prog.ys.iter().zip(cells) {
+                cell.add(e.eval(&ctx, iv).map_err(|m| m.on(iv))?);
             }
         }
     }
     let tables: Vec<Table> = specs
         .iter()
-        .zip(acc)
-        .map(|(spec, groups)| Table {
+        .zip(programs)
+        .map(|(spec, prog)| Table {
             name: spec.name.clone(),
             x_labels: spec.xs.iter().map(|(l, _)| l.clone()).collect(),
             y_labels: spec.ys.iter().map(|(l, _, _)| l.clone()).collect(),
-            rows: groups
+            rows: prog
+                .groups
                 .into_iter()
                 .map(|(k, cells)| {
                     let ys = spec

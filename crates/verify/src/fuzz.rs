@@ -17,18 +17,20 @@ use ute_core::event::{EventCode, MpiOp};
 use ute_core::ids::{CpuId, LogicalThreadId, NodeId, Pid, SystemThreadId, TaskId, ThreadType};
 use ute_core::time::{LocalTime, Time};
 use ute_faults::SplitMix64;
-use ute_format::file::{FramePolicy, IntervalFileWriter};
+use ute_format::file::{FramePolicy, IntervalFileReader, IntervalFileWriter};
+use ute_format::plan::PlanSet;
 use ute_format::profile::{Profile, MASK_PER_NODE};
 use ute_format::record::{Interval, IntervalType};
 use ute_format::state::StateCode;
 use ute_format::thread_table::{ThreadEntry, ThreadTable};
+use ute_format::value::Value;
 use ute_rawtrace::file::RawTraceFile;
 use ute_rawtrace::record::{ClockPayload, DispatchPayload, MpiPayload, RawEvent};
 use ute_slog::builder::{BuildOptions, SlogBuilder};
 use ute_slog::file::SlogFile;
 
 use crate::finding::ArtifactKind;
-use crate::ivl::{check_interval_bytes, IvlCheckOptions};
+use crate::ivl::{check_interval_bytes, view_disagreement, IvlCheckOptions};
 use crate::raw::check_raw_bytes;
 use crate::slog::check_slog_bytes;
 
@@ -65,6 +67,10 @@ pub struct FuzzStats {
     pub panics: u64,
     /// Reproduction info for the first panic seen.
     pub first_panic: Option<String>,
+    /// Interval mutants holding a record body on which the in-place view
+    /// and the reference decoder disagree (one accepts what the other
+    /// rejects, or they read different fields).
+    pub disagreements: u64,
     /// Mutants every decoder still accepted with zero error findings
     /// (mutation landed somewhere harmless).
     pub clean: u64,
@@ -75,13 +81,13 @@ pub struct FuzzStats {
 impl FuzzStats {
     /// Whether the run met the fuzzer's contract.
     pub fn passed(&self) -> bool {
-        self.panics == 0
+        self.panics == 0 && self.disagreements == 0
     }
 
     /// One-line summary.
     pub fn render(&self) -> String {
         format!(
-            "{} mutants: {} rejected cleanly, {} still valid, {} panic(s){}",
+            "{} mutants: {} rejected cleanly, {} still valid, {} panic(s){}{}",
             self.iterations,
             self.rejected,
             self.clean,
@@ -89,6 +95,10 @@ impl FuzzStats {
             match &self.first_panic {
                 Some(p) => format!(" — first: {p}"),
                 None => String::new(),
+            },
+            match self.disagreements {
+                0 => String::new(),
+                n => format!(", {n} view/decoder disagreement(s)"),
             }
         )
     }
@@ -121,7 +131,8 @@ fn corpus_threads() -> ThreadTable {
 }
 
 /// A small valid interval file: nested piece chains over two threads,
-/// multiple frames and directories ([`FramePolicy::tiny`]).
+/// records with scalar extras, a vector field and a marker id, clock
+/// records, multiple frames and directories ([`FramePolicy::tiny`]).
 fn corpus_interval(profile: &Profile) -> Vec<u8> {
     let threads = corpus_threads();
     let mut w = IntervalFileWriter::new(
@@ -150,6 +161,46 @@ fn corpus_interval(profile: &Profile) -> Vec<u8> {
             CpuId(0),
             NodeId(1),
             LogicalThreadId((i % 2) as u16),
+        ));
+        let inside = |state: StateCode, start: u64, dur: u64| {
+            Interval::basic(
+                IntervalType::complete(state),
+                start,
+                dur,
+                CpuId(0),
+                NodeId(1),
+                LogicalThreadId((i % 2) as u16),
+            )
+        };
+        ivs.push(
+            inside(StateCode::mpi(MpiOp::Send), t0 + 45, 10)
+                .with_extra(profile, "rank", Value::Uint(i % 2))
+                .with_extra(profile, "peer", Value::Uint(1 - i % 2))
+                .with_extra(profile, "tag", Value::Uint(7))
+                .with_extra(profile, "msgSizeSent", Value::Uint(1 << i))
+                .with_extra(profile, "seq", Value::Uint(i + 1))
+                .with_extra(profile, "address", Value::Uint(0x1000 + i)),
+        );
+        ivs.push(
+            inside(StateCode::mpi(MpiOp::Waitall), t0 + 60, 10)
+                .with_extra(profile, "rank", Value::Uint(i % 2))
+                .with_extra(
+                    profile,
+                    "reqSeqs",
+                    Value::UintVec((0..i % 5).collect::<Vec<u64>>().into()),
+                )
+                .with_extra(profile, "address", Value::Uint(0)),
+        );
+        ivs.push(
+            inside(StateCode::MARKER, t0 + 75, 20)
+                .with_extra(profile, "markerId", Value::Uint(1))
+                .with_extra(profile, "address", Value::Uint(0x2000))
+                .with_extra(profile, "addressEnd", Value::Uint(0x2040)),
+        );
+        ivs.push(inside(StateCode::CLOCK, t0, 0).with_extra(
+            profile,
+            "globalTime",
+            Value::Uint(5000 + t0),
         ));
     }
     ivs.sort_by_key(|iv| iv.end());
@@ -309,6 +360,24 @@ fn mutate_once(rng: &mut SplitMix64, data: &mut Vec<u8>) -> String {
     }
 }
 
+/// Whether some record body the mutant still lets a reader reach is one
+/// the in-place view and the reference decoder disagree on. `profile` is
+/// the standard one, whose every record type has a view, so the two must
+/// accept exactly the same bodies.
+fn views_disagree(bytes: &[u8], profile: &Profile) -> bool {
+    let Ok(reader) = IntervalFileReader::open(bytes, profile) else {
+        return false;
+    };
+    let plans = PlanSet::build(profile, reader.mask);
+    reader
+        .record_bodies()
+        .map_while(|body| body.ok())
+        .any(|body| {
+            let reference = Interval::decode_body(profile, reader.mask, body, NodeId(0));
+            view_disagreement(&plans, body, &reference, true).is_some()
+        })
+}
+
 /// Drives every decoder for `kind` over the mutant. Returns
 /// `(panicked, accepted)` — `accepted` meaning zero error findings.
 fn drive(kind: ArtifactKind, bytes: &[u8], profile: &Profile) -> (bool, bool) {
@@ -373,6 +442,9 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzStats {
         }
         let (panicked, accepted) = drive(seed.kind, &mutant, &profile);
         stats.iterations += 1;
+        if seed.kind == ArtifactKind::Interval && !panicked && views_disagree(&mutant, &profile) {
+            stats.disagreements += 1;
+        }
         if panicked {
             stats.panics += 1;
             if stats.first_panic.is_none() {

@@ -8,13 +8,14 @@
 //! | `end-time-order` | records sorted by end time, file-wide | §3.1 |
 //! | `thread-bounds` | every record's thread resolves in the table | §2.3.3 |
 //! | `bebit-laminarity` | per-thread state pieces open/close/nest sanely | §2.3.1, §3.3 |
-//! | `profile-resolution` | every record decodes against the profile | §2.3.2, §2.4 |
+//! | `profile-resolution` | every record decodes against the profile, and its in-place view reads what the decoder decodes | §2.3.2, §2.4 |
 
 use std::collections::HashMap;
 
 use ute_core::ids::{LogicalThreadId, NodeId};
 use ute_format::file::IntervalFileReader;
 use ute_format::frame::NO_DIR;
+use ute_format::plan::PlanSet;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
@@ -422,21 +423,66 @@ fn rule_bebit_laminarity(report: &mut Report, stream: &[Interval], lenient_tail:
     }
 }
 
+/// How the in-place [`ute_format::RecordView`] of `body` differs from
+/// `reference`, the reference decode of it (both under node 0), if it
+/// does: a view must exist only for a body the reference decoder
+/// accepts, and read exactly what it decodes. `every_type_viewable` adds
+/// the converse — true of a profile, like the standard one, whose every
+/// record type a view can express.
+pub(crate) fn view_disagreement(
+    plans: &PlanSet,
+    body: &[u8],
+    reference: &ute_core::error::Result<Interval>,
+    every_type_viewable: bool,
+) -> Option<String> {
+    match (plans.view(body, NodeId(0)), reference) {
+        (Some(v), Ok(iv)) => {
+            if v.to_interval() != *iv {
+                return Some(format!(
+                    "view reads {:?} where the reference decodes {iv:?}",
+                    v.to_interval()
+                ));
+            }
+            iv.extras.iter().find_map(|(idx, _)| {
+                let first = iv.extras.iter().find(|(i, _)| i == idx).map(|(_, v)| v);
+                (v.extra_uint(*idx) != first.and_then(|v| v.as_uint()))
+                    .then(|| format!("view and reference disagree on extra field {idx}"))
+            })
+        }
+        (Some(_), Err(e)) => Some(format!(
+            "view accepts a body the reference decoder rejects ({e})"
+        )),
+        (None, Ok(_)) if every_type_viewable => {
+            Some("view rejects a body the reference decoder accepts".into())
+        }
+        (None, _) => None,
+    }
+}
+
 /// Every record body must resolve against the profile: its record type
-/// has a spec, and the paper's `getItemByName` path agrees with the
-/// decoded struct for the common fields (§2.4's "once a utility reads
-/// the profile, it knows all field names and record names").
+/// has a spec, the paper's `getItemByName` path agrees with the decoded
+/// struct for the common fields (§2.4's "once a utility reads the
+/// profile, it knows all field names and record names"), and the
+/// in-place view the readers use agrees with the reference decoder.
 fn rule_profile_resolution(
     report: &mut Report,
     reader: &IntervalFileReader<'_>,
     profile: &Profile,
 ) {
+    let plans = PlanSet::build(profile, reader.mask);
     let mut checked = 0usize;
     for (i, body) in reader.record_bodies().enumerate() {
         let body = match body {
             Ok(b) => b,
             Err(_) => break, // decode failure already reported upstream
         };
+        let decoded = Interval::decode_body(profile, reader.mask, body, NodeId(0));
+        if let Some(why) = view_disagreement(&plans, body, &decoded, false) {
+            report.findings.push(Finding::error(
+                "profile-resolution",
+                format!("record {i}: {why}"),
+            ));
+        }
         let start = match profile.get_item_by_name(reader.mask, body, "start") {
             Ok(v) => v,
             Err(e) => {
@@ -447,7 +493,6 @@ fn rule_profile_resolution(
                 continue;
             }
         };
-        let decoded = Interval::decode_body(profile, reader.mask, body, NodeId(0));
         match (&start, &decoded) {
             (Some(v), Ok(iv)) => {
                 if v.as_uint() != Some(iv.start) {

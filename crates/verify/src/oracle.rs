@@ -11,14 +11,16 @@
 //! | `oracle-fused-staged` | fused convert+merge vs staged | byte-identical output |
 //! | `oracle-salvage-subset` | salvage over lossy inputs vs strict over clean | record multiset ⊆ |
 //! | `oracle-clock-monotone` | clock-adjusted stream vs its own order | end times non-decreasing |
-//! | `oracle-fast-vs-reference` | zero-copy decode vs pre-zero-copy decode | identical files, errors, and salvage reports |
+//! | `oracle-fast-vs-reference` | zero-copy decode vs pre-zero-copy decode; in-place record view vs reference record decoder | identical files, errors, and salvage reports; identical records, and a view for exactly the bodies that decode |
 
 use std::collections::BTreeMap;
 
 use ute_cluster::Simulator;
 use ute_convert::{convert_job_opts, ConvertOptions, ConvertOutput};
+use ute_core::ids::NodeId;
 use ute_faults::{FaultKind, FaultPlan, SplitMix64};
 use ute_format::file::{FramePolicy, IntervalFileReader};
+use ute_format::plan::PlanSet;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
@@ -30,6 +32,7 @@ use ute_slog::builder::BuildOptions;
 use ute_workloads::micro;
 
 use crate::finding::{run_rule, ArtifactKind, Finding, Report};
+use crate::ivl::view_disagreement;
 
 /// A deterministic corpus for the oracles: a small simulated job's raw
 /// traces plus its converted per-node interval files.
@@ -405,7 +408,8 @@ pub fn oracle_clock_monotone() -> Report {
     report
 }
 
-/// The zero-copy decode path (`RawTraceFile::from_bytes` /
+/// Both fast read paths against their references. Raw traces: the
+/// zero-copy decode path (`RawTraceFile::from_bytes` /
 /// `from_bytes_salvage`, built on validated borrowed views) and the
 /// pre-zero-copy reference decoders (kept behind `ute-rawtrace`'s
 /// `reference-decode` feature) must be observationally identical: the
@@ -414,6 +418,8 @@ pub fn oracle_clock_monotone() -> Report {
 /// in salvage mode. Checked over the corpus's clean raw files and over
 /// every byte-level fault-plan mutation of them — including plans that
 /// damage the header, where both decoders must fail identically.
+/// Interval files: the record view against the reference record decoder,
+/// over the corpus's converted and merged files ([`view_vs_reference`]).
 pub fn oracle_fast_vs_reference(seed: u64) -> Report {
     let mut report = Report::new(
         format!("fast vs reference decode (seed {seed})"),
@@ -541,8 +547,78 @@ pub fn oracle_fast_vs_reference(seed: u64) -> Report {
                 )),
             }
         }
+        let mut ivl: Vec<(String, &[u8])> = c
+            .converted
+            .iter()
+            .enumerate()
+            .map(|(n, o)| (format!("node {n} intervals"), o.interval_file.as_slice()))
+            .collect();
+        let refs: Vec<&[u8]> = ivl.iter().map(|(_, b)| *b).collect();
+        let merged = merge_files(&refs, &c.profile, &MergeOptions::default());
+        match &merged {
+            Ok(m) => ivl.push(("merged intervals".into(), &m.merged)),
+            Err(e) => r.findings.push(Finding::error(
+                "oracle-fast-vs-reference",
+                format!("corpus does not merge: {e}"),
+            )),
+        }
+        for (label, bytes) in ivl {
+            view_vs_reference(r, &label, bytes, &c.profile, seed);
+        }
     });
     report
+}
+
+/// The interval-file half of [`oracle_fast_vs_reference`]: over every
+/// record body of `bytes`, and over seeded mutants of each (bit flips,
+/// truncation, a trailing byte, a planted counter), the in-place view
+/// the readers use must exist exactly when the reference decoder accepts
+/// the body, and must read the same record.
+fn view_vs_reference(r: &mut Report, label: &str, bytes: &[u8], profile: &Profile, seed: u64) {
+    let reader = match IntervalFileReader::open(bytes, profile) {
+        Ok(reader) => reader,
+        Err(e) => {
+            r.findings.push(Finding::error(
+                "oracle-fast-vs-reference",
+                format!("{label} does not open: {e}"),
+            ));
+            return;
+        }
+    };
+    let plans = PlanSet::build(profile, reader.mask);
+    let mut rng = SplitMix64::new(seed);
+    for (i, body) in reader.record_bodies().enumerate() {
+        let Ok(body) = body else {
+            r.findings.push(Finding::error(
+                "oracle-fast-vs-reference",
+                format!("{label}: record {i} is unreadable"),
+            ));
+            return;
+        };
+        let mut mutants = vec![body.to_vec()];
+        for _ in 0..4 {
+            let mut m = body.to_vec();
+            let at = rng.below(m.len() as u64) as usize;
+            match rng.below(4) {
+                0 => m[at] ^= 1 << rng.below(8),
+                1 => m.truncate(at),
+                2 => m.push(rng.next_u64() as u8),
+                _ => m[at] = u8::MAX,
+            }
+            mutants.push(m);
+        }
+        for m in &mutants {
+            let reference = Interval::decode_body(profile, reader.mask, m, NodeId(0));
+            if let Some(why) = view_disagreement(&plans, m, &reference, true) {
+                r.findings.push(Finding::error(
+                    "oracle-fast-vs-reference",
+                    format!("{label}: record {i} as {m:02x?}: {why}"),
+                ));
+                return;
+            }
+        }
+        r.records += 1;
+    }
 }
 
 /// Runs every differential oracle; `seed` varies the loss plan of the
