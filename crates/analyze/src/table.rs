@@ -15,9 +15,9 @@ use ute_core::error::Result;
 use ute_format::file_io::FileIntervalReader;
 use ute_format::frame::NO_DIR;
 use ute_format::profile::Profile;
-use ute_format::record::{Interval, IntervalType};
+use ute_format::record::Interval;
 use ute_format::state::StateCode;
-use ute_format::view::Record;
+use ute_format::RecordFields;
 
 /// Column sentinel for "this record has no such field".
 pub const NO_FIELD: u64 = u64::MAX;
@@ -135,51 +135,21 @@ impl TraceTable {
 
     /// Appends one decoded record.
     pub fn push(&mut self, profile: &Profile, iv: &Interval) {
-        self.push_interval(&ExtraColumns::resolve(profile), iv);
+        self.push_row(&ExtraColumns::resolve(profile), iv);
     }
 
-    fn push_interval(&mut self, cols: &ExtraColumns, iv: &Interval) {
-        let uint = |idx: Option<u16>| {
-            let idx = idx?;
-            let (_, v) = iv.extras.iter().find(|(i, _)| *i == idx)?;
-            v.as_uint()
-        };
-        self.push_row(
-            cols,
-            iv.itype,
-            [iv.start, iv.duration],
-            [iv.cpu.raw(), iv.node.raw(), iv.thread.raw()],
-            uint,
-        );
-    }
-
-    /// Appends one record read off a file, without materialising it.
-    fn push_record(&mut self, cols: &ExtraColumns, rec: &Record<'_>) {
-        self.push_row(
-            cols,
-            rec.itype(),
-            [rec.start(), rec.duration()],
-            [rec.cpu().raw(), rec.node().raw(), rec.thread().raw()],
-            |idx| rec.extra_uint(idx?),
-        );
-    }
-
-    /// The one place a row's columns are derived from a record's fields.
-    fn push_row(
-        &mut self,
-        cols: &ExtraColumns,
-        itype: IntervalType,
-        [start, duration]: [u64; 2],
-        [cpu, node, thread]: [u16; 3],
-        uint: impl Fn(Option<u16>) -> Option<u64>,
-    ) {
+    /// The one place a row's columns are derived from a record's fields,
+    /// decoded or read off a file in place.
+    fn push_row(&mut self, cols: &ExtraColumns, rec: &impl RecordFields) {
+        let uint = |idx: Option<u16>| rec.extra_uint(idx?);
+        let itype = rec.itype();
         self.state.push(itype.state.0);
         self.bebits.push(itype.bebits);
-        self.start.push(start);
-        self.duration.push(duration);
-        self.cpu.push(cpu);
-        self.node.push(node);
-        self.thread.push(thread);
+        self.start.push(rec.start());
+        self.duration.push(rec.duration());
+        self.cpu.push(rec.cpu().raw());
+        self.node.push(rec.node().raw());
+        self.thread.push(rec.thread().raw());
         self.rank.push(uint(cols.rank).unwrap_or(NO_FIELD));
         // The converter writes `u32::MAX` for "no peer".
         let peer = uint(cols.peer).unwrap_or(NO_FIELD);
@@ -206,7 +176,7 @@ impl TraceTable {
         let mut t = TraceTable::new(markers);
         let cols = ExtraColumns::resolve(profile);
         for iv in intervals {
-            t.push_interval(&cols, iv);
+            t.push_row(&cols, iv);
         }
         t
     }
@@ -292,7 +262,7 @@ pub fn load_table(path: &Path, profile: &Profile, opts: &LoadOptions) -> Result<
     for entry in &frames {
         r.for_each_record(entry, |rec| {
             if opts.admits(rec.start(), rec.end(), rec.node().raw()) {
-                table.push_record(&cols, &rec);
+                table.push_row(&cols, &rec);
             }
         })?;
     }

@@ -687,7 +687,8 @@ pub fn cmd_preview(args: &Args) -> Result<String> {
                 &reader.markers,
             )?
         }
-        None => SlogFile::read_from(Path::new(args.require("slog")?))?,
+        // Only the preview is drawn: no frame is decoded.
+        None => SlogFile::read_from_in(Path::new(args.require("slog")?), Some((0, 0)))?,
     };
     let mut msg = ute_view::preview::render_ascii(&slog.preview, 8);
     let ranges = ute_view::preview::interesting_ranges(&slog.preview, 0.25);
@@ -708,7 +709,7 @@ pub fn cmd_preview(args: &Args) -> Result<String> {
 
 /// `ute view`: render a time-space diagram of a SLOG file.
 pub fn cmd_view(args: &Args) -> Result<String> {
-    let slog = SlogFile::read_from(Path::new(args.require("slog")?))?;
+    let slog_path = Path::new(args.require("slog")?);
     let kind = match args.get("kind").unwrap_or("thread") {
         "thread" => ViewKind::ThreadActivity,
         "cpu" => ViewKind::ProcessorActivity,
@@ -747,14 +748,18 @@ pub fn cmd_view(args: &Args) -> Result<String> {
             .filter(|&c| c > 0),
         ..ViewConfig::default()
     };
+    // Only the frames the view walks are decoded: those a `--window`
+    // overlaps, or the one holding `--frame-at`.
     let view = match args.get("frame-at") {
         Some(t) => {
             let secs: f64 = t
                 .parse()
                 .map_err(|_| UteError::Invalid("--frame-at wants seconds".into()))?;
-            ute_view::model::frame_view(&slog, (secs * 1e9) as u64, &cfg)?
+            let t = (secs * 1e9) as u64;
+            let slog = SlogFile::read_from_in(slog_path, Some((t, t.saturating_add(1))))?;
+            ute_view::model::frame_view(&slog, t, &cfg)?
         }
-        None => build_view(&slog, &cfg)?,
+        None => build_view(&SlogFile::read_from_in(slog_path, window)?, &cfg)?,
     };
     let mut msg = ute_view::ascii::render(&view, args.num("width", 100usize)?);
     if let Some(svg_path) = args.get("svg") {

@@ -24,7 +24,8 @@ use crate::plan::PlanSet;
 use crate::profile::Profile;
 use crate::record::{read_record, write_record, Interval};
 use crate::thread_table::ThreadTable;
-use crate::view::{Record, RecordDecoder};
+use crate::transcode::{Transcode, TranscodeCache};
+use crate::view::{Record, RecordDecoder, RecordFields, Retimed};
 
 /// Magic bytes opening an interval file.
 pub const MAGIC: &[u8; 8] = b"UTEIVL\0\0";
@@ -81,6 +82,9 @@ pub struct IntervalFileWriter<'p> {
     /// intermediate body allocation. Record types without a plan fall
     /// back to [`Interval::encode_body`].
     plans: PlanSet,
+    /// How to write a viewed record of another file by copying its bytes,
+    /// per source layout seen ([`IntervalFileWriter::push_retimed`]).
+    transcodes: TranscodeCache,
     policy: FramePolicy,
     out: ByteWriter,
     /// Offset of the first-directory pointer in the header (to patch).
@@ -129,6 +133,7 @@ impl<'p> IntervalFileWriter<'p> {
             profile,
             mask,
             plans: PlanSet::build(profile, mask),
+            transcodes: TranscodeCache::default(),
             policy,
             out,
             first_dir_ptr_at,
@@ -145,14 +150,7 @@ impl<'p> IntervalFileWriter<'p> {
 
     /// Appends a record. Records must arrive in ascending end-time order.
     pub fn push(&mut self, iv: &Interval) -> Result<()> {
-        if iv.end() < self.last_end {
-            return Err(UteError::Invalid(format!(
-                "record end {} precedes previous end {}; interval files are end-time ordered",
-                iv.end(),
-                self.last_end
-            )));
-        }
-        self.last_end = iv.end();
+        self.check_order(iv.end())?;
         match self.plans.plan(iv.itype.to_u32()) {
             Some(plan) => plan.encode_record_into(iv, &mut self.current.bytes)?,
             None => {
@@ -160,26 +158,71 @@ impl<'p> IntervalFileWriter<'p> {
                 write_record(&mut self.current.bytes, &body)?;
             }
         }
+        self.record_appended(iv.start, iv.end());
+        Ok(())
+    }
+
+    /// Appends a record read from another file, under the start and
+    /// duration `rec` carries: exactly the bytes
+    /// `push(&rec.to_interval())` appends, and its errors. A viewed
+    /// record is not decoded for it — its fields are copied across as
+    /// bytes (see [`crate::transcode`]) wherever that provably gives the
+    /// same result, which for files written under one profile is always.
+    pub fn push_retimed(&mut self, rec: &Retimed<'_>) -> Result<()> {
+        let (start, end) = (rec.start(), rec.end());
+        let Some(view) = rec.source_view() else {
+            return self.push(&rec.to_interval());
+        };
+        self.check_order(end)?;
+        let plans = &self.plans;
+        let rule = self.transcodes.rule(view.layout(), || {
+            Transcode::compile(view.layout(), plans.plan(view.itype().to_u32())?)
+        });
+        match rule {
+            Some(rule) if rule.apply(view, start, rec.duration(), &mut self.current.bytes) => {
+                self.record_appended(start, end);
+                Ok(())
+            }
+            _ => self.push(&rec.to_interval()),
+        }
+    }
+
+    fn check_order(&self, end: u64) -> Result<()> {
+        if end < self.last_end {
+            return Err(UteError::Invalid(format!(
+                "record end {} precedes previous end {}; interval files are end-time ordered",
+                end, self.last_end
+            )));
+        }
+        Ok(())
+    }
+
+    /// Frame accounting for a record just encoded into the open frame.
+    fn record_appended(&mut self, start: u64, end: u64) {
+        self.last_end = end;
         if self.current.nrecords == 0 {
-            self.current.start_time = iv.start;
-            self.current.end_time = iv.end();
+            self.current.start_time = start;
+            self.current.end_time = end;
         } else {
-            self.current.start_time = self.current.start_time.min(iv.start);
-            self.current.end_time = self.current.end_time.max(iv.end());
+            self.current.start_time = self.current.start_time.min(start);
+            self.current.end_time = self.current.end_time.max(end);
         }
         self.current.nrecords += 1;
         self.total_records += 1;
         if self.current.nrecords as usize >= self.policy.max_records_per_frame {
             self.close_frame();
         }
-        Ok(())
     }
 
     fn close_frame(&mut self) {
         if self.current.nrecords == 0 {
             return;
         }
-        let frame = std::mem::take(&mut self.current);
+        let next = PendingFrame {
+            bytes: ByteWriter::with_capacity(self.current.bytes.pos() as usize),
+            ..PendingFrame::default()
+        };
+        let frame = std::mem::replace(&mut self.current, next);
         self.obs_records.add(frame.nrecords as u64);
         self.obs_frames.inc();
         self.pending.push(frame);

@@ -33,6 +33,7 @@ pub mod profile;
 pub mod record;
 pub mod state;
 pub mod thread_table;
+mod transcode;
 pub mod value;
 pub mod view;
 
@@ -46,4 +47,4 @@ pub use record::{Interval, IntervalType};
 pub use state::StateCode;
 pub use thread_table::{ThreadEntry, ThreadTable};
 pub use value::Value;
-pub use view::{Record, RecordView};
+pub use view::{Record, RecordFields, RecordView, Retimed};

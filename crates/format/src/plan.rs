@@ -26,7 +26,7 @@ use ute_core::ids::NodeId;
 
 use crate::datatype::FieldType;
 use crate::profile::Profile;
-use crate::record::Interval;
+use crate::record::{write_record_len, Interval};
 use crate::value::{encode_value, encoded_len, Value};
 use crate::view::{Layout, RecordView};
 
@@ -81,6 +81,17 @@ pub struct RecordPlan {
 }
 
 impl RecordPlan {
+    /// All mask-present fields, type word first, in spec order.
+    pub(crate) fn fields(&self) -> &[PlanField] {
+        &self.encode_fields
+    }
+
+    /// Where a reader finds each field of a body under this plan.
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> Option<&Layout> {
+        self.layout.as_ref()
+    }
+
     /// Encoded body length of `iv` under this plan (cheap arithmetic; no
     /// allocation, no string matching).
     pub fn body_len(&self, iv: &Interval) -> Result<usize> {
@@ -138,12 +149,7 @@ impl RecordPlan {
         if len > u16::MAX as usize {
             return false; // general walk reports the oversize error
         }
-        if len > u8::MAX as usize || len == 0 {
-            w.put_u8(0);
-            w.put_u16(len as u16);
-        } else {
-            w.put_u8(len as u8);
-        }
+        write_record_len(w, len);
         let mut cursor = 0usize;
         for f in &self.encode_fields {
             let x: u64 = match f.kind {
@@ -186,12 +192,7 @@ impl RecordPlan {
                 "record body of {len} bytes exceeds 65535"
             )));
         }
-        if len <= u8::MAX as usize && len > 0 {
-            w.put_u8(len as u8);
-        } else {
-            w.put_u8(0);
-            w.put_u16(len as u16);
-        }
+        write_record_len(w, len);
         let body_at = w.pos();
         let mut cursor = 0usize;
         for f in &self.encode_fields {

@@ -81,12 +81,15 @@ pub struct Interval {
     pub thread: LogicalThreadId,
     /// Extra fields in profile order: (field name index, value).
     ///
-    /// Kept on the heap, exact-sized by the plan decoder: an earlier
-    /// revision held six entries inline, which removed the per-record
-    /// allocation but grew `Interval` to 304 bytes — and the differential
-    /// bench showed the k-way merge and reorder buffer paying ~40% more
-    /// wall time moving the fat struct than the allocation ever cost.
-    /// `Interval` must stay small; the merge path copies it constantly.
+    /// Kept on the heap, exact-sized by [`crate::RecordView::to_interval`]:
+    /// an earlier revision held six entries inline, which removed the
+    /// per-record allocation but grew `Interval` to 304 bytes — and the
+    /// differential bench showed the k-way merge and reorder buffer paying
+    /// ~40% more wall time moving the fat struct than the allocation ever
+    /// cost. The merge has since stopped moving `Interval`s at all (it
+    /// carries [`crate::Retimed`] views); what still does — the converter's
+    /// matcher, `Vec<Interval>` consumers such as `ute stats` — sorts and
+    /// grows vectors of them, so the struct stays at 56 bytes.
     pub extras: Extras,
 }
 
@@ -296,14 +299,20 @@ pub fn write_record(w: &mut ByteWriter, body: &[u8]) -> Result<()> {
             body.len()
         )));
     }
-    if body.len() <= u8::MAX as usize && !body.is_empty() {
-        w.put_u8(body.len() as u8);
-    } else {
-        w.put_u8(0);
-        w.put_u16(body.len() as u16);
-    }
+    write_record_len(w, body.len());
     w.put_bytes(body);
     Ok(())
+}
+
+/// The length prefix of a record body of `len` bytes, `len` ≤ 65535.
+#[inline]
+pub(crate) fn write_record_len(w: &mut ByteWriter, len: usize) {
+    if len <= u8::MAX as usize && len > 0 {
+        w.put_u8(len as u8);
+    } else {
+        w.put_u8(0);
+        w.put_u16(len as u16);
+    }
 }
 
 /// Reads a record body (handles the length escape).

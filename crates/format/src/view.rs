@@ -23,6 +23,13 @@
 //! sum of the two outcomes and [`RecordDecoder`] the one place that
 //! chooses between them; both interval-file readers walk their frames
 //! through it.
+//!
+//! [`RecordFields`] is what a consumer that only reads fields asks of a
+//! record, whichever of these forms it is in; [`Retimed`] is a record on
+//! its way from one file into another under a new start and duration —
+//! what the merge moves instead of decoded [`Interval`]s.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ute_core::codec::ByteReader;
 use ute_core::error::{Result, UteError};
@@ -40,15 +47,26 @@ use crate::value::Value;
 /// counting every scalar and vector counter before it, plus the payloads
 /// of the `nvec` vector fields before it, whose sizes the body says.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    off: u32,
-    nvec: u8,
-    ftype: FieldType,
+pub(crate) struct Slot {
+    pub(crate) off: u32,
+    pub(crate) nvec: u8,
+    pub(crate) ftype: FieldType,
     /// Width of the vector counter; 0 for a scalar field.
-    counter_len: u8,
+    pub(crate) counter_len: u8,
 }
 
 impl Slot {
+    /// A bare place in a body — `off` static bytes and the payloads of
+    /// `nvec` vectors in — for marking where a span of fields ends.
+    pub(crate) fn place(off: u32, nvec: u8) -> Slot {
+        Slot {
+            off,
+            nvec,
+            ftype: FieldType::U8,
+            counter_len: 0,
+        }
+    }
+
     /// Element count of this vector field, whose counter is at `at`.
     #[inline]
     fn count(self, body: &[u8], at: usize) -> Option<usize> {
@@ -125,13 +143,33 @@ fn bytes<const N: usize>(body: &[u8], at: usize) -> [u8; N] {
         .expect("field inside the checked body")
 }
 
+/// One field after the type word: what the decoder makes of it and where
+/// it sits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaidField {
+    pub(crate) kind: FieldKind,
+    pub(crate) name_idx: u16,
+    pub(crate) slot: Slot,
+}
+
+impl LaidField {
+    /// Whether a decode files this field under `Interval::extras` (a
+    /// later field named recType decodes as an extra).
+    pub(crate) fn is_extra(&self) -> bool {
+        matches!(self.kind, FieldKind::RecType | FieldKind::Extra)
+    }
+}
+
 /// Field places of one record type under one mask.
 ///
 /// A common slot names the *last* field of that name and `extras` keeps
 /// spec order — what the reference decoder's field-by-field walk leaves
 /// behind in the struct.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Layout {
+    /// Unique among the layouts of this process (clones share it, and the
+    /// content it stands for): what a writer keys its transcode rules by.
+    id: u64,
     /// Bytes of the type word, every scalar and every vector counter.
     static_len: usize,
     start: Option<Slot>,
@@ -144,11 +182,18 @@ pub(crate) struct Layout {
     /// Position in `extras` of the first extra with each field name
     /// index ([`NO_EXTRA`]: none), so a lookup by name index is a load.
     extra_at: Vec<u8>,
+    /// Every field after the type word, in body order, with what the
+    /// decoder makes of it: what a transcode rule is compiled from. The
+    /// accessors above read the narrower tables.
+    fields: Vec<LaidField>,
     /// The vector fields, in body order.
     vectors: Vec<Slot>,
 }
 
 const NO_EXTRA: u8 = u8::MAX;
+
+/// The next [`Layout::id`]. A ticket counter: it publishes nothing else.
+static NEXT_LAYOUT_ID: AtomicU64 = AtomicU64::new(0);
 
 impl Layout {
     /// Lays out the mask-present fields that follow the type word (which
@@ -156,7 +201,19 @@ impl Layout {
     /// when some field decodes to an error whatever the bytes: a vector
     /// of signed integers, a counter that is not 1, 2 or 4 bytes wide.
     pub(crate) fn after_type_word(fields: &[PlanField]) -> Option<Layout> {
-        let mut layout = Layout::default();
+        let mut layout = Layout {
+            id: NEXT_LAYOUT_ID.fetch_add(1, Ordering::Relaxed),
+            static_len: 0,
+            start: None,
+            dura: None,
+            cpu: None,
+            node: None,
+            thread: None,
+            extras: Vec::new(),
+            extra_at: Vec::new(),
+            fields: Vec::with_capacity(fields.len()),
+            vectors: Vec::new(),
+        };
         let mut off = 4u32;
         for f in fields {
             let slot = Slot {
@@ -174,6 +231,11 @@ impl Layout {
             } else {
                 off += f.ftype.elem_len() as u32;
             }
+            layout.fields.push(LaidField {
+                kind: f.kind,
+                name_idx: f.name_idx,
+                slot,
+            });
             match f.kind {
                 FieldKind::Start => layout.start = Some(slot),
                 FieldKind::Dura => layout.dura = Some(slot),
@@ -201,6 +263,19 @@ impl Layout {
         }
         layout.static_len = off as usize;
         Some(layout)
+    }
+
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    pub(crate) fn fields(&self) -> &[LaidField] {
+        &self.fields
+    }
+
+    /// The place just past the last field: where the body ends.
+    pub(crate) fn end(&self) -> Slot {
+        Slot::place(self.static_len as u32, self.vectors.len() as u8)
     }
 }
 
@@ -247,9 +322,17 @@ impl<'a> RecordView<'a> {
         })
     }
 
+    pub(crate) fn layout(&self) -> &'a Layout {
+        self.layout
+    }
+
+    pub(crate) fn body(&self) -> &'a [u8] {
+        self.body
+    }
+
     /// Where `slot`'s field starts in this body.
     #[inline]
-    fn at(&self, slot: Slot) -> usize {
+    pub(crate) fn at(&self, slot: Slot) -> usize {
         let mut shift = 0;
         for v in &self.layout.vectors[..slot.nvec as usize] {
             let n = v
@@ -334,97 +417,240 @@ impl<'a> RecordView<'a> {
     }
 }
 
+/// What a consumer that only reads fields asks of a record, whatever
+/// form the record is in. `extra_uint(i)` is
+/// `Interval::extras`' first entry with name index `i`, as an unsigned
+/// integer.
+pub trait RecordFields {
+    /// State + bebits.
+    fn itype(&self) -> IntervalType;
+    /// Start timestamp, ticks.
+    fn start(&self) -> u64;
+    /// Duration, ticks.
+    fn duration(&self) -> u64;
+    /// End timestamp (saturating, as [`Interval::end`]).
+    #[inline]
+    fn end(&self) -> u64 {
+        self.start().saturating_add(self.duration())
+    }
+    /// Processor id.
+    fn cpu(&self) -> CpuId;
+    /// Node id.
+    fn node(&self) -> NodeId;
+    /// Logical thread id.
+    fn thread(&self) -> LogicalThreadId;
+    /// The first extra field with this name index, as an unsigned
+    /// integer.
+    fn extra_uint(&self, name_idx: u16) -> Option<u64>;
+}
+
+impl RecordFields for Interval {
+    #[inline]
+    fn itype(&self) -> IntervalType {
+        self.itype
+    }
+    #[inline]
+    fn start(&self) -> u64 {
+        self.start
+    }
+    #[inline]
+    fn duration(&self) -> u64 {
+        self.duration
+    }
+    #[inline]
+    fn cpu(&self) -> CpuId {
+        self.cpu
+    }
+    #[inline]
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    #[inline]
+    fn thread(&self) -> LogicalThreadId {
+        self.thread
+    }
+    #[inline]
+    fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        let (_, v) = self.extras.iter().find(|(i, _)| *i == name_idx)?;
+        v.as_uint()
+    }
+}
+
+impl RecordFields for RecordView<'_> {
+    #[inline]
+    fn itype(&self) -> IntervalType {
+        self.itype
+    }
+    #[inline]
+    fn start(&self) -> u64 {
+        RecordView::start(self)
+    }
+    #[inline]
+    fn duration(&self) -> u64 {
+        RecordView::duration(self)
+    }
+    #[inline]
+    fn cpu(&self) -> CpuId {
+        RecordView::cpu(self)
+    }
+    #[inline]
+    fn node(&self) -> NodeId {
+        RecordView::node(self)
+    }
+    #[inline]
+    fn thread(&self) -> LogicalThreadId {
+        RecordView::thread(self)
+    }
+    #[inline]
+    fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        RecordView::extra_uint(self, name_idx)
+    }
+}
+
 /// One record read off its body: viewed in place, or — a record type no
-/// layout expresses — decoded.
+/// layout expresses — decoded. The decoded arm is boxed so that the
+/// common one sets the size: a `Record` is moved far more often than the
+/// rare arm is built.
 #[derive(Debug)]
 pub enum Record<'a> {
     /// Fields read on demand.
     View(RecordView<'a>),
     /// Decoded by the reference decoder.
-    Owned(Interval),
+    Owned(Box<Interval>),
+}
+
+/// Forwards a [`RecordFields`] accessor to whichever arm holds the record.
+macro_rules! either_arm {
+    ($self:ident, $r:ident => $e:expr) => {
+        match $self {
+            Record::View($r) => $e,
+            Record::Owned($r) => $e,
+        }
+    };
+}
+
+impl RecordFields for Record<'_> {
+    #[inline]
+    fn itype(&self) -> IntervalType {
+        either_arm!(self, r => r.itype())
+    }
+    #[inline]
+    fn start(&self) -> u64 {
+        either_arm!(self, r => r.start())
+    }
+    #[inline]
+    fn duration(&self) -> u64 {
+        either_arm!(self, r => r.duration())
+    }
+    #[inline]
+    fn cpu(&self) -> CpuId {
+        either_arm!(self, r => r.cpu())
+    }
+    #[inline]
+    fn node(&self) -> NodeId {
+        either_arm!(self, r => r.node())
+    }
+    #[inline]
+    fn thread(&self) -> LogicalThreadId {
+        either_arm!(self, r => r.thread())
+    }
+    #[inline]
+    fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        either_arm!(self, r => r.extra_uint(name_idx))
+    }
 }
 
 impl Record<'_> {
-    /// State + bebits.
-    #[inline]
-    pub fn itype(&self) -> IntervalType {
-        match self {
-            Record::View(v) => v.itype(),
-            Record::Owned(iv) => iv.itype,
-        }
-    }
-
-    /// Start timestamp, ticks.
-    #[inline]
-    pub fn start(&self) -> u64 {
-        match self {
-            Record::View(v) => v.start(),
-            Record::Owned(iv) => iv.start,
-        }
-    }
-
-    /// Duration, ticks.
-    #[inline]
-    pub fn duration(&self) -> u64 {
-        match self {
-            Record::View(v) => v.duration(),
-            Record::Owned(iv) => iv.duration,
-        }
-    }
-
-    /// End timestamp (saturating, as [`Interval::end`]).
-    #[inline]
-    pub fn end(&self) -> u64 {
-        self.start().saturating_add(self.duration())
-    }
-
-    /// Processor id.
-    #[inline]
-    pub fn cpu(&self) -> CpuId {
-        match self {
-            Record::View(v) => v.cpu(),
-            Record::Owned(iv) => iv.cpu,
-        }
-    }
-
-    /// Node id.
-    #[inline]
-    pub fn node(&self) -> NodeId {
-        match self {
-            Record::View(v) => v.node(),
-            Record::Owned(iv) => iv.node,
-        }
-    }
-
-    /// Logical thread id.
-    #[inline]
-    pub fn thread(&self) -> LogicalThreadId {
-        match self {
-            Record::View(v) => v.thread(),
-            Record::Owned(iv) => iv.thread,
-        }
-    }
-
-    /// The first extra field with this name index, as an unsigned
-    /// integer.
-    #[inline]
-    pub fn extra_uint(&self, name_idx: u16) -> Option<u64> {
-        match self {
-            Record::View(v) => v.extra_uint(name_idx),
-            Record::Owned(iv) => iv
-                .extras
-                .iter()
-                .find(|(i, _)| *i == name_idx)
-                .and_then(|(_, v)| v.as_uint()),
-        }
-    }
-
     /// The decoded record.
     pub fn into_interval(self) -> Interval {
         match self {
             Record::View(v) => v.to_interval(),
-            Record::Owned(iv) => iv,
+            Record::Owned(iv) => *iv,
         }
+    }
+}
+
+/// A record on its way into another file: what was read, and the start
+/// and duration it is to be written with. Every other field is the
+/// source's, so nothing is decoded until something asks for an
+/// [`Interval`], and [`crate::file::IntervalFileWriter::push_retimed`]
+/// writes one by copying the source's bytes around the two new numbers.
+#[derive(Debug)]
+pub struct Retimed<'a> {
+    rec: Record<'a>,
+    start: u64,
+    duration: u64,
+}
+
+impl<'a> Retimed<'a> {
+    /// `rec` with a new start and duration.
+    #[inline]
+    pub fn new(rec: Record<'a>, start: u64, duration: u64) -> Retimed<'a> {
+        Retimed {
+            rec,
+            start,
+            duration,
+        }
+    }
+
+    /// The source record when it is a view (its start and duration are
+    /// the ones read, not the ones to write).
+    #[inline]
+    pub(crate) fn source_view(&self) -> Option<&RecordView<'a>> {
+        match &self.rec {
+            Record::View(v) => Some(v),
+            Record::Owned(_) => None,
+        }
+    }
+
+    /// The record as decoded, under its new start and duration.
+    pub fn to_interval(&self) -> Interval {
+        let mut iv = match &self.rec {
+            Record::View(v) => v.to_interval(),
+            Record::Owned(iv) => (**iv).clone(),
+        };
+        iv.start = self.start;
+        iv.duration = self.duration;
+        iv
+    }
+
+    /// [`Retimed::to_interval`], consuming the record.
+    pub fn into_interval(self) -> Interval {
+        let mut iv = self.rec.into_interval();
+        iv.start = self.start;
+        iv.duration = self.duration;
+        iv
+    }
+}
+
+impl RecordFields for Retimed<'_> {
+    #[inline]
+    fn itype(&self) -> IntervalType {
+        self.rec.itype()
+    }
+    #[inline]
+    fn start(&self) -> u64 {
+        self.start
+    }
+    #[inline]
+    fn duration(&self) -> u64 {
+        self.duration
+    }
+    #[inline]
+    fn cpu(&self) -> CpuId {
+        self.rec.cpu()
+    }
+    #[inline]
+    fn node(&self) -> NodeId {
+        self.rec.node()
+    }
+    #[inline]
+    fn thread(&self) -> LogicalThreadId {
+        self.rec.thread()
+    }
+    #[inline]
+    fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+        self.rec.extra_uint(name_idx)
     }
 }
 
@@ -456,7 +682,7 @@ impl<'p> RecordDecoder<'p> {
     pub(crate) fn read<'a>(&'a self, body: &'a [u8]) -> Result<Record<'a>> {
         match self.plans.view(body, self.default_node) {
             Some(v) => Ok(Record::View(v)),
-            None => self.decode(body).map(Record::Owned),
+            None => self.decode(body).map(|iv| Record::Owned(Box::new(iv))),
         }
     }
 

@@ -15,6 +15,7 @@ use ute_core::time::{Duration, LocalTime, Time};
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
 use ute_format::state::StateCode;
+use ute_format::RecordFields;
 
 /// A node's fitted clock mapping: a single global ratio, or (§2.2's
 /// alternative) one ratio per slope segment.

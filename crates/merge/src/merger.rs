@@ -10,15 +10,13 @@ use ute_format::profile::{Profile, MASK_MERGED};
 use ute_format::record::{Interval, IntervalType};
 use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
+use ute_format::{RecordFields, Retimed};
 use ute_slog::builder::{BuildOptions, SlogBuilder};
 use ute_slog::file::SlogFile;
 
 use crate::clockfit::{fit_node, fit_node_intervals, NodeFit};
-use crate::stream::ReorderBuffer;
-
-/// The merged stream plus the tables needed to write or visualize it.
-type MergedStream = (Vec<Interval>, ThreadTable, Vec<(u32, String)>, MergeStats);
 use crate::kway::{LoserTreeMerge, MergeSource};
+use crate::stream::ReorderBuffer;
 
 /// Merge configuration.
 #[derive(Debug, Clone)]
@@ -88,31 +86,69 @@ pub struct MergeOutput {
     pub stats: MergeStats,
 }
 
-/// A [`MergeSource`] over an in-memory, end-ordered interval vector —
+/// What travels through the merge: a record whose fields can be read
+/// where it is, that a merged file's writer can append, and that can be
+/// decoded when something needs all of it.
+///
+/// The shipped merge moves [`Retimed`] — the input file's bytes plus the
+/// adjusted start and duration. [`Interval`] is the other implementor:
+/// the form the converter hands the fused pipeline, and the reference the
+/// byte-carrying path is tested against.
+pub trait MergeItem: RecordFields {
+    /// Appends the record to a merged file.
+    fn write_to(&self, w: &mut IntervalFileWriter<'_>) -> Result<()>;
+    /// The record, decoded.
+    fn to_interval(&self) -> Interval;
+}
+
+impl MergeItem for Interval {
+    fn write_to(&self, w: &mut IntervalFileWriter<'_>) -> Result<()> {
+        w.push(self)
+    }
+
+    fn to_interval(&self) -> Interval {
+        self.clone()
+    }
+}
+
+impl MergeItem for Retimed<'_> {
+    fn write_to(&self, w: &mut IntervalFileWriter<'_>) -> Result<()> {
+        w.push_retimed(self)
+    }
+
+    fn to_interval(&self) -> Interval {
+        Retimed::to_interval(self)
+    }
+}
+
+/// A [`MergeSource`] over an in-memory, end-ordered vector of records —
 /// the serial path's per-node cursor. The parallel path uses a
 /// channel-fed source instead (`ute-pipeline`), feeding the same
 /// [`LoserTreeMerge`].
-pub struct IvSource {
-    items: std::vec::IntoIter<Interval>,
+pub struct VecSource<T> {
+    items: std::vec::IntoIter<T>,
 }
 
-impl IvSource {
-    /// Wraps an end-ordered interval vector.
-    pub fn new(items: Vec<Interval>) -> IvSource {
-        IvSource {
+/// [`VecSource`] over decoded intervals.
+pub type IvSource = VecSource<Interval>;
+
+impl<T> VecSource<T> {
+    /// Wraps an end-ordered vector.
+    pub fn new(items: Vec<T>) -> VecSource<T> {
+        VecSource {
             items: items.into_iter(),
         }
     }
 }
 
-impl MergeSource for IvSource {
-    type Item = Interval;
+impl<T: RecordFields> MergeSource for VecSource<T> {
+    type Item = T;
 
-    fn next_item(&mut self) -> Option<Interval> {
+    fn next_item(&mut self) -> Option<T> {
         self.items.next()
     }
 
-    fn end_of(item: &Interval) -> u64 {
+    fn end_of(item: &T) -> u64 {
         item.end()
     }
 }
@@ -155,25 +191,46 @@ pub fn absorb_header_tables(
     Ok(())
 }
 
-/// The per-node stage of the merge: fits the node's clock, then decodes,
+/// The per-node stage of the merge: fits the node's clock, then reads,
 /// filters, and clock-adjusts its records, streaming them end-ordered
 /// into `sink` (via a [`ReorderBuffer`], so the emitted sequence is the
 /// stable end-time sort regardless of rounding jitter). Returns the
 /// node's fit and its raw record count.
 ///
-/// Both the serial path (sink = collect into a vector) and the parallel
-/// path (sink = bounded channel send) run exactly this function, which
-/// is what makes their merged outputs byte-identical.
+/// A record goes out as a [`Retimed`]: still the bytes `reader` holds,
+/// with the adjusted start and duration beside them. Both the serial path
+/// (sink = collect into a vector) and the parallel path (sink = bounded
+/// channel send) run exactly this function, which is what makes their
+/// merged outputs byte-identical.
+pub fn adjust_node_records<'r>(
+    reader: &'r IntervalFileReader<'_>,
+    profile: &Profile,
+    opts: &MergeOptions,
+    sink: impl FnMut(Retimed<'r>) -> Result<()>,
+) -> Result<(NodeFit, u64)> {
+    let _span = ute_obs::Span::enter("merge", format!("merge node {}", reader.node));
+    let nf = fit_node(reader, profile, opts.estimator, opts.filter_outliers)?;
+    let records_in = adjust_stream(
+        &reader.threads,
+        reader.records(),
+        &nf,
+        opts,
+        Retimed::new,
+        sink,
+    )?;
+    Ok((nf, records_in))
+}
+
+/// [`adjust_node_records`] with every record decoded on its way out: the
+/// route the merge took before it carried bytes, kept as the reference
+/// its output is compared with.
 pub fn adjust_node(
     reader: &IntervalFileReader<'_>,
     profile: &Profile,
     opts: &MergeOptions,
-    sink: impl FnMut(Interval) -> Result<()>,
+    mut sink: impl FnMut(Interval) -> Result<()>,
 ) -> Result<(NodeFit, u64)> {
-    let _span = ute_obs::Span::enter("merge", format!("merge node {}", reader.node));
-    let nf = fit_node(reader, profile, opts.estimator, opts.filter_outliers)?;
-    let records_in = adjust_stream(&reader.threads, reader.intervals(), &nf, opts, sink)?;
-    Ok((nf, records_in))
+    adjust_node_records(reader, profile, opts, |rec| sink(rec.into_interval()))
 }
 
 /// [`adjust_node`] over the converter's in-memory intervals — the fused
@@ -197,40 +254,49 @@ pub fn adjust_intervals(
         opts.estimator,
         opts.filter_outliers,
     )?;
-    let records_in = adjust_stream(threads, intervals.into_iter().map(Ok), &nf, opts, sink)?;
+    let retime = |mut iv: Interval, start, duration| {
+        iv.start = start;
+        iv.duration = duration;
+        iv
+    };
+    let records = intervals.into_iter().map(Ok);
+    let records_in = adjust_stream(threads, records, &nf, opts, retime, sink)?;
     Ok((nf, records_in))
 }
 
-/// The loop both [`adjust_node`] and [`adjust_intervals`] run: filter,
-/// clock-adjust, and end-order every record of one node. Sharing this
-/// body is what keeps the two entry points byte-equivalent.
-fn adjust_stream(
+/// The loop both [`adjust_node_records`] and [`adjust_intervals`] run:
+/// filter, clock-adjust, and end-order every record of one node, handing
+/// each on as whatever `retime` makes of it and its new start and
+/// duration. Sharing this body is what keeps the two entry points
+/// byte-equivalent.
+fn adjust_stream<R: RecordFields, T>(
     threads: &ThreadTable,
-    intervals: impl IntoIterator<Item = Result<Interval>>,
+    records: impl IntoIterator<Item = Result<R>>,
     nf: &NodeFit,
     opts: &MergeOptions,
-    mut sink: impl FnMut(Interval) -> Result<()>,
+    retime: impl Fn(R, u64, u64) -> T,
+    mut sink: impl FnMut(T) -> Result<()>,
 ) -> Result<u64> {
     let obs_in = ute_obs::counter("merge/records_in");
     let mut records_in = 0u64;
     let mut emitted = 0u64;
-    let mut counted_sink = |iv: Interval| {
+    let mut counted_sink = |item: T| {
         emitted += 1;
-        sink(iv)
+        sink(item)
     };
     let mut reorder = ReorderBuffer::new();
-    for iv in intervals {
-        let mut iv = iv?;
+    for rec in records {
+        let rec = rec?;
         records_in += 1;
         if let Some(types) = &opts.thread_types {
-            if iv.itype.state != StateCode::CLOCK {
+            if rec.itype().state != StateCode::CLOCK {
+                let (node, thread) = (rec.node(), rec.thread());
                 let ttype = threads
-                    .lookup(iv.node, iv.thread)
+                    .lookup(node, thread)
                     .map(|e| e.ttype)
                     .ok_or_else(|| {
                         UteError::corrupt(format!(
-                            "record references unknown thread (node {}, logical {})",
-                            iv.node, iv.thread
+                            "record references unknown thread (node {node}, logical {thread})"
                         ))
                     })?;
                 if !types.contains(&ttype) {
@@ -246,11 +312,11 @@ fn adjust_stream(
         // clock sample has its start clamped to the fit origin, and
         // keeping the full scaled duration would push its end past
         // fit(local end) — on top of every enclosed record.
-        let gend = nf.fit.adjust(LocalTime(iv.end())).ticks();
-        let gstart = nf.fit.adjust(LocalTime(iv.start)).ticks().min(gend);
-        iv.start = gstart;
-        iv.duration = gend - gstart;
-        reorder.push(gend, iv, &mut counted_sink)?;
+        let start = rec.start();
+        let end = start.saturating_add(rec.duration());
+        let gend = nf.fit.adjust(LocalTime(end)).ticks();
+        let gstart = nf.fit.adjust(LocalTime(start)).ticks().min(gend);
+        reorder.push(gend, retime(rec, gstart, gend - gstart), &mut counted_sink)?;
     }
     reorder.finish(&mut counted_sink)?;
     obs_in.add(emitted);
@@ -258,29 +324,50 @@ fn adjust_stream(
     Ok(records_in)
 }
 
-/// Decodes, clock-adjusts, filters, and k-way merges the input files into
-/// one globally-timed stream. Shared by [`merge_files`] and [`slogmerge`].
-fn merge_core(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result<MergedStream> {
+/// Reads, clock-adjusts, filters, and k-way merges the input files into
+/// one globally-timed stream, which `consume` takes together with the
+/// union tables. Shared by [`merge_files`] and [`slogmerge`].
+fn merge_core<T>(
+    files: &[&[u8]],
+    profile: &Profile,
+    opts: &MergeOptions,
+    consume: impl FnOnce(
+        LoserTreeMerge<VecSource<Retimed<'_>>>,
+        &ThreadTable,
+        &[(u32, String)],
+        &mut MergeStats,
+    ) -> Result<T>,
+) -> Result<(T, MergeStats)> {
     let mut stats = MergeStats::default();
     let mut union_threads = ThreadTable::new();
     let mut markers: Vec<(u32, String)> = Vec::new();
     let mut sources = Vec::with_capacity(files.len());
+    // The records that travel borrow from their file's reader, so every
+    // reader is opened before the first is used; a failed open is still
+    // reported at its file's turn below.
+    let (readers, open_errors): (Vec<_>, Vec<_>) = files
+        .iter()
+        .map(|bytes| match IntervalFileReader::open(bytes, profile) {
+            Ok(r) => (Some(r), None),
+            Err(e) => (None, Some(e)),
+        })
+        .unzip();
 
-    for (i, bytes) in files.iter().enumerate() {
+    for (i, (reader, open_error)) in readers.iter().zip(open_errors).enumerate() {
         // Open + absorb first, attempt the per-node stage second. The
         // parallel path absorbs every openable header serially before
         // its workers run, so salvage here must do the same: a node
         // that degrades mid-adjust still leaves its header in the
         // union tables, or jobs=1 and jobs=N outputs would diverge.
-        let reader = match IntervalFileReader::open(bytes, profile) {
-            Ok(r) => r,
-            Err(e) if opts.salvage => {
-                degrade_node(&mut stats, &format!("input {i}"), &e.to_string());
-                continue;
+        let Some(reader) = reader else {
+            let e = open_error.expect("a file that did not open left its error");
+            if !opts.salvage {
+                return Err(e);
             }
-            Err(e) => return Err(e),
+            degrade_node(&mut stats, &format!("input {i}"), &e.to_string());
+            continue;
         };
-        match absorb_file_header(&reader, &mut union_threads, &mut markers) {
+        match absorb_file_header(reader, &mut union_threads, &mut markers) {
             Ok(()) => {}
             Err(e) if opts.salvage => {
                 degrade_node(&mut stats, &format!("node {}", reader.node), &e.to_string());
@@ -290,8 +377,8 @@ fn merge_core(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result
         }
         let attempt = || {
             let mut adjusted = Vec::new();
-            let out = adjust_node(&reader, profile, opts, |iv| {
-                adjusted.push(iv);
+            let out = adjust_node_records(reader, profile, opts, |rec| {
+                adjusted.push(rec);
                 Ok(())
             })?;
             Ok::<_, UteError>((adjusted, out))
@@ -311,7 +398,7 @@ fn merge_core(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result
             Ok((adjusted, (nf, records_in))) => {
                 stats.records_in += records_in;
                 stats.fits.push(nf);
-                sources.push(IvSource::new(adjusted));
+                sources.push(VecSource::new(adjusted));
             }
             Err(e) if opts.salvage => {
                 degrade_node(&mut stats, &format!("node {}", reader.node), &e.to_string());
@@ -321,8 +408,9 @@ fn merge_core(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result
     }
 
     markers.sort_by_key(|(id, _)| *id);
-    let merged: Vec<Interval> = LoserTreeMerge::new(sources).collect();
-    Ok((merged, union_threads, markers, stats))
+    let merged = LoserTreeMerge::new(sources);
+    let out = consume(merged, &union_threads, &markers, &mut stats)?;
+    Ok((out, stats))
 }
 
 /// Records one salvage-mode degraded input: bumps the stats counter and
@@ -362,16 +450,18 @@ struct OpenTracker {
 }
 
 impl OpenTracker {
-    fn observe(&mut self, iv: &Interval) {
-        if iv.itype.state == StateCode::CLOCK {
+    /// Only a `Begin` piece is kept, so only a `Begin` piece is decoded.
+    fn observe(&mut self, rec: &impl MergeItem) {
+        let itype = rec.itype();
+        if itype.state == StateCode::CLOCK {
             return;
         }
-        let key = (iv.node.raw(), iv.thread.raw());
-        match iv.itype.bebits {
-            BeBits::Begin => self.open.entry(key).or_default().push(iv.clone()),
+        let key = (rec.node().raw(), rec.thread().raw());
+        match itype.bebits {
+            BeBits::Begin => self.open.entry(key).or_default().push(rec.to_interval()),
             BeBits::End => {
                 if let Some(stack) = self.open.get_mut(&key) {
-                    if let Some(pos) = stack.iter().rposition(|o| o.itype.state == iv.itype.state) {
+                    if let Some(pos) = stack.iter().rposition(|o| o.itype.state == itype.state) {
                         stack.remove(pos);
                     }
                 }
@@ -400,17 +490,17 @@ impl OpenTracker {
     }
 }
 
-/// Writes an already-merged, end-ordered interval stream to a merged
+/// Writes an already-merged, end-ordered record stream to a merged
 /// interval file, inserting the §3.3 frame-head pseudo continuation
 /// records. The tail of both the serial [`merge_files`] path and the
 /// parallel `ute-pipeline` path — the stream is consumed incrementally,
 /// so a channel-fed iterator overlaps writing with upstream decoding.
-pub fn write_merged_stream(
+pub fn write_merged_stream<R: MergeItem>(
     profile: &Profile,
     threads: &ThreadTable,
     markers: &[(u32, String)],
     opts: &MergeOptions,
-    intervals: impl IntoIterator<Item = Interval>,
+    intervals: impl IntoIterator<Item = R>,
     stats: &mut MergeStats,
 ) -> Result<Vec<u8>> {
     let mut writer = IntervalFileWriter::new(
@@ -443,7 +533,7 @@ pub fn write_merged_stream(
                 stats.pseudo_added += 1;
             }
         }
-        writer.push(&iv)?;
+        iv.write_to(&mut writer)?;
         pushed += 1;
         last_end = iv.end();
         tracker.observe(&iv);
@@ -456,12 +546,10 @@ pub fn write_merged_stream(
 
 /// Merges per-node interval files into one merged interval file.
 pub fn merge_files(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result<MergeOutput> {
-    let (merged, threads, markers, mut stats) = merge_core(files, profile, opts)?;
-    let bytes = write_merged_stream(profile, &threads, &markers, opts, merged, &mut stats)?;
-    Ok(MergeOutput {
-        merged: bytes,
-        stats,
-    })
+    let (merged, stats) = merge_core(files, profile, opts, |merged, threads, markers, stats| {
+        write_merged_stream(profile, threads, markers, opts, merged, stats)
+    })?;
+    Ok(MergeOutput { merged, stats })
 }
 
 /// The `slogmerge` utility: the same merge pipeline, emitting a SLOG file
@@ -472,11 +560,26 @@ pub fn slogmerge(
     opts: &MergeOptions,
     build: BuildOptions,
 ) -> Result<(SlogFile, MergeStats)> {
-    let (merged, threads, markers, mut stats) = merge_core(files, profile, opts)?;
+    merge_core(files, profile, opts, |merged, threads, markers, stats| {
+        build_slog(profile, build, merged, threads, markers, stats)
+    })
+}
+
+/// The tail of `slogmerge`, serial or parallel: gathers the merged
+/// stream (the builder wants its time span before its first record) and
+/// builds the SLOG file from the records as they are.
+pub fn build_slog<R: RecordFields>(
+    profile: &Profile,
+    build: BuildOptions,
+    merged: impl Iterator<Item = R>,
+    threads: &ThreadTable,
+    markers: &[(u32, String)],
+    stats: &mut MergeStats,
+) -> Result<SlogFile> {
+    let merged: Vec<R> = merged.collect();
     stats.records_out = merged.len() as u64;
     ute_obs::counter("merge/records_out").add(stats.records_out);
-    let slog = SlogBuilder::new(profile, build).build(&merged, &threads, &markers)?;
-    Ok((slog, stats))
+    SlogBuilder::new(profile, build).build_from(&merged, threads, markers)
 }
 
 #[cfg(test)]

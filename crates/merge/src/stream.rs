@@ -19,7 +19,7 @@
 //! end time, emitted while the stream is still being decoded.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ute_core::error::Result;
 
@@ -66,11 +66,18 @@ impl<T> Ord for Entry<T> {
 /// ticks before the maximum end seen so far); items are released to the
 /// sink as soon as no later input could sort before them. The released
 /// sequence equals `sort_by_key(end)` (stable) over the whole input.
+///
+/// Nearly every item arrives in order — its end is the largest so far —
+/// and those wait in a queue, which their arrival order already sorts.
+/// Only an item that arrives behind a later-ending one goes through the
+/// heap, so a sorted stream costs a push and a pop of a queue per item
+/// and an unsorted one still no more than the heap's logarithm.
 pub struct ReorderBuffer<T> {
     window: u64,
     seq: u64,
     max_end: u64,
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    in_order: VecDeque<Entry<T>>,
+    late: BinaryHeap<Reverse<Entry<T>>>,
 }
 
 impl<T> ReorderBuffer<T> {
@@ -85,7 +92,8 @@ impl<T> ReorderBuffer<T> {
             window,
             seq: 0,
             max_end: 0,
-            heap: BinaryHeap::new(),
+            in_order: VecDeque::new(),
+            late: BinaryHeap::new(),
         }
     }
 
@@ -97,19 +105,20 @@ impl<T> ReorderBuffer<T> {
         item: T,
         sink: &mut impl FnMut(T) -> Result<()>,
     ) -> Result<()> {
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             end,
             seq: self.seq,
             item,
-        }));
+        };
         self.seq += 1;
-        self.max_end = self.max_end.max(end);
+        if end >= self.max_end {
+            self.max_end = end;
+            self.in_order.push_back(entry);
+        } else {
+            self.late.push(Reverse(entry));
+        }
         let release_below = self.max_end.saturating_sub(self.window);
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.end >= release_below {
-                break;
-            }
-            let Reverse(e) = self.heap.pop().expect("peeked head exists");
+        while let Some(e) = self.pop_if(|head| head.end < release_below) {
             sink(e.item)?;
         }
         Ok(())
@@ -117,10 +126,32 @@ impl<T> ReorderBuffer<T> {
 
     /// Releases everything still buffered, in order.
     pub fn finish(mut self, sink: &mut impl FnMut(T) -> Result<()>) -> Result<()> {
-        while let Some(Reverse(e)) = self.heap.pop() {
+        while let Some(e) = self.pop_if(|_| true) {
             sink(e.item)?;
         }
         Ok(())
+    }
+
+    /// Takes the earliest buffered entry — the smaller of the queue's
+    /// head and the heap's — if `release` says it may go.
+    fn pop_if(&mut self, release: impl Fn(&Entry<T>) -> bool) -> Option<Entry<T>> {
+        let late_first = match (self.in_order.front(), self.late.peek()) {
+            (Some(head), Some(Reverse(late))) => late < head,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        if late_first {
+            let Reverse(head) = self.late.peek()?;
+            if !release(head) {
+                return None;
+            }
+            self.late.pop().map(|Reverse(e)| e)
+        } else {
+            if !release(self.in_order.front()?) {
+                return None;
+            }
+            self.in_order.pop_front()
+        }
     }
 }
 

@@ -6,9 +6,10 @@
 //! byte:
 //!
 //! * **Fan-out** — one worker per node file converts raw events and
-//!   clock-adjusts the node's intervals ([`ute_merge::adjust_node`],
-//!   which includes the §2.2 clock fit). CPU concurrency is bounded by a
-//!   [`pool::Semaphore`] with `jobs` permits.
+//!   clock-adjusts the node's intervals
+//!   ([`ute_merge::adjust_node_records`], which includes the §2.2 clock
+//!   fit). CPU concurrency is bounded by a [`pool::Semaphore`] with
+//!   `jobs` permits.
 //! * **Streaming** — each worker feeds its end-ordered interval stream
 //!   into the k-way [`ute_merge::LoserTreeMerge`] through a bounded
 //!   channel ([`source::ChannelSource`]), so the merge and the merged
@@ -45,14 +46,15 @@ use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::thread_table::ThreadTable;
+use ute_format::Retimed;
 use ute_merge::clockfit::NodeFit;
 use ute_merge::{
-    absorb_file_header, absorb_header_tables, adjust_intervals, adjust_node, plan_boundaries,
-    split_stream, write_merged_stream, IvSource, LoserTreeMerge, MergeOptions, MergeOutput,
-    MergeStats,
+    absorb_file_header, absorb_header_tables, adjust_intervals, adjust_node_records, build_slog,
+    plan_boundaries, split_stream, write_merged_stream, IvSource, LoserTreeMerge, MergeOptions,
+    MergeOutput, MergeStats,
 };
 use ute_rawtrace::file::RawTraceFile;
-use ute_slog::builder::{BuildOptions, SlogBuilder};
+use ute_slog::builder::BuildOptions;
 use ute_slog::file::SlogFile;
 
 use pool::Semaphore;
@@ -125,12 +127,12 @@ type HeaderMsg = Option<(ThreadTable, Vec<(u32, String)>)>;
 /// does not cross the spawn) and `link` the pre-allocated flow id tying
 /// this worker's stream to the merge consumer in the self-trace.
 #[allow(clippy::too_many_arguments)]
-fn produce_adjusted(
-    reader: &IntervalFileReader<'_>,
+fn produce_adjusted<'r>(
+    reader: &'r IntervalFileReader<'_>,
     profile: &Profile,
     opts: &MergeOptions,
     sem: &Semaphore,
-    tx: channel::Sender<Vec<Interval>>,
+    tx: channel::Sender<Vec<Retimed<'r>>>,
     depth: &AtomicI64,
     parent: u64,
     link: u64,
@@ -143,14 +145,14 @@ fn produce_adjusted(
     );
     if !opts.salvage {
         let mut sender = BatchSender::new(tx, sem, permit, depth, link);
-        let out = adjust_node(reader, profile, opts, |iv| sender.push(iv))?;
+        let out = adjust_node_records(reader, profile, opts, |rec| sender.push(rec))?;
         sender.finish()?;
         return Ok(Some(out));
     }
     let attempt = || {
         let mut adjusted = Vec::new();
-        let out = adjust_node(reader, profile, opts, |iv| {
-            adjusted.push(iv);
+        let out = adjust_node_records(reader, profile, opts, |rec| {
+            adjusted.push(rec);
             Ok(())
         })?;
         Ok((adjusted, out))
@@ -197,13 +199,14 @@ fn salvage_attempt<T>(attempt: impl Fn() -> Result<T>, who: &str) -> Option<T> {
 /// Runs the headers-then-streams topology shared by [`merge_files_jobs`]
 /// and [`slogmerge_jobs`]: spawns one producer per open reader, then
 /// hands the channel-fed merge iterator to `consume` on the calling
-/// thread. Headers were already absorbed serially by the caller.
-fn merge_streamed<T: Send>(
-    readers: Vec<IntervalFileReader<'_>>,
+/// thread. Headers were already absorbed serially by the caller. The
+/// records streamed are views into the readers' files.
+fn merge_streamed<'r, T>(
+    readers: &'r [IntervalFileReader<'_>],
     profile: &Profile,
     opts: &MergeOptions,
     jobs: usize,
-    consume: impl FnOnce(LoserTreeMerge<ChannelSource<'_>>) -> Result<T>,
+    consume: impl FnOnce(LoserTreeMerge<ChannelSource<'_, Retimed<'r>>>) -> Result<T>,
 ) -> Result<(Vec<WorkerFit>, T)> {
     let sem = Semaphore::new(jobs);
     let depth = AtomicI64::new(0);
@@ -217,7 +220,7 @@ fn merge_streamed<T: Send>(
         let depth = &depth;
         let mut sources = Vec::with_capacity(readers.len());
         let mut handles = Vec::with_capacity(readers.len());
-        for reader in &readers {
+        for reader in readers {
             let (tx, rx) = channel::bounded(CHANNEL_BATCHES);
             // One flow link per worker→consumer stream, allocated here
             // on the spawning thread in input order.
@@ -263,7 +266,7 @@ pub fn merge_files_jobs(
         &mut readers,
     )?;
     markers.sort_by_key(|(id, _)| *id);
-    let (fits, merged) = merge_streamed(readers, profile, opts, jobs, |merge| {
+    let (fits, merged) = merge_streamed(&readers, profile, opts, jobs, |merge| {
         write_merged_stream(profile, &union_threads, &markers, opts, merge, &mut stats)
     })?;
     collect_fits(fits, &mut stats);
@@ -320,7 +323,7 @@ fn collect_fits(fits: Vec<WorkerFit>, stats: &mut MergeStats) {
 }
 
 /// [`ute_merge::slogmerge`] on `jobs` workers: the merged stream is
-/// collected while workers still decode, then built into a SLOG file.
+/// collected while workers still adjust, then built into a SLOG file.
 pub fn slogmerge_jobs(
     files: &[&[u8]],
     profile: &Profile,
@@ -345,13 +348,10 @@ pub fn slogmerge_jobs(
         &mut readers,
     )?;
     markers.sort_by_key(|(id, _)| *id);
-    let (fits, merged) = merge_streamed(readers, profile, opts, jobs, |merge| {
-        Ok(merge.collect::<Vec<Interval>>())
+    let (fits, slog) = merge_streamed(&readers, profile, opts, jobs, |merge| {
+        build_slog(profile, build, merge, &union_threads, &markers, &mut stats)
     })?;
     collect_fits(fits, &mut stats);
-    stats.records_out = merged.len() as u64;
-    ute_obs::counter("merge/records_out").add(stats.records_out);
-    let slog = SlogBuilder::new(profile, build).build(&merged, &union_threads, &markers)?;
     Ok((slog, stats))
 }
 

@@ -1,9 +1,11 @@
 //! Channel plumbing between per-node workers and the merge consumer.
 //!
-//! Workers emit clock-adjusted intervals in batches over a bounded
+//! Workers emit clock-adjusted records in batches over a bounded
 //! channel; [`ChannelSource`] adapts the receiving end to the merge
 //! crate's [`MergeSource`] trait so the k-way [`LoserTreeMerge`]
-//! consumes a live stream exactly as it would an in-memory vector.
+//! consumes a live stream exactly as it would an in-memory vector. The
+//! record type is the producer's: [`ute_format::Retimed`] views from the
+//! merge-side workers, decoded intervals from the fused convert workers.
 //! Batching keeps channel traffic to one handoff per few thousand
 //! records — the batch size adapts upward whenever a send blocks on a
 //! full channel — and the bounded capacity keeps memory flat while
@@ -26,7 +28,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use ute_core::error::{Result, UteError};
-use ute_format::record::Interval;
+use ute_format::RecordFields;
 use ute_merge::MergeSource;
 
 use crate::pool::{Permit, Semaphore};
@@ -41,12 +43,12 @@ pub const BATCH_RECORDS_MAX: usize = 65536;
 /// Bounded channel capacity, in batches, per node stream.
 pub const CHANNEL_BATCHES: usize = 8;
 
-/// The sending side of a node's interval stream: accumulates records
+/// The sending side of a node's record stream: accumulates records
 /// into batches and ships each batch with the CPU permit *released*, so
 /// a send that blocks on a full channel never stalls the worker pool.
-pub struct BatchSender<'a> {
-    tx: Sender<Vec<Interval>>,
-    batch: Vec<Interval>,
+pub struct BatchSender<'a, T> {
+    tx: Sender<Vec<T>>,
+    batch: Vec<T>,
     sem: &'a Semaphore,
     permit: Option<Permit<'a>>,
     depth: &'a AtomicI64,
@@ -65,16 +67,16 @@ pub struct BatchSender<'a> {
     cap: usize,
 }
 
-impl<'a> BatchSender<'a> {
+impl<'a, T> BatchSender<'a, T> {
     /// Wraps a channel sender; `permit` is the worker's held CPU slot,
     /// `link` the pre-allocated self-trace flow id (0 disables).
     pub fn new(
-        tx: Sender<Vec<Interval>>,
+        tx: Sender<Vec<T>>,
         sem: &'a Semaphore,
         permit: Permit<'a>,
         depth: &'a AtomicI64,
         link: u64,
-    ) -> BatchSender<'a> {
+    ) -> BatchSender<'a, T> {
         BatchSender {
             tx,
             batch: Vec::with_capacity(BATCH_RECORDS_MIN),
@@ -88,7 +90,7 @@ impl<'a> BatchSender<'a> {
     }
 
     /// Appends a record, flushing a full batch downstream.
-    pub fn push(&mut self, iv: Interval) -> Result<()> {
+    pub fn push(&mut self, iv: T) -> Result<()> {
         self.batch.push(iv);
         if self.batch.len() >= self.cap {
             self.flush()?;
@@ -148,9 +150,9 @@ impl<'a> BatchSender<'a> {
 /// stream ends when the sender drops — whether after its final batch or
 /// early on a worker error; the caller distinguishes the two by joining
 /// the worker.
-pub struct ChannelSource<'a> {
-    rx: Receiver<Vec<Interval>>,
-    batch: std::vec::IntoIter<Interval>,
+pub struct ChannelSource<'a, T> {
+    rx: Receiver<Vec<T>>,
+    batch: std::vec::IntoIter<T>,
     depth: &'a AtomicI64,
     /// Consuming end of the worker's flow link (0 = none); recorded
     /// once, at the first batch received.
@@ -158,10 +160,10 @@ pub struct ChannelSource<'a> {
     link_seen: bool,
 }
 
-impl<'a> ChannelSource<'a> {
-    /// Wraps the receiving end of a node's interval stream; `link` is
+impl<'a, T> ChannelSource<'a, T> {
+    /// Wraps the receiving end of a node's record stream; `link` is
     /// the same flow id the worker's [`BatchSender`] holds (0 disables).
-    pub fn new(rx: Receiver<Vec<Interval>>, depth: &'a AtomicI64, link: u64) -> ChannelSource<'a> {
+    pub fn new(rx: Receiver<Vec<T>>, depth: &'a AtomicI64, link: u64) -> ChannelSource<'a, T> {
         ChannelSource {
             rx,
             batch: Vec::new().into_iter(),
@@ -172,10 +174,10 @@ impl<'a> ChannelSource<'a> {
     }
 }
 
-impl MergeSource for ChannelSource<'_> {
-    type Item = Interval;
+impl<T: RecordFields> MergeSource for ChannelSource<'_, T> {
+    type Item = T;
 
-    fn next_item(&mut self) -> Option<Interval> {
+    fn next_item(&mut self) -> Option<T> {
         loop {
             if let Some(iv) = self.batch.next() {
                 return Some(iv);
@@ -209,7 +211,7 @@ impl MergeSource for ChannelSource<'_> {
         }
     }
 
-    fn end_of(item: &Interval) -> u64 {
+    fn end_of(item: &T) -> u64 {
         item.end()
     }
 }

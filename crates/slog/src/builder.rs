@@ -18,6 +18,7 @@ use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
+use ute_format::RecordFields;
 
 use crate::file::{SlogFile, SlogFrame};
 use crate::preview::Preview;
@@ -66,12 +67,33 @@ impl<'a> SlogBuilder<'a> {
         threads: &ThreadTable,
         markers: &[(u32, String)],
     ) -> Result<SlogFile> {
+        self.build_from(intervals, threads, markers)
+    }
+
+    /// [`SlogBuilder::build`] over the merged stream in any form whose
+    /// fields can be read — the merge hands over the records it carried,
+    /// still undecoded.
+    pub fn build_from<R: RecordFields>(
+        &self,
+        intervals: &[R],
+        threads: &ThreadTable,
+        markers: &[(u32, String)],
+    ) -> Result<SlogFile> {
         let _span = ute_obs::Span::enter(
             "slog",
             format!("build slog ({} intervals)", intervals.len()),
         );
+        // The five fields read below, resolved to name indices once.
+        let field = |name: &str| self.profile.field_name_index(name);
+        let (f_marker, f_seq, f_rank, f_peer, f_sent) = (
+            field("markerId"),
+            field("seq"),
+            field("rank"),
+            field("peer"),
+            field("msgSizeSent"),
+        );
         let nframes = self.opts.nframes.max(1);
-        let span_start = intervals.iter().map(|iv| iv.start).min().unwrap_or(0);
+        let span_start = intervals.iter().map(|iv| iv.start()).min().unwrap_or(0);
         let span_end = intervals
             .iter()
             .map(|iv| iv.end())
@@ -116,36 +138,34 @@ impl<'a> SlogBuilder<'a> {
         let mut arrows: Vec<SlogArrow> = Vec::new();
 
         for iv in intervals {
+            let uint = |f: Option<u16>| f.and_then(|idx| iv.extra_uint(idx));
+            let (itype, start, duration) = (iv.itype(), iv.start(), iv.duration());
             // Clock records are bookkeeping, and salvage-mode GAP
             // pseudo-records name a node with no thread-table entries;
             // neither belongs on a timeline.
-            if iv.itype.state == StateCode::CLOCK || iv.itype.state == StateCode::GAP {
+            if itype.state == StateCode::CLOCK || itype.state == StateCode::GAP {
                 continue;
             }
-            let Some(&timeline) = timeline_index.get(&(iv.node.raw(), iv.thread.raw())) else {
+            let (node, thread) = (iv.node(), iv.thread());
+            let Some(&timeline) = timeline_index.get(&(node.raw(), thread.raw())) else {
                 return Err(UteError::NotFound(format!(
-                    "thread (node {}, logical {}) missing from thread table",
-                    iv.node, iv.thread
+                    "thread (node {node}, logical {thread}) missing from thread table"
                 )));
             };
-            preview.add(iv.itype.state, iv.start, iv.duration);
-            let marker_id = iv
-                .extra(self.profile, "markerId")
-                .and_then(|v| v.as_uint())
-                .unwrap_or(0) as u32;
+            preview.add(itype.state, start, duration);
             let rec = SlogState {
                 timeline,
-                state: iv.itype.state,
-                bebits: iv.itype.bebits,
+                state: itype.state,
+                bebits: itype.bebits,
                 pseudo: false,
-                start: iv.start,
-                duration: iv.duration,
-                node: iv.node.raw(),
-                cpu: iv.cpu.raw(),
-                marker_id,
+                start,
+                duration,
+                node: node.raw(),
+                cpu: iv.cpu().raw(),
+                marker_id: uint(f_marker).unwrap_or(0) as u32,
             };
-            let first = frame_of(iv.start);
-            let last = frame_of(iv.end().saturating_sub(1).max(iv.start));
+            let first = frame_of(start);
+            let last = frame_of(iv.end().saturating_sub(1).max(start));
             frames[first].records.push(SlogRecord::State(rec));
             for f in &mut frames[first + 1..=last] {
                 f.records.push(SlogRecord::State(SlogState {
@@ -155,36 +175,22 @@ impl<'a> SlogBuilder<'a> {
             }
 
             // Arrow matching on completed pieces that carry a sequence.
-            if self.opts.arrows && iv.itype.bebits.ends_state() {
-                if let Some(op) = iv.itype.state.as_mpi() {
-                    let seq = iv
-                        .extra(self.profile, "seq")
-                        .and_then(|v| v.as_uint())
-                        .unwrap_or(0);
+            if self.opts.arrows && itype.bebits.ends_state() {
+                if let Some(op) = itype.state.as_mpi() {
+                    let seq = uint(f_seq).unwrap_or(0);
                     if seq > 0 {
-                        let rank = iv
-                            .extra(self.profile, "rank")
-                            .and_then(|v| v.as_uint())
-                            .unwrap_or(u64::MAX);
-                        let peer = iv
-                            .extra(self.profile, "peer")
-                            .and_then(|v| v.as_uint())
-                            .unwrap_or(u64::MAX);
                         if op.is_p2p_send() {
-                            let bytes = iv
-                                .extra(self.profile, "msgSizeSent")
-                                .and_then(|v| v.as_uint())
-                                .unwrap_or(0);
                             sends.insert(
-                                (rank, seq),
+                                (uint(f_rank).unwrap_or(u64::MAX), seq),
                                 SendInfo {
                                     timeline,
-                                    start: iv.start,
-                                    bytes,
+                                    start,
+                                    bytes: uint(f_sent).unwrap_or(0),
                                 },
                             );
                         } else if op.is_p2p_recv() || op == MpiOp::Wait {
                             // peer = the sender's rank on the receive side.
+                            let peer = uint(f_peer).unwrap_or(u64::MAX);
                             if let Some(s) = sends.get(&(peer, seq)) {
                                 arrows.push(SlogArrow {
                                     pseudo: false,

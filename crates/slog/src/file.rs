@@ -119,6 +119,18 @@ impl SlogFile {
 
     /// Parses a SLOG file.
     pub fn from_bytes(data: &[u8]) -> Result<SlogFile> {
+        SlogFile::from_bytes_in(data, None)
+    }
+
+    /// Parses the header, the preview and the frame index, and decodes
+    /// only the frames that overlap `window` (`[start, end)`, global
+    /// ticks; `None`: all of them). The others keep their time span, so
+    /// [`SlogFile::frame_at`] still finds them, and have no records: a
+    /// reader that draws one window, or only the preview, pays for that
+    /// (§4: display time independent of file size). Damage inside a frame
+    /// that is not decoded goes unreported here — `ute check` reads
+    /// everything.
+    pub fn from_bytes_in(data: &[u8], window: Option<(u64, u64)>) -> Result<SlogFile> {
         let mut r = ByteReader::new(data);
         if r.get_bytes(8)? != MAGIC {
             return Err(UteError::corrupt("slog file: bad magic"));
@@ -153,6 +165,14 @@ impl SlogFile {
         let body_base = r.pos();
         let mut frames = Vec::with_capacity(cap);
         for (t_start, t_end, n, offset, size) in index {
+            if window.is_some_and(|(from, to)| t_start >= to || t_end <= from) {
+                frames.push(SlogFrame {
+                    t_start,
+                    t_end,
+                    records: Vec::new(),
+                });
+                continue;
+            }
             let mut fr = ByteReader::new(data);
             let at = body_base
                 .checked_add(offset)
@@ -194,9 +214,14 @@ impl SlogFile {
 
     /// Reads from disk.
     pub fn read_from(path: &std::path::Path) -> Result<SlogFile> {
+        SlogFile::read_from_in(path, None)
+    }
+
+    /// [`SlogFile::from_bytes_in`] of a file on disk.
+    pub fn read_from_in(path: &std::path::Path, window: Option<(u64, u64)>) -> Result<SlogFile> {
         use ute_core::error::PathContext;
         let data = std::fs::read(path).in_file(path)?;
-        SlogFile::from_bytes(&data).in_file(path)
+        SlogFile::from_bytes_in(&data, window).in_file(path)
     }
 }
 
@@ -266,6 +291,30 @@ mod tests {
         let bytes = f.to_bytes();
         let back = SlogFile::from_bytes(&bytes).unwrap();
         assert_eq!(back, f);
+    }
+
+    #[test]
+    fn windowed_read_decodes_only_the_frames_it_touches() {
+        let f = sample();
+        let mut bytes = f.to_bytes();
+        let back = SlogFile::from_bytes_in(&bytes, Some((100, 200))).unwrap();
+        assert_eq!(back.preview, f.preview);
+        assert_eq!(back.frames[1], f.frames[1]);
+        assert!(back.frames[0].records.is_empty());
+        assert_eq!(back.frame_at(50).unwrap().t_end, 100);
+        // An empty window decodes nothing; one tick of a frame, that frame.
+        let none = SlogFile::from_bytes_in(&bytes, Some((0, 0))).unwrap();
+        assert_eq!(none.total_records(), 0);
+        let first = SlogFile::from_bytes_in(&bytes, Some((99, 100))).unwrap();
+        assert_eq!(first.frames[0], f.frames[0]);
+        assert!(first.frames[1].records.is_empty());
+        // Damage in the last frame body (frame 1's second record) is seen
+        // only by a read that decodes it.
+        let last = bytes.len() - 1;
+        bytes.truncate(last);
+        assert!(SlogFile::from_bytes(&bytes).is_err());
+        assert!(SlogFile::from_bytes_in(&bytes, Some((100, 200))).is_err());
+        assert!(SlogFile::from_bytes_in(&bytes, Some((0, 100))).is_ok());
     }
 
     #[test]

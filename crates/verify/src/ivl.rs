@@ -10,7 +10,7 @@
 //! | `bebit-laminarity` | per-thread state pieces open/close/nest sanely | §2.3.1, §3.3 |
 //! | `profile-resolution` | every record decodes against the profile, and its in-place view reads what the decoder decodes | §2.3.2, §2.4 |
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ute_core::ids::{LogicalThreadId, NodeId};
 use ute_format::file::IntervalFileReader;
@@ -298,10 +298,12 @@ fn rule_thread_bounds(report: &mut Report, stream: &[Interval], threads: &Thread
 /// structure (§3.3's reassembly precondition).
 fn rule_bebit_laminarity(report: &mut Report, stream: &[Interval], lenient_tail: bool) {
     type ThreadKey = (u16, u16);
-    // Per thread: state -> (begin start time) for open states.
-    let mut open: HashMap<ThreadKey, HashMap<u16, u64>> = HashMap::new();
+    // Per thread: state -> (begin start time) for open states. Ordered
+    // maps throughout: the findings below come out in key order, so two
+    // checks of one file print one report.
+    let mut open: BTreeMap<ThreadKey, BTreeMap<u16, u64>> = BTreeMap::new();
     // Per thread: closed spans (start, end, state).
-    let mut spans: HashMap<ThreadKey, Vec<(u64, u64, u16)>> = HashMap::new();
+    let mut spans: BTreeMap<ThreadKey, Vec<(u64, u64, u16)>> = BTreeMap::new();
     let mut violations = 0usize;
     const MAX_REPORTED: usize = 8;
 
@@ -616,6 +618,52 @@ mod tests {
         let r = check_interval_bytes("t", &bytes, &p, IvlCheckOptions { lenient_tail: true });
         assert_eq!(r.errors(), 1, "{}", r.render());
         assert_eq!(r.warnings(), 1);
+    }
+
+    #[test]
+    fn laminarity_findings_come_out_in_thread_order() {
+        // Five threads, each with two states left open and one partial
+        // overlap, written last thread first.
+        let mut ivs = Vec::new();
+        for thread in (0..5u16).rev() {
+            let on = |mut iv: Interval| {
+                iv.thread = LogicalThreadId(thread);
+                iv
+            };
+            ivs.push(on(piece(StateCode::SYSCALL, BeBits::Complete, 0, 10)));
+            ivs.push(on(piece(StateCode::PAGE_FAULT, BeBits::Complete, 5, 10)));
+            ivs.push(on(piece(StateCode::IO, BeBits::Begin, 20, 5)));
+            ivs.push(on(piece(StateCode::INTERRUPT, BeBits::Begin, 30, 5)));
+        }
+        let bytes = build(&ivs);
+        let p = Profile::standard();
+        let messages = || -> Vec<String> {
+            check_interval_bytes("t", &bytes, &p, IvlCheckOptions::default())
+                .findings
+                .into_iter()
+                .filter(|f| f.rule == "bebit-laminarity")
+                .map(|f| f.message)
+                .collect()
+        };
+        let first = messages();
+        assert_eq!(first.len(), 10, "{first:#?}");
+        for (i, half) in first.chunks(5).enumerate() {
+            for (thread, msg) in half.iter().enumerate() {
+                assert!(
+                    msg.starts_with(&format!("thread (node 1, logical {thread}):")),
+                    "finding {thread} of half {i}: {msg}"
+                );
+            }
+        }
+        assert!(
+            first[0].ends_with("open at end of file: IO, Interrupt"),
+            "{}",
+            first[0]
+        );
+        assert!(first[5].contains("partially overlaps"), "{}", first[5]);
+        for _ in 0..8 {
+            assert_eq!(messages(), first);
+        }
     }
 
     #[test]

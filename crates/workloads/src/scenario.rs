@@ -1,11 +1,11 @@
 //! Fixed-seed generated scenarios promoted into the stock corpus.
 //!
 //! Two representative seeds from the `ute-scenario` generator ride along
-//! with the hand-written workloads, so every corpus-driven test (and the
-//! `pipeline_metrics` bench harness walking [`crate::all_workloads`])
-//! exercises traces nobody designed. The seeds are pinned: a change in
-//! the generator that alters their expansion shows up as a diff in every
-//! downstream artifact, which is exactly the regression signal we want.
+//! with the hand-written workloads, so every corpus-driven test walking
+//! [`crate::all_workloads`] exercises traces nobody designed. The seeds
+//! are pinned: a change in the generator that alters their expansion
+//! shows up as a diff in every downstream artifact, which is exactly the
+//! regression signal we want.
 
 use ute_scenario::{generate, ScenarioSpec};
 

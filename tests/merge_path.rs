@@ -1,0 +1,689 @@
+//! The merge path against its references: the merge carries records as
+//! views of the input bytes ([`ute::format::Retimed`]) and writes them by
+//! copying those bytes, and what comes out must be what the route over
+//! decoded [`Interval`]s produces — `adjust_node` → `IvSource` →
+//! `LoserTreeMerge` → `write_merged_stream` / `SlogBuilder::build` — byte
+//! for byte, error for error, whichever entry point and job count ran it.
+
+mod common;
+
+use std::sync::OnceLock;
+
+use ute::cluster::Simulator;
+use ute::convert::{convert_job_opts, ConvertOptions};
+use ute::core::bebits::BeBits;
+use ute::core::error::Result;
+use ute::core::ids::{CpuId, LogicalThreadId, NodeId, ThreadType};
+use ute::format::datatype::FieldType;
+use ute::format::file::{FramePolicy, IntervalFileReader, IntervalFileWriter, MERGED_NODE};
+use ute::format::profile::{
+    FieldSpec, Profile, RecordSpec, MASK_MERGED, MASK_PER_NODE, SELECT_NODE,
+};
+use ute::format::record::{Interval, IntervalType};
+use ute::format::state::StateCode;
+use ute::format::thread_table::ThreadTable;
+use ute::format::value::Value;
+use ute::format::{Record, RecordFields, Retimed};
+use ute::merge::{
+    absorb_file_header, adjust_node, adjust_node_records, merge_files, slogmerge,
+    write_merged_stream, IvSource, LoserTreeMerge, MergeOptions, MergeStats, VecSource,
+};
+use ute::pipeline::{merge_files_jobs, slogmerge_jobs};
+use ute::scenario::{generate, ScenarioSpec};
+use ute::slog::builder::{BuildOptions, SlogBuilder};
+use ute::workloads::scaling::scaled_job;
+use ute::workloads::Workload;
+
+use common::{random_file, Rng};
+
+const BUILD: BuildOptions = BuildOptions {
+    nframes: 16,
+    preview_bins: 32,
+    arrows: true,
+};
+
+/// Per-node interval files of one simulated run, as `ute convert` writes
+/// them.
+struct Corpus {
+    profile: Profile,
+    files: Vec<Vec<u8>>,
+}
+
+impl Corpus {
+    fn of(w: Workload) -> Corpus {
+        let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
+        let profile = Profile::standard();
+        let copts = ConvertOptions {
+            policy: FramePolicy {
+                max_records_per_frame: 64,
+                max_frames_per_dir: 4,
+            },
+            ..ConvertOptions::default()
+        };
+        let converted =
+            convert_job_opts(&result.raw_files, &result.threads, &profile, &copts, false).unwrap();
+        Corpus {
+            profile,
+            files: converted.into_iter().map(|c| c.interval_file).collect(),
+        }
+    }
+
+    fn refs(&self) -> Vec<&[u8]> {
+        self.files.iter().map(Vec::as_slice).collect()
+    }
+}
+
+/// Table 1's program, small: 4 nodes × 4 threads of three thread types,
+/// a marker open from the first record to the last, Waitall vectors,
+/// collectives, clock records.
+fn scaling() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| Corpus::of(scaled_job(60)))
+}
+
+/// The 256+-node torture preset: long runs of equal ends across nodes.
+fn torture() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let sc = generate(&ScenarioSpec::torture(11)).unwrap();
+        Corpus::of(Workload {
+            name: "torture",
+            config: sc.config,
+            job: sc.job,
+        })
+    })
+}
+
+/// What a merge and a slogmerge of the same inputs leave behind.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    merged: Vec<u8>,
+    slog: Vec<u8>,
+    records_in: u64,
+    records_out: u64,
+    pseudo_added: u64,
+    nodes_degraded: u64,
+}
+
+/// The merge as it ran before it carried bytes: every record decoded on
+/// its way out of its file, the k-way merge and both tails over
+/// `Interval`s. Salvage drops a file that fails anywhere, its header kept
+/// if it got that far — the rule of `merge_files`.
+fn reference(files: &[&[u8]], p: &Profile, opts: &MergeOptions) -> Result<Outcome> {
+    let mut threads = ThreadTable::new();
+    let mut markers = Vec::new();
+    let mut stats = MergeStats::default();
+    let mut streams = Vec::new();
+    for bytes in files {
+        let mut node = || {
+            let reader = IntervalFileReader::open(bytes, p)?;
+            absorb_file_header(&reader, &mut threads, &mut markers)?;
+            let mut ivs = Vec::new();
+            let (_, records_in) = adjust_node(&reader, p, opts, |iv| {
+                ivs.push(iv);
+                Ok(())
+            })?;
+            Ok((ivs, records_in))
+        };
+        match node() {
+            Ok((ivs, records_in)) => {
+                stats.records_in += records_in;
+                streams.push(ivs);
+            }
+            Err(_) if opts.salvage => stats.nodes_degraded += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    markers.sort_by_key(|(id, _)| *id);
+    let sources: Vec<IvSource> = streams.into_iter().map(IvSource::new).collect();
+    let merged: Vec<Interval> = LoserTreeMerge::new(sources).collect();
+    let slog = SlogBuilder::new(p, BUILD).build(&merged, &threads, &markers)?;
+    let bytes = write_merged_stream(p, &threads, &markers, opts, merged, &mut stats)?;
+    Ok(Outcome {
+        merged: bytes,
+        slog: slog.to_bytes(),
+        records_in: stats.records_in,
+        records_out: stats.records_out,
+        pseudo_added: stats.pseudo_added,
+        nodes_degraded: stats.nodes_degraded,
+    })
+}
+
+/// The shipped entry points: the serial pair, or the `jobs` pair.
+fn shipped(
+    files: &[&[u8]],
+    p: &Profile,
+    opts: &MergeOptions,
+    jobs: Option<usize>,
+) -> Result<Outcome> {
+    let (out, (slog, slog_stats)) = match jobs {
+        None => (
+            merge_files(files, p, opts)?,
+            slogmerge(files, p, opts, BUILD)?,
+        ),
+        Some(j) => (
+            merge_files_jobs(files, p, opts, j)?,
+            slogmerge_jobs(files, p, opts, BUILD, j)?,
+        ),
+    };
+    assert_eq!(out.stats.records_in, slog_stats.records_in);
+    assert_eq!(out.stats.nodes_degraded, slog_stats.nodes_degraded);
+    assert_eq!(
+        out.stats.records_out - out.stats.pseudo_added - gap_count(opts),
+        slog_stats.records_out,
+        "slogmerge merges the same stream"
+    );
+    Ok(Outcome {
+        merged: out.merged,
+        slog: slog.to_bytes(),
+        records_in: out.stats.records_in,
+        records_out: out.stats.records_out,
+        pseudo_added: out.stats.pseudo_added,
+        nodes_degraded: out.stats.nodes_degraded,
+    })
+}
+
+fn gap_count(opts: &MergeOptions) -> u64 {
+    let mut gaps = opts.gap_nodes.clone();
+    gaps.sort_unstable();
+    gaps.dedup();
+    gaps.len() as u64
+}
+
+/// Every shipped entry point gives the reference's outcome, or fails in
+/// its words.
+fn assert_matches_reference(files: &[&[u8]], p: &Profile, opts: &MergeOptions, what: &str) {
+    let expected = reference(files, p, opts).map_err(|e| e.to_string());
+    for jobs in [None, Some(1), Some(2), Some(8)] {
+        let got = shipped(files, p, opts, jobs).map_err(|e| e.to_string());
+        assert!(
+            got == expected,
+            "{what}, jobs {jobs:?}: shipped merge differs from the reference\n\
+             shipped: {}\nreference: {}",
+            summary(&got),
+            summary(&expected),
+        );
+    }
+}
+
+fn summary(r: &std::result::Result<Outcome, String>) -> String {
+    match r {
+        Ok(o) => format!(
+            "{} merged bytes, {} slog bytes, {} in, {} out, {} pseudo, {} degraded",
+            o.merged.len(),
+            o.slog.len(),
+            o.records_in,
+            o.records_out,
+            o.pseudo_added,
+            o.nodes_degraded
+        ),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+fn option_sets() -> Vec<(&'static str, MergeOptions)> {
+    let base = MergeOptions::default();
+    vec![
+        ("defaults", base.clone()),
+        (
+            "tiny frames",
+            MergeOptions {
+                policy: FramePolicy::tiny(),
+                ..base.clone()
+            },
+        ),
+        (
+            "mpi threads only",
+            MergeOptions {
+                thread_types: Some(vec![ThreadType::Mpi]),
+                ..base.clone()
+            },
+        ),
+        (
+            "user and system threads, tiny frames",
+            MergeOptions {
+                thread_types: Some(vec![ThreadType::User, ThreadType::System]),
+                policy: FramePolicy::tiny(),
+                ..base.clone()
+            },
+        ),
+        (
+            "gap nodes",
+            MergeOptions {
+                gap_nodes: vec![9, 2, 9],
+                ..base.clone()
+            },
+        ),
+        (
+            "no frame-head pseudo records",
+            MergeOptions {
+                frame_pseudo_intervals: false,
+                policy: FramePolicy::tiny(),
+                ..base
+            },
+        ),
+    ]
+}
+
+#[test]
+fn shipped_merge_equals_the_interval_reference_under_every_option() {
+    let c = scaling();
+    for (what, opts) in option_sets() {
+        for salvage in [false, true] {
+            let opts = MergeOptions {
+                salvage,
+                ..opts.clone()
+            };
+            assert_matches_reference(
+                &c.refs(),
+                &c.profile,
+                &opts,
+                &format!("{what}, salvage {salvage}"),
+            );
+        }
+    }
+    // Tiny frames put a pseudo record of the open marker at every frame
+    // head; make sure that is what was compared.
+    let tiny = MergeOptions {
+        policy: FramePolicy::tiny(),
+        ..MergeOptions::default()
+    };
+    let out = merge_files(&c.refs(), &c.profile, &tiny).unwrap();
+    assert!(
+        out.stats.pseudo_added * 5 > out.stats.records_in,
+        "{} pseudo records for {} records",
+        out.stats.pseudo_added,
+        out.stats.records_in
+    );
+}
+
+#[test]
+fn shipped_merge_equals_the_interval_reference_on_the_torture_corpus() {
+    let c = torture();
+    assert!(c.files.len() >= 256);
+    let expected = reference(&c.refs(), &c.profile, &MergeOptions::default()).unwrap();
+    for jobs in [None, Some(2), Some(8)] {
+        let got = shipped(&c.refs(), &c.profile, &MergeOptions::default(), jobs).unwrap();
+        assert!(got == expected, "jobs {jobs:?}");
+    }
+}
+
+#[test]
+fn damaged_inputs_fail_or_degrade_as_the_reference_does() {
+    let c = scaling();
+    let mut rng = Rng(0xdead_beef);
+    let mut damaged: Vec<(String, usize, Vec<u8>)> = Vec::new();
+    let cut = c.files[2].len() - 7;
+    damaged.push(("file 2 truncated".into(), 2, c.files[2][..cut].to_vec()));
+    damaged.push((
+        "file 0 cut in half".into(),
+        0,
+        c.files[0][..c.files[0].len() / 2].to_vec(),
+    ));
+    damaged.push(("file 3 header only".into(), 3, c.files[3][..40].to_vec()));
+    for _ in 0..12 {
+        let mut bytes = c.files[1].clone();
+        let at = rng.below(bytes.len() as u64) as usize;
+        bytes[at] ^= 1 << rng.below(8);
+        damaged.push((format!("file 1 bit flipped at {at}"), 1, bytes));
+    }
+    let mut failures = 0;
+    for (what, which, bytes) in &damaged {
+        let mut files = c.refs();
+        files[*which] = bytes;
+        for (opts_name, opts) in option_sets().into_iter().take(2) {
+            for salvage in [false, true] {
+                let opts = MergeOptions {
+                    salvage,
+                    ..opts.clone()
+                };
+                let what = format!("{what}, {opts_name}, salvage {salvage}");
+                assert_matches_reference(&files, &c.profile, &opts, &what);
+                if !salvage && merge_files(&files, &c.profile, &opts).is_err() {
+                    failures += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        failures >= 6,
+        "only {failures} damaged inputs failed a strict merge"
+    );
+}
+
+/// Appends every record of `src`, retimed, to two writers of mask
+/// `dst_mask` — one through the transcode entry, one decoded and pushed —
+/// and requires the same result of every call and the same file.
+fn assert_transcode_equals_push(src: &[u8], p: &Profile, dst_mask: u32, what: &str) {
+    let r = IntervalFileReader::open(src, p).unwrap();
+    let writer = || {
+        IntervalFileWriter::new(
+            p,
+            dst_mask,
+            if dst_mask == MASK_MERGED {
+                MERGED_NODE
+            } else {
+                5
+            },
+            &r.threads,
+            &r.markers,
+            FramePolicy {
+                max_records_per_frame: 7,
+                max_frames_per_dir: 3,
+            },
+        )
+    };
+    let (mut transcoded, mut pushed) = (writer(), writer());
+    let mut both = |rec: &Retimed<'_>| {
+        let a = transcoded.push_retimed(rec).map_err(|e| e.to_string());
+        let b = pushed.push(&rec.to_interval()).map_err(|e| e.to_string());
+        assert_eq!(a, b, "{what}: {:?}", rec.to_interval());
+        a
+    };
+    let mut n = 0;
+    for rec in r.records() {
+        let rec = rec.unwrap();
+        // Monotone in the end, so the writers' order check passes.
+        let (start, duration) = (2 * rec.start(), 2 * rec.duration() + 1);
+        // Not every record can be written (the signed vector cannot):
+        // then neither writer takes it, in the same words.
+        let _ = both(&Retimed::new(rec, start, duration));
+        n += 1;
+    }
+    // And an error: a record that ends before the last one.
+    if n > 0 {
+        let first = r.records().next().unwrap().unwrap();
+        both(&Retimed::new(first, 0, 0)).unwrap_err();
+    }
+    assert!(
+        transcoded.finish() == pushed.finish(),
+        "{what}: files differ"
+    );
+}
+
+/// The standard profile plus record types that strain the transcode
+/// rule: one with no layout at all, and several with a layout the rule
+/// must refuse or handle with care.
+///
+/// No writer encodes a vector of signed integers, and the reference
+/// decoder accepts only an empty one. So the files are written under the
+/// profile's `writable` twin, where that vector is unsigned, and always
+/// empty: the same bytes, which the profile proper then reads through the
+/// decoder instead of a view.
+fn odd_profile(writable: bool) -> Profile {
+    let mut p = Profile::standard();
+    let name = |p: &mut Profile, n: &str| p.intern_field_name(n);
+    let common = |p: &mut Profile, cpu: FieldType| {
+        vec![
+            FieldSpec::scalar(name(p, "recType"), FieldType::U32),
+            FieldSpec::scalar(name(p, "start"), FieldType::U64),
+            FieldSpec::scalar(name(p, "dura"), FieldType::U64),
+            FieldSpec::scalar(name(p, "cpu"), cpu),
+            FieldSpec {
+                select_bit: SELECT_NODE,
+                ..FieldSpec::scalar(name(p, "node"), FieldType::U16)
+            },
+            FieldSpec::scalar(name(p, "thread"), FieldType::U16),
+        ]
+    };
+    let (deltas, weight, label, samples, rank, rectype) = (
+        name(&mut p, "deltas"),
+        name(&mut p, "weight"),
+        name(&mut p, "label"),
+        name(&mut p, "samples"),
+        name(&mut p, "rank"),
+        name(&mut p, "recType"),
+    );
+    let specs: [(u16, FieldType, Vec<FieldSpec>); 5] = [
+        // A vector of signed integers: no layout, every record decoded.
+        (
+            0x70,
+            FieldType::U16,
+            vec![FieldSpec::vector(
+                deltas,
+                if writable {
+                    FieldType::U64
+                } else {
+                    FieldType::I64
+                },
+                1,
+            )],
+        ),
+        // A cpu wider than an `Interval` keeps: a layout, but no rule.
+        (
+            0x71,
+            FieldType::U32,
+            vec![
+                FieldSpec::scalar(weight, FieldType::F64),
+                FieldSpec::vector(label, FieldType::Char, 2),
+            ],
+        ),
+        // The same extra twice.
+        (
+            0x72,
+            FieldType::U16,
+            vec![
+                FieldSpec::scalar(rank, FieldType::U32),
+                FieldSpec::scalar(rank, FieldType::U32),
+            ],
+        ),
+        // A second field named recType.
+        (
+            0x73,
+            FieldType::U16,
+            vec![FieldSpec::scalar(rectype, FieldType::U32)],
+        ),
+        // Floats, float vectors and text, all copied as bytes.
+        (
+            0x74,
+            FieldType::U8,
+            vec![
+                FieldSpec::scalar(weight, FieldType::F64),
+                FieldSpec::vector(samples, FieldType::F64, 1),
+                FieldSpec::vector(label, FieldType::Char, 4),
+                FieldSpec::scalar(deltas, FieldType::I64),
+            ],
+        ),
+    ];
+    for (state, cpu, extras) in specs {
+        let mut fields = common(&mut p, cpu);
+        fields.extend(extras);
+        let name_idx = p.intern_record_name(&format!("Odd{state:x}"));
+        p.add_record(RecordSpec {
+            itype: IntervalType::complete(StateCode(state)),
+            name_idx,
+            fields,
+        });
+    }
+    p
+}
+
+/// One record of an [`odd_profile`] type.
+fn odd_interval(rng: &mut Rng, p: &Profile, node: u16) -> Interval {
+    let state = 0x70 + rng.below(5) as u16;
+    let base = Interval::basic(
+        IntervalType::complete(StateCode(state)),
+        rng.below(1 << 20),
+        rng.below(1 << 12),
+        // Above `u8` for the one-byte cpu of 0x74 too: both routes truncate.
+        CpuId(rng.below(1000) as u16),
+        NodeId(node),
+        LogicalThreadId(rng.below(8) as u16),
+    );
+    let float = |rng: &mut Rng| f64::from_bits(rng.next());
+    // Up to 315 bytes: both widths of the record length prefix.
+    let text = |rng: &mut Rng| Value::Str("héllo ".repeat(rng.below(46) as usize).into());
+    match state {
+        0x70 => base.with_extra(p, "deltas", Value::UintVec(Vec::new().into())),
+        0x71 => base
+            .with_extra(p, "weight", Value::Float(float(rng)))
+            .with_extra(p, "label", text(rng)),
+        0x72 => base
+            .with_extra(p, "rank", Value::Uint(rng.below(1 << 32)))
+            .with_extra(p, "rank", Value::Uint(rng.below(1 << 32))),
+        0x73 => base.with_extra(p, "recType", Value::Uint(rng.below(1 << 32))),
+        _ => {
+            let n = rng.below(9);
+            let samples: Vec<f64> = (0..n).map(|_| float(rng)).collect();
+            base.with_extra(p, "weight", Value::Float(float(rng)))
+                .with_extra(p, "samples", Value::FloatVec(samples.into()))
+                .with_extra(p, "label", text(rng))
+                .with_extra(p, "deltas", Value::Int(rng.next() as i64))
+        }
+    }
+}
+
+/// A file of standard and odd records under either mask, written under
+/// the writable profile.
+fn odd_file(rng: &mut Rng, p: &Profile, merged: bool, n: usize) -> Vec<u8> {
+    let mask = if merged { MASK_MERGED } else { MASK_PER_NODE };
+    let mut ivs: Vec<Interval> = (0..n)
+        .map(|_| {
+            let node = if merged { rng.below(6) as u16 } else { 3 };
+            if rng.below(2) == 0 {
+                common::random_interval(rng, p, node)
+            } else {
+                odd_interval(rng, p, node)
+            }
+        })
+        .collect();
+    ivs.sort_by_key(|iv| iv.end());
+    let mut w = IntervalFileWriter::new(
+        p,
+        mask,
+        if merged { MERGED_NODE } else { 3 },
+        &ThreadTable::new(),
+        &[],
+        FramePolicy::default(),
+    );
+    for iv in &ivs {
+        w.push(iv).unwrap();
+    }
+    w.finish()
+}
+
+#[test]
+fn transcode_appends_what_decode_and_push_append() {
+    // Simulated runs: per-node files, and the merged file they make.
+    for (name, c) in [("scaling", scaling()), ("torture", torture())] {
+        let merged = merge_files(&c.refs(), &c.profile, &MergeOptions::default())
+            .unwrap()
+            .merged;
+        let sources = c.files.iter().map(Vec::as_slice).chain([merged.as_slice()]);
+        for (i, src) in sources.enumerate() {
+            for dst_mask in [MASK_MERGED, MASK_PER_NODE] {
+                let what = format!("{name} file {i} into mask {dst_mask}");
+                assert_transcode_equals_push(src, &c.profile, dst_mask, &what);
+            }
+        }
+    }
+    // Seeded streams: Waitall vectors behind both prefix widths, markers,
+    // clock pairs; then the odd record types, where the writer has to
+    // decide per type whether bytes may be copied.
+    let standard = Profile::standard();
+    let (odd, odd_writable) = (odd_profile(false), odd_profile(true));
+    let mut rng = Rng(0x7a5c_0de5);
+    let mut owned = 0;
+    for round in 0..24 {
+        for merged in [false, true] {
+            let plain = random_file(&mut rng, &standard, merged, 150);
+            let strained = odd_file(&mut rng, &odd_writable, merged, 150);
+            for dst_mask in [MASK_MERGED, MASK_PER_NODE] {
+                let what = format!("round {round}, merged {merged}, into mask {dst_mask}");
+                assert_transcode_equals_push(&plain, &standard, dst_mask, &what);
+                assert_transcode_equals_push(&strained, &odd, dst_mask, &what);
+            }
+            let r = IntervalFileReader::open(&strained, &odd).unwrap();
+            owned += r
+                .records()
+                .filter(|rec| matches!(rec, Ok(Record::Owned(_))))
+                .count();
+        }
+    }
+    assert!(owned > 100, "{owned} records read through the decoder");
+    // A decoded record the writer does take.
+    let mut w = IntervalFileWriter::new(
+        &standard,
+        MASK_MERGED,
+        MERGED_NODE,
+        &ThreadTable::new(),
+        &[],
+        FramePolicy::default(),
+    );
+    let iv = common::random_interval(&mut rng, &standard, 2);
+    let rec = Retimed::new(Record::Owned(Box::new(iv.clone())), 70, 7);
+    w.push_retimed(&rec).unwrap();
+    let bytes = w.finish();
+    let r = IntervalFileReader::open(&bytes, &standard).unwrap();
+    let back: Vec<Interval> = r.intervals().map(|x| x.unwrap()).collect();
+    assert_eq!(
+        back,
+        vec![Interval {
+            start: 70,
+            duration: 7,
+            ..iv
+        }]
+    );
+}
+
+#[test]
+fn slog_built_from_any_record_form_is_the_slog_built_from_intervals() {
+    let c = scaling();
+    let p = &c.profile;
+    let opts = MergeOptions::default();
+    let readers: Vec<IntervalFileReader> = c
+        .refs()
+        .into_iter()
+        .map(|f| IntervalFileReader::open(f, p).unwrap())
+        .collect();
+    let mut threads = ThreadTable::new();
+    let mut markers = Vec::new();
+    let mut streams = Vec::new();
+    for r in &readers {
+        absorb_file_header(r, &mut threads, &mut markers).unwrap();
+        let mut recs = Vec::new();
+        adjust_node_records(r, p, &opts, |rec| {
+            recs.push(rec);
+            Ok(())
+        })
+        .unwrap();
+        streams.push(recs);
+    }
+    let sources = streams.into_iter().map(VecSource::new).collect();
+    let carried: Vec<Retimed> = LoserTreeMerge::new(sources).collect();
+    let decoded: Vec<Interval> = carried.iter().map(Retimed::to_interval).collect();
+    assert!(decoded.iter().any(|iv| iv.itype.bebits == BeBits::Begin));
+
+    let builder = SlogBuilder::new(p, BUILD);
+    let expected = builder
+        .build(&decoded, &threads, &markers)
+        .unwrap()
+        .to_bytes();
+    assert!(
+        builder
+            .build_from(&carried, &threads, &markers)
+            .unwrap()
+            .to_bytes()
+            == expected
+    );
+
+    // And from the merged file, read back as views.
+    let merged = merge_files(&c.refs(), p, &opts).unwrap().merged;
+    let r = IntervalFileReader::open(&merged, p).unwrap();
+    let records: Vec<Record> = r.records().map(|rec| rec.unwrap()).collect();
+    let from_file: Vec<Interval> = r.intervals().map(|iv| iv.unwrap()).collect();
+    let expected = builder
+        .build(&from_file, &r.threads, &r.markers)
+        .unwrap()
+        .to_bytes();
+    let got = builder
+        .build_from(&records, &r.threads, &r.markers)
+        .unwrap();
+    assert!(got.to_bytes() == expected);
+}
+
+#[test]
+fn the_item_the_merge_moves_is_smaller_than_an_interval() {
+    assert!(std::mem::size_of::<Retimed>() <= 48);
+    assert_eq!(std::mem::size_of::<Interval>(), 56);
+}
