@@ -1,4 +1,5 @@
-//! Profiling overhead gate for the fused convert+merge path.
+//! Profiling overhead gate for the convert → merge path the CLI runs
+//! (`convert_job_pooled`, then `merge_files_jobs` over its files).
 //!
 //! Two measurements, the same interleaved A/B discipline as the obs
 //! overhead ablation (alternating runs so drift hits both arms):
@@ -7,9 +8,9 @@
 //!   compiled in; when profiling is off their entire cost is one relaxed
 //!   atomic load per span open/close. The gate bounds it from above:
 //!   microbenchmark the *full* cost of an open+close span cycle with
-//!   profiling off, multiply by the spans one fused run creates, and
-//!   require that ceiling to stay under 3% of the fused wall time.
-//! * **on-state delta** — median fused time with the profiler live
+//!   profiling off, multiply by the spans one run creates, and require
+//!   that ceiling to stay under 3% of the run's wall time.
+//! * **on-state delta** — median run time with the profiler live
 //!   (hooks + sampler at the default interval) vs off, reported for
 //!   trend-watching, never gated (it is inherently noisier and the
 //!   profiler is opt-in).
@@ -22,10 +23,10 @@
 use std::time::Instant;
 
 use ute_cluster::Simulator;
-use ute_convert::ConvertOptions;
+use ute_convert::{convert_job_pooled, ConvertOptions};
 use ute_format::profile::Profile;
 use ute_merge::MergeOptions;
-use ute_pipeline::{convert_and_merge, default_jobs};
+use ute_pipeline::{default_jobs, merge_files_jobs};
 use ute_workloads::micro;
 
 fn median(mut v: Vec<u64>) -> u64 {
@@ -50,25 +51,23 @@ fn main() {
     let mopts = MergeOptions::default();
     let jobs = default_jobs().max(2);
 
-    let fused = || {
+    let run = || {
         let t = Instant::now();
-        convert_and_merge(
-            &result.raw_files,
-            &result.threads,
-            &profile,
-            &copts,
-            &mopts,
-            jobs,
-        )
-        .unwrap();
+        let converted =
+            convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, jobs).unwrap();
+        let refs: Vec<&[u8]> = converted
+            .iter()
+            .map(|c| c.interval_file.as_slice())
+            .collect();
+        merge_files_jobs(&refs, &profile, &mopts, jobs).unwrap();
         t.elapsed().as_nanos() as u64
     };
 
-    // Count the spans one fused run opens (the off-state hook runs once
+    // Count the spans one run opens (the off-state hook runs once
     // per open and once per close of each of these).
     ute_obs::span::set_capture(true);
     ute_obs::span::drain_spans();
-    fused();
+    run();
     let spans_per_run = ute_obs::span::drain_spans().len() as u64;
     ute_obs::span::set_capture(false);
 
@@ -77,12 +76,12 @@ fn main() {
     let (mut off, mut on) = (Vec::new(), Vec::new());
     for _ in 0..reps {
         ute_obs::set_profiling(false);
-        off.push(fused());
+        off.push(run());
         ute_obs::set_profiling(true);
         ute_profile::start(std::time::Duration::from_micros(
             ute_profile::DEFAULT_INTERVAL_US,
         ));
-        on.push(fused());
+        on.push(run());
         ute_profile::stop();
         ute_obs::set_profiling(false);
     }
@@ -107,7 +106,7 @@ fn main() {
     let on_delta_pct = (on_ns as f64 - off_ns as f64) / off_ns as f64 * 100.0;
 
     println!(
-        "# profiling overhead, fused convert+merge (stencil, {nodes} nodes, median of {reps})\n"
+        "# profiling overhead, convert then merge (stencil, {nodes} nodes, median of {reps})\n"
     );
     println!("profiling off:        {:>10.3} ms", off_ns as f64 / 1e6);
     println!(
@@ -116,13 +115,13 @@ fn main() {
     );
     println!(
         "off-state ceiling:    {spans_per_run} span(s)/run x {span_cycle_ns} ns full cycle \
-         = {:.3} ms ({ceiling_pct:.2}% of fused time)",
+         = {:.3} ms ({ceiling_pct:.2}% of run time)",
         ceiling_ns as f64 / 1e6
     );
 
     if check && ceiling_pct >= 3.0 {
         eprintln!(
-            "FAIL: off-state span ceiling {ceiling_pct:.2}% >= 3% of fused time \
+            "FAIL: off-state span ceiling {ceiling_pct:.2}% >= 3% of run time \
              ({ceiling_ns} ns over {off_ns} ns)"
         );
         std::process::exit(1);

@@ -170,7 +170,7 @@ fn workload_by_name(name: &str, iterations: u32) -> Result<Workload> {
             .map_err(|_| UteError::Invalid(format!("bad scenario seed in `{name}`")))?;
         return scenario_workload(&ute_scenario::ScenarioSpec::from_seed(seed));
     }
-    // `torture:SEED` is the 256+-node sharded-merge stress preset.
+    // `torture:SEED` is the 256+-node merge stress preset.
     if let Some(seed) = name.strip_prefix("torture:") {
         let seed: u64 = seed
             .parse()
@@ -881,31 +881,37 @@ pub fn cmd_chaos(args: &Args) -> Result<String> {
     stages::cmd_chaos(args)
 }
 
+/// Sub-command `Args` for one ingest stage of a chained run: `pairs`
+/// plus the run's `--jobs` and `--strict`.
+fn sub_args(jobs: usize, strict: bool, pairs: &[(&str, String)]) -> Args {
+    let mut a = Args::default();
+    for (k, v) in pairs {
+        a.map.insert(k.to_string(), v.clone());
+    }
+    a.map.insert("jobs".to_string(), jobs.to_string());
+    if strict {
+        a.flags.push("strict".to_string());
+    }
+    a
+}
+
 /// The convert → merge → slogmerge → stats chain over a traced
-/// directory, shared by `ute pipeline` and `ute scenario`.
+/// directory, as `ute scenario` runs it: the plain commands back to
+/// back, no journal (`ute pipeline` runs the same stages through
+/// [`stages`]).
 fn ingest_stages(out: &str, jobs: usize, strict: bool) -> Result<String> {
-    let sub = |pairs: Vec<(&str, String)>| -> Args {
-        let mut a = Args::default();
-        for (k, v) in pairs {
-            a.map.insert(k.to_string(), v);
-        }
-        a.map.insert("jobs".to_string(), jobs.to_string());
-        if strict {
-            a.flags.push("strict".to_string());
-        }
-        a
-    };
+    let sub = |pairs: &[(&str, String)]| sub_args(jobs, strict, pairs);
     let mut msg = String::new();
-    msg.push_str(&cmd_convert(&sub(vec![("in", out.to_string())]))?);
-    msg.push_str(&cmd_merge(&sub(vec![
+    msg.push_str(&cmd_convert(&sub(&[("in", out.to_string())]))?);
+    msg.push_str(&cmd_merge(&sub(&[
         ("in", out.to_string()),
         ("out", format!("{out}/merged.ivl")),
     ]))?);
-    msg.push_str(&cmd_slogmerge(&sub(vec![
+    msg.push_str(&cmd_slogmerge(&sub(&[
         ("in", out.to_string()),
         ("out", format!("{out}/run.slog")),
     ]))?);
-    msg.push_str(&cmd_stats(&sub(vec![(
+    msg.push_str(&cmd_stats(&sub(&[(
         "merged",
         format!("{out}/merged.ivl"),
     )]))?);
@@ -1184,10 +1190,10 @@ pub fn cmd_profile(args: &Args) -> Result<String> {
 /// over trace artifacts. `--in DIR` checks every artifact the pipeline
 /// left there (raw files, per-node interval files, `merged.ivl`,
 /// `run.slog`); `--ivl/--slog/--raw FILE` checks one file; `--oracles`
-/// runs the differential oracles instead (serial vs `--jobs`, fused vs
-/// staged, salvage ⊆ strict, clock-adjusted order). Violations are
-/// structured findings, never panics; any error-severity finding makes
-/// the command fail with the full report in the error text.
+/// runs the differential oracles instead (serial vs `--jobs`, salvage ⊆
+/// strict, clock-adjusted order, fast vs reference decode). Violations
+/// are structured findings, never panics; any error-severity finding
+/// makes the command fail with the full report in the error text.
 pub fn cmd_check(args: &Args) -> Result<String> {
     let ivl_opts = ute_verify::IvlCheckOptions {
         lenient_tail: args.has("lenient-tail"),

@@ -177,18 +177,9 @@ impl RunPlan {
         self.out.display().to_string()
     }
 
-    /// Sub-command `Args` for one ingest stage, forwarding jobs/strict —
-    /// the journaled twin of `ingest_stages`' helper.
+    /// Sub-command `Args` for one ingest stage, forwarding jobs/strict.
     fn sub(&self, pairs: &[(&str, String)]) -> Args {
-        let mut a = Args::default();
-        for (k, v) in pairs {
-            a.map.insert(k.to_string(), v.clone());
-        }
-        a.map.insert("jobs".to_string(), self.jobs.to_string());
-        if self.strict {
-            a.flags.push("strict".to_string());
-        }
-        a
+        crate::sub_args(self.jobs, self.strict, pairs)
     }
 }
 

@@ -34,16 +34,13 @@ use ute_format::thread_table::ThreadTable;
 use ute_rawtrace::file::RawTraceFile;
 
 pub use marker::MarkerMap;
-pub use matcher::{
-    convert_node, convert_node_opts, convert_node_tapped, ConvertOptions, ConvertOutput,
-    ConvertStats,
-};
+pub use matcher::{convert_node, convert_node_opts, ConvertOptions, ConvertOutput, ConvertStats};
 
 /// Converts a whole job's raw trace files into per-node interval files.
 ///
 /// The marker map is built over *all* files first (so identical marker
 /// strings from different tasks share one id), then each node is
-/// converted — in parallel when `parallel` is set, one worker per node.
+/// converted — on a worker pool when `parallel` is set.
 ///
 /// `threads` supplies process/thread identity, which the AIX trace
 /// facility recorded as side metadata; our simulator hands over its
@@ -68,7 +65,8 @@ pub fn convert_job(
 }
 
 /// [`convert_job`] with explicit [`ConvertOptions`] (e.g. lenient mode
-/// for delayed-start partial traces).
+/// for delayed-start partial traces): [`convert_job_pooled`] on one
+/// worker, or on as many as the machine has cores when `parallel`.
 pub fn convert_job_opts(
     files: &[RawTraceFile],
     threads: &ThreadTable,
@@ -76,28 +74,12 @@ pub fn convert_job_opts(
     opts: &ConvertOptions,
     parallel: bool,
 ) -> Result<Vec<ConvertOutput>> {
-    let markers = MarkerMap::build(files)?;
-    if !parallel || files.len() <= 1 {
-        return files
-            .iter()
-            .map(|f| convert_node_opts(f, threads, profile, &markers, opts))
-            .collect();
-    }
-    let markers = &markers;
-    cb_thread::scope(|s| {
-        let handles: Vec<_> = files
-            .iter()
-            .map(|f| s.spawn(move |_| convert_node_opts(f, threads, profile, markers, opts)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(UteError::Invalid("convert worker panicked".into())),
-            })
-            .collect()
-    })
-    .map_err(|_| UteError::Invalid("convert scope panicked".into()))?
+    let jobs = if parallel {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        1
+    };
+    convert_job_pooled(files, threads, profile, opts, jobs)
 }
 
 /// [`convert_job_opts`] on a bounded worker pool: one task per node

@@ -197,18 +197,14 @@ impl FillPlans {
     }
 }
 
-struct Emitter<'a, 't> {
+struct Emitter<'a> {
     writer: IntervalFileWriter<'a>,
     fills: FillPlans,
     node: NodeId,
     stats: ConvertStats,
-    /// Observes every interval accepted by the writer, in file order —
-    /// lets the fused pipeline consume the records without re-decoding
-    /// the encoded bytes.
-    tap: Option<&'t mut dyn FnMut(&Interval)>,
 }
 
-impl Emitter<'_, '_> {
+impl Emitter<'_> {
     #[allow(clippy::too_many_arguments)] // the seven pieces of an interval record
     fn emit(
         &mut self,
@@ -258,9 +254,6 @@ impl Emitter<'_, '_> {
             }
         }
         self.writer.push(&iv)?;
-        if let Some(tap) = self.tap.as_mut() {
-            tap(&iv);
-        }
         self.stats.intervals_out += 1;
         Ok(())
     }
@@ -295,32 +288,6 @@ pub fn convert_node_opts(
     markers: &MarkerMap,
     opts: &ConvertOptions,
 ) -> Result<ConvertOutput> {
-    convert_node_inner(file, threads, profile, markers, opts, None)
-}
-
-/// [`convert_node_opts`] that additionally hands every emitted interval
-/// to `tap`, in file order, as it is written. The encoded file is
-/// unchanged; the tap is how the fused pipeline feeds the merge stage
-/// without decoding the bytes it just encoded.
-pub fn convert_node_tapped(
-    file: &RawTraceFile,
-    threads: &ThreadTable,
-    profile: &Profile,
-    markers: &MarkerMap,
-    opts: &ConvertOptions,
-    tap: &mut dyn FnMut(&Interval),
-) -> Result<ConvertOutput> {
-    convert_node_inner(file, threads, profile, markers, opts, Some(tap))
-}
-
-fn convert_node_inner(
-    file: &RawTraceFile,
-    threads: &ThreadTable,
-    profile: &Profile,
-    markers: &MarkerMap,
-    opts: &ConvertOptions,
-    tap: Option<&mut dyn FnMut(&Interval)>,
-) -> Result<ConvertOutput> {
     let policy = opts.policy;
     let node = file.node;
     let _span = ute_obs::Span::enter("convert", format!("convert node {}", node.raw()));
@@ -338,7 +305,6 @@ fn convert_node_inner(
         fills: FillPlans::build(profile),
         node,
         stats: ConvertStats::default(),
-        tap,
     };
     let mut cursors: HashMap<LogicalThreadId, ThreadCursor> = HashMap::new();
     let mut last_time = LocalTime(0);

@@ -105,9 +105,7 @@ pub fn extract_clock_samples(
     Ok(out)
 }
 
-/// [`extract_clock_samples`] over already-decoded intervals — used by
-/// the fused pipeline, whose converter hands its in-memory records
-/// straight to the merge stage without an encode/decode round-trip.
+/// [`extract_clock_samples`] over already-decoded intervals.
 pub fn clock_samples_of(
     intervals: &[ute_format::record::Interval],
     profile: &Profile,
@@ -139,7 +137,8 @@ pub fn fit_node(
     )
 }
 
-/// [`fit_node`] over already-decoded intervals (fused pipeline path).
+/// [`fit_node`] over already-decoded intervals: the reference the
+/// in-place clock fit is tested against.
 pub fn fit_node_intervals(
     node: u16,
     intervals: &[ute_format::record::Interval],

@@ -23,7 +23,6 @@
 pub mod clockfit;
 pub mod kway;
 pub mod merger;
-pub mod shard;
 pub mod stream;
 
 pub use clockfit::{
@@ -31,9 +30,8 @@ pub use clockfit::{
 };
 pub use kway::{BalancedTreeMerge, LoserTreeMerge, MergeSource, NaiveMerge};
 pub use merger::{
-    absorb_file_header, absorb_header_tables, adjust_intervals, adjust_node, adjust_node_records,
-    build_slog, degrade_node, gap_record, merge_files, salvage_warn, slogmerge,
-    write_merged_stream, IvSource, MergeItem, MergeOptions, MergeOutput, MergeStats, VecSource,
+    absorb_file_header, adjust_node, adjust_node_records, build_slog, degrade_node, gap_record,
+    merge_files, salvage_warn, slogmerge, write_merged_stream, IvSource, MergeItem, MergeOptions,
+    MergeOutput, MergeStats, VecSource,
 };
-pub use shard::{merge_sharded, plan_boundaries, split_stream};
 pub use stream::{ReorderBuffer, REORDER_WINDOW};

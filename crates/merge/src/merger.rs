@@ -14,7 +14,7 @@ use ute_format::{RecordFields, Retimed};
 use ute_slog::builder::{BuildOptions, SlogBuilder};
 use ute_slog::file::SlogFile;
 
-use crate::clockfit::{fit_node, fit_node_intervals, NodeFit};
+use crate::clockfit::{fit_node, NodeFit};
 use crate::kway::{LoserTreeMerge, MergeSource};
 use crate::stream::ReorderBuffer;
 
@@ -92,8 +92,7 @@ pub struct MergeOutput {
 ///
 /// The shipped merge moves [`Retimed`] — the input file's bytes plus the
 /// adjusted start and duration. [`Interval`] is the other implementor:
-/// the form the converter hands the fused pipeline, and the reference the
-/// byte-carrying path is tested against.
+/// the reference the byte-carrying path is tested against.
 pub trait MergeItem: RecordFields {
     /// Appends the record to a merged file.
     fn write_to(&self, w: &mut IntervalFileWriter<'_>) -> Result<()>;
@@ -163,20 +162,8 @@ pub fn absorb_file_header(
     union_threads: &mut ThreadTable,
     markers: &mut Vec<(u32, String)>,
 ) -> Result<()> {
-    absorb_header_tables(&reader.threads, &reader.markers, union_threads, markers)
-}
-
-/// [`absorb_file_header`] over bare tables — for callers that only have
-/// a copy of a file's header (e.g. one sent over a channel by a pipeline
-/// worker) rather than an open reader.
-pub fn absorb_header_tables(
-    threads: &ThreadTable,
-    file_markers: &[(u32, String)],
-    union_threads: &mut ThreadTable,
-    markers: &mut Vec<(u32, String)>,
-) -> Result<()> {
-    union_threads.absorb(threads)?;
-    for (id, name) in file_markers {
+    union_threads.absorb(&reader.threads)?;
+    for (id, name) in &reader.markers {
         match markers.iter().find(|(i, _)| i == id) {
             Some((_, existing)) if existing != name => {
                 return Err(UteError::Invalid(format!(
@@ -210,14 +197,7 @@ pub fn adjust_node_records<'r>(
 ) -> Result<(NodeFit, u64)> {
     let _span = ute_obs::Span::enter("merge", format!("merge node {}", reader.node));
     let nf = fit_node(reader, profile, opts.estimator, opts.filter_outliers)?;
-    let records_in = adjust_stream(
-        &reader.threads,
-        reader.records(),
-        &nf,
-        opts,
-        Retimed::new,
-        sink,
-    )?;
+    let records_in = adjust_stream(reader, &nf, opts, sink)?;
     Ok((nf, records_in))
 }
 
@@ -233,65 +213,30 @@ pub fn adjust_node(
     adjust_node_records(reader, profile, opts, |rec| sink(rec.into_interval()))
 }
 
-/// [`adjust_node`] over the converter's in-memory intervals — the fused
-/// pipeline path, which skips the encode/decode round-trip entirely
-/// (both the clock-fit pass and the adjust pass read the decoded file
-/// twice in the staged path). `threads` must be the same per-node table
-/// the converted file's header carries, so filtering is identical.
-pub fn adjust_intervals(
-    node: u16,
-    threads: &ThreadTable,
-    intervals: Vec<Interval>,
-    profile: &Profile,
-    opts: &MergeOptions,
-    sink: impl FnMut(Interval) -> Result<()>,
-) -> Result<(NodeFit, u64)> {
-    let _span = ute_obs::Span::enter("merge", format!("merge node {node}"));
-    let nf = fit_node_intervals(
-        node,
-        &intervals,
-        profile,
-        opts.estimator,
-        opts.filter_outliers,
-    )?;
-    let retime = |mut iv: Interval, start, duration| {
-        iv.start = start;
-        iv.duration = duration;
-        iv
-    };
-    let records = intervals.into_iter().map(Ok);
-    let records_in = adjust_stream(threads, records, &nf, opts, retime, sink)?;
-    Ok((nf, records_in))
-}
-
-/// The loop both [`adjust_node_records`] and [`adjust_intervals`] run:
-/// filter, clock-adjust, and end-order every record of one node, handing
-/// each on as whatever `retime` makes of it and its new start and
-/// duration. Sharing this body is what keeps the two entry points
-/// byte-equivalent.
-fn adjust_stream<R: RecordFields, T>(
-    threads: &ThreadTable,
-    records: impl IntoIterator<Item = Result<R>>,
+/// The loop of [`adjust_node_records`]: filter, clock-adjust, and
+/// end-order every record of one node.
+fn adjust_stream<'r>(
+    reader: &'r IntervalFileReader<'_>,
     nf: &NodeFit,
     opts: &MergeOptions,
-    retime: impl Fn(R, u64, u64) -> T,
-    mut sink: impl FnMut(T) -> Result<()>,
+    mut sink: impl FnMut(Retimed<'r>) -> Result<()>,
 ) -> Result<u64> {
     let obs_in = ute_obs::counter("merge/records_in");
     let mut records_in = 0u64;
     let mut emitted = 0u64;
-    let mut counted_sink = |item: T| {
+    let mut counted_sink = |item: Retimed<'r>| {
         emitted += 1;
         sink(item)
     };
     let mut reorder = ReorderBuffer::new();
-    for rec in records {
+    for rec in reader.records() {
         let rec = rec?;
         records_in += 1;
         if let Some(types) = &opts.thread_types {
             if rec.itype().state != StateCode::CLOCK {
                 let (node, thread) = (rec.node(), rec.thread());
-                let ttype = threads
+                let ttype = reader
+                    .threads
                     .lookup(node, thread)
                     .map(|e| e.ttype)
                     .ok_or_else(|| {
@@ -316,7 +261,11 @@ fn adjust_stream<R: RecordFields, T>(
         let end = start.saturating_add(rec.duration());
         let gend = nf.fit.adjust(LocalTime(end)).ticks();
         let gstart = nf.fit.adjust(LocalTime(start)).ticks().min(gend);
-        reorder.push(gend, retime(rec, gstart, gend - gstart), &mut counted_sink)?;
+        reorder.push(
+            gend,
+            Retimed::new(rec, gstart, gend - gstart),
+            &mut counted_sink,
+        )?;
     }
     reorder.finish(&mut counted_sink)?;
     obs_in.add(emitted);

@@ -1,19 +1,19 @@
-//! # ute-pipeline — parallel convert/merge with a determinism guarantee
+//! # ute-pipeline — the parallel merge, with a determinism guarantee
 //!
 //! The paper's Table 1 makes convert and merge the throughput-critical
-//! stages between trace generation and visualization. This crate runs
-//! them on a parallel execution layer without changing a single output
-//! byte:
+//! stages between trace generation and visualization. Convert is a map
+//! over node files ([`ute_convert::convert_job_pooled`]); this crate is
+//! the other half — `ute merge` and `ute slogmerge` at `--jobs N` —
+//! and runs without changing a single output byte:
 //!
-//! * **Fan-out** — one worker per node file converts raw events and
-//!   clock-adjusts the node's intervals
-//!   ([`ute_merge::adjust_node_records`], which includes the §2.2 clock
-//!   fit). CPU concurrency is bounded by a [`pool::Semaphore`] with
-//!   `jobs` permits.
-//! * **Streaming** — each worker feeds its end-ordered interval stream
+//! * **Fan-out** — one worker per converted node file fits the node's
+//!   clock (§2.2) and clock-adjusts its records
+//!   ([`ute_merge::adjust_node_records`]). CPU concurrency is bounded by
+//!   a [`pool::Semaphore`] with `jobs` permits.
+//! * **Streaming** — each worker feeds its end-ordered record stream
 //!   into the k-way [`ute_merge::LoserTreeMerge`] through a bounded
 //!   channel ([`source::ChannelSource`]), so the merge and the merged
-//!   file writer overlap upstream conversion instead of waiting for all
+//!   file writer overlap upstream decoding instead of waiting for all
 //!   nodes.
 //! * **Determinism** — output is byte-identical to the serial path for
 //!   every `jobs` value. Headers are absorbed in input order on the
@@ -29,6 +29,11 @@
 //!
 //! `jobs == 1` (or a single input) short-circuits to the serial
 //! functions — the parallel machinery is entirely bypassed.
+//!
+//! This is the only convert→merge executor: the CLI publishes the
+//! converted files between the two stages (`ute pipeline` journals
+//! them), so nothing here takes raw traces or hands records from a
+//! converter to the merge in memory.
 
 pub mod pool;
 pub mod source;
@@ -38,22 +43,16 @@ use std::sync::atomic::AtomicI64;
 use crossbeam::channel;
 use crossbeam::thread as cb_thread;
 
-use ute_convert::{
-    convert_job_opts, convert_node_tapped, node_threads, ConvertOptions, ConvertOutput, MarkerMap,
-};
 use ute_core::error::{Result, UteError};
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
-use ute_format::record::Interval;
 use ute_format::thread_table::ThreadTable;
 use ute_format::Retimed;
 use ute_merge::clockfit::NodeFit;
 use ute_merge::{
-    absorb_file_header, absorb_header_tables, adjust_intervals, adjust_node_records, build_slog,
-    plan_boundaries, split_stream, write_merged_stream, IvSource, LoserTreeMerge, MergeOptions,
-    MergeOutput, MergeStats,
+    absorb_file_header, adjust_node_records, build_slog, write_merged_stream, LoserTreeMerge,
+    MergeOptions, MergeOutput, MergeStats,
 };
-use ute_rawtrace::file::RawTraceFile;
 use ute_slog::builder::BuildOptions;
 use ute_slog::file::SlogFile;
 
@@ -109,10 +108,6 @@ fn first_error<T, C>(
 /// count, or `None` when salvage mode degraded the node.
 type WorkerFit = Option<(NodeFit, u64)>;
 
-/// The header a fused convert worker publishes before streaming records
-/// (thread table + marker list), or `None` for a degraded node.
-type HeaderMsg = Option<(ThreadTable, Vec<(u32, String)>)>;
-
 /// One node's merge-side worker: adjust the node under a CPU permit and
 /// stream batches downstream.
 ///
@@ -150,8 +145,12 @@ fn produce_adjusted<'r>(
         return Ok(Some(out));
     }
     let attempt = || {
+        let injected_panic = testhook::take_adjust_panic(reader.node);
         let mut adjusted = Vec::new();
         let out = adjust_node_records(reader, profile, opts, |rec| {
+            if injected_panic {
+                panic!("testhook: injected adjust panic on node {}", reader.node);
+            }
             adjusted.push(rec);
             Ok(())
         })?;
@@ -355,469 +354,32 @@ pub fn slogmerge_jobs(
     Ok((slog, stats))
 }
 
-/// The fused pipeline's result: per-node converted files (in input
-/// order, same bytes as staged conversion) plus the merged output.
-#[derive(Debug)]
-pub struct PipelineOutput {
-    /// Per-node conversion results, in input order.
-    pub converted: Vec<ConvertOutput>,
-    /// The merged interval file and statistics.
-    pub merged: MergeOutput,
-}
-
-/// One node's fused worker: convert raw events, publish the converted
-/// file's header, then clock-adjust and stream intervals — all under
-/// the CPU permit except blocking sends.
-///
-/// Fusion skips the encode/decode round-trip: the converter taps every
-/// record it writes into an in-memory vector, and the merge stage
-/// consumes that vector directly ([`adjust_intervals`]). The staged
-/// path decodes each converted file twice (clock-fit pass + adjust
-/// pass); this path decodes it zero times. The header tables sent
-/// downstream are the very tables the converter embedded in the file,
-/// so the absorbed union is identical to the staged path's.
-/// In salvage mode the convert attempt and the adjust attempt are each
-/// isolated by [`salvage_attempt`]: a node that fails conversion sends a
-/// `None` header and no records; one that converts but fails adjustment
-/// sends its real header (matching the staged path, which absorbs a
-/// degraded file's header before dropping its records) and no records.
-#[allow(clippy::too_many_arguments)]
-fn produce_converted(
-    file: &RawTraceFile,
-    threads: &ThreadTable,
-    profile: &Profile,
-    markers: &MarkerMap,
-    copts: &ConvertOptions,
-    mopts: &MergeOptions,
-    sem: &Semaphore,
-    header_tx: channel::Sender<HeaderMsg>,
-    tx: channel::Sender<Vec<Interval>>,
-    depth: &AtomicI64,
-    parent: u64,
-    link: u64,
-) -> Result<(Option<ConvertOutput>, WorkerFit)> {
-    let permit = sem.acquire();
-    let node_raw = file.node.raw();
-    let _span = ute_obs::Span::enter_under(
-        "pipeline",
-        format!("convert worker node {node_raw}"),
-        parent,
-    );
-    let who = format!("node {node_raw}");
-    let convert = || {
-        let mut tapped: Vec<Interval> = Vec::new();
-        let out = convert_node_tapped(file, threads, profile, markers, copts, &mut |iv| {
-            testhook::fire(node_raw);
-            tapped.push(iv.clone())
-        })?;
-        Ok((out, tapped))
-    };
-    let converted = if mopts.salvage {
-        salvage_attempt(convert, &who)
-    } else {
-        Some(convert()?)
-    };
-    let Some((out, tapped)) = converted else {
-        let _ = header_tx.send(None);
-        return Ok((None, None));
-    };
-    let node_table = node_threads(threads, file.node);
-    // Capacity-1 channel, single send: never blocks. A send error means
-    // the consumer already failed; the interval sends below will report
-    // it as the usual secondary consumer-gone error.
-    let _ = header_tx.send(Some((node_table.clone(), markers.table().to_vec())));
-    drop(header_tx);
-    if !mopts.salvage {
-        let mut sender = BatchSender::new(tx, sem, permit, depth, link);
-        let (nf, records_in) =
-            adjust_intervals(file.node.raw(), &node_table, tapped, profile, mopts, |iv| {
-                sender.push(iv)
-            })?;
-        sender.finish()?;
-        return Ok((Some(out), Some((nf, records_in))));
-    }
-    // Salvage: materialize the adjusted stream all-or-nothing before
-    // streaming, exactly like the merge-side salvage worker.
-    let adjust = || {
-        let mut adjusted = Vec::new();
-        let fit = adjust_intervals(
-            file.node.raw(),
-            &node_table,
-            tapped.clone(),
-            profile,
-            mopts,
-            |iv| {
-                adjusted.push(iv);
-                Ok(())
-            },
-        )?;
-        Ok((adjusted, fit))
-    };
-    match salvage_attempt(adjust, &who) {
-        Some((adjusted, fit)) => {
-            let mut sender = BatchSender::new(tx, sem, permit, depth, link);
-            for iv in adjusted {
-                sender.push(iv)?;
-            }
-            sender.finish()?;
-            Ok((Some(out), Some(fit)))
-        }
-        None => Ok((Some(out), None)),
-    }
-}
-
-/// The fused parallel pipeline: converts every node's raw trace and
-/// merges the results in one pass, with merge overlapping conversion —
-/// the merged file is byte-identical to staged serial
-/// convert-then-merge for every `jobs` value.
-pub fn convert_and_merge(
-    files: &[RawTraceFile],
-    threads: &ThreadTable,
-    profile: &Profile,
-    copts: &ConvertOptions,
-    mopts: &MergeOptions,
-    jobs: usize,
-) -> Result<PipelineOutput> {
-    if jobs <= 1 || files.len() <= 1 {
-        let (converted, convert_degraded) = if mopts.salvage {
-            // Tolerant per-node conversion with the same retry/isolation
-            // semantics as the parallel workers, so the same nodes
-            // degrade at every jobs value.
-            let markers = MarkerMap::build(files)?;
-            let mut out = Vec::with_capacity(files.len());
-            let mut degraded = 0u64;
-            for f in files {
-                let who = format!("node {}", f.node.raw());
-                match salvage_attempt(
-                    || ute_convert::convert_node_opts(f, threads, profile, &markers, copts),
-                    &who,
-                ) {
-                    Some(c) => out.push(c),
-                    None => degraded += 1,
-                }
-            }
-            (out, degraded)
-        } else {
-            (convert_job_opts(files, threads, profile, copts, false)?, 0)
-        };
-        let refs: Vec<&[u8]> = converted
-            .iter()
-            .map(|c| c.interval_file.as_slice())
-            .collect();
-        let mut merged = ute_merge::merge_files(&refs, profile, mopts)?;
-        merged.stats.nodes_degraded += convert_degraded;
-        return Ok(PipelineOutput { converted, merged });
-    }
-    // Marker-id unification needs a global view, so the map is built
-    // serially up front (a cheap scan) — exactly as staged conversion
-    // does, keeping converted bytes identical.
-    let marker_map = MarkerMap::build(files)?;
-    let mut stats = MergeStats::default();
-    let sem = Semaphore::new(jobs);
-    let depth = AtomicI64::new(0);
-    ute_obs::gauge("pipeline/jobs").set(jobs as f64);
-    // See merge_streamed: workers adopt the spawning thread's span as
-    // their explicit parent, and each stream gets a flow link.
-    let parent = ute_obs::current_span();
-    let (workers, merged) = cb_thread::scope(|s| {
-        let sem = &sem;
-        let depth = &depth;
-        let marker_map = &marker_map;
-        let mut sources = Vec::with_capacity(files.len());
-        let mut header_rxs = Vec::with_capacity(files.len());
-        let mut handles = Vec::with_capacity(files.len());
-        for file in files {
-            let (header_tx, header_rx) = channel::bounded(1);
-            let (tx, rx) = channel::bounded(CHANNEL_BATCHES);
-            let link = ute_obs::new_link();
-            sources.push(ChannelSource::new(rx, depth, link));
-            header_rxs.push(header_rx);
-            handles.push(s.spawn(move |_| {
-                produce_converted(
-                    file, threads, profile, marker_map, copts, mopts, sem, header_tx, tx, depth,
-                    parent, link,
-                )
-            }));
-        }
-        // Absorb headers in input order; workers stream on regardless
-        // (their bounded channels absorb the head start).
-        let consumed = (|| {
-            let _span = ute_obs::Span::enter("pipeline", "merge consumer");
-            let mut union_threads = ThreadTable::new();
-            let mut markers: Vec<(u32, String)> = Vec::new();
-            for header_rx in header_rxs {
-                // `None` is a salvage-mode degraded node: no header, no
-                // records — the same absence the staged path produces.
-                let Some((t, m)) = header_rx.recv().map_err(|_| consumer_gone())? else {
-                    continue;
-                };
-                absorb_header_tables(&t, &m, &mut union_threads, &mut markers)?;
-            }
-            markers.sort_by_key(|(id, _)| *id);
-            write_merged_stream(
-                profile,
-                &union_threads,
-                &markers,
-                mopts,
-                LoserTreeMerge::new(sources),
-                &mut stats,
-            )
-        })();
-        let workers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        (workers, consumed)
-    })
-    .map_err(|_| UteError::Invalid("pipeline scope panicked".into()))?;
-    let (parts, merged) = first_error(workers, merged)?;
-    let mut converted = Vec::with_capacity(parts.len());
-    for (out, fit) in parts {
-        match fit {
-            Some((nf, records_in)) => {
-                stats.records_in += records_in;
-                stats.fits.push(nf);
-            }
-            None => stats.nodes_degraded += 1,
-        }
-        if let Some(out) = out {
-            converted.push(out);
-        }
-    }
-    Ok(PipelineOutput {
-        converted,
-        merged: MergeOutput { merged, stats },
-    })
-}
-
-/// One node's phase-A worker for the sharded pipeline: convert and
-/// clock-adjust under a CPU permit, materializing the adjusted stream
-/// instead of streaming it over a channel. Salvage semantics mirror
-/// [`produce_converted`] exactly: a node that fails conversion
-/// contributes no header and no records; one that converts but fails
-/// adjustment contributes its real header and no records — so the same
-/// nodes degrade, and the same bytes come out, at every `jobs` value.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn convert_adjust_materialized(
-    file: &RawTraceFile,
-    threads: &ThreadTable,
-    profile: &Profile,
-    markers: &MarkerMap,
-    copts: &ConvertOptions,
-    mopts: &MergeOptions,
-    sem: &Semaphore,
-    parent: u64,
-) -> Result<(Option<ConvertOutput>, HeaderMsg, WorkerFit, Vec<Interval>)> {
-    let _permit = sem.acquire();
-    let node_raw = file.node.raw();
-    let _span = ute_obs::Span::enter_under(
-        "pipeline",
-        format!("convert worker node {node_raw}"),
-        parent,
-    );
-    let who = format!("node {node_raw}");
-    let convert = || {
-        let mut tapped: Vec<Interval> = Vec::new();
-        let out = convert_node_tapped(file, threads, profile, markers, copts, &mut |iv| {
-            testhook::fire(node_raw);
-            tapped.push(iv.clone())
-        })?;
-        Ok((out, tapped))
-    };
-    let converted = if mopts.salvage {
-        salvage_attempt(convert, &who)
-    } else {
-        Some(convert()?)
-    };
-    let Some((out, tapped)) = converted else {
-        return Ok((None, None, None, Vec::new()));
-    };
-    let node_table = node_threads(threads, file.node);
-    let header = Some((node_table.clone(), markers.table().to_vec()));
-    if !mopts.salvage {
-        let mut adjusted = Vec::new();
-        let fit = adjust_intervals(node_raw, &node_table, tapped, profile, mopts, |iv| {
-            adjusted.push(iv);
-            Ok(())
-        })?;
-        return Ok((Some(out), header, Some(fit), adjusted));
-    }
-    let adjust = || {
-        let mut adjusted = Vec::new();
-        let fit = adjust_intervals(
-            node_raw,
-            &node_table,
-            tapped.clone(),
-            profile,
-            mopts,
-            |iv| {
-                adjusted.push(iv);
-                Ok(())
-            },
-        )?;
-        Ok((adjusted, fit))
-    };
-    match salvage_attempt(adjust, &who) {
-        Some((adjusted, fit)) => Ok((Some(out), header, Some(fit), adjusted)),
-        None => Ok((Some(out), header, None, Vec::new())),
-    }
-}
-
-/// The two-phase *sharded* variant of [`convert_and_merge`]: phase A
-/// converts and clock-adjusts every node in parallel, materializing each
-/// node's end-ordered stream; phase B plans time-range shard boundaries
-/// at the frame-directory stride ([`plan_boundaries`]), merges each
-/// shard on its own worker, and stitches the shard outputs — strictly in
-/// shard order — into the single merged writer while later shards are
-/// still merging.
-///
-/// Where [`convert_and_merge`] parallelizes conversion but funnels the
-/// k-way merge through one consumer thread, this path parallelizes the
-/// merge itself. Output is byte-identical to [`convert_and_merge`] (and
-/// to staged serial convert-then-merge) at every `jobs` value: the
-/// half-open shard partition keeps every equal-end tie inside one shard
-/// (see [`ute_merge::shard`]), so the stitched sequence — and therefore
-/// every frame boundary and §3.3 pseudo-record the writer derives from
-/// it — is exactly the global merge sequence.
-pub fn convert_and_merge_sharded(
-    files: &[RawTraceFile],
-    threads: &ThreadTable,
-    profile: &Profile,
-    copts: &ConvertOptions,
-    mopts: &MergeOptions,
-    jobs: usize,
-) -> Result<PipelineOutput> {
-    if jobs <= 1 || files.len() <= 1 {
-        return convert_and_merge(files, threads, profile, copts, mopts, jobs);
-    }
-    let marker_map = MarkerMap::build(files)?;
-    let sem = Semaphore::new(jobs);
-    ute_obs::gauge("pipeline/jobs").set(jobs as f64);
-    let parent = ute_obs::current_span();
-    // Phase A: fan out one convert+adjust worker per node.
-    let parts = cb_thread::scope(|s| {
-        let sem = &sem;
-        let marker_map = &marker_map;
-        let handles: Vec<_> = files
-            .iter()
-            .map(|file| {
-                s.spawn(move |_| {
-                    convert_adjust_materialized(
-                        file, threads, profile, marker_map, copts, mopts, sem, parent,
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .map_err(|_| UteError::Invalid("pipeline scope panicked".into()))?;
-    let mut stats = MergeStats::default();
-    let mut union_threads = ThreadTable::new();
-    let mut markers: Vec<(u32, String)> = Vec::new();
-    let mut converted = Vec::with_capacity(files.len());
-    let mut streams: Vec<Vec<Interval>> = Vec::with_capacity(files.len());
-    // Input order throughout: header absorption and stream order (the
-    // merge's tie-break) are both defined by it.
-    for joined in parts {
-        let (out, header, fit, adjusted) =
-            joined.map_err(|_| UteError::Invalid("pipeline worker panicked".into()))??;
-        if let Some((t, m)) = header {
-            absorb_header_tables(&t, &m, &mut union_threads, &mut markers)?;
-        }
-        match fit {
-            Some((nf, records_in)) => {
-                stats.records_in += records_in;
-                stats.fits.push(nf);
-            }
-            None => stats.nodes_degraded += 1,
-        }
-        if let Some(out) = out {
-            converted.push(out);
-        }
-        if !adjusted.is_empty() {
-            streams.push(adjusted);
-        }
-    }
-    markers.sort_by_key(|(id, _)| *id);
-    // Phase B: partition the time line at the frame-directory stride and
-    // merge each shard on its own worker.
-    let stride = mopts
-        .policy
-        .max_records_per_frame
-        .saturating_mul(mopts.policy.max_frames_per_dir);
-    let boundaries = plan_boundaries(&streams, stride, jobs);
-    let nshards = boundaries.len() + 1;
-    ute_obs::gauge("pipeline/merge_shards").set(nshards as f64);
-    let mut seg: Vec<Vec<Vec<Interval>>> = (0..nshards).map(|_| Vec::new()).collect();
-    for stream in streams {
-        for (sh, part) in split_stream(stream, &boundaries).into_iter().enumerate() {
-            seg[sh].push(part);
-        }
-    }
-    let merged_bytes = cb_thread::scope(|s| {
-        let sem = &sem;
-        let handles: Vec<_> = seg
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                s.spawn(move |_| {
-                    let _permit = sem.acquire();
-                    let _span =
-                        ute_obs::Span::enter_under("pipeline", format!("merge shard {i}"), parent);
-                    let sources: Vec<IvSource> = shard.into_iter().map(IvSource::new).collect();
-                    LoserTreeMerge::new(sources).collect::<Vec<Interval>>()
-                })
-            })
-            .collect();
-        // Stitch: consume shard outputs strictly in shard order; shard
-        // s+1 keeps merging while shard s is being written.
-        let _span = ute_obs::Span::enter("pipeline", "sharded stitch");
-        let stitched = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard merge worker panicked"));
-        write_merged_stream(
-            profile,
-            &union_threads,
-            &markers,
-            mopts,
-            stitched,
-            &mut stats,
-        )
-    })
-    .map_err(|_| UteError::Invalid("pipeline scope panicked".into()))??;
-    Ok(PipelineOutput {
-        converted,
-        merged: MergeOutput {
-            merged: merged_bytes,
-            stats,
-        },
-    })
-}
-
 /// Fault-injection hook for regression tests: arms a one-shot panic
-/// inside a fused convert worker's record tap, so tests can verify that
-/// `catch_unwind` isolation closes (marks aborted) the worker's open
-/// spans and that the salvage retry still produces clean output. The
-/// disarmed fast path is a single relaxed atomic load per record —
-/// the same cost class as the always-on counters.
+/// inside a salvage-mode merge worker's record sink (the attempt
+/// [`salvage_attempt`] guards in `produce_adjusted`), so tests can
+/// verify that `catch_unwind` isolation closes (marks aborted) the
+/// worker's open spans and that the retry still produces clean output.
+/// Disarmed, it costs one relaxed atomic load per attempt — per node,
+/// not per record.
 #[doc(hidden)]
 pub mod testhook {
     use std::sync::atomic::{AtomicI64, Ordering};
 
-    /// Node whose next tapped record panics, or -1 when disarmed.
+    /// Node whose next salvage attempt panics, or -1 when disarmed.
     static PANIC_NODE: AtomicI64 = AtomicI64::new(-1);
 
-    /// Arms a one-shot panic in the fused convert worker for `node`.
-    pub fn arm_convert_panic(node: u16) {
+    /// Arms a one-shot panic in the salvage-mode adjust worker for
+    /// `node`: its next attempt panics at its first record.
+    pub fn arm_adjust_panic(node: u16) {
         PANIC_NODE.store(node as i64, Ordering::SeqCst);
     }
 
-    #[inline]
-    pub(crate) fn fire(node: u16) {
-        if PANIC_NODE.load(Ordering::Relaxed) == node as i64
+    /// Whether this attempt on `node` is the armed one; disarms.
+    pub(crate) fn take_adjust_panic(node: u16) -> bool {
+        PANIC_NODE.load(Ordering::Relaxed) == node as i64
             && PANIC_NODE
                 .compare_exchange(node as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
-        {
-            panic!("testhook: injected convert panic on node {node}");
-        }
     }
 }
 
@@ -825,6 +387,7 @@ pub mod testhook {
 mod tests {
     use super::*;
     use ute_cluster::Simulator;
+    use ute_convert::{convert_job_opts, ConvertOptions};
     use ute_format::file::FramePolicy;
     use ute_workloads::micro;
 
@@ -885,97 +448,34 @@ mod tests {
         Ok(())
     }
 
+    /// A worker that saw the consumer go reports a secondary error: the
+    /// consumer's own error outranks it, a worker's primary error
+    /// outranks both, and it surfaces only when nothing else explains
+    /// the early end.
     #[test]
-    fn fused_pipeline_matches_staged_serial() -> Result<()> {
-        let w = micro::sendrecv_shift(5, 6, 4 << 10);
-        let result = Simulator::new(w.config, &w.job)?.run()?;
-        let profile = Profile::standard();
-        let copts = ConvertOptions {
-            policy: FramePolicy::default(),
-            ..ConvertOptions::default()
-        };
-        let mopts = MergeOptions::default();
-        let staged = convert_and_merge(
-            &result.raw_files,
-            &result.threads,
-            &profile,
-            &copts,
-            &mopts,
-            1,
-        )?;
-        for jobs in [2, 4, 8] {
-            let fused = convert_and_merge(
-                &result.raw_files,
-                &result.threads,
-                &profile,
-                &copts,
-                &mopts,
-                jobs,
-            )?;
-            assert_eq!(
-                staged.merged.merged, fused.merged.merged,
-                "merged bytes differ at jobs={jobs}"
-            );
-            assert_eq!(staged.converted.len(), fused.converted.len());
-            for (a, b) in staged.converted.iter().zip(&fused.converted) {
-                assert_eq!(a.node, b.node);
-                assert_eq!(a.interval_file, b.interval_file);
-            }
-        }
-        Ok(())
-    }
+    fn first_error_ranks_consumer_gone_below_every_primary_error() {
+        let invalid = |m: &str| UteError::Invalid(m.into());
+        let text = |r: Result<(Vec<()>, ())>| r.unwrap_err().to_string();
+        let x = invalid("consumer failed: X").to_string();
+        let y = invalid("worker failed: Y").to_string();
 
-    #[test]
-    fn sharded_pipeline_matches_streamed_and_serial() -> Result<()> {
-        let w = micro::sendrecv_shift(5, 6, 4 << 10);
-        let result = Simulator::new(w.config, &w.job)?.run()?;
-        let profile = Profile::standard();
-        // Tiny frames so shard boundaries land at many frame edges.
-        let copts = ConvertOptions {
-            policy: FramePolicy {
-                max_records_per_frame: 32,
-                max_frames_per_dir: 2,
-            },
-            ..ConvertOptions::default()
-        };
-        let mopts = MergeOptions {
-            policy: FramePolicy {
-                max_records_per_frame: 32,
-                max_frames_per_dir: 2,
-            },
-            ..MergeOptions::default()
-        };
-        let serial = convert_and_merge(
-            &result.raw_files,
-            &result.threads,
-            &profile,
-            &copts,
-            &mopts,
-            1,
-        )?;
-        for jobs in [2, 3, 8] {
-            let sharded = convert_and_merge_sharded(
-                &result.raw_files,
-                &result.threads,
-                &profile,
-                &copts,
-                &mopts,
-                jobs,
-            )?;
-            assert_eq!(
-                serial.merged.merged, sharded.merged.merged,
-                "sharded merged bytes differ at jobs={jobs}"
-            );
-            assert_eq!(
-                serial.merged.stats.pseudo_added,
-                sharded.merged.stats.pseudo_added
-            );
-            assert_eq!(serial.converted.len(), sharded.converted.len());
-            for (a, b) in serial.converted.iter().zip(&sharded.converted) {
-                assert_eq!(a.interval_file, b.interval_file);
-            }
-        }
-        Ok(())
+        let got = first_error(
+            vec![Ok(Ok(())), Ok(Err(consumer_gone()))],
+            Err::<(), _>(invalid("consumer failed: X")),
+        );
+        assert_eq!(text(got), x);
+
+        let got = first_error(vec![Ok(Ok(())), Ok(Err(consumer_gone()))], Ok(()));
+        assert_eq!(text(got), consumer_gone().to_string());
+
+        let got = first_error(
+            vec![
+                Ok(Err(invalid("worker failed: Y"))),
+                Ok(Err(consumer_gone())),
+            ],
+            Err::<(), _>(invalid("consumer failed: X")),
+        );
+        assert_eq!(text(got), y);
     }
 
     #[test]

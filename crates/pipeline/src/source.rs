@@ -3,9 +3,8 @@
 //! Workers emit clock-adjusted records in batches over a bounded
 //! channel; [`ChannelSource`] adapts the receiving end to the merge
 //! crate's [`MergeSource`] trait so the k-way [`LoserTreeMerge`]
-//! consumes a live stream exactly as it would an in-memory vector. The
-//! record type is the producer's: [`ute_format::Retimed`] views from the
-//! merge-side workers, decoded intervals from the fused convert workers.
+//! consumes a live stream exactly as it would an in-memory vector. What
+//! travels is the [`ute_format::Retimed`] views the workers produce.
 //! Batching keeps channel traffic to one handoff per few thousand
 //! records — the batch size adapts upward whenever a send blocks on a
 //! full channel — and the bounded capacity keeps memory flat while
@@ -27,7 +26,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
-use ute_core::error::{Result, UteError};
+use ute_core::error::Result;
 use ute_format::RecordFields;
 use ute_merge::MergeSource;
 
@@ -117,7 +116,7 @@ impl<'a, T> BatchSender<'a, T> {
             Err(TrySendError::Disconnected(_)) => {
                 // The merge consumer is gone — it failed and is
                 // unwinding; its error is the one the caller surfaces.
-                return Err(UteError::Invalid("pipeline: merge consumer stopped".into()));
+                return Err(crate::consumer_gone());
             }
             Err(TrySendError::Full(batch)) => batch,
         };
@@ -129,7 +128,7 @@ impl<'a, T> BatchSender<'a, T> {
         let sent = self.tx.send(batch);
         ute_obs::histogram("pipeline/send_wait_ns").record(wait.elapsed().as_nanos() as u64);
         if sent.is_err() {
-            return Err(UteError::Invalid("pipeline: merge consumer stopped".into()));
+            return Err(crate::consumer_gone());
         }
         // Backpressure: the consumer is behind, so amortize the next
         // handoff over a bigger batch.

@@ -277,9 +277,9 @@ impl ScenarioSpec {
     /// symmetric ring/stencil/tree phases whose lock-step traffic mints
     /// long runs of equal end timestamps across every node, a bursty
     /// phase to pile ties onto rank 0, and a straggler so the schedule
-    /// ends in a blocking `Collect`. Built to stress the sharded merge:
-    /// tie groups must never straddle a shard boundary, and the stitched
-    /// output must be byte-identical to the serial merge.
+    /// ends in a blocking `Collect`. Built to stress the k-way merge's
+    /// tie-break: every tie group must come out in source order, so the
+    /// `--jobs N` output is byte-identical to the serial merge.
     pub fn torture(seed: u64) -> ScenarioSpec {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x7047_u64.rotate_left(33) ^ 0x5eed);
         let nodes = 256 + rng.gen_range(0u16..65);

@@ -12,10 +12,9 @@
 //!   [`Report`] — never as panics ([`finding::run_rule`] backstops every
 //!   rule).
 //! * **Differential oracles** ([`oracle`]) — pairs of pipelines the
-//!   design guarantees are equivalent (serial vs `--jobs N`, fused vs
-//!   staged, salvage ⊆ strict under loss-only faults, clock-adjusted
-//!   order, zero-copy decode vs the `reference-decode` baseline), run
-//!   and compared.
+//!   design guarantees are equivalent (serial vs `--jobs N`, salvage ⊆
+//!   strict under loss-only faults, clock-adjusted order, zero-copy
+//!   decode vs the `reference-decode` baseline), run and compared.
 //! * **Structure-aware fuzzer** ([`fuzz`]) — seeded mutations over valid
 //!   corpora, driving every decoder; decoders must reject damage with
 //!   typed errors, never panic, never allocate unboundedly.

@@ -8,7 +8,6 @@
 //! | rule | the two paths | guarantee |
 //! |------|---------------|-----------|
 //! | `oracle-jobs-determinism` | serial merge vs `--jobs N` | byte-identical output |
-//! | `oracle-fused-staged` | fused convert+merge vs staged | byte-identical output |
 //! | `oracle-salvage-subset` | salvage over lossy inputs vs strict over clean | record multiset ⊆ |
 //! | `oracle-clock-monotone` | clock-adjusted stream vs its own order | end times non-decreasing |
 //! | `oracle-fast-vs-reference` | zero-copy decode vs pre-zero-copy decode; in-place record view vs reference record decoder | identical files, errors, and salvage reports; identical records, and a view for exactly the bodies that decode |
@@ -24,9 +23,8 @@ use ute_format::plan::PlanSet;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
-use ute_format::thread_table::ThreadTable;
 use ute_merge::{adjust_node, merge_files, slogmerge, MergeOptions};
-use ute_pipeline::{convert_and_merge, merge_files_jobs, slogmerge_jobs};
+use ute_pipeline::{merge_files_jobs, slogmerge_jobs};
 use ute_rawtrace::RawTraceFile;
 use ute_slog::builder::BuildOptions;
 use ute_workloads::micro;
@@ -39,7 +37,6 @@ use crate::ivl::view_disagreement;
 struct Corpus {
     profile: Profile,
     raw_files: Vec<ute_rawtrace::file::RawTraceFile>,
-    threads: ThreadTable,
     converted: Vec<ConvertOutput>,
 }
 
@@ -60,7 +57,6 @@ fn corpus() -> ute_core::error::Result<Corpus> {
     Ok(Corpus {
         profile,
         raw_files: result.raw_files,
-        threads: result.threads,
         converted,
     })
 }
@@ -128,74 +124,6 @@ pub fn oracle_jobs_determinism() -> Report {
                 "oracle-jobs-determinism",
                 format!("slogmerge failed: {e}"),
             )),
-        }
-    });
-    report
-}
-
-/// The fused convert+merge pipeline and the staged path (convert every
-/// node, then merge the files) must produce the same converted bytes and
-/// the same merged bytes.
-pub fn oracle_fused_staged() -> Report {
-    let mut report = Report::new("fused vs staged", ArtifactKind::Oracle);
-    run_rule(&mut report, "oracle-fused-staged", |r| {
-        let c = match corpus() {
-            Ok(c) => c,
-            Err(e) => {
-                r.findings.push(Finding::error(
-                    "oracle-fused-staged",
-                    format!("corpus generation failed: {e}"),
-                ));
-                return;
-            }
-        };
-        let copts = ConvertOptions {
-            policy: FramePolicy {
-                max_records_per_frame: 64,
-                max_frames_per_dir: 4,
-            },
-            ..ConvertOptions::default()
-        };
-        let mopts = MergeOptions::default();
-        // jobs == 1 short-circuits to the staged serial path inside the
-        // pipeline crate; jobs == 4 runs the genuinely fused topology.
-        let staged = convert_and_merge(&c.raw_files, &c.threads, &c.profile, &copts, &mopts, 1);
-        let fused = convert_and_merge(&c.raw_files, &c.threads, &c.profile, &copts, &mopts, 4);
-        let (staged, fused) = match (staged, fused) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) | (_, Err(e)) => {
-                r.findings.push(Finding::error(
-                    "oracle-fused-staged",
-                    format!("pipeline failed: {e}"),
-                ));
-                return;
-            }
-        };
-        r.records = staged.merged.stats.records_out;
-        if staged.merged.merged != fused.merged.merged {
-            r.findings.push(Finding::error(
-                "oracle-fused-staged",
-                "merged bytes differ between staged and fused pipelines",
-            ));
-        }
-        if staged.converted.len() != fused.converted.len() {
-            r.findings.push(Finding::error(
-                "oracle-fused-staged",
-                format!(
-                    "converted file count differs: staged {} vs fused {}",
-                    staged.converted.len(),
-                    fused.converted.len()
-                ),
-            ));
-            return;
-        }
-        for (a, b) in staged.converted.iter().zip(&fused.converted) {
-            if a.interval_file != b.interval_file {
-                r.findings.push(Finding::error(
-                    "oracle-fused-staged",
-                    format!("converted bytes differ for node {}", a.node.raw()),
-                ));
-            }
         }
     });
     report
@@ -626,7 +554,6 @@ fn view_vs_reference(r: &mut Report, label: &str, bytes: &[u8], profile: &Profil
 pub fn run_all_oracles(seed: u64) -> Vec<Report> {
     vec![
         oracle_jobs_determinism(),
-        oracle_fused_staged(),
         oracle_salvage_subset(seed),
         oracle_clock_monotone(),
         oracle_fast_vs_reference(seed),

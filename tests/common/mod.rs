@@ -1,8 +1,12 @@
-//! Seeded record streams shared by the read-path and merge-path tests.
+//! Seeded record streams shared by the read-path and merge-path tests,
+//! and the convert → merge run the pipeline, fault and profile tests
+//! drive.
 // Each test crate uses its own subset.
 #![allow(dead_code)]
 
+use ute::convert::{convert_job_pooled, ConvertOptions, ConvertOutput};
 use ute::core::bebits::BeBits;
+use ute::core::error::Result;
 use ute::core::event::MpiOp;
 use ute::core::ids::{CpuId, LogicalThreadId, NodeId};
 use ute::format::file::{FramePolicy, IntervalFileWriter, MERGED_NODE};
@@ -11,6 +15,29 @@ use ute::format::record::{Interval, IntervalType};
 use ute::format::state::StateCode;
 use ute::format::thread_table::ThreadTable;
 use ute::format::value::Value;
+use ute::merge::{MergeOptions, MergeOutput};
+use ute::pipeline::merge_files_jobs;
+use ute::rawtrace::RawTraceFile;
+
+/// What `ute convert` then `ute merge` run at `--jobs N`, minus the
+/// publish of the converted files in between: the converted per-node
+/// files and the merge over their bytes.
+pub fn convert_then_merge(
+    files: &[RawTraceFile],
+    threads: &ThreadTable,
+    profile: &Profile,
+    copts: &ConvertOptions,
+    mopts: &MergeOptions,
+    jobs: usize,
+) -> Result<(Vec<ConvertOutput>, MergeOutput)> {
+    let converted = convert_job_pooled(files, threads, profile, copts, jobs)?;
+    let refs: Vec<&[u8]> = converted
+        .iter()
+        .map(|c| c.interval_file.as_slice())
+        .collect();
+    let merged = merge_files_jobs(&refs, profile, mopts, jobs)?;
+    Ok((converted, merged))
+}
 
 /// A small deterministic generator, so one proptest seed expands into a
 /// whole record stream or statistics program.

@@ -102,12 +102,13 @@ fn differential_oracles_hold_from_the_cli() {
     assert!(msg.contains("0 error(s), 0 warning(s)\n"), "{msg}");
     for oracle in [
         "serial vs --jobs",
-        "fused vs staged",
         "salvage ⊆ strict",
         "clock-adjusted order",
+        "fast vs reference decode",
     ] {
         assert!(msg.contains(oracle), "missing oracle {oracle} in:\n{msg}");
     }
+    assert!(msg.contains("checked 4 artifact(s)"), "{msg}");
 }
 
 #[test]

@@ -10,8 +10,11 @@
 //! flips, overrun splices and all — get the weaker but universal
 //! guarantee: salvage ingestion never panics and never wedges.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::convert_then_merge;
 use ute::cluster::Simulator;
 use ute::convert::{convert_job_opts, ConvertOptions};
 use ute::faults::FaultPlan;
@@ -20,7 +23,7 @@ use ute::format::profile::Profile;
 use ute::format::record::Interval;
 use ute::format::state::StateCode;
 use ute::merge::MergeOptions;
-use ute::pipeline::{convert_and_merge, merge_files_jobs};
+use ute::pipeline::merge_files_jobs;
 use ute::rawtrace::file::{RawTraceFile, HEADER_LEN};
 use ute::workloads::micro;
 
@@ -88,11 +91,11 @@ proptest! {
 
         let copts = salvage_copts();
         let mopts = salvage_mopts(lost.clone());
-        let serial = convert_and_merge(&files, &result.threads, &profile, &copts, &mopts, 1);
-        let parallel = convert_and_merge(&files, &result.threads, &profile, &copts, &mopts, 8);
+        let serial = convert_then_merge(&files, &result.threads, &profile, &copts, &mopts, 1);
+        let parallel = convert_then_merge(&files, &result.threads, &profile, &copts, &mopts, 8);
         match (serial, parallel) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.merged.merged, b.merged.merged,
+            (Ok((_, a)), Ok((_, b))) => {
+                prop_assert_eq!(a.merged, b.merged,
                     "jobs 1 vs 8 diverged under plan `{}`", plan);
             }
             // Salvage may still refuse pathological inputs (e.g. a bit
@@ -145,9 +148,9 @@ proptest! {
 
         // End to end: the degraded merge completes and marks every lost
         // node with a Gap pseudo-record.
-        let merged = convert_and_merge(&files, &result.threads, &profile,
+        let (_, merged) = convert_then_merge(&files, &result.threads, &profile,
             &salvage_copts(), &salvage_mopts(lost.clone()), 2).unwrap();
-        let ivs = decode_intervals(&merged.merged.merged, &profile);
+        let ivs = decode_intervals(&merged.merged, &profile);
         for node in &lost {
             prop_assert!(ivs.iter().any(|iv|
                 iv.itype.state == StateCode::GAP && iv.node.raw() == *node),
@@ -173,9 +176,9 @@ fn acceptance_truncated_bitflipped_missing() {
     let outs: Vec<Vec<u8>> = [1usize, 2, 8]
         .iter()
         .map(|&jobs| {
-            convert_and_merge(&files, &result.threads, &profile, &copts, &mopts, jobs)
+            convert_then_merge(&files, &result.threads, &profile, &copts, &mopts, jobs)
                 .unwrap()
-                .merged
+                .1
                 .merged
         })
         .collect();
@@ -245,7 +248,7 @@ fn buffer_level_faults_produce_wellformed_survivors() {
         let bytes = f.to_bytes().unwrap();
         assert!(RawTraceFile::from_bytes(&bytes).is_ok());
     }
-    let out = convert_and_merge(
+    let (_, out) = convert_then_merge(
         &result.raw_files,
         &result.threads,
         &profile,
@@ -254,7 +257,7 @@ fn buffer_level_faults_produce_wellformed_survivors() {
         2,
     )
     .unwrap();
-    assert!(!out.merged.merged.is_empty());
+    assert!(!out.merged.is_empty());
 }
 
 /// Mid-write kills of *non-atomic* writers (external tools, copies cut

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full Figure 2 pipeline, exercised
 //! on several workloads with invariants checked at every stage boundary.
 
+mod common;
+
 use std::collections::HashMap;
 
 use ute::cluster::Simulator;
@@ -304,13 +306,13 @@ fn marker_ids_unified_across_tasks() {
 }
 
 mod parallel_determinism {
+    use super::common::convert_then_merge;
     use proptest::prelude::*;
     use ute::cluster::Simulator;
     use ute::convert::ConvertOptions;
     use ute::format::file::FramePolicy;
     use ute::format::profile::Profile;
     use ute::merge::MergeOptions;
-    use ute::pipeline::convert_and_merge;
     use ute::rawtrace::buffer::BufferMode;
     use ute::workloads::micro;
 
@@ -342,20 +344,20 @@ mod parallel_determinism {
                 ..ConvertOptions::default()
             };
             let mopts = MergeOptions::default();
-            let serial = convert_and_merge(
+            let serial = convert_then_merge(
                 &result.raw_files, &result.threads, &profile, &copts, &mopts, 1,
             );
-            let parallel = convert_and_merge(
+            let parallel = convert_then_merge(
                 &result.raw_files, &result.threads, &profile, &copts, &mopts, jobs,
             );
             match (serial, parallel) {
-                (Ok(s), Ok(p)) => {
+                (Ok((s_converted, s)), Ok((p_converted, p))) => {
                     prop_assert_eq!(
-                        &s.merged.merged, &p.merged.merged,
+                        &s.merged, &p.merged,
                         "merged bytes differ at jobs={}", jobs
                     );
-                    prop_assert_eq!(s.converted.len(), p.converted.len());
-                    for (a, b) in s.converted.iter().zip(&p.converted) {
+                    prop_assert_eq!(s_converted.len(), p_converted.len());
+                    for (a, b) in s_converted.iter().zip(&p_converted) {
                         prop_assert_eq!(a.node, b.node);
                         prop_assert_eq!(
                             &a.interval_file, &b.interval_file,
@@ -363,8 +365,8 @@ mod parallel_determinism {
                             a.node.raw(), jobs
                         );
                     }
-                    prop_assert_eq!(s.merged.stats.records_in, p.merged.stats.records_in);
-                    prop_assert_eq!(s.merged.stats.records_out, p.merged.stats.records_out);
+                    prop_assert_eq!(s.stats.records_in, p.stats.records_in);
+                    prop_assert_eq!(s.stats.records_out, p.stats.records_out);
                 }
                 (Err(_), Err(_)) => {} // both reject the input — also deterministic
                 (s, p) => prop_assert!(

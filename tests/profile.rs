@@ -4,8 +4,10 @@
 //! `ute profile` command must publish a well-formed report.
 //!
 //! Own binary because the profiling flag, the sampler slot, and the
-//! convert panic testhook are process-global — the lock below serializes
+//! worker panic testhook are process-global — the lock below serializes
 //! the tests that touch them.
+
+mod common;
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -13,8 +15,8 @@ use std::time::Duration;
 use ute::cluster::Simulator;
 use ute::convert::ConvertOptions;
 use ute::format::profile::Profile;
-use ute::merge::MergeOptions;
-use ute::pipeline::{convert_and_merge, testhook, PipelineOutput};
+use ute::merge::{MergeOptions, MergeOutput};
+use ute::pipeline::testhook;
 use ute::workloads::micro;
 
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -23,7 +25,7 @@ fn lock() -> MutexGuard<'static, ()> {
     GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn run_pipeline(jobs: usize) -> PipelineOutput {
+fn run_pipeline(jobs: usize) -> MergeOutput {
     let w = micro::stencil(4, 6, 4 << 10);
     let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
     let copts = ConvertOptions {
@@ -35,7 +37,7 @@ fn run_pipeline(jobs: usize) -> PipelineOutput {
         salvage: true,
         ..MergeOptions::default()
     };
-    convert_and_merge(
+    common::convert_then_merge(
         &result.raw_files,
         &result.threads,
         &Profile::standard(),
@@ -44,6 +46,7 @@ fn run_pipeline(jobs: usize) -> PipelineOutput {
         jobs,
     )
     .unwrap()
+    .1
 }
 
 /// Counts live frames currently visible to the sampler.
@@ -59,11 +62,11 @@ fn profiler_survives_worker_panics_and_heals_the_registry() {
     ute::obs::set_profiling(true);
     ute::profile::start(Duration::from_micros(200));
 
-    // A convert worker panics mid-node (one-shot hook); the salvage
+    // A merge worker panics mid-node (one-shot hook); the salvage
     // retry must still succeed with the profiler sampling throughout.
-    testhook::arm_convert_panic(1);
+    testhook::arm_adjust_panic(1);
     let out = run_pipeline(4);
-    assert!(!out.merged.merged.is_empty());
+    assert!(!out.merged.is_empty());
 
     // Unwinding ran every Span's Drop, so the panicked worker left no
     // frame behind; every other worker exited and its stack pruned.
@@ -100,7 +103,7 @@ fn artifacts_are_byte_identical_with_profiling_on_or_off() {
         ute::profile::stop();
         ute::obs::set_profiling(false);
         assert_eq!(
-            profiled.merged.merged, baseline.merged.merged,
+            profiled.merged, baseline.merged,
             "profiling must be purely observational (jobs {jobs})"
         );
     }

@@ -1,102 +1,67 @@
-//! Torture acceptance: the 256+-node `torture:SEED` preset through the
-//! sharded merge. The preset's lock-step symmetric phases mint long runs
-//! of equal end timestamps across nodes, and its intervals routinely
-//! span the frame-directory time cuts the shard planner picks — exactly
-//! the two hazards of stitching per-shard merges back together. The
-//! tests pin the stitch protocol's guarantees on that workload: tie
-//! groups never straddle a shard boundary, records that *cross* a
-//! boundary in time still land in exactly one shard (sharding is by end
-//! value, not by span), and the stitched pipeline output is
-//! byte-identical to the serial merge at every job count.
-
-use std::sync::OnceLock;
+//! Torture acceptance: the 256+-node `torture:SEED` preset must mint the
+//! hazard it exists for. Its lock-step symmetric phases produce long runs
+//! of equal end timestamps across nodes — the ties the k-way merge has to
+//! break by source index for its output to be the same at every `--jobs`.
+//! The corpus itself reaches the shipped merge through
+//! `tests/merge_path.rs`; this file pins that the preset still produces
+//! those ties.
 
 use ute::cluster::Simulator;
 use ute::convert::ConvertOptions;
 use ute::format::file::{FramePolicy, IntervalFileReader};
 use ute::format::profile::Profile;
 use ute::format::record::Interval;
-use ute::format::thread_table::ThreadTable;
-use ute::merge::{adjust_node, merge_sharded, plan_boundaries, split_stream, MergeOptions};
-use ute::pipeline::{convert_and_merge, convert_and_merge_sharded};
-use ute::rawtrace::RawTraceFile;
+use ute::merge::{adjust_node, MergeOptions};
 use ute::scenario::{generate, ScenarioSpec};
 
 const SEED: u64 = 11;
 
-/// Small frames so the corpus spans many frame directories — the shard
-/// planner samples boundary candidates at frame-directory stride.
-fn policy() -> FramePolicy {
-    FramePolicy {
-        max_records_per_frame: 32,
-        max_frames_per_dir: 2,
-    }
-}
-
-struct Torture {
-    raw_files: Vec<RawTraceFile>,
-    threads: ThreadTable,
-    profile: Profile,
-    /// Per-node clock-adjusted streams, each end-ordered — the exact
-    /// inputs the sharded merge partitions.
-    streams: Vec<Vec<Interval>>,
-}
-
-/// The torture corpus is expensive enough (256+ nodes) to build once.
-fn torture() -> &'static Torture {
-    static CORPUS: OnceLock<Torture> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        let spec = ScenarioSpec::torture(SEED);
-        assert!(spec.topology.nodes >= 256);
-        let sc = generate(&spec).unwrap();
-        let nodes = sc.config.nodes;
-        let result = Simulator::new(sc.config, &sc.job).unwrap().run().unwrap();
-        assert_eq!(result.raw_files.len(), nodes as usize);
-        let profile = Profile::standard();
-        let copts = ConvertOptions {
-            policy: policy(),
-            ..ConvertOptions::default()
-        };
-        let converted = ute::convert::convert_job_opts(
-            &result.raw_files,
-            &result.threads,
-            &profile,
-            &copts,
-            false,
-        )
-        .unwrap();
-        let mopts = MergeOptions::default();
-        let streams = converted
-            .iter()
-            .map(|o| {
-                let reader = IntervalFileReader::open(&o.interval_file, &profile).unwrap();
-                let mut ivs = Vec::new();
-                adjust_node(&reader, &profile, &mopts, |iv| {
-                    ivs.push(iv);
-                    Ok(())
-                })
-                .unwrap();
-                ivs
+/// Per-node clock-adjusted streams of the torture corpus, each
+/// end-ordered — what the k-way merge takes.
+fn torture_streams() -> Vec<Vec<Interval>> {
+    let spec = ScenarioSpec::torture(SEED);
+    assert!(spec.topology.nodes >= 256);
+    let sc = generate(&spec).unwrap();
+    let nodes = sc.config.nodes;
+    let result = Simulator::new(sc.config, &sc.job).unwrap().run().unwrap();
+    assert_eq!(result.raw_files.len(), nodes as usize);
+    let profile = Profile::standard();
+    let copts = ConvertOptions {
+        // Small frames so the corpus spans many frame directories.
+        policy: FramePolicy {
+            max_records_per_frame: 32,
+            max_frames_per_dir: 2,
+        },
+        ..ConvertOptions::default()
+    };
+    let converted =
+        ute::convert::convert_job_opts(&result.raw_files, &result.threads, &profile, &copts, false)
+            .unwrap();
+    let mopts = MergeOptions::default();
+    converted
+        .iter()
+        .map(|o| {
+            let reader = IntervalFileReader::open(&o.interval_file, &profile).unwrap();
+            let mut ivs = Vec::new();
+            adjust_node(&reader, &profile, &mopts, |iv| {
+                ivs.push(iv);
+                Ok(())
             })
-            .collect();
-        Torture {
-            raw_files: result.raw_files,
-            threads: result.threads,
-            profile,
-            streams,
-        }
-    })
+            .unwrap();
+            ivs
+        })
+        .collect()
 }
 
 /// The preset must actually produce the hazards it exists to test:
 /// cross-stream equal-end tie groups, and plenty of them.
 #[test]
 fn torture_workload_mints_cross_stream_ties() {
-    let t = torture();
-    let total: usize = t.streams.iter().map(Vec::len).sum();
+    let streams = torture_streams();
+    let total: usize = streams.iter().map(Vec::len).sum();
     assert!(total > 30_000, "only {total} adjusted records");
     let mut ends = std::collections::BTreeMap::new();
-    for (src, s) in t.streams.iter().enumerate() {
+    for (src, s) in streams.iter().enumerate() {
         for iv in s {
             let entry = ends
                 .entry(iv.end())
@@ -108,94 +73,11 @@ fn torture_workload_mints_cross_stream_ties() {
     // time, so exact cross-node end collisions are rare but — thanks to
     // the lock-step phases — never absent. Within-stream ties (several
     // records ending on the same adjusted tick) are common; both kinds
-    // must survive sharding, and both must exist here to be tested.
+    // must exist here for the merge tests over this preset to mean much.
     let cross_ties = ends.values().filter(|srcs| srcs.len() >= 2).count();
     assert!(
         cross_ties >= 25,
         "only {cross_ties} end values shared across streams — the preset \
          lost its lock-step symmetry"
     );
-}
-
-/// Shard planning on the torture streams: boundaries exist, intervals
-/// straddle them in *time* (start < boundary <= end), yet every record
-/// — tie groups included — lands in exactly one shard, and stitching
-/// the per-shard merges equals the global merge record-for-record.
-#[test]
-fn shard_stitch_survives_straddlers_and_ties() {
-    let t = torture();
-    let stride = policy().max_records_per_frame * policy().max_frames_per_dir;
-    let boundaries = plan_boundaries(&t.streams, stride, 8);
-    assert!(
-        boundaries.len() >= 2,
-        "planner found only {} cut(s) in a {}-stream corpus",
-        boundaries.len(),
-        t.streams.len()
-    );
-
-    // Records crossing a cut in time must exist (intervals have extent)
-    // and must not confuse end-value sharding.
-    let straddlers = t
-        .streams
-        .iter()
-        .flatten()
-        .filter(|iv| boundaries.iter().any(|&b| iv.start < b && b <= iv.end()))
-        .count();
-    assert!(straddlers > 0, "no interval spans a shard cut");
-
-    for s in &t.streams {
-        let parts = split_stream(s.clone(), &boundaries);
-        assert_eq!(parts.len(), boundaries.len() + 1);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), s.len());
-        // Half-open partition: every tie group is contained in one part.
-        for (i, part) in parts.iter().enumerate() {
-            for iv in part {
-                if i > 0 {
-                    assert!(iv.end() >= boundaries[i - 1]);
-                }
-                if i < boundaries.len() {
-                    assert!(iv.end() < boundaries[i]);
-                }
-            }
-        }
-    }
-
-    let global = merge_sharded(t.streams.clone(), &[]);
-    let stitched = merge_sharded(t.streams.clone(), &boundaries);
-    assert_eq!(global.len(), stitched.len());
-    assert_eq!(
-        global, stitched,
-        "stitched merge diverges from global merge"
-    );
-}
-
-/// End-to-end: the sharded pipeline's merged bytes are identical to the
-/// serial path at every job count, on the full torture corpus.
-#[test]
-fn sharded_pipeline_is_byte_identical_on_torture_corpus() {
-    let t = torture();
-    let copts = ConvertOptions {
-        policy: policy(),
-        ..ConvertOptions::default()
-    };
-    let mopts = MergeOptions {
-        policy: policy(),
-        ..MergeOptions::default()
-    };
-    let serial =
-        convert_and_merge(&t.raw_files, &t.threads, &t.profile, &copts, &mopts, 1).unwrap();
-    assert!(serial.merged.stats.records_out > 0);
-    for jobs in [2, 5] {
-        let sharded =
-            convert_and_merge_sharded(&t.raw_files, &t.threads, &t.profile, &copts, &mopts, jobs)
-                .unwrap();
-        assert_eq!(
-            serial.merged.merged, sharded.merged.merged,
-            "merged bytes differ at jobs={jobs}"
-        );
-        assert_eq!(
-            serial.merged.stats.pseudo_added,
-            sharded.merged.stats.pseudo_added
-        );
-    }
 }

@@ -1,23 +1,43 @@
 //! Regression test for span hygiene under worker panics (sibling of
 //! `tests/faults.rs`, in its own binary because it arms a process-global
 //! one-shot panic hook and captures the process-global span log — state
-//! that concurrent `convert_and_merge` runs in the faults binary would
-//! race on).
+//! that concurrent merges in the faults binary would race on).
 //!
-//! A convert worker that panics mid-node must not leak its open spans:
-//! unwinding runs every `Span`'s `Drop`, which closes the interval,
-//! marks it aborted, and heals the thread-local span stack — and the
-//! salvage retry must still produce byte-identical clean output.
+//! A salvage-mode merge worker that panics mid-node must not leak its
+//! open spans: unwinding runs every `Span`'s `Drop`, which closes the
+//! interval, marks it aborted, and heals the thread-local span stack —
+//! and the salvage retry must still produce byte-identical clean output.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
 use ute::cluster::Simulator;
-use ute::convert::ConvertOptions;
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::format::profile::Profile;
 use ute::merge::MergeOptions;
-use ute::pipeline::{convert_and_merge, testhook};
+use ute::pipeline::{merge_files_jobs, testhook};
 use ute::workloads::micro;
+
+/// The per-node files `ute convert` leaves for a small stencil run, and
+/// the salvage-mode options `ute merge` reads them with.
+fn converted_stencil() -> (Profile, Vec<Vec<u8>>, MergeOptions) {
+    let w = micro::stencil(4, 6, 4 << 10);
+    let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
+    let profile = Profile::standard();
+    let copts = ConvertOptions {
+        lenient: true,
+        salvage: true,
+        ..ConvertOptions::default()
+    };
+    let converted =
+        convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, 2).unwrap();
+    let mopts = MergeOptions {
+        salvage: true,
+        ..MergeOptions::default()
+    };
+    let files = converted.into_iter().map(|c| c.interval_file).collect();
+    (profile, files, mopts)
+}
 
 /// The panic testhook and the span-capture switch are process-global;
 /// the tests in this binary take this lock so neither trips the other.
@@ -30,28 +50,10 @@ fn lock() -> MutexGuard<'static, ()> {
 #[test]
 fn worker_panic_marks_spans_aborted_and_retry_keeps_output_clean() {
     let _g = lock();
-    let w = micro::stencil(4, 6, 4 << 10);
-    let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
-    let profile = Profile::standard();
-    let copts = ConvertOptions {
-        lenient: true,
-        salvage: true,
-        ..ConvertOptions::default()
-    };
-    let mopts = MergeOptions {
-        salvage: true,
-        ..MergeOptions::default()
-    };
+    let (profile, files, mopts) = converted_stencil();
+    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
 
-    let clean = convert_and_merge(
-        &result.raw_files,
-        &result.threads,
-        &profile,
-        &copts,
-        &mopts,
-        2,
-    )
-    .unwrap();
+    let clean = merge_files_jobs(&refs, &profile, &mopts, 2).unwrap();
 
     ute::obs::set_capture(true);
     ute::obs::drain_spans();
@@ -59,24 +61,16 @@ fn worker_panic_marks_spans_aborted_and_retry_keeps_output_clean() {
         .counter("pipeline/worker_retries")
         .unwrap_or(0);
 
-    testhook::arm_convert_panic(1);
-    let out = convert_and_merge(
-        &result.raw_files,
-        &result.threads,
-        &profile,
-        &copts,
-        &mopts,
-        2,
-    )
-    .unwrap();
+    testhook::arm_adjust_panic(1);
+    let out = merge_files_jobs(&refs, &profile, &mopts, 2).unwrap();
 
     ute::obs::set_capture(false);
     let spans = ute::obs::drain_spans();
 
     // The injected panic was caught, the retry (hook is one-shot)
-    // converted the node cleanly, and the merged bytes are unaffected.
+    // adjusted the node cleanly, and the merged bytes are unaffected.
     assert_eq!(
-        out.merged.merged, clean.merged.merged,
+        out.merged, clean.merged,
         "retry after injected worker panic must reproduce the clean bytes"
     );
     let retries_after = ute::obs::snapshot()
@@ -87,16 +81,16 @@ fn worker_panic_marks_spans_aborted_and_retry_keeps_output_clean() {
         "injected panic did not register a worker retry"
     );
 
-    // The span open at panic time (the per-node convert span) was closed
+    // The span open at panic time (the per-node merge span) was closed
     // by unwinding and marked aborted — not leaked.
     let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
     let aborted: Vec<_> = spans
         .iter()
-        .filter(|s| s.aborted && s.stage == "convert" && s.label == "convert node 1")
+        .filter(|s| s.aborted && s.stage == "merge" && s.label == "merge node 1")
         .collect();
     assert!(
         !aborted.is_empty(),
-        "no aborted `convert node 1` span captured ({} spans total)",
+        "no aborted `merge node 1` span captured ({} spans total)",
         spans.len()
     );
     // Its hierarchy survived the unwind: the parent (the worker span,
@@ -114,8 +108,8 @@ fn worker_panic_marks_spans_aborted_and_retry_keeps_output_clean() {
     assert!(
         spans
             .iter()
-            .any(|s| !s.aborted && s.stage == "convert" && s.label == "convert node 1"),
-        "retry did not record a clean convert span for node 1"
+            .any(|s| !s.aborted && s.stage == "merge" && s.label == "merge node 1"),
+        "retry did not record a clean merge span for node 1"
     );
 
     // The panicking thread healed its thread-local span stack (removal
@@ -134,49 +128,23 @@ fn worker_panic_never_publishes_partial_files() {
     use ute::store::{ArtifactStore, RunJournal};
 
     let _g = lock();
-    let w = micro::stencil(4, 6, 4 << 10);
-    let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
-    let profile = Profile::standard();
-    let copts = ConvertOptions {
-        lenient: true,
-        salvage: true,
-        ..ConvertOptions::default()
-    };
-    let mopts = MergeOptions {
-        salvage: true,
-        ..MergeOptions::default()
-    };
-    let clean = convert_and_merge(
-        &result.raw_files,
-        &result.threads,
-        &profile,
-        &copts,
-        &mopts,
-        2,
-    )
-    .unwrap();
+    let (profile, files, mopts) = converted_stencil();
+    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
+    let clean = merge_files_jobs(&refs, &profile, &mopts, 2).unwrap();
 
     let dir = std::env::temp_dir().join(format!("ute_panic_publish_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Retry path: the injected panic is caught, the node re-converts,
-    // and what gets atomically published is the clean bytes — all of
-    // them, under the final name, no temp residue.
-    testhook::arm_convert_panic(1);
-    let out = convert_and_merge(
-        &result.raw_files,
-        &result.threads,
-        &profile,
-        &copts,
-        &mopts,
-        2,
-    )
-    .unwrap();
-    ute::store::atomic_write(&dir.join("merged.ivl"), &out.merged.merged).unwrap();
+    // Retry path: the injected panic is caught, the node is adjusted
+    // again, and what gets atomically published is the clean bytes —
+    // all of them, under the final name, no temp residue.
+    testhook::arm_adjust_panic(1);
+    let out = merge_files_jobs(&refs, &profile, &mopts, 2).unwrap();
+    ute::store::atomic_write(&dir.join("merged.ivl"), &out.merged).unwrap();
     assert_eq!(
         std::fs::read(dir.join("merged.ivl")).unwrap(),
-        clean.merged.merged,
+        clean.merged,
         "published bytes after a retried worker panic differ from the clean run"
     );
 
