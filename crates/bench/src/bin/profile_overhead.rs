@@ -25,8 +25,7 @@ use std::time::Instant;
 use ute_cluster::Simulator;
 use ute_convert::{convert_job_pooled, ConvertOptions};
 use ute_format::profile::Profile;
-use ute_merge::MergeOptions;
-use ute_pipeline::{default_jobs, merge_files_jobs};
+use ute_merge::{merge_files_jobs, MergeOptions};
 use ute_workloads::micro;
 
 fn median(mut v: Vec<u64>) -> u64 {
@@ -49,7 +48,7 @@ fn main() {
     let profile = Profile::standard();
     let copts = ConvertOptions::default();
     let mopts = MergeOptions::default();
-    let jobs = default_jobs().max(2);
+    let jobs = ute_core::pool::default_jobs().max(2);
 
     let run = || {
         let t = Instant::now();

@@ -40,8 +40,7 @@ use ute_faults::FaultPlan;
 use ute_format::codecio::{read_thread_table_file, thread_table_to_bytes};
 use ute_format::file::{FramePolicy, IntervalFileReader};
 use ute_format::profile::Profile;
-use ute_merge::MergeOptions;
-use ute_pipeline::{merge_files_jobs, slogmerge_jobs};
+use ute_merge::{merge_files_jobs, slogmerge_jobs, MergeOptions};
 use ute_rawtrace::file::{RawTraceFile, HEADER_LEN};
 use ute_slog::builder::BuildOptions;
 use ute_slog::file::SlogFile;
@@ -128,9 +127,9 @@ impl Args {
     }
 
     /// The `--jobs N` worker count; defaults to the machine's available
-    /// parallelism. `--jobs 1` forces the serial path.
+    /// parallelism. `--jobs 1` runs every stage on the calling thread.
     fn jobs(&self) -> Result<usize> {
-        let jobs = self.num("jobs", ute_pipeline::default_jobs())?;
+        let jobs = self.num("jobs", ute_core::pool::default_jobs())?;
         if jobs == 0 {
             return Err(UteError::Invalid("--jobs: must be at least 1".into()));
         }
@@ -1058,7 +1057,6 @@ const BASELINE_COUNTERS: &[&str] = &[
     "profile/cpu_spans",
     "profile/samples",
     "profile/stacks_dropped",
-    "profile/track_evicted",
 ];
 
 /// `ute report`: run the full pipeline with metrics from zero and emit
@@ -1505,8 +1503,7 @@ pub fn run(argv: &[String]) -> Result<String> {
         ute_obs::span::set_capture(false);
         let spans = ute_obs::span::drain_spans();
         let flows = ute_obs::span::drain_flows();
-        let tracks = selftrace::profiler_tracks(&ute_profile::take_track());
-        selftrace::write_self_trace(&spans, &flows, &tracks, &path, self_trace_format)?;
+        selftrace::write_self_trace(&spans, &flows, &path, self_trace_format)?;
         msg.push_str(&format!(
             "wrote self-trace {} ({} spans)\n",
             path.display(),
@@ -1579,10 +1576,9 @@ commands:
             [--iterations N] [--strict] [--fault-seed N | --fault-plan SPEC]
             (run the journaled pipeline under the continuous profiler:
              a wall-clock stack sampler snapshots every worker's span
-             stack, span close records per-stage CPU time, and the
-             bounded channels count blocked sends/receives; prints a
+             stack and span close records per-stage CPU time; prints a
              ranked bottleneck report — self-time %, wall-vs-CPU
-             utilization, backpressure stalls — and publishes
+             utilization — and publishes
              OUT/profile.folded (flamegraph-ready folded stacks) and
              OUT/profile.json as a sixth journaled stage. --json prints
              the report JSON instead of the text table)
@@ -1652,8 +1648,7 @@ observability (any command):
                        obs/spans_dropped
   --profiler           run any command under the continuous profiler:
                        a summary goes to stderr, span CPU time lands in
-                       the Chrome self-trace args, the backpressure
-                       track becomes ph:\"C\" counter lanes, and
+                       the Chrome self-trace args, and
                        `ute report` grows a \"profile\" block. Build
                        with `--features profile-alloc` to also
                        attribute allocations to the active stage

@@ -13,7 +13,8 @@
 //!   reconstructs for user traces.
 //! * **`chrome`** — Chrome Trace Event JSON (`ph:"X"` duration events
 //!   with `pid` 0 and `tid` = the observability thread index, plus
-//!   `ph:"s"`/`ph:"f"` flow events for cross-thread channel handoffs),
+//!   `ph:"s"`/`ph:"f"` flow events from the span a merge worker staged
+//!   a node in to the fold that took the result),
 //!   loadable directly in `ui.perfetto.dev` or `chrome://tracing`.
 //!
 //! Both express span start/duration in nanoseconds since the process
@@ -151,85 +152,17 @@ fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
 }
 
-/// A `ph:"C"` counter time series for the Chrome export: one named
-/// plot of `(ns-since-epoch, value)` points, rendered as a stacked
-/// counter lane under the span timelines (Perfetto draws each one as
-/// an area chart). The profiler's backpressure samples — queue depth,
-/// blocked-send/recv wait per tick — arrive here.
-#[derive(Debug, Clone, Default)]
-pub struct CounterTrack {
-    /// Series name (the counter lane title).
-    pub name: String,
-    /// `(at_ns, value)` points, ascending in time.
-    pub points: Vec<(u64, f64)>,
-}
-
-/// Builds the Chrome counter tracks from the profiler's sampled
-/// backpressure state: instantaneous queue depth, plus per-tick deltas
-/// (milliseconds waited, sends/recvs newly blocked) of the cumulative
-/// counters — deltas make stalls visible as spikes at the tick where
-/// they happened rather than an ever-rising line.
-pub fn profiler_tracks(samples: &[ute_profile::CounterSample]) -> Vec<CounterTrack> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut depth = CounterTrack {
-        name: "queue depth".to_string(),
-        ..CounterTrack::default()
-    };
-    let mut send_wait = CounterTrack {
-        name: "send wait ms".to_string(),
-        ..CounterTrack::default()
-    };
-    let mut recv_wait = CounterTrack {
-        name: "recv wait ms".to_string(),
-        ..CounterTrack::default()
-    };
-    let mut blocked = CounterTrack {
-        name: "blocked sends".to_string(),
-        ..CounterTrack::default()
-    };
-    let mut prev: Option<&ute_profile::CounterSample> = None;
-    for s in samples {
-        depth.points.push((s.at_ns, s.queue_depth));
-        let (dsend, drecv, dblocked) = match prev {
-            Some(p) => (
-                s.send_wait_ns.saturating_sub(p.send_wait_ns),
-                s.recv_wait_ns.saturating_sub(p.recv_wait_ns),
-                s.blocked_sends.saturating_sub(p.blocked_sends),
-            ),
-            None => (s.send_wait_ns, s.recv_wait_ns, s.blocked_sends),
-        };
-        send_wait.points.push((s.at_ns, dsend as f64 / 1e6));
-        recv_wait.points.push((s.at_ns, drecv as f64 / 1e6));
-        blocked.points.push((s.at_ns, dblocked as f64));
-        prev = Some(s);
-    }
-    vec![depth, send_wait, recv_wait, blocked]
-}
-
 /// Serializes captured spans and flow points as Chrome Trace Event JSON
 /// (the `{"traceEvents": [...]}` object form). Every span becomes a
 /// `ph:"X"` complete event with `pid` 0, `tid` = observability thread
 /// index, category = stage, and span id / parent id / aborted flag in
 /// `args` (plus the span's thread CPU time when profiling measured
-/// one). Cross-thread handoffs become `ph:"s"` → `ph:"f"` flow pairs;
+/// one). Worker-to-fold handoffs become `ph:"s"` → `ph:"f"` flow pairs;
 /// a flow end binds to the enclosing slice at its timestamp, so both
-/// ends land inside the worker/consumer spans that produced them. Only
+/// ends land inside the spans that produced them. Only
 /// links with **both** ends recorded are emitted. Events are sorted by
 /// timestamp (metadata first), as the format recommends.
 pub fn chrome_trace_json(spans: &[FinishedSpan], flows: &[FlowPoint]) -> String {
-    chrome_trace_json_with_tracks(spans, flows, &[])
-}
-
-/// [`chrome_trace_json`] plus `ph:"C"` counter tracks (see
-/// [`CounterTrack`]): each point becomes a counter event on `pid` 0,
-/// interleaved into the same timestamp-sorted stream.
-pub fn chrome_trace_json_with_tracks(
-    spans: &[FinishedSpan],
-    flows: &[FlowPoint],
-    tracks: &[CounterTrack],
-) -> String {
     // (sort key ns, rendered event). Metadata sorts before everything.
     let mut events: Vec<(u64, String)> = Vec::new();
 
@@ -279,21 +212,6 @@ pub fn chrome_trace_json_with_tracks(
         ));
     }
 
-    for t in tracks {
-        for &(at_ns, v) in &t.points {
-            events.push((
-                at_ns,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"profile\",\"ph\":\"C\",\"ts\":{},\
-                     \"pid\":0,\"args\":{{\"value\":{:.3}}}}}",
-                    esc(&t.name),
-                    us(at_ns),
-                    v,
-                ),
-            ));
-        }
-    }
-
     // Pair up flow points; emit only complete begin/end pairs.
     for f in flows.iter().filter(|f| f.begin) {
         let Some(end) = flows.iter().find(|e| !e.begin && e.link == f.link) else {
@@ -334,20 +252,17 @@ pub fn chrome_trace_json_with_tracks(
 }
 
 /// Writes the self-trace for `spans`/`flows` to `path` in `format`
-/// (flow links and counter tracks only appear in the Chrome form; the
-/// ivl form carries the hierarchy in its extra fields instead).
+/// (flow links only appear in the Chrome form; the ivl form carries the
+/// hierarchy in its extra fields instead).
 pub fn write_self_trace(
     spans: &[FinishedSpan],
     flows: &[FlowPoint],
-    tracks: &[CounterTrack],
     path: &Path,
     format: SelfTraceFormat,
 ) -> Result<()> {
     match format {
         SelfTraceFormat::Ivl => std::fs::write(path, self_trace_bytes(spans)?)?,
-        SelfTraceFormat::Chrome => {
-            std::fs::write(path, chrome_trace_json_with_tracks(spans, flows, tracks))?
-        }
+        SelfTraceFormat::Chrome => std::fs::write(path, chrome_trace_json(spans, flows))?,
     }
     Ok(())
 }
@@ -479,47 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn chrome_counter_tracks_interleave_and_cpu_shows_when_measured() {
+    fn chrome_span_args_carry_cpu_time_when_measured() {
         let mut s = span_on("convert", "convert node 0", 2000, 5000, 1, 2, 1);
         s.cpu_ns = 4200;
-        let tracks = vec![CounterTrack {
-            name: "queue depth".to_string(),
-            points: vec![(1500, 3.0), (6000, 1.0)],
-        }];
-        let json = chrome_trace_json_with_tracks(&[s], &[], &tracks);
-        assert!(json.contains("\"cpu_ns\":4200"));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"queue depth\""));
-        assert!(json.contains("\"args\":{\"value\":3.000}"));
-        // Counter points land in the ts-sorted stream: the 1.5µs point
-        // precedes the 2µs span, the 6µs point follows it.
-        let early = json.find("\"value\":3.000").unwrap();
-        let span_at = json.find("\"ph\":\"X\"").unwrap();
-        let late = json.find("\"value\":1.000").unwrap();
-        assert!(early < span_at && span_at < late);
-    }
-
-    #[test]
-    fn profiler_tracks_emit_deltas_from_cumulative_samples() {
-        let mk = |at_ns, depth, sends, wait| ute_profile::CounterSample {
-            at_ns,
-            queue_depth: depth,
-            blocked_sends: sends,
-            blocked_recvs: 0,
-            send_wait_ns: wait,
-            recv_wait_ns: 0,
-        };
-        let tracks = profiler_tracks(&[mk(100, 2.0, 1, 1_000_000), mk(200, 3.0, 4, 3_000_000)]);
-        assert_eq!(tracks.len(), 4);
-        let by_name = |n: &str| tracks.iter().find(|t| t.name == n).unwrap();
-        assert_eq!(by_name("queue depth").points, vec![(100, 2.0), (200, 3.0)]);
-        // Cumulative counters become per-tick deltas.
-        assert_eq!(
-            by_name("blocked sends").points,
-            vec![(100, 1.0), (200, 3.0)]
-        );
-        assert_eq!(by_name("send wait ms").points, vec![(100, 1.0), (200, 2.0)]);
-        assert!(profiler_tracks(&[]).is_empty());
+        let json = chrome_trace_json(&[s], &[]);
+        assert!(json.contains("\"aborted\":false,\"cpu_ns\":4200}"));
     }
 
     #[test]

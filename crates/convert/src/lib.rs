@@ -24,10 +24,9 @@
 pub mod marker;
 pub mod matcher;
 
-use crossbeam::thread as cb_thread;
-
-use ute_core::error::{Result, UteError};
+use ute_core::error::Result;
 use ute_core::ids::NodeId;
+use ute_core::pool::{default_jobs, map_ordered};
 use ute_format::file::FramePolicy;
 use ute_format::profile::Profile;
 use ute_format::thread_table::ThreadTable;
@@ -36,11 +35,9 @@ use ute_rawtrace::file::RawTraceFile;
 pub use marker::MarkerMap;
 pub use matcher::{convert_node, convert_node_opts, ConvertOptions, ConvertOutput, ConvertStats};
 
-/// Converts a whole job's raw trace files into per-node interval files.
-///
-/// The marker map is built over *all* files first (so identical marker
-/// strings from different tasks share one id), then each node is
-/// converted — on a worker pool when `parallel` is set.
+/// Converts a whole job's raw trace files into per-node interval files
+/// under the default [`ConvertOptions`] and the given frame policy: on
+/// one worker, or on as many as the machine has cores when `parallel`.
 ///
 /// `threads` supplies process/thread identity, which the AIX trace
 /// facility recorded as side metadata; our simulator hands over its
@@ -52,43 +49,22 @@ pub fn convert_job(
     policy: FramePolicy,
     parallel: bool,
 ) -> Result<Vec<ConvertOutput>> {
-    convert_job_opts(
-        files,
-        threads,
-        profile,
-        &ConvertOptions {
-            policy,
-            ..ConvertOptions::default()
-        },
-        parallel,
-    )
-}
-
-/// [`convert_job`] with explicit [`ConvertOptions`] (e.g. lenient mode
-/// for delayed-start partial traces): [`convert_job_pooled`] on one
-/// worker, or on as many as the machine has cores when `parallel`.
-pub fn convert_job_opts(
-    files: &[RawTraceFile],
-    threads: &ThreadTable,
-    profile: &Profile,
-    opts: &ConvertOptions,
-    parallel: bool,
-) -> Result<Vec<ConvertOutput>> {
-    let jobs = if parallel {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        1
+    let opts = ConvertOptions {
+        policy,
+        ..ConvertOptions::default()
     };
-    convert_job_pooled(files, threads, profile, opts, jobs)
+    let jobs = if parallel { default_jobs() } else { 1 };
+    convert_job_pooled(files, threads, profile, &opts, jobs)
 }
 
-/// [`convert_job_opts`] on a bounded worker pool: one task per node
-/// file, at most `jobs` running at once, results collected in input
-/// order. `jobs == 1` runs the plain serial loop on the calling thread.
+/// Converts a whole job's raw trace files on `jobs` workers
+/// ([`map_ordered`]: one item per node file, results in input order).
 ///
-/// The per-node conversion is a pure function of `(file, tables, opts)`
-/// — workers share no mutable state — so the output vector is identical
-/// for every `jobs` value; only wall time changes.
+/// The marker map is built over *all* files first (so identical marker
+/// strings from different tasks share one id). The per-node conversion
+/// is then a pure function of `(file, tables, opts)` — workers share no
+/// mutable state — so the output vector is identical for every `jobs`
+/// value; only wall time changes.
 pub fn convert_job_pooled(
     files: &[RawTraceFile],
     threads: &ThreadTable,
@@ -96,58 +72,20 @@ pub fn convert_job_pooled(
     opts: &ConvertOptions,
     jobs: usize,
 ) -> Result<Vec<ConvertOutput>> {
-    let jobs = jobs.max(1).min(files.len().max(1));
     let markers = MarkerMap::build(files)?;
-    if jobs == 1 || files.len() <= 1 {
-        return files
-            .iter()
-            .map(|f| convert_node_opts(f, threads, profile, &markers, opts))
-            .collect();
-    }
-    let markers = &markers;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<ConvertOutput>>> = Vec::new();
-    slots.resize_with(files.len(), || None);
-    let slots = std::sync::Mutex::new(slots);
-    // The thread-local span stack does not cross the spawn: adopt the
-    // calling thread's span as each worker's explicit parent.
+    // The thread-local span stack does not follow an item onto a
+    // worker: parent each item's span under the caller's explicitly.
     let parent = ute_obs::current_span();
-    cb_thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let next = &next;
-                let slots = &slots;
-                s.spawn(move |_| {
-                    let _span = ute_obs::Span::enter_under(
-                        "pipeline",
-                        format!("convert worker {w}"),
-                        parent,
-                    );
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= files.len() {
-                            break;
-                        }
-                        let r = convert_node_opts(&files[i], threads, profile, markers, opts);
-                        slots.lock().expect("slot lock")[i] = Some(r);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            if h.join().is_err() {
-                return Err(UteError::Invalid("convert worker panicked".into()));
-            }
-        }
-        Ok(())
-    })
-    .map_err(|_| UteError::Invalid("convert scope panicked".into()))??;
-    slots
-        .into_inner()
-        .expect("slot lock")
-        .into_iter()
-        .map(|r| r.expect("every index was claimed by a worker"))
-        .collect()
+    map_ordered(files, jobs, |_, file| {
+        let _span = ute_obs::Span::enter_under(
+            "pipeline",
+            format!("convert worker node {}", file.node.raw()),
+            parent,
+        );
+        convert_node_opts(file, threads, profile, &markers, opts)
+    })?
+    .into_iter()
+    .collect()
 }
 
 /// Restricts a job-wide thread table to one node's threads.

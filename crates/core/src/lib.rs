@@ -3,8 +3,9 @@
 //! This crate holds the types every other UTE crate speaks: entity
 //! identifiers ([`ids`]), simulated time ([`time`]), trace event codes
 //! ([`event`]), interval begin/end bits ([`bebits`]), the common error type
-//! ([`error`]), and a small little-endian byte codec ([`codec`]) used by the
-//! raw-trace, interval, and SLOG file formats.
+//! ([`error`]), a small little-endian byte codec ([`codec`]) used by the
+//! raw-trace, interval, and SLOG file formats, and the one worker pool
+//! ([`pool`]) that `--jobs N` means in convert and merge alike.
 //!
 //! The vocabulary follows the SC 2000 paper *"From Trace Generation to
 //! Visualization: A Performance Framework for Distributed Parallel Systems"*
@@ -18,6 +19,7 @@ pub mod codec;
 pub mod error;
 pub mod event;
 pub mod ids;
+pub mod pool;
 pub mod time;
 
 pub use bebits::BeBits;

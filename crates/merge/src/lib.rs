@@ -19,6 +19,17 @@
 //!    states;
 //! 5. Optionally, **SLOG conversion** ([`merger::slogmerge`]) — the same
 //!    merge pipeline emitting a [`ute_slog::SlogFile`] for visualization.
+//!
+//! Steps 1–2 are per node and independent, so [`merge_files_jobs`] and
+//! [`slogmerge_jobs`] run them as items of the workspace's worker pool
+//! ([`ute_core::pool::map_ordered`]): each worker fits one node's clock
+//! and adjusts that node's records — views over the input bytes — into a
+//! vector, all or nothing. Steps 3–5 then run once, on the calling
+//! thread, over those vectors. There is one driver for every `jobs`
+//! value ([`merge_files`] and [`slogmerge`] are `jobs = 1`), headers are
+//! absorbed and per-file outcomes folded in input order, and the k-way
+//! merge breaks end-time ties by input index, so output bytes, error
+//! text and salvage warnings do not depend on the worker count.
 
 pub mod clockfit;
 pub mod kway;
@@ -30,8 +41,8 @@ pub use clockfit::{
 };
 pub use kway::{BalancedTreeMerge, LoserTreeMerge, MergeSource, NaiveMerge};
 pub use merger::{
-    absorb_file_header, adjust_node, adjust_node_records, build_slog, degrade_node, gap_record,
-    merge_files, salvage_warn, slogmerge, write_merged_stream, IvSource, MergeItem, MergeOptions,
-    MergeOutput, MergeStats, VecSource,
+    absorb_file_header, adjust_node, adjust_node_records, build_slog, gap_record, merge_files,
+    merge_files_jobs, slogmerge, slogmerge_jobs, testhook, write_merged_stream, IvSource,
+    MergeItem, MergeOptions, MergeOutput, MergeStats, VecSource,
 };
 pub use stream::{ReorderBuffer, REORDER_WINDOW};

@@ -4,6 +4,7 @@ use ute_clock::ratio::RatioEstimator;
 use ute_core::bebits::BeBits;
 use ute_core::error::{Result, UteError};
 use ute_core::ids::{CpuId, LogicalThreadId, NodeId, ThreadType};
+use ute_core::pool::map_ordered;
 use ute_core::time::LocalTime;
 use ute_format::file::{FramePolicy, IntervalFileReader, IntervalFileWriter, MERGED_NODE};
 use ute_format::profile::{Profile, MASK_MERGED};
@@ -120,10 +121,8 @@ impl MergeItem for Retimed<'_> {
     }
 }
 
-/// A [`MergeSource`] over an in-memory, end-ordered vector of records —
-/// the serial path's per-node cursor. The parallel path uses a
-/// channel-fed source instead (`ute-pipeline`), feeding the same
-/// [`LoserTreeMerge`].
+/// A [`MergeSource`] over an in-memory, end-ordered vector of records:
+/// one node's cursor into the [`LoserTreeMerge`].
 pub struct VecSource<T> {
     items: std::vec::IntoIter<T>,
 }
@@ -155,8 +154,7 @@ impl<T: RecordFields> MergeSource for VecSource<T> {
 /// Folds one input file's header into the union thread table and the
 /// unified marker table. Must be called in input order — the union
 /// tables (and therefore the merged file's header bytes) are defined by
-/// that order, which is what lets the parallel path reproduce the serial
-/// output byte for byte.
+/// that order.
 pub fn absorb_file_header(
     reader: &IntervalFileReader<'_>,
     union_threads: &mut ThreadTable,
@@ -185,10 +183,7 @@ pub fn absorb_file_header(
 /// node's fit and its raw record count.
 ///
 /// A record goes out as a [`Retimed`]: still the bytes `reader` holds,
-/// with the adjusted start and duration beside them. Both the serial path
-/// (sink = collect into a vector) and the parallel path (sink = bounded
-/// channel send) run exactly this function, which is what makes their
-/// merged outputs byte-identical.
+/// with the adjusted start and duration beside them.
 pub fn adjust_node_records<'r>(
     reader: &'r IntervalFileReader<'_>,
     profile: &Profile,
@@ -273,13 +268,60 @@ fn adjust_stream<'r>(
     Ok(records_in)
 }
 
-/// Reads, clock-adjusts, filters, and k-way merges the input files into
-/// one globally-timed stream, which `consume` takes together with the
-/// union tables. Shared by [`merge_files`] and [`slogmerge`].
+/// One node's share of the merge: its adjusted records, end-ordered, with
+/// its clock fit and input record count.
+type Staged<'r> = (Vec<Retimed<'r>>, NodeFit, u64);
+
+/// The per-node stage as the merge runs it: all or nothing. Every record
+/// is adjusted into a vector before any is used, so a node that fails
+/// part-way contributes nothing. In salvage mode a panic is caught and a
+/// failed attempt — panic or error — is retried once
+/// (`pipeline/worker_retries`); the first failure is the one reported.
+fn stage_node<'r>(
+    reader: &'r IntervalFileReader<'_>,
+    profile: &Profile,
+    opts: &MergeOptions,
+) -> Result<Staged<'r>> {
+    let attempt = || {
+        let injected_panic = testhook::take_adjust_panic(reader.node);
+        let mut adjusted = Vec::new();
+        let (nf, records_in) = adjust_node_records(reader, profile, opts, |rec| {
+            if injected_panic {
+                panic!("testhook: injected adjust panic on node {}", reader.node);
+            }
+            adjusted.push(rec);
+            Ok(())
+        })?;
+        Ok((adjusted, nf, records_in))
+    };
+    if !opts.salvage {
+        return attempt();
+    }
+    let isolated = || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(&attempt))
+            .unwrap_or_else(|_| Err(UteError::Invalid("per-node merge stage panicked".into())))
+    };
+    isolated().or_else(|first| {
+        ute_obs::counter("pipeline/worker_retries").inc();
+        isolated().map_err(|_| first)
+    })
+}
+
+/// The one merge driver: opens every input and absorbs its header in
+/// input order, runs [`stage_node`] over the readers on `jobs` workers
+/// ([`map_ordered`]), folds the per-file outcomes in input order, and
+/// hands the k-way merge of the surviving nodes to `consume` together
+/// with the union tables. Nothing downstream of the map can observe its
+/// schedule, so the output is the same bytes at every `jobs`.
+///
+/// The first file, in input order, that failed to open, absorb or stage
+/// decides the outcome: its error is returned, or in salvage mode the
+/// node is dropped with a warning and counted, and the next is looked at.
 fn merge_core<T>(
     files: &[&[u8]],
     profile: &Profile,
     opts: &MergeOptions,
+    jobs: usize,
     consume: impl FnOnce(
         LoserTreeMerge<VecSource<Retimed<'_>>>,
         &ThreadTable,
@@ -290,69 +332,65 @@ fn merge_core<T>(
     let mut stats = MergeStats::default();
     let mut union_threads = ThreadTable::new();
     let mut markers: Vec<(u32, String)> = Vec::new();
-    let mut sources = Vec::with_capacity(files.len());
     // The records that travel borrow from their file's reader, so every
-    // reader is opened before the first is used; a failed open is still
-    // reported at its file's turn below.
-    let (readers, open_errors): (Vec<_>, Vec<_>) = files
+    // reader exists before the first is used. A file with no reader left
+    // who it was and why instead, for its turn in the fold below. A node
+    // that degrades in the stage still leaves its header in the union
+    // tables.
+    let (readers, failures): (Vec<_>, Vec<_>) = files
         .iter()
-        .map(|bytes| match IntervalFileReader::open(bytes, profile) {
-            Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e)),
+        .enumerate()
+        .map(|(i, bytes)| {
+            let reader = match IntervalFileReader::open(bytes, profile) {
+                Ok(r) => r,
+                Err(e) => return (None, Some((format!("input {i}"), e))),
+            };
+            match absorb_file_header(&reader, &mut union_threads, &mut markers) {
+                Ok(()) => (Some(reader), None),
+                Err(e) => (None, Some((format!("node {}", reader.node), e))),
+            }
         })
         .unzip();
 
-    for (i, (reader, open_error)) in readers.iter().zip(open_errors).enumerate() {
-        // Open + absorb first, attempt the per-node stage second. The
-        // parallel path absorbs every openable header serially before
-        // its workers run, so salvage here must do the same: a node
-        // that degrades mid-adjust still leaves its header in the
-        // union tables, or jobs=1 and jobs=N outputs would diverge.
-        let Some(reader) = reader else {
-            let e = open_error.expect("a file that did not open left its error");
-            if !opts.salvage {
-                return Err(e);
+    ute_obs::gauge("pipeline/jobs").set(jobs as f64);
+    // The thread-local span stack does not follow an item onto a worker:
+    // parent each item's span under the caller's explicitly. The flow
+    // link ties the span a node was staged in to the fold that takes it.
+    let parent = ute_obs::current_span();
+    let staged = map_ordered(&readers, jobs, |_, reader| {
+        let reader = reader.as_ref()?;
+        let _span = ute_obs::Span::enter_under(
+            "pipeline",
+            format!("adjust worker node {}", reader.node),
+            parent,
+        );
+        let outcome =
+            stage_node(reader, profile, opts).map_err(|e| (format!("node {}", reader.node), e));
+        let link = ute_obs::new_link();
+        ute_obs::flow_begin(link);
+        Some((link, outcome))
+    })?;
+
+    let mut sources = Vec::with_capacity(files.len());
+    for (failure, staged) in failures.into_iter().zip(staged) {
+        let outcome = match staged {
+            Some((link, outcome)) => {
+                ute_obs::flow_end(link);
+                outcome
             }
-            degrade_node(&mut stats, &format!("input {i}"), &e.to_string());
-            continue;
-        };
-        match absorb_file_header(reader, &mut union_threads, &mut markers) {
-            Ok(()) => {}
-            Err(e) if opts.salvage => {
-                degrade_node(&mut stats, &format!("node {}", reader.node), &e.to_string());
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let attempt = || {
-            let mut adjusted = Vec::new();
-            let out = adjust_node_records(reader, profile, opts, |rec| {
-                adjusted.push(rec);
-                Ok(())
-            })?;
-            Ok::<_, UteError>((adjusted, out))
-        };
-        let outcome = if opts.salvage {
-            // Same all-or-nothing panic isolation the pipeline workers
-            // use, so a deterministic failure degrades the same node
-            // at every jobs value.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt)) {
-                Ok(r) => r,
-                Err(_) => Err(UteError::Invalid("per-node merge stage panicked".into())),
-            }
-        } else {
-            attempt()
+            None => Err(failure.expect("a file without a reader left its error")),
         };
         match outcome {
-            Ok((adjusted, (nf, records_in))) => {
+            Ok((adjusted, nf, records_in)) => {
                 stats.records_in += records_in;
                 stats.fits.push(nf);
                 sources.push(VecSource::new(adjusted));
             }
-            Err(e) if opts.salvage => {
-                degrade_node(&mut stats, &format!("node {}", reader.node), &e.to_string());
+            Err((who, e)) if opts.salvage => {
+                stats.nodes_degraded += 1;
+                eprintln!("ute: warning: salvage: dropping {who}: {e}");
             }
-            Err(e) => return Err(e),
+            Err((_, e)) => return Err(e),
         }
     }
 
@@ -362,17 +400,32 @@ fn merge_core<T>(
     Ok((out, stats))
 }
 
-/// Records one salvage-mode degraded input: bumps the stats counter and
-/// warns on stderr (the merge has no other channel for it).
-pub fn degrade_node(stats: &mut MergeStats, who: &str, why: &str) {
-    stats.nodes_degraded += 1;
-    salvage_warn(who, why);
-}
+/// Fault-injection hook for regression tests: arms a one-shot panic
+/// inside the per-node merge stage's record sink, so tests can verify
+/// that salvage mode's `catch_unwind` isolation closes (marks aborted)
+/// the open spans and that the retry still produces clean output, and
+/// that strict mode surfaces the panic as an error. Disarmed, it costs
+/// one relaxed atomic load per attempt — per node, not per record.
+#[doc(hidden)]
+pub mod testhook {
+    use std::sync::atomic::{AtomicI64, Ordering};
 
-/// The stderr warning for a salvage-mode drop, shared with the pipeline
-/// workers (which count degraded nodes elsewhere).
-pub fn salvage_warn(who: &str, why: &str) {
-    eprintln!("ute: warning: salvage: dropping {who}: {why}");
+    /// Node whose next stage attempt panics, or -1 when disarmed.
+    static PANIC_NODE: AtomicI64 = AtomicI64::new(-1);
+
+    /// Arms a one-shot panic in the per-node merge stage for `node`: its
+    /// next attempt panics at its first record.
+    pub fn arm_adjust_panic(node: u16) {
+        PANIC_NODE.store(node as i64, Ordering::SeqCst);
+    }
+
+    /// Whether this attempt on `node` is the armed one; disarms.
+    pub(crate) fn take_adjust_panic(node: u16) -> bool {
+        PANIC_NODE.load(Ordering::Relaxed) == node as i64
+            && PANIC_NODE
+                .compare_exchange(node as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+    }
 }
 
 /// The zero-duration [`StateCode::GAP`] pseudo-record marking a node
@@ -441,9 +494,7 @@ impl OpenTracker {
 
 /// Writes an already-merged, end-ordered record stream to a merged
 /// interval file, inserting the §3.3 frame-head pseudo continuation
-/// records. The tail of both the serial [`merge_files`] path and the
-/// parallel `ute-pipeline` path — the stream is consumed incrementally,
-/// so a channel-fed iterator overlaps writing with upstream decoding.
+/// records: the tail of [`merge_files_jobs`].
 pub fn write_merged_stream<R: MergeItem>(
     profile: &Profile,
     threads: &ThreadTable,
@@ -493,28 +544,63 @@ pub fn write_merged_stream<R: MergeItem>(
     Ok(writer.finish())
 }
 
-/// Merges per-node interval files into one merged interval file.
-pub fn merge_files(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result<MergeOutput> {
-    let (merged, stats) = merge_core(files, profile, opts, |merged, threads, markers, stats| {
-        write_merged_stream(profile, threads, markers, opts, merged, stats)
-    })?;
+/// Merges per-node interval files into one merged interval file, with
+/// the per-node stage on `jobs` workers. Byte-identical output for every
+/// `jobs` value.
+pub fn merge_files_jobs(
+    files: &[&[u8]],
+    profile: &Profile,
+    opts: &MergeOptions,
+    jobs: usize,
+) -> Result<MergeOutput> {
+    let (merged, stats) = merge_core(
+        files,
+        profile,
+        opts,
+        jobs,
+        |merged, threads, markers, stats| {
+            write_merged_stream(profile, threads, markers, opts, merged, stats)
+        },
+    )?;
     Ok(MergeOutput { merged, stats })
 }
 
-/// The `slogmerge` utility: the same merge pipeline, emitting a SLOG file
-/// for Jumpshot-style visualization (plus the merged stream statistics).
+/// [`merge_files_jobs`] on the calling thread.
+pub fn merge_files(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> Result<MergeOutput> {
+    merge_files_jobs(files, profile, opts, 1)
+}
+
+/// The `slogmerge` utility: the same merge, emitting a SLOG file for
+/// Jumpshot-style visualization (plus the merged stream statistics).
+pub fn slogmerge_jobs(
+    files: &[&[u8]],
+    profile: &Profile,
+    opts: &MergeOptions,
+    build: BuildOptions,
+    jobs: usize,
+) -> Result<(SlogFile, MergeStats)> {
+    merge_core(
+        files,
+        profile,
+        opts,
+        jobs,
+        |merged, threads, markers, stats| {
+            build_slog(profile, build, merged, threads, markers, stats)
+        },
+    )
+}
+
+/// [`slogmerge_jobs`] on the calling thread.
 pub fn slogmerge(
     files: &[&[u8]],
     profile: &Profile,
     opts: &MergeOptions,
     build: BuildOptions,
 ) -> Result<(SlogFile, MergeStats)> {
-    merge_core(files, profile, opts, |merged, threads, markers, stats| {
-        build_slog(profile, build, merged, threads, markers, stats)
-    })
+    slogmerge_jobs(files, profile, opts, build, 1)
 }
 
-/// The tail of `slogmerge`, serial or parallel: gathers the merged
+/// The tail of [`slogmerge_jobs`]: gathers the merged
 /// stream (the builder wants its time span before its first record) and
 /// builds the SLOG file from the records as they are.
 pub fn build_slog<R: RecordFields>(

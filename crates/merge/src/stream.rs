@@ -1,12 +1,9 @@
 //! Streaming building blocks for the merge pipeline.
 //!
-//! The parallel execution layer (`ute-pipeline`) runs each node's
-//! decode → clock-adjust stage on a worker and streams the adjusted
-//! intervals into the k-way merge through a bounded channel. For the
-//! merged output to be byte-identical regardless of thread count, every
-//! per-node stream must be *exactly* the same sequence the serial path
-//! produces — which is the stable sort of the node's adjusted records by
-//! end time.
+//! The k-way merge takes one end-ordered stream per node. Each is the
+//! stable sort of the node's adjusted records by end time — the same
+//! sequence whichever worker produced it, which is part of what keeps the
+//! merged output byte-identical at any thread count.
 //!
 //! [`ReorderBuffer`] produces that sequence incrementally. Interval files
 //! are end-ordered by construction (the writer rejects out-of-order
@@ -16,7 +13,7 @@
 //! could no longer sort before them ([`REORDER_WINDOW`] ticks of slack —
 //! orders of magnitude more than rounding can move a record), then
 //! releases them in `(end, arrival)` order: precisely a stable sort by
-//! end time, emitted while the stream is still being decoded.
+//! end time, emitted while the file is still being read.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

@@ -8,8 +8,8 @@
 //! thread when it was entered, or an explicit parent handed across a
 //! thread boundary with [`Span::enter_under`]), and the dense index of
 //! the thread it ran on. Cross-thread handoffs that are *data* flows
-//! rather than call nesting — a convert worker feeding the merge
-//! consumer through a bounded channel — are recorded as paired
+//! rather than call nesting — a merge worker's staged node taken by the
+//! fold on the calling thread — are recorded as paired
 //! [`FlowPoint`]s sharing a link id (see [`new_link`], [`flow_begin`],
 //! [`flow_end`]), which the Chrome-trace exporter turns into flow
 //! arrows.
@@ -136,14 +136,15 @@ pub fn new_link() -> u64 {
     NEXT_LINK_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Records the producing end of a cross-thread handoff (worker side of
-/// a channel send). No-op unless capture is enabled or `link` is 0.
+/// Records the producing end of a cross-thread handoff (the worker,
+/// once its result is ready). No-op unless capture is enabled or `link`
+/// is 0.
 pub fn flow_begin(link: u64) {
     record_flow(link, true);
 }
 
-/// Records the consuming end of a cross-thread handoff (merge side of
-/// a channel receive). No-op unless capture is enabled or `link` is 0.
+/// Records the consuming end of a cross-thread handoff (the thread that
+/// takes the result). No-op unless capture is enabled or `link` is 0.
 pub fn flow_end(link: u64) {
     record_flow(link, false);
 }

@@ -3,7 +3,7 @@
 //! The paper's framework measures the *traced application*; `ute-obs`
 //! turned that lens inward with counters and spans. This crate closes
 //! the remaining gap — *where do the cycles go, and what is waiting on
-//! what?* — with four attribution sources, all strictly observational
+//! what?* — with three attribution sources, all strictly observational
 //! (artifacts stay byte-identical with profiling on or off):
 //!
 //! 1. **Wall-clock stack sampler** ([`start`]/[`stop`]): a background
@@ -15,14 +15,10 @@
 //! 2. **Per-span CPU time**: with profiling on, `ute-obs` spans read
 //!    `CLOCK_THREAD_CPUTIME_ID` at open/close, so every stage gets a
 //!    wall-vs-CPU utilization ratio — blocking shows up as a number.
-//! 3. **Backpressure counters** maintained by `ute-pipeline` on every
-//!    bounded channel and the worker-pool semaphore (blocked sends and
-//!    receives, wait-time log₂ histograms, live queue depth), sampled
-//!    here into a counter track for the Chrome-trace export.
-//! 4. A feature-gated (`count-allocs`) **counting global allocator**
+//! 3. A feature-gated (`count-allocs`) **counting global allocator**
 //!    attributing allocation counts/bytes to the active stage slot.
 //!
-//! [`build_report`] fuses all four into the ranked bottleneck report
+//! [`build_report`] fuses all three into the ranked bottleneck report
 //! behind `ute profile`.
 
 pub mod alloc;
@@ -30,8 +26,5 @@ pub mod report;
 pub mod sampler;
 
 pub use alloc::{slot_alloc_stats, stage_alloc_stats, tracking_enabled, AllocStats};
-pub use report::{build_report, Backpressure, ProfileReport, StageRow};
-pub use sampler::{
-    folded_output, running, start, stop, take_track, CounterSample, ProfileData,
-    DEFAULT_INTERVAL_US,
-};
+pub use report::{build_report, ProfileReport, StageRow};
+pub use sampler::{folded_output, running, start, stop, ProfileData, DEFAULT_INTERVAL_US};

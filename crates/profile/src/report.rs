@@ -1,5 +1,5 @@
 //! The ranked bottleneck report: fuses sampler self-time, per-stage
-//! CPU utilization, backpressure counters, and allocator attribution
+//! CPU utilization, and allocator attribution
 //! into one structure with text and JSON renderings.
 
 use crate::alloc::{stage_alloc_stats, tracking_enabled};
@@ -32,29 +32,6 @@ pub struct StageRow {
     pub alloc_bytes: u64,
 }
 
-/// Channel and pool backpressure totals over the profiled run.
-#[derive(Debug, Clone, Default)]
-pub struct Backpressure {
-    /// Batch sends that found the merge channel full and blocked.
-    pub blocked_sends: u64,
-    /// Total time blocked in those sends, ns.
-    pub send_wait_ns: u64,
-    /// p95 of one blocked send's wait, ns.
-    pub send_wait_p95_ns: u64,
-    /// Consumer receives that found the channel empty and blocked.
-    pub blocked_recvs: u64,
-    /// Total time blocked in those receives, ns.
-    pub recv_wait_ns: u64,
-    /// p95 of one blocked receive's wait, ns.
-    pub recv_wait_p95_ns: u64,
-    /// Pool-semaphore acquires that had to wait for a permit.
-    pub permit_waits: u64,
-    /// Total time waiting for permits, ns.
-    pub permit_wait_ns: u64,
-    /// High-water batches in flight (`pipeline/queue_depth_max`).
-    pub queue_depth_max: f64,
-}
-
 /// The full `ute profile` report.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
@@ -79,12 +56,10 @@ pub struct ProfileReport {
     pub folded_stacks: usize,
     /// Ranked rows, highest self time first.
     pub stages: Vec<StageRow>,
-    /// Backpressure totals.
-    pub backpressure: Backpressure,
 }
 
 /// Builds the report from the sampler's data and a metrics snapshot
-/// taken after the run (for span/cpu histograms and backpressure).
+/// taken after the run (for the span and CPU histograms).
 pub fn build_report(workload: &str, data: &ProfileData, snap: &MetricsSnapshot) -> ProfileReport {
     let wall_ns = data.stopped_ns.saturating_sub(data.started_ns);
     let tick_ns = data.tick_ns();
@@ -131,26 +106,6 @@ pub fn build_report(workload: &str, data: &ProfileData, snap: &MetricsSnapshot) 
             .then(a.stage.cmp(&b.stage))
     });
 
-    let hist_sum_p95 = |name: &str| {
-        snap.histogram(name)
-            .map(|h| (h.sum, h.p95()))
-            .unwrap_or((0, 0))
-    };
-    let (send_wait_ns, send_wait_p95_ns) = hist_sum_p95("pipeline/send_wait_ns");
-    let (recv_wait_ns, recv_wait_p95_ns) = hist_sum_p95("pipeline/recv_wait_ns");
-    let (permit_wait_ns, _) = hist_sum_p95("pipeline/permit_wait_ns");
-    let backpressure = Backpressure {
-        blocked_sends: snap.counter("pipeline/blocked_sends").unwrap_or(0),
-        send_wait_ns,
-        send_wait_p95_ns,
-        blocked_recvs: snap.counter("pipeline/blocked_recvs").unwrap_or(0),
-        recv_wait_ns,
-        recv_wait_p95_ns,
-        permit_waits: snap.counter("pipeline/permit_waits").unwrap_or(0),
-        permit_wait_ns,
-        queue_depth_max: snap.gauge("pipeline/queue_depth_max").unwrap_or(0.0),
-    };
-
     ProfileReport {
         workload: workload.to_string(),
         wall_ns,
@@ -166,7 +121,6 @@ pub fn build_report(workload: &str, data: &ProfileData, snap: &MetricsSnapshot) 
         alloc_tracking: tracking_enabled(),
         folded_stacks: data.folded.len(),
         stages,
-        backpressure,
     }
 }
 
@@ -212,23 +166,7 @@ impl ProfileReport {
                 if i + 1 < self.stages.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n");
-        let b = &self.backpressure;
-        out.push_str(&format!(
-            "  \"backpressure\": {{\"blocked_sends\": {}, \"send_wait_ns\": {}, \
-             \"send_wait_p95_ns\": {}, \"blocked_recvs\": {}, \"recv_wait_ns\": {}, \
-             \"recv_wait_p95_ns\": {}, \"permit_waits\": {}, \"permit_wait_ns\": {}, \
-             \"queue_depth_max\": {}}}\n",
-            b.blocked_sends,
-            b.send_wait_ns,
-            b.send_wait_p95_ns,
-            b.blocked_recvs,
-            b.recv_wait_ns,
-            b.recv_wait_p95_ns,
-            b.permit_waits,
-            b.permit_wait_ns,
-            b.queue_depth_max as u64,
-        ));
+        out.push_str("  ]\n");
         out.push_str("}\n");
         out
     }
@@ -269,19 +207,6 @@ impl ProfileReport {
                 bytes,
             ));
         }
-        let b = &self.backpressure;
-        out.push_str(&format!(
-            "backpressure: {} blocked sends ({} waited, p95 {}); {} blocked recvs ({} waited, p95 {}); {} permit waits ({}); queue depth max {}\n",
-            b.blocked_sends,
-            fmt_ns(b.send_wait_ns),
-            fmt_ns(b.send_wait_p95_ns),
-            b.blocked_recvs,
-            fmt_ns(b.recv_wait_ns),
-            fmt_ns(b.recv_wait_p95_ns),
-            b.permit_waits,
-            fmt_ns(b.permit_wait_ns),
-            b.queue_depth_max as u64,
-        ));
         out.push_str(&format!(
             "flamegraph: {} unique stacks in profile.folded\n",
             self.folded_stacks
@@ -363,15 +288,12 @@ mod tests {
             "\"coverage\"",
             "\"stages\"",
             "\"utilization\"",
-            "\"backpressure\"",
-            "\"queue_depth_max\"",
             "\"folded_stacks\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         let text = report.render_text();
         assert!(text.contains("rank"));
-        assert!(text.contains("backpressure:"));
         assert!(text.contains("flamegraph:"));
     }
 }

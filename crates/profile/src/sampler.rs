@@ -1,6 +1,5 @@
 //! The wall-clock stack sampler: a background thread that periodically
-//! snapshots every live span stack into folded form and records a
-//! counter track of backpressure state.
+//! snapshots every live span stack into folded form.
 //!
 //! Modeled on the `ute-obs` metrics sampler: one global slot, a named
 //! thread parked between ticks, `stop()` joins the thread and hands the
@@ -21,33 +20,9 @@ use std::time::Duration;
 /// at a few hundred samples while staying far below 1% overhead.
 pub const DEFAULT_INTERVAL_US: u64 = 500;
 
-/// Cap on the counter-track ring; at the default interval this covers
-/// several seconds of run. Older points are evicted and counted in
-/// `profile/track_evicted`.
-const TRACK_CAPACITY: usize = 8192;
-
 /// Cap on distinct folded stacks; further new stacks are dropped and
 /// counted in `profile/stacks_dropped` (existing stacks keep counting).
 const FOLDED_CAPACITY: usize = 65536;
-
-/// One sampler tick's view of the pipeline backpressure counters.
-/// Counter values are cumulative-at-tick; the Chrome exporter renders
-/// per-tick deltas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterSample {
-    /// Tick time, ns since the obs epoch (same origin as span starts).
-    pub at_ns: u64,
-    /// Instantaneous `pipeline/queue_depth` gauge (batches in flight).
-    pub queue_depth: f64,
-    /// Cumulative `pipeline/blocked_sends` counter.
-    pub blocked_sends: u64,
-    /// Cumulative `pipeline/blocked_recvs` counter.
-    pub blocked_recvs: u64,
-    /// Cumulative `pipeline/send_wait_ns` histogram sum.
-    pub send_wait_ns: u64,
-    /// Cumulative `pipeline/recv_wait_ns` histogram sum.
-    pub recv_wait_ns: u64,
-}
 
 /// Everything the sampler accumulated between `start` and `stop`.
 #[derive(Debug, Clone, Default)]
@@ -68,8 +43,6 @@ pub struct ProfileData {
     pub folded: BTreeMap<String, u64>,
     /// Leaf-frame stage → sample count: the self-time ranking input.
     pub leaf_by_stage: BTreeMap<String, u64>,
-    /// The backpressure counter track, oldest first.
-    pub samples: Vec<CounterSample>,
 }
 
 impl ProfileData {
@@ -111,22 +84,10 @@ fn global_state() -> &'static Mutex<Option<SamplerState>> {
     STATE.get_or_init(|| Mutex::new(None))
 }
 
-/// The last stopped run's counter track, kept for the Chrome-trace
-/// exporter (which runs after the command that stopped the profiler).
-fn last_track() -> &'static Mutex<Vec<CounterSample>> {
-    static LAST: OnceLock<Mutex<Vec<CounterSample>>> = OnceLock::new();
-    LAST.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Takes the counter track of the most recently stopped profile run.
-pub fn take_track() -> Vec<CounterSample> {
-    std::mem::take(&mut *last_track().lock())
-}
-
 /// Starts the background stack sampler. No-op if already running.
 /// Callers normally also enable the span-side hooks with
 /// `ute_obs::set_profiling(true)` — without them every sampled stack
-/// is empty and only the counter track accumulates.
+/// is empty.
 pub fn start(interval: Duration) {
     let mut state = global_state().lock();
     if state.is_some() {
@@ -154,8 +115,7 @@ pub fn running() -> bool {
 }
 
 /// Stops the sampler, joins its thread, and returns the accumulated
-/// profile. `None` when it was not running. The counter track is also
-/// stashed for [`take_track`].
+/// profile. `None` when it was not running.
 pub fn stop() -> Option<ProfileData> {
     let state = global_state().lock().take()?;
     state.shared.stop.store(true, Ordering::Relaxed);
@@ -163,7 +123,6 @@ pub fn stop() -> Option<ProfileData> {
     let _ = state.handle.join();
     let mut data = std::mem::take(&mut *state.shared.data.lock());
     data.stopped_ns = ute_obs::span::now_ns();
-    *last_track().lock() = data.samples.clone();
     Some(data)
 }
 
@@ -178,9 +137,7 @@ fn sampler_loop(shared: &SamplerShared, interval: Duration) {
 }
 
 fn tick(shared: &SamplerShared) {
-    let at_ns = ute_obs::span::now_ns();
     let mut stacks_dropped = 0u64;
-    let mut track_evicted = false;
     {
         let mut d = shared.data.lock();
         d.ticks += 1;
@@ -212,26 +169,10 @@ fn tick(shared: &SamplerShared) {
         if !any {
             d.idle_ticks += 1;
         }
-        let sample = CounterSample {
-            at_ns,
-            queue_depth: ute_obs::gauge("pipeline/queue_depth").get(),
-            blocked_sends: ute_obs::counter("pipeline/blocked_sends").get(),
-            blocked_recvs: ute_obs::counter("pipeline/blocked_recvs").get(),
-            send_wait_ns: ute_obs::histogram("pipeline/send_wait_ns").sum(),
-            recv_wait_ns: ute_obs::histogram("pipeline/recv_wait_ns").sum(),
-        };
-        if d.samples.len() >= TRACK_CAPACITY {
-            d.samples.remove(0);
-            track_evicted = true;
-        }
-        d.samples.push(sample);
     }
     ute_obs::counter("profile/samples").inc();
     if stacks_dropped > 0 {
         ute_obs::counter("profile/stacks_dropped").add(stacks_dropped);
-    }
-    if track_evicted {
-        ute_obs::counter("profile/track_evicted").inc();
     }
 }
 
@@ -284,10 +225,6 @@ mod tests {
             assert!(!stack.is_empty());
             assert!(count.parse::<u64>().is_ok(), "bad count in {line:?}");
         }
-        assert!(!data.samples.is_empty(), "counter track is empty");
-        assert!(data.samples.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-        assert_eq!(take_track(), data.samples);
-        assert!(take_track().is_empty(), "take_track must drain");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use ute_cluster::Simulator;
-use ute_convert::{convert_job_opts, ConvertOptions, ConvertOutput};
+use ute_convert::{convert_job_pooled, ConvertOptions, ConvertOutput};
 use ute_core::ids::NodeId;
 use ute_faults::{FaultKind, FaultPlan, SplitMix64};
 use ute_format::file::{FramePolicy, IntervalFileReader};
@@ -23,8 +23,9 @@ use ute_format::plan::PlanSet;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
-use ute_merge::{adjust_node, merge_files, slogmerge, MergeOptions};
-use ute_pipeline::{merge_files_jobs, slogmerge_jobs};
+use ute_merge::{
+    adjust_node, merge_files, merge_files_jobs, slogmerge, slogmerge_jobs, MergeOptions,
+};
 use ute_rawtrace::RawTraceFile;
 use ute_slog::builder::BuildOptions;
 use ute_workloads::micro;
@@ -53,7 +54,7 @@ fn corpus() -> ute_core::error::Result<Corpus> {
         },
         ..ConvertOptions::default()
     };
-    let converted = convert_job_opts(&result.raw_files, &result.threads, &profile, &copts, false)?;
+    let converted = convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, 1)?;
     Ok(Corpus {
         profile,
         raw_files: result.raw_files,
@@ -62,7 +63,8 @@ fn corpus() -> ute_core::error::Result<Corpus> {
 }
 
 /// Serial merge and `--jobs N` merge must produce byte-identical output
-/// (interval and SLOG alike), for every job count.
+/// (interval and SLOG alike), for every job count: the worker pool hands
+/// results back in input order whatever order they finished in.
 pub fn oracle_jobs_determinism() -> Report {
     let mut report = Report::new("serial vs --jobs", ArtifactKind::Oracle);
     run_rule(&mut report, "oracle-jobs-determinism", |r| {

@@ -7,7 +7,8 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`core`] — shared ids, time, event codes, bebits, errors, byte codec.
+//! * [`core`] — shared ids, time, event codes, bebits, errors, byte codec,
+//!   and the one worker pool (`core::pool::map_ordered`) behind `--jobs`.
 //! * [`clock`] — drifting local clocks, the switch-adapter global clock,
 //!   and the clock-synchronization estimators of §2.2.
 //! * [`faults`] — deterministic, seedable fault injection (truncation,
@@ -19,12 +20,11 @@
 //!   multi-threaded MPI programs, standing in for the IBM SP.
 //! * [`format`] — the self-defining interval file format and its API
 //!   (§2.3–§2.4).
-//! * [`convert`] — the event→interval conversion utility (§3.1).
+//! * [`convert`] — the event→interval conversion utility (§3.1), one
+//!   node file per pool item.
 //! * [`merge`] — the merge / `slogmerge` utility with clock adjustment
-//!   (§2.2, §3.1, §3.3).
-//! * [`pipeline`] — the parallel execution layer: per-node conversion and
-//!   clock adjustment fanned onto a worker pool, streamed into the k-way
-//!   merge through bounded channels, byte-identical to the serial path.
+//!   (§2.2, §3.1, §3.3): per-node clock fit and adjust as pool items,
+//!   then one k-way merge; byte-identical output at every `jobs`.
 //! * [`slog`] — the SLOG scalable log format with frames, pseudo-intervals
 //!   and preview data (§4).
 //! * [`stats`] — the declarative statistics generator and viewer (§3.2).
@@ -43,8 +43,8 @@
 //! * [`obs`] — the self-observability layer: global metrics registry,
 //!   RAII span timers, and the span capture behind `--self-trace`.
 //! * [`profile`] — the continuous-profiling layer behind `ute profile`:
-//!   wall-clock stack sampler, per-span CPU-time attribution, the
-//!   backpressure counter track, and the ranked bottleneck report.
+//!   wall-clock stack sampler, per-span CPU-time attribution, and the
+//!   ranked bottleneck report.
 //! * [`analyze`] — the programmable diagnostics layer over interval
 //!   files: columnar trace table, composable operators, and the
 //!   late-sender / imbalance / comm-pattern / critical-path diagnostics
@@ -67,7 +67,6 @@ pub use ute_faults as faults;
 pub use ute_format as format;
 pub use ute_merge as merge;
 pub use ute_obs as obs;
-pub use ute_pipeline as pipeline;
 pub use ute_profile as profile;
 pub use ute_rawtrace as rawtrace;
 pub use ute_scenario as scenario;

@@ -15,8 +15,7 @@ use ute::format::record::{Interval, IntervalType};
 use ute::format::state::StateCode;
 use ute::format::thread_table::ThreadTable;
 use ute::format::value::Value;
-use ute::merge::{MergeOptions, MergeOutput};
-use ute::pipeline::merge_files_jobs;
+use ute::merge::{merge_files_jobs, MergeOptions, MergeOutput};
 use ute::rawtrace::RawTraceFile;
 
 /// What `ute convert` then `ute merge` run at `--jobs N`, minus the

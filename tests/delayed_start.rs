@@ -8,7 +8,7 @@
 //! trace's first timestamp and the rest of the pipeline proceeds.
 
 use ute::cluster::Simulator;
-use ute::convert::{convert_job_opts, ConvertOptions};
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::core::time::LocalTime;
 use ute::format::file::{FramePolicy, IntervalFileReader};
 use ute::format::profile::Profile;
@@ -51,7 +51,7 @@ fn delayed_start_produces_fewer_events_and_lenient_convert_copes() {
 
     let profile = Profile::standard();
     // Lenient conversion handles the partial stream.
-    let outputs = convert_job_opts(
+    let outputs = convert_job_pooled(
         &delayed_res.raw_files,
         &delayed_res.threads,
         &profile,
@@ -60,7 +60,7 @@ fn delayed_start_produces_fewer_events_and_lenient_convert_copes() {
             lenient: true,
             ..ConvertOptions::default()
         },
-        false,
+        1,
     )
     .unwrap();
     let clipped: u64 = outputs.iter().map(|o| o.stats.clipped_starts).sum();

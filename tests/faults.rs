@@ -16,14 +16,13 @@ use proptest::prelude::*;
 
 use common::convert_then_merge;
 use ute::cluster::Simulator;
-use ute::convert::{convert_job_opts, ConvertOptions};
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::faults::FaultPlan;
 use ute::format::file::IntervalFileReader;
 use ute::format::profile::Profile;
 use ute::format::record::Interval;
 use ute::format::state::StateCode;
-use ute::merge::MergeOptions;
-use ute::pipeline::merge_files_jobs;
+use ute::merge::{merge_files_jobs, MergeOptions};
 use ute::rawtrace::file::{RawTraceFile, HEADER_LEN};
 use ute::workloads::micro;
 
@@ -130,10 +129,10 @@ proptest! {
 
         // Interval level: per-node salvage output ⊆ fault-free output,
         // modulo at most `force_closed` synthetic truncated intervals.
-        let clean = convert_job_opts(&result.raw_files, &result.threads, &profile,
-            &ConvertOptions::default(), false).unwrap();
-        let salvaged = convert_job_opts(&files, &result.threads, &profile,
-            &salvage_copts(), false).unwrap();
+        let clean = convert_job_pooled(&result.raw_files, &result.threads, &profile,
+            &ConvertOptions::default(), 1).unwrap();
+        let salvaged = convert_job_pooled(&files, &result.threads, &profile,
+            &salvage_copts(), 1).unwrap();
         for s in &salvaged {
             let c = clean.iter().find(|c| c.node == s.node).unwrap();
             let clean_ivs = decode_intervals(&c.interval_file, &profile);
@@ -211,12 +210,12 @@ fn strict_mode_still_fails_fast() {
 
     // A truncated *interval* file fails a strict merge but degrades in
     // salvage mode.
-    let converted = convert_job_opts(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
         &ConvertOptions::default(),
-        false,
+        1,
     )
     .unwrap();
     let mut refs: Vec<Vec<u8>> = converted.iter().map(|c| c.interval_file.clone()).collect();
@@ -269,12 +268,12 @@ fn buffer_level_faults_produce_wellformed_survivors() {
 #[test]
 fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
     let (profile, result) = baseline();
-    let converted = convert_job_opts(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
         &ConvertOptions::default(),
-        false,
+        1,
     )
     .unwrap();
     let full: Vec<Vec<u8>> = converted.iter().map(|c| c.interval_file.clone()).collect();
@@ -300,7 +299,7 @@ fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
 
     // A torn SLOG file at every tenth: a clean decode error each time.
     let views: Vec<&[u8]> = full.iter().map(|v| v.as_slice()).collect();
-    let (slog, _stats) = ute::pipeline::slogmerge_jobs(
+    let (slog, _stats) = ute::merge::slogmerge_jobs(
         &views,
         &profile,
         &salvage_mopts(Vec::new()),

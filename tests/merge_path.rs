@@ -10,7 +10,7 @@ mod common;
 use std::sync::OnceLock;
 
 use ute::cluster::Simulator;
-use ute::convert::{convert_job_opts, ConvertOptions};
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::core::bebits::BeBits;
 use ute::core::error::Result;
 use ute::core::ids::{CpuId, LogicalThreadId, NodeId, ThreadType};
@@ -25,14 +25,14 @@ use ute::format::thread_table::ThreadTable;
 use ute::format::value::Value;
 use ute::format::{Record, RecordFields, Retimed};
 use ute::merge::{
-    absorb_file_header, adjust_node, adjust_node_records, merge_files, slogmerge,
-    write_merged_stream, IvSource, LoserTreeMerge, MergeOptions, MergeStats, VecSource,
+    absorb_file_header, adjust_node, adjust_node_records, merge_files, merge_files_jobs, slogmerge,
+    slogmerge_jobs, write_merged_stream, IvSource, LoserTreeMerge, MergeOptions, MergeStats,
+    VecSource,
 };
-use ute::pipeline::{merge_files_jobs, slogmerge_jobs};
 use ute::scenario::{generate, ScenarioSpec};
 use ute::slog::builder::{BuildOptions, SlogBuilder};
 use ute::workloads::scaling::scaled_job;
-use ute::workloads::Workload;
+use ute::workloads::{micro, Workload};
 
 use common::{random_file, Rng};
 
@@ -61,7 +61,7 @@ impl Corpus {
             ..ConvertOptions::default()
         };
         let converted =
-            convert_job_opts(&result.raw_files, &result.threads, &profile, &copts, false).unwrap();
+            convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, 1).unwrap();
         Corpus {
             profile,
             files: converted.into_iter().map(|c| c.interval_file).collect(),
@@ -79,6 +79,13 @@ impl Corpus {
 fn scaling() -> &'static Corpus {
     static CORPUS: OnceLock<Corpus> = OnceLock::new();
     CORPUS.get_or_init(|| Corpus::of(scaled_job(60)))
+}
+
+/// Six nodes of halo exchange: more files than the widest job count but
+/// one, so a worker takes several.
+fn stencil() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| Corpus::of(micro::stencil(6, 8, 8 << 10)))
 }
 
 /// The 256+-node torture preset: long runs of equal ends across nodes.
@@ -282,6 +289,8 @@ fn shipped_merge_equals_the_interval_reference_under_every_option() {
             );
         }
     }
+    let s = stencil();
+    assert_matches_reference(&s.refs(), &s.profile, &MergeOptions::default(), "stencil");
     // Tiny frames put a pseudo record of the open marker at every frame
     // head; make sure that is what was compared.
     let tiny = MergeOptions {
@@ -310,25 +319,33 @@ fn shipped_merge_equals_the_interval_reference_on_the_torture_corpus() {
 
 #[test]
 fn damaged_inputs_fail_or_degrade_as_the_reference_does() {
-    let c = scaling();
+    let (c, s) = (scaling(), stencil());
     let mut rng = Rng(0xdead_beef);
-    let mut damaged: Vec<(String, usize, Vec<u8>)> = Vec::new();
+    let mut damaged: Vec<(String, &Corpus, usize, Vec<u8>)> = Vec::new();
     let cut = c.files[2].len() - 7;
-    damaged.push(("file 2 truncated".into(), 2, c.files[2][..cut].to_vec()));
+    damaged.push(("file 2 truncated".into(), c, 2, c.files[2][..cut].to_vec()));
+    let cut = s.files[2].len() - 7;
+    damaged.push((
+        "stencil file 2 truncated".into(),
+        s,
+        2,
+        s.files[2][..cut].to_vec(),
+    ));
     damaged.push((
         "file 0 cut in half".into(),
+        c,
         0,
         c.files[0][..c.files[0].len() / 2].to_vec(),
     ));
-    damaged.push(("file 3 header only".into(), 3, c.files[3][..40].to_vec()));
+    damaged.push(("file 3 header only".into(), c, 3, c.files[3][..40].to_vec()));
     for _ in 0..12 {
         let mut bytes = c.files[1].clone();
         let at = rng.below(bytes.len() as u64) as usize;
         bytes[at] ^= 1 << rng.below(8);
-        damaged.push((format!("file 1 bit flipped at {at}"), 1, bytes));
+        damaged.push((format!("file 1 bit flipped at {at}"), c, 1, bytes));
     }
     let mut failures = 0;
-    for (what, which, bytes) in &damaged {
+    for (what, c, which, bytes) in &damaged {
         let mut files = c.refs();
         files[*which] = bytes;
         for (opts_name, opts) in option_sets().into_iter().take(2) {
@@ -349,6 +366,58 @@ fn damaged_inputs_fail_or_degrade_as_the_reference_does() {
         failures >= 6,
         "only {failures} damaged inputs failed a strict merge"
     );
+}
+
+/// Two damaged inputs, the earlier failing late (in its last frame, once
+/// a worker reads it) and the later failing early (at its header, before
+/// any worker starts). Which one a strict merge reports must not depend
+/// on which was noticed first: it is the earlier file's, in the words the
+/// one-file-at-a-time reference uses, at every job count. Salvage drops
+/// both.
+#[test]
+fn two_damaged_inputs_are_reported_in_input_order() {
+    let c = scaling();
+    let cut = c.files[1][..c.files[1].len() - 7].to_vec();
+    let mut bad_header = c.files[3].clone();
+    bad_header[0] ^= 0xff;
+    let mut files = c.refs();
+    files[1] = &cut;
+    files[3] = &bad_header;
+    for salvage in [false, true] {
+        let opts = MergeOptions {
+            salvage,
+            ..MergeOptions::default()
+        };
+        let what = format!("files 1 and 3 damaged, salvage {salvage}");
+        assert_matches_reference(&files, &c.profile, &opts, &what);
+    }
+
+    let strict = MergeOptions::default();
+    let mut only_cut = c.refs();
+    only_cut[1] = &cut;
+    let mut only_header = c.refs();
+    only_header[3] = &bad_header;
+    let of_cut = merge_files(&only_cut, &c.profile, &strict)
+        .unwrap_err()
+        .to_string();
+    let of_header = merge_files(&only_header, &c.profile, &strict)
+        .unwrap_err()
+        .to_string();
+    assert_ne!(of_cut, of_header, "the two faults must be told apart");
+    for jobs in [1, 2, 8] {
+        let merge = merge_files_jobs(&files, &c.profile, &strict, jobs).unwrap_err();
+        let slog = slogmerge_jobs(&files, &c.profile, &strict, BUILD, jobs).unwrap_err();
+        assert_eq!(merge.to_string(), of_cut, "merge, jobs {jobs}");
+        assert_eq!(slog.to_string(), of_cut, "slogmerge, jobs {jobs}");
+    }
+    let salvage = MergeOptions {
+        salvage: true,
+        ..strict
+    };
+    for jobs in [1, 2, 8] {
+        let out = merge_files_jobs(&files, &c.profile, &salvage, jobs).unwrap();
+        assert_eq!(out.stats.nodes_degraded, 2, "jobs {jobs}");
+    }
 }
 
 /// Appends every record of `src`, retimed, to two writers of mask

@@ -15,8 +15,7 @@ use std::time::Duration;
 use ute::cluster::Simulator;
 use ute::convert::ConvertOptions;
 use ute::format::profile::Profile;
-use ute::merge::{MergeOptions, MergeOutput};
-use ute::pipeline::testhook;
+use ute::merge::{testhook, MergeOptions, MergeOutput};
 use ute::workloads::micro;
 
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -128,7 +127,6 @@ fn ute_profile_publishes_ranked_report_and_folded_stacks() {
     let msg = ute::cli::run(&argv).unwrap();
     assert!(msg.contains("profile: stencil"), "missing header: {msg}");
     assert!(msg.contains("rank"), "missing ranking table: {msg}");
-    assert!(msg.contains("backpressure:"), "missing stalls line: {msg}");
 
     let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
     assert!(!folded.trim().is_empty(), "profile.folded is empty");
@@ -145,9 +143,6 @@ fn ute_profile_publishes_ranked_report_and_folded_stacks() {
         "\"coverage\"",
         "\"cpu_clock\"",
         "\"stages\"",
-        "\"backpressure\"",
-        "\"blocked_sends\"",
-        "\"queue_depth_max\"",
     ] {
         assert!(json.contains(key), "profile.json missing {key}: {json}");
     }

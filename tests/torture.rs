@@ -4,21 +4,33 @@
 //! break by source index for its output to be the same at every `--jobs`.
 //! The corpus itself reaches the shipped merge through
 //! `tests/merge_path.rs`; this file pins that the preset still produces
-//! those ties.
+//! those ties, and that `--jobs 2` over its 256+ files means two workers.
+
+use std::collections::HashSet;
+use std::sync::{Mutex, OnceLock};
 
 use ute::cluster::Simulator;
 use ute::convert::ConvertOptions;
 use ute::format::file::{FramePolicy, IntervalFileReader};
 use ute::format::profile::Profile;
 use ute::format::record::Interval;
-use ute::merge::{adjust_node, MergeOptions};
+use ute::merge::{adjust_node, merge_files_jobs, MergeOptions};
 use ute::scenario::{generate, ScenarioSpec};
 
 const SEED: u64 = 11;
 
-/// Per-node clock-adjusted streams of the torture corpus, each
-/// end-ordered — what the k-way merge takes.
-fn torture_streams() -> Vec<Vec<Interval>> {
+/// Span capture is process-global and both tests open `merge node N`
+/// spans; they take turns.
+static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The torture corpus as `ute convert` leaves it: one interval file per
+/// node.
+fn torture_files() -> &'static Vec<Vec<u8>> {
+    static FILES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    FILES.get_or_init(convert_torture)
+}
+
+fn convert_torture() -> Vec<Vec<u8>> {
     let spec = ScenarioSpec::torture(SEED);
     assert!(spec.topology.nodes >= 256);
     let sc = generate(&spec).unwrap();
@@ -35,13 +47,20 @@ fn torture_streams() -> Vec<Vec<Interval>> {
         ..ConvertOptions::default()
     };
     let converted =
-        ute::convert::convert_job_opts(&result.raw_files, &result.threads, &profile, &copts, false)
+        ute::convert::convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, 1)
             .unwrap();
+    converted.into_iter().map(|o| o.interval_file).collect()
+}
+
+/// Per-node clock-adjusted streams of the torture corpus, each
+/// end-ordered — what the k-way merge takes.
+fn torture_streams() -> Vec<Vec<Interval>> {
+    let profile = Profile::standard();
     let mopts = MergeOptions::default();
-    converted
+    torture_files()
         .iter()
-        .map(|o| {
-            let reader = IntervalFileReader::open(&o.interval_file, &profile).unwrap();
+        .map(|file| {
+            let reader = IntervalFileReader::open(file, &profile).unwrap();
             let mut ivs = Vec::new();
             adjust_node(&reader, &profile, &mopts, |iv| {
                 ivs.push(iv);
@@ -57,6 +76,7 @@ fn torture_streams() -> Vec<Vec<Interval>> {
 /// cross-stream equal-end tie groups, and plenty of them.
 #[test]
 fn torture_workload_mints_cross_stream_ties() {
+    let _turn = CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let streams = torture_streams();
     let total: usize = streams.iter().map(Vec::len).sum();
     assert!(total > 30_000, "only {total} adjusted records");
@@ -80,4 +100,36 @@ fn torture_workload_mints_cross_stream_ties() {
         "only {cross_ties} end values shared across streams — the preset \
          lost its lock-step symmetry"
     );
+}
+
+/// `--jobs 2` is two workers claiming files, however many files there
+/// are — not a thread per node file with two allowed to run — and what
+/// they produce is what one worker produces.
+#[test]
+fn two_jobs_over_the_torture_corpus_are_two_threads_and_the_same_bytes() {
+    let _turn = CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let profile = Profile::standard();
+    let refs: Vec<&[u8]> = torture_files().iter().map(Vec::as_slice).collect();
+    let mopts = MergeOptions::default();
+    let one = merge_files_jobs(&refs, &profile, &mopts, 1).unwrap();
+
+    ute::obs::set_capture(true);
+    ute::obs::drain_spans();
+    let two = merge_files_jobs(&refs, &profile, &mopts, 2).unwrap();
+    ute::obs::set_capture(false);
+    let spans = ute::obs::drain_spans();
+
+    let node_spans: Vec<_> = spans
+        .iter()
+        .filter(|s| s.stage == "merge" && s.label.starts_with("merge node "))
+        .collect();
+    assert_eq!(node_spans.len(), refs.len(), "one stage span per node file");
+    let tids: HashSet<u64> = node_spans.iter().map(|s| s.tid).collect();
+    assert!(
+        tids.len() <= 2,
+        "{} node files were staged on {} threads at jobs 2",
+        refs.len(),
+        tids.len()
+    );
+    assert!(two.merged == one.merged, "jobs 2 bytes differ from jobs 1");
 }
