@@ -4,16 +4,17 @@
 //! Two measurements, the same interleaved A/B discipline as the obs
 //! overhead ablation (alternating runs so drift hits both arms):
 //!
-//! * **off-state bound** — the span-side profiling hooks are always
-//!   compiled in; when profiling is off their entire cost is one relaxed
-//!   atomic load per span open/close. The gate bounds it from above:
-//!   microbenchmark the *full* cost of an open+close span cycle with
-//!   profiling off, multiply by the spans one run creates, and require
-//!   that ceiling to stay under 3% of the run's wall time.
-//! * **on-state delta** — median run time with the profiler live
-//!   (hooks + sampler at the default interval) vs off, reported for
-//!   trend-watching, never gated (it is inherently noisier and the
-//!   profiler is opt-in).
+//! * **off-state bound** — spans are always compiled in; with capture
+//!   off, what capture would add costs one relaxed atomic load per span
+//!   open. The gate bounds it from above: microbenchmark the *full*
+//!   cost of an open+close span cycle with capture off, multiply by the
+//!   spans one run creates, and require that ceiling to stay under 3%
+//!   of the run's wall time.
+//! * **on-state delta** — median run time with capture on (CPU clock
+//!   reads, stage slots, the log append — everything `ute profile`
+//!   costs while the pipeline runs; the fold happens afterwards) vs
+//!   off, reported for trend-watching, never gated (it is inherently
+//!   noisier and capture is opt-in).
 //!
 //! Run: `cargo run -p ute-bench --release --bin profile_overhead [-- --smoke] [-- --check]`
 //!
@@ -62,8 +63,8 @@ fn main() {
         t.elapsed().as_nanos() as u64
     };
 
-    // Count the spans one run opens (the off-state hook runs once
-    // per open and once per close of each of these).
+    // Count the spans one run opens (the off-state check runs once
+    // per open of each of these).
     ute_obs::span::set_capture(true);
     ute_obs::span::drain_spans();
     run();
@@ -74,26 +75,21 @@ fn main() {
     // state hit both arms equally.
     let (mut off, mut on) = (Vec::new(), Vec::new());
     for _ in 0..reps {
-        ute_obs::set_profiling(false);
         off.push(run());
-        ute_obs::set_profiling(true);
-        ute_profile::start(std::time::Duration::from_micros(
-            ute_profile::DEFAULT_INTERVAL_US,
-        ));
+        ute_obs::span::set_capture(true);
         on.push(run());
-        ute_profile::stop();
-        ute_obs::set_profiling(false);
+        ute_obs::span::set_capture(false);
+        ute_obs::span::drain_spans();
     }
     let off_ns = median(off);
     let on_ns = median(on);
 
     // Upper bound on the compiled-in-but-off cost: the full open+close
-    // cycle (allocation, clock reads, log append — all of which a
-    // hook-free build would pay too) times the spans per run. The real
-    // off-state addition is one relaxed load per boundary, far below
-    // this ceiling — so a pass here is conservative.
+    // cycle (label allocation, clock reads, histogram record — all of
+    // which a build without capture would pay too) times the spans per
+    // run. The real off-state addition is one relaxed load per open,
+    // far below this ceiling — so a pass here is conservative.
     let cycles = 200_000u64;
-    ute_obs::set_profiling(false);
     let t = Instant::now();
     for _ in 0..cycles {
         let _s = ute_obs::Span::enter("bench-profile-overhead", "unit");
@@ -107,9 +103,9 @@ fn main() {
     println!(
         "# profiling overhead, convert then merge (stencil, {nodes} nodes, median of {reps})\n"
     );
-    println!("profiling off:        {:>10.3} ms", off_ns as f64 / 1e6);
+    println!("capture off:          {:>10.3} ms", off_ns as f64 / 1e6);
     println!(
-        "profiling on:         {:>10.3} ms  ({on_delta_pct:+.1}% vs off, report-only)",
+        "capture on:           {:>10.3} ms  ({on_delta_pct:+.1}% vs off, report-only)",
         on_ns as f64 / 1e6
     );
     println!(

@@ -21,7 +21,8 @@
 //! prints the per-stage metrics table (TSV) to stderr after the command
 //! finishes, and `--self-trace FILE` captures the run's own pipeline
 //! spans and writes them as a UTE interval file — the framework traced
-//! with its own format (view it with `ute preview --ivl FILE`). The
+//! with its own format (view it with `ute preview --ivl FILE`);
+//! `--profiler` folds the same spans into a ranked per-stage table. The
 //! `report` subcommand runs the whole pipeline and emits every metric
 //! as machine-readable JSON.
 
@@ -232,6 +233,7 @@ fn estimator_by_name(name: &str) -> Result<RatioEstimator> {
 /// bit flips, overrun splices) mutate the raw bytes as they are
 /// written; a `missing` fault suppresses the node's file entirely.
 pub fn cmd_trace(args: &Args) -> Result<String> {
+    let _span = ute_obs::Span::stage("trace");
     let name = args.require("workload")?;
     let iterations = args.num("iterations", 256u32)?;
     let out = PathBuf::from(args.require("out")?);
@@ -271,8 +273,11 @@ fn trace_outputs(
     if let Some(plan) = &plan {
         w.config.trace.faults = Some(plan.clone());
     }
-    let _span = ute_obs::Span::enter("trace", format!("simulate {name}"));
-    let res = Simulator::new(w.config, &w.job)?.run()?;
+    let res = {
+        let _span = ute_obs::Span::enter("trace", format!("simulate {name}"));
+        Simulator::new(w.config, &w.job)?.run()?
+    };
+    let _span = ute_obs::Span::enter("rawtrace", "encode raw files");
     let mut faulted = 0usize;
     let mut suppressed = 0usize;
     let mut artifacts = Vec::new();
@@ -368,6 +373,7 @@ fn load_raw_dir(
     Profile,
     Vec<u16>,
 )> {
+    let _span = ute_obs::Span::enter("rawtrace", format!("load {}", dir.display()));
     let threads = read_thread_table_file(&dir.join("threads.utt"))?;
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
     let present = scan_node_files(dir, "trace", "raw")?;
@@ -421,6 +427,7 @@ fn load_raw_dir(
 /// record, and states left open by a truncated stream become synthetic
 /// truncated intervals.
 pub fn cmd_convert(args: &Args) -> Result<String> {
+    let _span = ute_obs::Span::stage("convert");
     let dir = PathBuf::from(args.require("in")?);
     let so = convert_outputs(args)?;
     stages::publish_plain(&dir, &so)?;
@@ -469,6 +476,7 @@ fn convert_outputs(args: &Args) -> Result<stages::StageOutput> {
 /// tolerates holes and unreadable files, returning the nodes lost; in
 /// strict mode it keeps the historical break-at-first-hole behavior.
 fn load_interval_files(dir: &Path, salvage: bool) -> Result<(Vec<Vec<u8>>, Vec<u16>)> {
+    let _span = ute_obs::Span::enter("format", format!("read {}/trace.N.ivl", dir.display()));
     let mut files = Vec::new();
     let mut lost = Vec::new();
     if salvage {
@@ -523,6 +531,7 @@ fn merge_options(args: &Args, gap_nodes: Vec<u16>) -> Result<MergeOptions> {
 /// also re-reads the files for slogmerge) counts each degraded node
 /// once.
 pub fn cmd_merge(args: &Args) -> Result<String> {
+    let _span = ute_obs::Span::stage("merge");
     let out = PathBuf::from(args.require("out")?);
     let (bytes, msg) = merge_outputs(args)?;
     ute_store::atomic_write(&out, &bytes)?;
@@ -577,6 +586,7 @@ fn merge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
 /// again (see [`cmd_merge`]) and the SLOG carries no gap records — a
 /// missing node simply has no timelines.
 pub fn cmd_slogmerge(args: &Args) -> Result<String> {
+    let _span = ute_obs::Span::stage("slogmerge");
     let out = PathBuf::from(args.require("out")?);
     let (bytes, msg) = slogmerge_outputs(args)?;
     ute_store::atomic_write(&out, &bytes)?;
@@ -613,6 +623,14 @@ fn slogmerge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
 
 /// `ute stats`: run the statistics utility over a merged interval file.
 pub fn cmd_stats(args: &Args) -> Result<String> {
+    let _span = ute_obs::Span::stage("stats");
+    stats_output(args)
+}
+
+/// The stats stage's text (see [`trace_outputs`]); `--out` tables are
+/// written directly, not published.
+fn stats_output(args: &Args) -> Result<String> {
+    let read_span = ute_obs::Span::enter("format", "read + decode merged file");
     let merged = std::fs::read(args.require("merged")?)?;
     let profile_path = args.get("profile").map(PathBuf::from).unwrap_or_else(|| {
         Path::new(args.get("merged").unwrap())
@@ -624,6 +642,7 @@ pub fn cmd_stats(args: &Args) -> Result<String> {
     let reader = IntervalFileReader::open(&merged, &profile)?;
     let intervals: Result<Vec<_>> = reader.intervals().collect();
     let intervals = intervals?;
+    drop(read_span);
     let specs = match args.get("program") {
         Some(p) => parse_program(&std::fs::read_to_string(p)?)?,
         None => predefined_tables(),
@@ -1054,9 +1073,6 @@ const BASELINE_COUNTERS: &[&str] = &[
     "store/temps_gc",
     "chaos/kills",
     "chaos/resumes",
-    "profile/cpu_spans",
-    "profile/samples",
-    "profile/stacks_dropped",
 ];
 
 /// `ute report`: run the full pipeline with metrics from zero and emit
@@ -1068,7 +1084,7 @@ const BASELINE_COUNTERS: &[&str] = &[
 /// across runs and thread counts (the form the CI determinism job
 /// diffs); deterministic `salvage/*` and `obs/*` totals are kept and
 /// always present.
-pub fn cmd_report(args: &Args) -> Result<String> {
+pub fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
     ute_obs::reset();
     for name in BASELINE_COUNTERS {
         ute_obs::counter(name);
@@ -1094,17 +1110,24 @@ pub fn cmd_report(args: &Args) -> Result<String> {
     // before the snapshot, so the last partial interval is included);
     // the dispatcher's later stop is then a no-op.
     let ticks = ute_obs::sampler::stop();
-    // When `--profiler` is active the dispatcher started the continuous
-    // profiler before the root span; stop it here so the report's
-    // profile block covers the whole pipeline run (the dispatcher's
-    // later stop is then a no-op).
-    let prof = ute_profile::stop();
-    if prof.is_some() {
-        ute_obs::set_profiling(false);
-    }
     let stable = args.has("stable");
     let snap = ute_obs::snapshot();
     let snap = if stable { snap.stable() } else { snap };
+    // The diagnostics and, outside --stable, the profile of the run so
+    // far (under `--profiler`; the root span is still open) close the
+    // object.
+    let mut extra = vec![("diagnostics", diag_summary)];
+    if !stable {
+        extra.push((
+            "profile",
+            if args.has("profiler") {
+                let pj = profile_so_far(args.require("workload")?, root).to_json();
+                pj.trim_end().replace('\n', "\n  ")
+            } else {
+                "{\"enabled\": false}".to_string()
+            },
+        ));
+    }
     let opts = ute_obs::ReportOptions {
         percentiles: !stable,
         timeseries: if !stable && !ticks.is_empty() {
@@ -1112,40 +1135,30 @@ pub fn cmd_report(args: &Args) -> Result<String> {
         } else {
             None
         },
+        extra: &extra,
     };
     let mut json = snap.render_json(&opts);
-    // Fold the diagnostics (and, outside --stable, the profile) block
-    // in as the last top-level keys.
-    if json.ends_with("\n}\n") {
-        json.truncate(json.len() - 3);
-        json.push_str(&format!(",\n  \"diagnostics\": {diag_summary}"));
-        if !stable {
-            match prof {
-                Some(data) => {
-                    let report = ute_profile::build_report(args.require("workload")?, &data, &snap);
-                    let pj = report.to_json();
-                    let pj = pj.trim_end().replace('\n', "\n  ");
-                    json.push_str(&format!(",\n  \"profile\": {pj}"));
-                }
-                None => json.push_str(",\n  \"profile\": {\"enabled\": false}"),
-            }
-        }
-        json.push_str("\n}\n");
-    }
     json.push('\n');
     Ok(json)
 }
 
-/// `ute profile`: run the journaled pipeline under the continuous
-/// profiler and emit the ranked bottleneck report. The dispatcher
-/// enables the stack sampler and the span-side profiling hooks before
-/// the root span opens, so every stage is covered; a sixth journaled
-/// `profile` stage then stops the sampler and publishes
+/// The profile of a run still in progress: the fold of the spans closed
+/// so far, with the caller's still-open root span charged the time on
+/// its thread that none of them covers.
+fn profile_so_far(workload: &str, root: &ute_obs::Span) -> ute_profile::ProfileReport {
+    let spans = ute_obs::captured_spans();
+    ute_profile::build_report(workload, ute_profile::fold(&spans, Some(root.so_far())))
+}
+
+/// `ute profile`: run the journaled pipeline with span capture on (the
+/// dispatcher turns it on before the root span opens, so every stage
+/// is covered) and emit the ranked bottleneck report. A sixth journaled
+/// `profile` stage folds the spans captured so far and publishes
 /// `profile.folded` (flamegraph-ready folded stacks) and `profile.json`
 /// (the full report) through the same atomic store protocol as the
 /// pipeline artifacts. `--json` prints the report JSON instead of the
 /// text rendering.
-pub fn cmd_profile(args: &Args) -> Result<String> {
+pub fn cmd_profile(args: &Args, root: &ute_obs::Span) -> Result<String> {
     ute_obs::reset();
     for name in BASELINE_COUNTERS {
         ute_obs::counter(name);
@@ -1153,21 +1166,14 @@ pub fn cmd_profile(args: &Args) -> Result<String> {
     let workload = args.require("workload")?.to_string();
     let json_out = std::cell::RefCell::new(String::new());
     let msg = stages::cmd_profile_run(args, || {
-        let data = ute_profile::stop().ok_or_else(|| {
-            UteError::Invalid(
-                "profile: sampler is not running (dispatcher did not start it)".into(),
-            )
-        })?;
-        ute_obs::set_profiling(false);
-        let snap = ute_obs::snapshot();
-        let report = ute_profile::build_report(&workload, &data, &snap);
+        let report = profile_so_far(&workload, root);
         let json = report.to_json();
         json_out.replace(json.clone());
         Ok(stages::StageOutput {
             artifacts: vec![
                 (
                     "profile.folded".to_string(),
-                    ute_profile::folded_output(&data).into_bytes(),
+                    ute_profile::folded_output(&report.profile).into_bytes(),
                 ),
                 ("profile.json".to_string(), json.into_bytes()),
             ],
@@ -1390,12 +1396,14 @@ pub fn cmd_analyze(args: &Args) -> Result<String> {
 }
 
 /// Dispatches one invocation. The `--metrics`, `--metrics-interval MS`,
-/// and `--self-trace FILE` switches work on every subcommand: the first
-/// prints the metrics table (TSV) to stderr when the command finishes,
-/// the second runs a background sampler that prints live progress lines
-/// while the command executes, and the third writes the run's own spans
-/// as a UTE interval file (or Chrome trace JSON with
-/// `--self-trace-format chrome`).
+/// `--self-trace FILE` and `--profiler` switches work on every
+/// subcommand: the first prints the metrics table (TSV) to stderr when
+/// the command finishes, the second runs a background sampler that
+/// prints live progress lines while the command executes, the third
+/// writes the run's own spans as a UTE interval file (or Chrome trace
+/// JSON with `--self-trace-format chrome`), and the fourth prints their
+/// fold — the ranked stage table — to stderr. The last two (and
+/// `ute profile`) render the same capture, drained once here.
 pub fn run(argv: &[String]) -> Result<String> {
     let (cmd, rest) = argv
         .split_first()
@@ -1429,10 +1437,11 @@ pub fn run(argv: &[String]) -> Result<String> {
             .map_err(|_| UteError::Invalid(format!("bad --self-trace-limit `{limit}`")))?;
         ute_obs::set_capture_limit(limit);
     }
-    if self_trace.is_some() {
-        ute_obs::span::set_capture(true);
-        ute_obs::span::drain_spans();
-        ute_obs::span::drain_flows();
+    let capture = self_trace.is_some() || args.has("profiler") || cmd == "profile";
+    if capture {
+        ute_obs::set_capture(true);
+        ute_obs::drain_spans();
+        ute_obs::drain_flows();
     }
     if let Some(ms) = args.get("metrics-interval") {
         let ms: u64 = ms
@@ -1440,24 +1449,11 @@ pub fn run(argv: &[String]) -> Result<String> {
             .map_err(|_| UteError::Invalid(format!("bad --metrics-interval `{ms}`")))?;
         ute_obs::sampler::start(std::time::Duration::from_millis(ms), true);
     }
-    // `ute profile` and the `--profiler` switch turn on the continuous
-    // profiler — span-side hooks plus the stack sampler — before the
-    // root span opens, so the whole command is covered.
-    if cmd == "profile" || args.has("profiler") {
-        let us: u64 = args.num("interval-us", ute_profile::DEFAULT_INTERVAL_US)?;
-        if us == 0 {
-            return Err(UteError::Invalid(
-                "--interval-us: must be at least 1".into(),
-            ));
-        }
-        ute_obs::set_profiling(true);
-        ute_profile::start(std::time::Duration::from_micros(us));
-    }
     let result = {
         // Root of the run's span tree: every stage span opened on this
         // thread (and every worker adopting it across a spawn) nests
         // under one `cli/<command>` interval.
-        let _root = ute_obs::Span::enter("cli", cmd.to_string());
+        let root = ute_obs::Span::enter("cli", cmd.to_string());
         match cmd.as_str() {
             "trace" => cmd_trace(&args),
             "convert" => cmd_convert(&args),
@@ -1472,8 +1468,8 @@ pub fn run(argv: &[String]) -> Result<String> {
             "resume" => cmd_resume(&args),
             "chaos" => cmd_chaos(&args),
             "scenario" => cmd_scenario(&args),
-            "report" => cmd_report(&args),
-            "profile" => cmd_profile(&args),
+            "report" => cmd_report(&args, &root),
+            "profile" => cmd_profile(&args, &root),
             "analyze" => cmd_analyze(&args),
             "check" => cmd_check(&args),
             "fuzz" => cmd_fuzz(&args),
@@ -1486,23 +1482,21 @@ pub fn run(argv: &[String]) -> Result<String> {
     // No-op unless --metrics-interval started it and the command did not
     // already fold the ticks into its own output (`report` does).
     ute_obs::sampler::stop();
-    // `--profiler` on a command that does not fold the profile into its
-    // own output (`profile` and `report` do, and already stopped it):
-    // stop the sampler here with a compact summary to stderr.
-    if let Some(data) = ute_profile::stop() {
-        ute_obs::set_profiling(false);
-        eprintln!(
-            "ute: profiler: {} tick(s), {} stack sample(s), {} distinct stack(s)",
-            data.ticks,
-            data.leaf_samples,
-            data.folded.len()
-        );
+    let (spans, flows) = if capture {
+        ute_obs::set_capture(false);
+        (ute_obs::drain_spans(), ute_obs::drain_flows())
+    } else {
+        Default::default()
+    };
+    // `--profiler` on a command that does not render the profile itself
+    // (`profile` and `report` do): the ranked table goes to stderr.
+    if args.has("profiler") && cmd != "profile" && cmd != "report" {
+        let label = args.get("workload").unwrap_or(cmd);
+        let report = ute_profile::build_report(label, ute_profile::fold(&spans, None));
+        eprint!("{}", report.render_text());
     }
     let mut msg = result?;
     if let Some(path) = self_trace {
-        ute_obs::span::set_capture(false);
-        let spans = ute_obs::span::drain_spans();
-        let flows = ute_obs::span::drain_flows();
         selftrace::write_self_trace(&spans, &flows, &path, self_trace_format)?;
         msg.push_str(&format!(
             "wrote self-trace {} ({} spans)\n",
@@ -1572,16 +1566,16 @@ commands:
              --stable drops wall-clock and worker-count metrics — and the
              percentile/time-series extras — so output is byte-comparable
              across runs and --jobs; salvage/* and obs/* totals are kept)
-  profile   --workload NAME --out DIR [--interval-us N] [--json] [--jobs N]
+  profile   --workload NAME --out DIR [--json] [--jobs N]
             [--iterations N] [--strict] [--fault-seed N | --fault-plan SPEC]
-            (run the journaled pipeline under the continuous profiler:
-             a wall-clock stack sampler snapshots every worker's span
-             stack and span close records per-stage CPU time; prints a
-             ranked bottleneck report — self-time %, wall-vs-CPU
-             utilization — and publishes
-             OUT/profile.folded (flamegraph-ready folded stacks) and
-             OUT/profile.json as a sixth journaled stage. --json prints
-             the report JSON instead of the text table)
+            (run the journaled pipeline with span capture on and fold
+             the spans into a ranked bottleneck report — exact self
+             time per stage, wall-vs-CPU utilization, coverage (the
+             share of the run inside a named stage) — and publish
+             OUT/profile.folded (flamegraph-ready folded stacks, weight
+             = µs of self time) and OUT/profile.json as a sixth
+             journaled stage. --json prints the report JSON instead of
+             the text table)
   analyze   DIR | --in DIR|FILE [--diag late_sender|imbalance|comm_pattern
             |critical_path | --all] [--window T0:T1] [--nodes A..B] [--json]
             [--imbalance-threshold X] [--profile FILE]
@@ -1638,7 +1632,8 @@ observability (any command):
                        (records/s, bytes/s, salvage events) to stderr;
                        `ute report` embeds the time series in its JSON
   --self-trace FILE    write this run's own spans (hierarchical: parent
-                       ids, per-thread lanes, cross-thread flow links)
+                       ids, per-thread lanes, cross-thread flow links,
+                       thread CPU time per span)
   --self-trace-format ivl|chrome
                        self-trace sink format (default ivl). `ivl` is a
                        UTE interval file (view with `ute preview --ivl`);
@@ -1646,13 +1641,11 @@ observability (any command):
   --self-trace-limit N capture at most N spans (default 1048576); spans
                        beyond the cap are dropped and counted in
                        obs/spans_dropped
-  --profiler           run any command under the continuous profiler:
-                       a summary goes to stderr, span CPU time lands in
-                       the Chrome self-trace args, and
-                       `ute report` grows a \"profile\" block. Build
-                       with `--features profile-alloc` to also
+  --profiler           fold the same spans into `ute profile`'s ranked
+                       stage table: printed to stderr on any command,
+                       embedded as the \"profile\" block by `ute report`.
+                       Build with `--features profile-alloc` to also
                        attribute allocations to the active stage
-  --interval-us N      profiler sampling interval in µs (default 500)
 ";
 
 #[cfg(test)]
@@ -1986,15 +1979,18 @@ mod fault_cli_tests {
     #[test]
     fn report_counts_degraded_nodes() {
         let dir = tmpdir("report");
-        let json = cmd_report(&args(
-            &[
-                ("workload", "stencil"),
-                ("out", dir.to_str().unwrap()),
-                ("iterations", "6"),
-                ("fault-plan", PLAN),
-            ],
-            &["stable"],
-        ))
+        let json = cmd_report(
+            &args(
+                &[
+                    ("workload", "stencil"),
+                    ("out", dir.to_str().unwrap()),
+                    ("iterations", "6"),
+                    ("fault-plan", PLAN),
+                ],
+                &["stable"],
+            ),
+            &ute_obs::Span::enter("cli", "report"),
+        )
         .unwrap();
         // Node 2 is missing; nodes 0 and 1 salvage without degrading.
         // (Other tests share the global registry, so assert >= 1 by

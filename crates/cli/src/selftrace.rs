@@ -31,7 +31,7 @@ use ute_format::record::{Interval, IntervalType};
 use ute_format::state::StateCode;
 use ute_format::thread_table::{ThreadEntry, ThreadTable};
 use ute_format::value::Value;
-use ute_obs::{FinishedSpan, FlowPoint};
+use ute_obs::{json_escape, FinishedSpan, FlowPoint};
 
 /// Output format for `--self-trace` (`--self-trace-format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,20 +133,6 @@ pub fn self_trace_bytes(spans: &[FinishedSpan]) -> Result<Vec<u8>> {
     Ok(w.finish())
 }
 
-/// JSON string escaping for event names/categories.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Chrome's `ts` unit is microseconds; keep ns precision as fractions.
 fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
@@ -155,9 +141,9 @@ fn us(ns: u64) -> String {
 /// Serializes captured spans and flow points as Chrome Trace Event JSON
 /// (the `{"traceEvents": [...]}` object form). Every span becomes a
 /// `ph:"X"` complete event with `pid` 0, `tid` = observability thread
-/// index, category = stage, and span id / parent id / aborted flag in
-/// `args` (plus the span's thread CPU time when profiling measured
-/// one). Worker-to-fold handoffs become `ph:"s"` → `ph:"f"` flow pairs;
+/// index, category = stage, and span id / parent id / aborted flag /
+/// thread CPU time in `args`. Worker-to-fold handoffs become `ph:"s"` →
+/// `ph:"f"` flow pairs;
 /// a flow end binds to the enclosing slice at its timestamp, so both
 /// ends land inside the spans that produced them. Only
 /// links with **both** ends recorded are emitted. Events are sorted by
@@ -187,27 +173,20 @@ pub fn chrome_trace_json(spans: &[FinishedSpan], flows: &[FlowPoint]) -> String 
     }
 
     for s in spans {
-        // CPU time only appears when profiling measured one — keeping
-        // the args shape stable for unprofiled runs.
-        let cpu = if s.cpu_ns > 0 {
-            format!(",\"cpu_ns\":{}", s.cpu_ns)
-        } else {
-            String::new()
-        };
         events.push((
             s.start_ns,
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"span\":{},\"parent\":{},\"aborted\":{}{}}}}}",
-                esc(&s.label),
-                esc(s.stage),
+                 \"pid\":0,\"tid\":{},\"args\":{{\"span\":{},\"parent\":{},\"aborted\":{},\"cpu_ns\":{}}}}}",
+                json_escape(&s.label),
+                json_escape(s.stage),
                 us(s.start_ns),
                 us(s.dur_ns),
                 s.tid,
                 s.id,
                 s.parent,
                 s.aborted,
-                cpu,
+                s.cpu_ns,
             ),
         ));
     }
@@ -385,20 +364,12 @@ mod tests {
         assert!(!json.contains("\"id\":9"), "unpaired flow leaked: {json}");
         // Span fields: ts in µs, hierarchy in args.
         assert!(json.contains("\"ts\":1.000"));
-        assert!(json.contains("\"args\":{\"span\":2,\"parent\":1,\"aborted\":false}"));
+        assert!(json.contains("\"args\":{\"span\":2,\"parent\":1,\"aborted\":false,\"cpu_ns\":0}"));
         // Events are ts-sorted: the cli root (1µs) precedes the worker
         // (2µs) even though the input order was reversed.
         let root = json.find("\"name\":\"pipeline\"").unwrap();
         let worker = json.find("\"name\":\"convert worker node 0\"").unwrap();
         assert!(root < worker);
-    }
-
-    #[test]
-    fn chrome_span_args_carry_cpu_time_when_measured() {
-        let mut s = span_on("convert", "convert node 0", 2000, 5000, 1, 2, 1);
-        s.cpu_ns = 4200;
-        let json = chrome_trace_json(&[s], &[]);
-        assert!(json.contains("\"aborted\":false,\"cpu_ns\":4200}"));
     }
 
     #[test]

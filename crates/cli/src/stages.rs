@@ -230,9 +230,13 @@ impl StageRunner {
     /// durable.
     fn run_stage(
         &mut self,
-        stage: &str,
+        stage: &'static str,
         f: impl FnOnce() -> Result<StageOutput>,
     ) -> std::result::Result<String, StageFailure> {
+        // The stage is its computation and its publication: the store's
+        // spans nest under it, so hashing and journal I/O are charged
+        // to `store` but found under the stage that caused them.
+        let _span = ute_obs::Span::stage(stage);
         match self.replay.as_ref().and_then(|r| r.status(stage)).cloned() {
             Some(StageStatus::Published { artifacts }) => {
                 if artifacts.iter().all(|m| self.store.verify_final(m)) {
@@ -361,7 +365,7 @@ fn drive(
     })?);
     let targs = plan.sub(&[("merged", format!("{out}/merged.ivl"))]);
     msg.push_str(&runner.run_stage("stats", || {
-        crate::cmd_stats(&targs).map(StageOutput::message)
+        crate::stats_output(&targs).map(StageOutput::message)
     })?);
     if let Some((name, f)) = extra {
         msg.push_str(&runner.run_stage(name, f)?);

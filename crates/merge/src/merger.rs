@@ -395,6 +395,8 @@ fn merge_core<T>(
     }
 
     markers.sort_by_key(|(id, _)| *id);
+    // `consume` pulls the k-way merge through whatever it writes.
+    let _span = ute_obs::Span::enter("merge", format!("k-way merge of {}", sources.len()));
     let merged = LoserTreeMerge::new(sources);
     let out = consume(merged, &union_threads, &markers, &mut stats)?;
     Ok((out, stats))

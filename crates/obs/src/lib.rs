@@ -20,8 +20,10 @@
 //!   `ute-cli` (`selftrace` module), consuming [`span::drain_spans`].
 //! * **Always on, nearly free.** Counters are maintained
 //!   unconditionally (an uncontended atomic add is ~1 ns). Span
-//!   *capture* for self-tracing allocates, so it is gated behind
-//!   [`span::set_capture`].
+//!   *capture* allocates and reads the thread CPU clock, so it is gated
+//!   behind [`span::set_capture`] — the one switch: the self-trace
+//!   sinks, `--profiler` and `ute profile` all render the same captured
+//!   log (the profile is a fold over it, in `ute-profile`).
 //!
 //! ```
 //! use ute_obs as obs;
@@ -42,12 +44,12 @@ pub mod span;
 
 pub use metrics::{counter, gauge, histogram, reset, Counter, Gauge, Histogram, MetricsRegistry};
 pub use prof::{
-    cpu_clock_supported, current_stage_slot, profiling_enabled, sample_stacks, set_profiling,
-    stage_slot_name, stage_slot_of, thread_cpu_ns, LiveFrame, MAX_STAGE_SLOTS,
+    cpu_clock_supported, current_stage_slot, stage_slot_name, stage_slot_of, thread_cpu_ns,
+    MAX_STAGE_SLOTS,
 };
-pub use report::{snapshot, MetricsSnapshot, ReportOptions};
+pub use report::{json_escape, snapshot, MetricsSnapshot, ReportOptions};
 pub use sampler::SamplerTick;
 pub use span::{
-    current_span, drain_flows, drain_spans, flow_begin, flow_end, new_link, set_capture,
-    set_capture_limit, thread_index, FinishedSpan, FlowPoint, Span,
+    capture_enabled, captured_spans, current_span, drain_flows, drain_spans, flow_begin, flow_end,
+    new_link, set_capture, set_capture_limit, thread_index, FinishedSpan, FlowPoint, Span,
 };

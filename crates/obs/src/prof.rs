@@ -1,149 +1,35 @@
-//! Profiling hooks under the span machinery: the cross-thread live-span
-//! registry the wall-clock stack sampler reads, per-thread CPU time via
-//! `CLOCK_THREAD_CPUTIME_ID`, and the stage-slot thread-local the
+//! What a captured span records beyond wall time: per-thread CPU time
+//! via `CLOCK_THREAD_CPUTIME_ID`, and the stage-slot thread-local the
 //! counting allocator attributes to.
 //!
-//! Everything here is strictly observational and gated on one global
-//! flag ([`set_profiling`]). With profiling off, the only cost added to
-//! the span path is a single relaxed atomic load at open — the same
-//! cost class as the disarmed fault-injection hooks in `ute-pipeline`.
-//! With profiling on, each span open mirrors a [`LiveFrame`] into a
-//! per-thread stack that other threads can read: the `ute-profile`
-//! sampler walks [`sample_stacks`] on its own thread without ever
-//! stopping the workers. Threads deregister themselves by dropping
-//! their stack's `Arc` on exit; the registry holds only `Weak`
-//! references and prunes dead threads on the next sample.
-//!
-//! The registry self-heals under panics for the same reason the span
-//! stack does: a worker unwinding through `catch_unwind` still runs
-//! every `Span::drop` on its way out, and each drop removes its frame
-//! by span id (searched from the top, so unusual drop orders cannot
-//! strand a frame).
+//! Both ride on the one capture switch ([`crate::span::set_capture`]).
+//! With capture off, a span open costs one relaxed atomic load here and
+//! nothing else; with it on, each open and close reads the thread CPU
+//! clock and moves the stage slot. Slots heal under panics for the same
+//! reason the span stack does: a worker unwinding through
+//! `catch_unwind` still runs every `Span::drop`, and each drop restores
+//! the slot its open replaced.
 
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Turns the profiling hooks on or off. On: span opens mirror frames
-/// into the live-stack registry, opens/closes read the thread CPU
-/// clock, and the active stage slot tracks the innermost span.
-pub fn set_profiling(on: bool) {
-    // Pin the epoch before the first profiled span so sampler
-    // timestamps and span starts share an origin.
-    let _ = crate::span::now_ns();
-    PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// Whether the profiling hooks are currently on.
-#[inline]
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// One frame of a thread's live span stack, as seen by the sampler.
-#[derive(Debug, Clone)]
-pub struct LiveFrame {
-    /// Span id of the frame (matches `FinishedSpan::id` once closed).
-    pub id: u64,
-    /// The span's stage ("convert", "merge", ...): the attribution
-    /// unit of the bottleneck report.
-    pub stage: &'static str,
-    /// The span's label, `None` when it equals the stage name.
-    pub label: Option<Box<str>>,
-}
-
-impl LiveFrame {
-    /// The frame's display name in folded stacks: the label when
-    /// present, else the stage.
-    pub fn name(&self) -> &str {
-        self.label.as_deref().unwrap_or(self.stage)
-    }
-}
-
-/// One thread's mirror of its open profiled spans, outermost first.
-struct LiveStack {
-    tid: u64,
-    frames: Mutex<Vec<LiveFrame>>,
-}
-
-fn registry() -> &'static Mutex<Vec<Weak<LiveStack>>> {
-    static REG: OnceLock<Mutex<Vec<Weak<LiveStack>>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Vec::new()))
-}
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
-    /// This thread's registered live stack, created on first profiled
-    /// span. Dropped on thread exit, which is what deregisters the
-    /// thread (the registry's `Weak` stops upgrading).
-    static LIVE: RefCell<Option<Arc<LiveStack>>> = const { RefCell::new(None) };
-    /// Stage slot of the innermost profiled span (0 = none). Const-init
+    /// Stage slot of the innermost captured span (0 = none). Const-init
     /// and drop-free so the counting allocator can read it from inside
     /// `GlobalAlloc` without touching the TLS destructor machinery.
     static STAGE_SLOT: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Mirrors an opening span into the calling thread's live stack and
-/// makes its stage the active allocation slot. Returns the previous
-/// slot for the span to restore on close.
-pub(crate) fn frame_open(id: u64, stage: &'static str, label: Option<&str>) -> usize {
-    let stack = LIVE.with(|l| {
-        let mut l = l.borrow_mut();
-        match l.as_ref() {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(LiveStack {
-                    tid: crate::span::thread_index(),
-                    frames: Mutex::new(Vec::new()),
-                });
-                registry().lock().push(Arc::downgrade(&s));
-                *l = Some(Arc::clone(&s));
-                s
-            }
-        }
-    });
-    stack.frames.lock().push(LiveFrame {
-        id,
-        stage,
-        label: label.map(Box::from),
-    });
-    let prev = STAGE_SLOT.with(|c| c.get());
-    STAGE_SLOT.with(|c| c.set(stage_slot(stage)));
-    prev
+/// Makes `stage` the calling thread's active allocation slot. Returns
+/// the previous slot for the span to hand back to [`slot_restore`].
+pub(crate) fn slot_enter(stage: &'static str) -> usize {
+    STAGE_SLOT.with(|c| c.replace(stage_slot(stage)))
 }
 
-/// Removes the frame for span `id` from the calling thread's live stack
-/// and restores the pre-span allocation slot. Removal searches from the
-/// top, so it heals under panics and unusual drop orders; ids that were
-/// never mirrored (profiling toggled mid-span) are a no-op.
-pub(crate) fn frame_close(id: u64, prev_slot: usize) {
-    LIVE.with(|l| {
-        if let Some(s) = l.borrow().as_ref() {
-            let mut frames = s.frames.lock();
-            if let Some(pos) = frames.iter().rposition(|f| f.id == id) {
-                frames.remove(pos);
-            }
-        }
-    });
+/// Restores the allocation slot a closing span replaced at open.
+pub(crate) fn slot_restore(prev_slot: usize) {
     STAGE_SLOT.with(|c| c.set(prev_slot));
-}
-
-/// Visits every live thread stack — dense thread index plus frames,
-/// outermost first — pruning threads that have exited. Each stack is
-/// locked only for the duration of its visit; keep `f` cheap, it runs
-/// with a span-open path blocked.
-pub fn sample_stacks(mut f: impl FnMut(u64, &[LiveFrame])) {
-    let mut reg = registry().lock();
-    reg.retain(|w| match w.upgrade() {
-        Some(s) => {
-            let frames = s.frames.lock();
-            f(s.tid, &frames);
-            true
-        }
-        None => false,
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -151,7 +37,7 @@ pub fn sample_stacks(mut f: impl FnMut(u64, &[LiveFrame])) {
 // ---------------------------------------------------------------------
 
 /// Capacity of the stage-slot table the counting allocator indexes.
-/// Slot 0 means "no profiled span active" (unattributed); stages past
+/// Slot 0 means "no captured span active" (unattributed); stages past
 /// the capacity also fall into slot 0 rather than failing.
 pub const MAX_STAGE_SLOTS: usize = 64;
 
@@ -174,7 +60,7 @@ fn stage_slot(stage: &'static str) -> usize {
     names.len()
 }
 
-/// The stage slot of the profiled span active on the calling thread
+/// The stage slot of the captured span active on the calling thread
 /// (0 = none). Allocation-free and lock-free: safe to call from inside
 /// a global allocator.
 #[inline]
@@ -246,69 +132,12 @@ pub fn cpu_clock_supported() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Span;
-
-    /// Profiling is process-global; serialize the tests that toggle it.
-    fn toggle_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-    }
-
-    #[test]
-    fn live_stacks_mirror_open_spans_and_heal_on_close() {
-        let _guard = toggle_lock().lock();
-        set_profiling(true);
-        let tid = std::thread::scope(|s| {
-            s.spawn(|| {
-                let outer = Span::enter("test-prof-stage", "outer");
-                let _inner = Span::enter_under("test-prof-stage", "inner unit", outer.id());
-                let tid = crate::span::thread_index();
-                let mut seen = Vec::new();
-                sample_stacks(|t, frames| {
-                    if t == tid {
-                        seen = frames.iter().map(|f| f.name().to_string()).collect();
-                    }
-                });
-                assert_eq!(seen, ["outer", "inner unit"]);
-                tid
-            })
-            .join()
-            .unwrap()
-        });
-        // The worker thread exited: its stack is pruned on this sample.
-        let mut resurfaced = false;
-        sample_stacks(|t, _| resurfaced |= t == tid);
-        assert!(!resurfaced, "dead thread's stack was not pruned");
-        set_profiling(false);
-    }
-
-    #[test]
-    fn aborted_spans_leave_the_registry() {
-        let _guard = toggle_lock().lock();
-        set_profiling(true);
-        let tid = crate::span::thread_index();
-        let caught = std::panic::catch_unwind(|| {
-            let _s = Span::enter("test-prof-abort", "doomed");
-            panic!("injected");
-        });
-        assert!(caught.is_err());
-        let mut frames_left = 0;
-        sample_stacks(|t, frames| {
-            if t == tid {
-                frames_left = frames
-                    .iter()
-                    .filter(|f| f.stage == "test-prof-abort")
-                    .count();
-            }
-        });
-        set_profiling(false);
-        assert_eq!(frames_left, 0, "panicked span left a live frame behind");
-    }
+    use crate::span::{set_capture, tests::capture_lock, Span};
 
     #[test]
     fn stage_slots_nest_and_restore() {
-        let _guard = toggle_lock().lock();
-        set_profiling(true);
+        let _guard = capture_lock();
+        set_capture(true);
         std::thread::scope(|s| {
             s.spawn(|| {
                 assert_eq!(current_stage_slot(), 0);
@@ -331,7 +160,7 @@ mod tests {
             .join()
             .unwrap();
         });
-        set_profiling(false);
+        set_capture(false);
     }
 
     #[test]
@@ -350,9 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn profiled_spans_record_cpu_histograms() {
-        let _guard = toggle_lock().lock();
-        set_profiling(true);
+    fn captured_spans_carry_their_cpu_time() {
+        let _guard = capture_lock();
+        set_capture(true);
         {
             let _s = Span::stage("test-prof-cpu");
             let mut acc = 0u64;
@@ -361,14 +190,14 @@ mod tests {
             }
             std::hint::black_box(acc);
         }
-        set_profiling(false);
-        let h = crate::metrics::histogram("test-prof-cpu/cpu_ns");
-        assert!(
-            h.count() >= 1,
-            "profiled span did not record a cpu_ns sample"
-        );
+        set_capture(false);
+        let span = crate::span::captured_spans()
+            .into_iter()
+            .find(|s| s.stage == "test-prof-cpu")
+            .expect("captured span is in the log");
         if cpu_clock_supported() {
-            assert!(h.sum() > 0, "cpu_ns recorded as zero under busy work");
+            assert!(span.cpu_ns > 0, "cpu_ns recorded as zero under busy work");
+            assert!(span.cpu_ns <= span.dur_ns + 1_000_000, "cpu beyond wall");
         }
     }
 }

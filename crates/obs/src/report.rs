@@ -207,7 +207,8 @@ impl MetricsSnapshot {
     /// p50/p95/p99 fields (off under `--stable`: the estimates are
     /// interpolated floats of wall-clock data and would defeat
     /// byte-comparability); `opts.timeseries` appends the sampler's
-    /// tick ring as a `"timeseries"` array.
+    /// tick ring as a `"timeseries"` array; `opts.extra` blocks close
+    /// the object, in order, as further top-level keys.
     pub fn render_json(&self, opts: &ReportOptions<'_>) -> String {
         let mut s = String::from("{\n  \"counters\": {");
         push_entries(&mut s, self.counters.iter(), |s, v| {
@@ -279,6 +280,9 @@ impl MetricsSnapshot {
             }
             s.push_str("\n  ]");
         }
+        for (key, json) in opts.extra {
+            s.push_str(&format!(",\n  \"{}\": {json}", json_escape(key)));
+        }
         s.push_str("\n}\n");
         s
     }
@@ -291,6 +295,9 @@ pub struct ReportOptions<'a> {
     pub percentiles: bool,
     /// Sampler ticks to append as a `"timeseries"` array.
     pub timeseries: Option<&'a [SamplerTick]>,
+    /// Further top-level `(key, raw JSON value)` blocks, rendered last
+    /// in this order (`ute report`'s diagnostics and profile).
+    pub extra: &'a [(&'a str, String)],
 }
 
 /// Writes `"name": <value>` entries joined by commas.
@@ -313,8 +320,8 @@ fn push_entries<'a, T: 'a>(
     s.push_str("\n  ");
 }
 
-/// JSON string escaping for metric names.
-fn json_escape(s: &str) -> String {
+/// JSON string escaping, for every hand-rolled JSON sink in the tree.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -446,7 +453,9 @@ mod tests {
         let full = snap.render_json(&ReportOptions {
             percentiles: true,
             timeseries: Some(&ticks),
+            extra: &[("diagnostics", "{\"findings\": 0}".to_string())],
         });
+        assert!(full.ends_with("  ],\n  \"diagnostics\": {\"findings\": 0}\n}\n"));
         assert!(full.contains("\"p50\""), "{full}");
         assert!(full.contains("\"timeseries\": ["));
         assert!(full.contains("\"at_ns\": 42"));

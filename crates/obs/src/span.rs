@@ -1,5 +1,6 @@
 //! RAII wall-clock span timers, the causal span hierarchy, and the
-//! bounded capture buffer behind the self-trace sinks.
+//! bounded capture buffer every time-observer renders: the self-trace
+//! sinks and `ute-profile`'s fold.
 //!
 //! A [`Span`] measures one stage of the pipeline or one unit of work
 //! inside a stage (one node file converted, one clock fitted, one
@@ -15,9 +16,10 @@
 //! arrows.
 //!
 //! Dropping a span records its duration into the histogram
-//! `"<stage>/span_ns"` — always — and, when capture is enabled, appends
-//! a [`FinishedSpan`] to a process-global log that `ute-cli`'s
-//! self-trace sink serializes. The log is bounded
+//! `"<stage>/span_ns"` — always — and, when capture was on at its open,
+//! appends a [`FinishedSpan`] (wall time, thread CPU time, hierarchy) to
+//! a process-global log that `ute-cli` drains once per run. The log is
+//! bounded
 //! ([`set_capture_limit`]): once full, further spans are dropped and
 //! counted in `obs/spans_dropped` instead of growing without bound on
 //! huge runs. A span closed while its thread is panicking (a pipeline
@@ -96,8 +98,11 @@ fn flow_log() -> &'static Mutex<Vec<FlowPoint>> {
     LOG.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Turns span capture on or off. Capture allocates per span, so it is
-/// off unless a self-trace sink asked for it (`--self-trace`).
+/// Turns span capture on or off — the one switch every time-observer
+/// (`--self-trace`, `--profiler`, `ute profile`) shares. A captured span
+/// allocates, reads the thread CPU clock at open and close, and owns the
+/// allocator's stage slot while open, so capture is off unless one of
+/// them asked for it.
 pub fn set_capture(on: bool) {
     // Pin the epoch before the first captured span so start offsets
     // are meaningful.
@@ -124,6 +129,13 @@ fn capture_limit() -> usize {
 /// Takes every captured span out of the log.
 pub fn drain_spans() -> Vec<FinishedSpan> {
     std::mem::take(&mut *span_log().lock())
+}
+
+/// A copy of the log as it stands, for a consumer that reports mid-run
+/// (`ute profile`'s own stage, `ute report`) and must leave the spans
+/// for the end-of-run drain.
+pub fn captured_spans() -> Vec<FinishedSpan> {
+    span_log().lock().clone()
 }
 
 /// Takes every captured flow point out of the log.
@@ -189,8 +201,8 @@ pub struct FinishedSpan {
     /// Dense index of the thread the span ran on.
     pub tid: u64,
     /// CPU time the owning thread consumed while the span was open
-    /// (`CLOCK_THREAD_CPUTIME_ID` delta), or 0 when profiling was off
-    /// or the platform clock is unavailable. Compare against `dur_ns`
+    /// (`CLOCK_THREAD_CPUTIME_ID` delta), or 0 where the platform
+    /// clock is unavailable. Compare against `dur_ns`
     /// for the wall-vs-CPU utilization ratio: a low ratio means the
     /// span spent its life blocked, not computing.
     pub cpu_ns: u64,
@@ -224,13 +236,14 @@ pub struct Span {
     start: Instant,
     id: u64,
     parent: u64,
-    /// True when this span was mirrored into the profiling registry at
-    /// open (profiling may toggle mid-span; the close side must match
-    /// what open actually did).
-    profiled: bool,
-    /// Thread CPU clock at open (profiled spans only).
+    /// Whether capture was on at open: the span then took the stage
+    /// slot and read the CPU clock, and its close gives the slot back
+    /// and logs it (capture may toggle mid-span; the close side must
+    /// match what open actually did).
+    captured: bool,
+    /// Thread CPU clock at open (captured spans only).
     cpu_start: u64,
-    /// Stage slot to restore on close (profiled spans only).
+    /// Stage slot to restore on close (captured spans only).
     prev_slot: usize,
 }
 
@@ -238,10 +251,9 @@ impl Span {
     fn open(stage: &'static str, label: Option<String>, parent: u64) -> Span {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        let profiled = crate::prof::profiling_enabled();
-        let (cpu_start, prev_slot) = if profiled {
-            let prev = crate::prof::frame_open(id, stage, label.as_deref());
-            (crate::prof::thread_cpu_ns(), prev)
+        let captured = capture_enabled();
+        let (cpu_start, prev_slot) = if captured {
+            (crate::prof::thread_cpu_ns(), crate::prof::slot_enter(stage))
         } else {
             (0, 0)
         };
@@ -252,7 +264,7 @@ impl Span {
             start: Instant::now(),
             id,
             parent,
-            profiled,
+            captured,
             cpu_start,
             prev_slot,
         }
@@ -282,6 +294,31 @@ impl Span {
     pub fn id(&self) -> u64 {
         self.id
     }
+
+    /// What this span would log if it closed now, on the calling thread
+    /// (which must be the one that opened it). How a mid-run consumer
+    /// accounts for the root span it is still running inside.
+    pub fn so_far(&self) -> FinishedSpan {
+        self.finished(self.label.clone(), self.start.elapsed().as_nanos() as u64)
+    }
+
+    fn finished(&self, label: Option<String>, dur_ns: u64) -> FinishedSpan {
+        FinishedSpan {
+            stage: self.stage,
+            label: label.unwrap_or_else(|| self.stage.to_string()),
+            start_ns: self.start_ns,
+            dur_ns,
+            id: self.id,
+            parent: self.parent,
+            tid: thread_index(),
+            cpu_ns: if self.captured {
+                crate::prof::thread_cpu_ns().saturating_sub(self.cpu_start)
+            } else {
+                0
+            },
+            aborted: std::thread::panicking(),
+        }
+    }
 }
 
 impl Drop for Span {
@@ -297,25 +334,10 @@ impl Drop for Span {
             }
         });
         metrics::histogram(&format!("{}/span_ns", self.stage)).record(dur_ns);
-        let mut cpu_ns = 0;
-        if self.profiled {
-            cpu_ns = crate::prof::thread_cpu_ns().saturating_sub(self.cpu_start);
-            crate::prof::frame_close(self.id, self.prev_slot);
-            metrics::histogram(&format!("{}/cpu_ns", self.stage)).record(cpu_ns);
-            metrics::counter("profile/cpu_spans").inc();
-        }
-        if capture_enabled() {
-            let finished = FinishedSpan {
-                stage: self.stage,
-                label: self.label.take().unwrap_or_else(|| self.stage.to_string()),
-                start_ns: self.start_ns,
-                dur_ns,
-                id: self.id,
-                parent: self.parent,
-                tid: thread_index(),
-                cpu_ns,
-                aborted: std::thread::panicking(),
-            };
+        if self.captured {
+            let label = self.label.take();
+            let finished = self.finished(label, dur_ns);
+            crate::prof::slot_restore(self.prev_slot);
             let mut log = span_log().lock();
             if log.len() >= capture_limit() {
                 drop(log);
@@ -328,11 +350,19 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Capture and its log are process-global; every test that toggles
+    /// or drains them (here and in `prof`) holds this.
+    pub(crate) fn capture_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+    }
 
     #[test]
     fn spans_record_histogram_and_capture() {
+        let _guard = capture_lock();
         set_capture(true);
         {
             let _a = Span::stage("test-span-stage");
@@ -356,6 +386,7 @@ mod tests {
 
     #[test]
     fn capture_off_discards() {
+        let _guard = capture_lock();
         set_capture(false);
         drain_spans();
         {
@@ -368,6 +399,7 @@ mod tests {
 
     #[test]
     fn cross_thread_parent_and_distinct_tids() {
+        let _guard = capture_lock();
         set_capture(true);
         let (outer_id, outer_tid) = {
             let outer = Span::enter("test-span-xthread", "pipeline");
@@ -395,6 +427,7 @@ mod tests {
 
     #[test]
     fn capture_log_is_bounded_and_counts_drops() {
+        let _guard = capture_lock();
         // The limit and the log are process-global; run the whole check
         // under a fresh drain so concurrent span tests only ever add
         // spans (which this test tolerates by counting its own stage).
@@ -417,6 +450,7 @@ mod tests {
 
     #[test]
     fn flow_points_pair_by_link() {
+        let _guard = capture_lock();
         set_capture(true);
         drain_flows();
         let link = new_link();
@@ -441,6 +475,7 @@ mod tests {
 
     #[test]
     fn panicking_spans_are_marked_aborted() {
+        let _guard = capture_lock();
         set_capture(true);
         let caught = std::panic::catch_unwind(|| {
             let _s = Span::enter("test-span-abort", "doomed");

@@ -2,14 +2,14 @@
 //!
 //! With the `count-allocs` feature on, this crate installs a
 //! `#[global_allocator]` that wraps the system allocator and, while
-//! profiling is enabled, attributes every allocation (count and bytes)
-//! to the stage slot of the innermost profiled span on the allocating
+//! span capture is on, attributes every allocation (count and bytes)
+//! to the stage slot of the innermost captured span on the allocating
 //! thread (`ute_obs::current_stage_slot`). Slot 0 collects allocations
-//! made outside any profiled span.
+//! made outside any captured span.
 //!
 //! The recording path is strictly atomics on fixed static arrays — no
 //! locks, no allocation, no TLS destructors — because it runs inside
-//! `GlobalAlloc`. Disarmed (profiling off) it costs one relaxed load
+//! `GlobalAlloc`. Disarmed (capture off) it costs one relaxed load
 //! per allocation; with the feature off entirely, the system allocator
 //! is untouched and [`slot_alloc_stats`] reports zeros.
 
@@ -49,7 +49,7 @@ pub fn slot_alloc_stats(slot: usize) -> AllocStats {
 }
 
 /// Allocation totals for a stage by name; zeros when the stage never
-/// ran a profiled span (no slot) or tracking is off.
+/// ran a captured span (no slot) or tracking is off.
 pub fn stage_alloc_stats(stage: &str) -> AllocStats {
     match ute_obs::stage_slot_of(stage) {
         Some(slot) => slot_alloc_stats(slot),
@@ -73,7 +73,7 @@ mod imp {
 
     #[inline]
     fn record(size: usize) {
-        if !ute_obs::profiling_enabled() {
+        if !ute_obs::capture_enabled() {
             return;
         }
         let slot = ute_obs::current_stage_slot().min(MAX_STAGE_SLOTS - 1);
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn allocations_attribute_to_the_active_stage() {
-        ute_obs::set_profiling(true);
+        ute_obs::set_capture(true);
         let grown = {
             let _s = Span::stage("test-profile-alloc");
             let before = stage_alloc_stats("test-profile-alloc");
@@ -124,7 +124,7 @@ mod tests {
             let after = stage_alloc_stats("test-profile-alloc");
             after.allocs > before.allocs && after.bytes >= before.bytes + (1 << 16) as u64
         };
-        ute_obs::set_profiling(false);
+        ute_obs::set_capture(false);
         assert!(grown, "Vec allocation was not attributed to the stage");
     }
 }

@@ -80,6 +80,7 @@ impl SlogFile {
     /// Serializes the file: header, thread table, markers, preview,
     /// frame index, frames.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let _span = ute_obs::Span::enter("slog", "encode slog");
         let mut w = ByteWriter::new();
         w.put_bytes(MAGIC);
         w.put_u32(VERSION);

@@ -91,6 +91,7 @@ impl ArtifactStore {
         bytes: &[u8],
     ) -> Result<ArtifactMeta, StoreError> {
         Self::check_name(name)?;
+        let _span = ute_obs::Span::enter("store", format!("write {name}"));
         let len = bytes.len() as u64;
         if let Some(budget) = self.budget {
             if len > budget {
@@ -129,6 +130,7 @@ impl ArtifactStore {
     /// Renames a committed temp into its final place and fsyncs the
     /// directory. Idempotent on resume via [`ArtifactStore::verify_final`].
     pub fn promote(&self, stage: &str, meta: &ArtifactMeta, pid: u32) -> Result<(), StoreError> {
+        let _span = ute_obs::Span::enter("store", format!("promote {}", meta.name));
         let tmp = self.dir.join(Self::temp_name(&meta.name, pid));
         let fin = self.dir.join(&meta.name);
         std::fs::rename(&tmp, &fin)
@@ -161,6 +163,7 @@ impl ArtifactStore {
     /// named in `keep` (temps a committed-but-unpublished stage still
     /// needs). Returns how many were swept.
     pub fn gc_stale_temps(&self, keep: &[String]) -> Result<u64, StoreError> {
+        let _span = ute_obs::Span::enter("store", "gc stale temps");
         let mut swept = 0;
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| StoreError::io("scan for stale temps", &self.dir, e))?;

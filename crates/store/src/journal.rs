@@ -352,6 +352,7 @@ impl RunJournal {
     /// Starts a fresh journal (truncating any previous run's) and writes
     /// the durable `run-start` record.
     pub fn create(dir: &Path, config: &[(String, String)]) -> Result<RunJournal, StoreError> {
+        let _span = ute_obs::Span::enter("store", "create journal");
         let path = Self::path_in(dir);
         let file = File::create(&path).map_err(|e| StoreError::io("create journal", &path, e))?;
         let mut j = RunJournal { path, file };
@@ -367,6 +368,7 @@ impl RunJournal {
     /// if the journal is missing or its `run-start` is unreadable (a torn
     /// *tail* is fine and reported via [`ReplayState::torn_tail`]).
     pub fn open_for_resume(dir: &Path) -> Result<(RunJournal, ReplayState), StoreError> {
+        let _span = ute_obs::Span::enter("store", "replay journal");
         let path = Self::path_in(dir);
         let data = std::fs::read(&path).map_err(|e| StoreError::io("read journal", &path, e))?;
         let state = replay(&path, &data)?;
@@ -382,6 +384,8 @@ impl RunJournal {
     /// *after* durability, so an armed kill lands exactly between "record
     /// on disk" and "next protocol step".
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), StoreError> {
+        let kind = rec.kind();
+        let _span = ute_obs::Span::enter("store", format!("journal {kind}"));
         let body = rec.body();
         let line = format!("{:016x} {body}\n", fnv64(body.as_bytes()));
         let write = |f: &mut File| -> std::io::Result<()> {
@@ -399,7 +403,6 @@ impl RunJournal {
             }
         })?;
         ute_obs::counter("store/journal_records").inc();
-        let kind = rec.kind();
         chaos::point(|| format!("journal:{kind}"))?;
         Ok(())
     }

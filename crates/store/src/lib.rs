@@ -86,6 +86,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         .ok_or_else(|| StoreError::BadName {
             name: path.display().to_string(),
         })?;
+    let _span = ute_obs::Span::enter("store", format!("write {name}"));
     let dir = path.parent().unwrap_or(Path::new("."));
     let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
     let write = || -> std::io::Result<()> {

@@ -41,10 +41,11 @@
 //!   artifact store behind `ute pipeline` / `ute resume`, plus the
 //!   numbered abort points the chaos harness kills at.
 //! * [`obs`] — the self-observability layer: global metrics registry,
-//!   RAII span timers, and the span capture behind `--self-trace`.
-//! * [`profile`] — the continuous-profiling layer behind `ute profile`:
-//!   wall-clock stack sampler, per-span CPU-time attribution, and the
-//!   ranked bottleneck report.
+//!   RAII span timers, and the one span capture (wall, thread CPU,
+//!   hierarchy) behind `--self-trace`, `--profiler` and `ute profile`.
+//! * [`profile`] — the profile as a fold over that capture: exact self
+//!   time per stage, flamegraph stacks, and the ranked bottleneck
+//!   report behind `ute profile`.
 //! * [`analyze`] — the programmable diagnostics layer over interval
 //!   files: columnar trace table, composable operators, and the
 //!   late-sender / imbalance / comm-pattern / critical-path diagnostics

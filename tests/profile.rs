@@ -1,21 +1,22 @@
-//! Integration tests for the continuous-profiling layer (`ute-profile`):
-//! the profiler must survive worker panics without leaking live-stack
-//! registry entries, must never perturb pipeline output bytes, and the
-//! `ute profile` command must publish a well-formed report.
+//! Integration tests for the profiling layer (`ute-profile`): the
+//! profile is a fold over the captured span log, so it must survive
+//! worker panics (the aborted span is in it), hold its arithmetic
+//! invariants exactly, never perturb pipeline output bytes, and the
+//! `ute profile` command must publish a report that explains the run.
 //!
-//! Own binary because the profiling flag, the sampler slot, and the
-//! worker panic testhook are process-global — the lock below serializes
-//! the tests that touch them.
+//! Own binary because span capture and the worker panic testhook are
+//! process-global — the lock below serializes the tests that touch them.
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 use ute::cluster::Simulator;
 use ute::convert::ConvertOptions;
 use ute::format::profile::Profile;
 use ute::merge::{testhook, MergeOptions, MergeOutput};
+use ute::obs::FinishedSpan;
 use ute::workloads::micro;
 
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -48,64 +49,95 @@ fn run_pipeline(jobs: usize) -> MergeOutput {
     .1
 }
 
-/// Counts live frames currently visible to the sampler.
-fn live_frames() -> usize {
-    let mut n = 0;
-    ute::obs::sample_stacks(|_tid, frames| n += frames.len());
-    n
+/// Runs `f` with span capture on and returns what it logged.
+fn captured<T>(f: impl FnOnce() -> T) -> (T, Vec<FinishedSpan>) {
+    ute::obs::set_capture(true);
+    ute::obs::drain_spans();
+    let out = f();
+    ute::obs::set_capture(false);
+    (out, ute::obs::drain_spans())
 }
 
 #[test]
-fn profiler_survives_worker_panics_and_heals_the_registry() {
+fn salvaged_worker_panic_still_yields_a_report_with_the_aborted_span() {
     let _g = lock();
-    ute::obs::set_profiling(true);
-    ute::profile::start(Duration::from_micros(200));
-
     // A merge worker panics mid-node (one-shot hook); the salvage
-    // retry must still succeed with the profiler sampling throughout.
+    // retry must still succeed, and the span the panic unwound through
+    // is in the capture, marked aborted.
     testhook::arm_adjust_panic(1);
-    let out = run_pipeline(4);
+    let (out, spans) = captured(|| run_pipeline(4));
     assert!(!out.merged.is_empty());
-
-    // Unwinding ran every Span's Drop, so the panicked worker left no
-    // frame behind; every other worker exited and its stack pruned.
-    assert_eq!(
-        live_frames(),
-        0,
-        "aborted spans must not leak live-stack frames"
+    assert!(
+        spans.iter().any(|s| s.aborted && s.label == "merge node 1"),
+        "no aborted `merge node 1` span among {} captured",
+        spans.len()
     );
 
-    let data = ute::profile::stop().expect("sampler was running");
-    ute::obs::set_profiling(false);
-    assert!(data.ticks > 0, "sampler never ticked during the run");
-
-    // The profiler restarts cleanly after a stop — no poisoned state.
-    ute::profile::start(Duration::from_micros(200));
-    assert!(ute::profile::running());
-    ute::profile::stop().expect("restarted sampler was running");
+    let profile = ute::profile::fold(&spans, None);
+    assert_eq!(profile.spans, spans.len(), "the fold lost a span");
+    assert_eq!(profile.orphans, 0);
     assert!(
-        ute::profile::stop().is_none(),
-        "double stop must be a no-op"
+        profile
+            .folded
+            .contains_key("adjust worker node 1;merge node 1"),
+        "aborted span's stack missing from {:?}",
+        profile.folded.keys()
+    );
+    let text = ute::profile::build_report("stencil", profile.clone()).render_text();
+    assert!(text.contains("rank") && text.contains("merge"), "{text}");
+
+    // What a sampler could only estimate, the fold holds exactly.
+    for r in &profile.stages {
+        assert!(r.self_ns <= r.wall_ns, "self beyond wall: {r:?}");
+    }
+    let tids: BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
+    assert!(tids.len() >= 2, "--jobs 4 ran on one thread");
+    for tid in tids {
+        // Folded alone, a thread's spans keep their self times (only
+        // same-thread children are subtracted); they must add up to the
+        // durations of the spans no other span on the thread encloses.
+        let mine: Vec<FinishedSpan> = spans.iter().filter(|s| s.tid == tid).cloned().collect();
+        let roots: u64 = mine
+            .iter()
+            .filter(|s| !mine.iter().any(|p| p.id == s.parent))
+            .map(|s| s.dur_ns)
+            .sum();
+        let own: u64 = ute::profile::fold(&mine, None)
+            .stages
+            .iter()
+            .map(|r| r.self_ns)
+            .sum();
+        assert_eq!(own, roots, "thread {tid}: self times do not tile its roots");
+    }
+    assert_eq!(
+        ute::profile::folded_output(&ute::profile::fold(&spans, None)),
+        ute::profile::folded_output(&profile),
+        "folding the same spans twice gave different bytes"
     );
 }
 
 #[test]
 fn artifacts_are_byte_identical_with_profiling_on_or_off() {
     let _g = lock();
-    ute::obs::set_profiling(false);
+    ute::obs::set_capture(false);
     let baseline = run_pipeline(1);
 
     for jobs in [1usize, 4] {
-        ute::obs::set_profiling(true);
-        ute::profile::start(Duration::from_micros(200));
-        let profiled = run_pipeline(jobs);
-        ute::profile::stop();
-        ute::obs::set_profiling(false);
+        let (profiled, spans) = captured(|| run_pipeline(jobs));
+        assert!(!spans.is_empty());
         assert_eq!(
             profiled.merged, baseline.merged,
-            "profiling must be purely observational (jobs {jobs})"
+            "capture must be purely observational (jobs {jobs})"
         );
     }
+}
+
+/// `"key": <number>` on one line of the hand-rolled profile.json.
+fn num(line: &str, key: &str) -> f64 {
+    let at = line.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+    let rest = &line[at..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().expect(key)
 }
 
 #[test]
@@ -114,47 +146,82 @@ fn ute_profile_publishes_ranked_report_and_folded_stacks() {
     let dir = std::env::temp_dir().join(format!("ute_profile_smoke_{}", std::process::id()));
     let argv: Vec<String> = [
         "profile",
+        // Long enough (~0.2 s unoptimized) that the root's few hundred
+        // µs of unnamed time cannot approach the 10 % the test allows.
         "--workload",
-        "stencil",
+        "scaling",
         "--out",
         dir.to_str().unwrap(),
-        "--interval-us",
-        "200",
+        "--jobs",
+        "2",
     ]
     .iter()
     .map(|s| s.to_string())
     .collect();
-    let msg = ute::cli::run(&argv).unwrap();
-    assert!(msg.contains("profile: stencil"), "missing header: {msg}");
-    assert!(msg.contains("rank"), "missing ranking table: {msg}");
+    let stack_keys = || -> BTreeSet<String> {
+        let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
+        assert!(!folded.trim().is_empty(), "profile.folded is empty");
+        folded
+            .lines()
+            .map(|line| {
+                let (stack, weight) = line.rsplit_once(' ').expect("folded `stack weight` shape");
+                assert!(!stack.is_empty());
+                weight.parse::<u64>().expect("folded weight is a number");
+                stack.to_string()
+            })
+            .collect()
+    };
 
-    let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
-    assert!(!folded.trim().is_empty(), "profile.folded is empty");
-    for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded `stack count` shape");
-        assert!(!stack.is_empty());
-        count.parse::<u64>().expect("folded count is a number");
-    }
+    let msg = ute::cli::run(&argv).unwrap();
+    assert!(msg.contains("profile: scaling"), "missing header: {msg}");
+    assert!(msg.contains("rank"), "missing ranking table: {msg}");
+    let first = stack_keys();
+    assert!(
+        first.contains("profile;convert;convert worker node 0;convert node 0"),
+        "workers do not hang under the root: {first:?}"
+    );
 
     let json = std::fs::read_to_string(dir.join("profile.json")).unwrap();
     for key in [
         "\"enabled\": true",
-        "\"workload\": \"stencil\"",
+        "\"workload\": \"scaling\"",
         "\"coverage\"",
+        "\"spans\"",
         "\"cpu_clock\"",
         "\"stages\"",
     ] {
         assert!(json.contains(key), "profile.json missing {key}: {json}");
     }
 
-    // Acceptance: stage self-times cover ≥90% of the sampled run. The
-    // root CLI span stays open for the whole command, so only sampler
-    // scheduling gaps can lower this.
-    let coverage: f64 = json
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("\"coverage\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
-        .expect("coverage field");
-    assert!(coverage >= 0.9, "self-time coverage {coverage} below 90%");
+    // The profile explains the run: ≥ 90 % of the root's wall lies in a
+    // named stage, the stages the budget is made of are all rows, rows
+    // are ranked, and no row claims more self time than it has wall.
+    let coverage = num(
+        json.lines().find(|l| l.contains("\"coverage\"")).unwrap(),
+        "coverage",
+    );
+    assert!(coverage >= 0.9, "coverage {coverage} below 90%: {msg}");
+    let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"stage\"")).collect();
+    for stage in ["store", "merge", "convert", "slog", "stats"] {
+        let key = format!("\"stage\": \"{stage}\"");
+        assert!(
+            rows.iter().any(|r| r.contains(&key)),
+            "no {stage} row: {msg}"
+        );
+    }
+    let selfs: Vec<f64> = rows.iter().map(|r| num(r, "self_ns")).collect();
+    assert!(selfs.windows(2).all(|w| w[0] >= w[1]), "not ranked: {msg}");
+    for r in &rows {
+        assert!(
+            num(r, "self_ns") <= num(r, "wall_ns"),
+            "self beyond wall: {r}"
+        );
+        assert!(num(r, "wall_ns") > 0.0, "zero wall: {r}");
+    }
+
+    // Same command, same --jobs: the same set of stacks, whatever the
+    // scheduler did.
+    ute::cli::run(&argv).unwrap();
+    assert_eq!(stack_keys(), first, "stack keys differ between two runs");
     std::fs::remove_dir_all(&dir).ok();
 }
