@@ -4,9 +4,9 @@
 //! views; this crate adds the layer Pipit and PerFlow built years later
 //! over the same kind of data: a queryable, columnar trace table
 //! ([`table::TraceTable`]) loaded through the frame directory (only the
-//! requested time window / node set, never the whole file), a small
-//! operator algebra ([`ops::Selection`]), and four built-in
-//! distributed-performance diagnostics returning structured findings:
+//! requested time window / node set, never the whole file), and four
+//! built-in distributed-performance diagnostics, each a loop over the
+//! table's columns, returning structured findings:
 //!
 //! * [`late_sender`] — wait time charged to tardy senders, matched on
 //!   the job-wide `(sender rank, seq)` message key;
@@ -25,14 +25,12 @@ pub mod comm_pattern;
 pub mod findings;
 pub mod imbalance;
 pub mod late_sender;
-pub mod ops;
 pub mod table;
 
 /// The critical-path diagnostic.
 pub mod critical_path;
 
 pub use findings::{render_report_json, summary_json, Finding, Severity};
-pub use ops::{Bin, Selection};
 pub use table::{load_table, LoadOptions, TraceTable, NO_FIELD};
 
 use ute_core::error::{Result, UteError};
@@ -262,30 +260,6 @@ mod tests {
             .parse()
             .unwrap();
         assert!(hops >= 1);
-    }
-
-    #[test]
-    fn operators_compose() {
-        let p = Profile::standard();
-        let t = TraceTable::from_intervals(
-            &p,
-            &[
-                iv(StateCode::RUNNING, 0, 100, 0, 0),
-                iv(StateCode::SYSCALL, 100, 50, 0, 0),
-                iv(StateCode::RUNNING, 0, 200, 1, 0),
-            ],
-            vec![],
-        );
-        assert_eq!(t.select().by_node(0).count(), 2);
-        assert_eq!(t.select().interesting().count(), 1);
-        assert_eq!(t.select().by_node(1).total_time(), 200);
-        let groups = t.select().group_by_node();
-        assert_eq!(groups.len(), 2);
-        let bins = t.select().by_node(0).bins(75);
-        assert_eq!(bins.len(), 2);
-        assert_eq!(bins[0].busy, 75);
-        assert_eq!(bins[1].busy, 75);
-        assert_eq!(bins.iter().map(|b| b.count).sum::<u64>(), 2);
     }
 
     #[test]

@@ -77,6 +77,47 @@ const KNOWN_SWITCHES: &[&str] = &[
     "profiler",
 ];
 
+/// The valued `--key`s every command takes (`observability` in [`USAGE`]).
+const OBSERVABILITY_KEYS: &str = "self-trace self-trace-format self-trace-limit metrics-interval";
+
+/// What a journaled pipeline run reads (`stages::RunPlan::from_args`).
+const RUN_KEYS: &str = "workload out iterations jobs fault-seed fault-plan disk-budget";
+
+/// Every command of [`run`] with the valued `--key`s it reads, space
+/// separated: what `Args::reject_unknown` checks an invocation against.
+pub const COMMAND_KEYS: &[(&str, &str)] = &[
+    ("trace", "workload out iterations fault-seed fault-plan"),
+    ("convert", "in jobs"),
+    ("merge", "in out estimator jobs"),
+    ("slogmerge", "in out estimator frames bins jobs"),
+    ("stats", "merged profile program out"),
+    ("preview", "slog ivl svg"),
+    ("view", "slog kind window frame-at cpus width svg"),
+    ("clockfit", "in estimator"),
+    ("corrupt", "in seed plan"),
+    ("pipeline", RUN_KEYS),
+    ("resume", "in jobs disk-budget"),
+    (
+        "chaos",
+        "workload out iterations jobs fault-seed fault-plan disk-budget seed kills mode",
+    ),
+    (
+        "scenario",
+        "seed out jobs fault-seed fault-plan nodes cpus tasks-per-node threads pattern rounds \
+         straggler skew burst depth width fanout",
+    ),
+    ("report", RUN_KEYS),
+    ("profile", RUN_KEYS),
+    (
+        "analyze",
+        "in diag window nodes imbalance-threshold profile",
+    ),
+    ("check", "in ivl profile slog raw seed"),
+    ("fuzz", "seed iters"),
+    ("help", ""),
+    ("--help", ""),
+];
+
 impl Args {
     /// Parses `--key value` and bare `--switch` arguments.
     ///
@@ -103,6 +144,25 @@ impl Args {
             }
         }
         Ok(a)
+    }
+
+    /// Fails on a valued `--key` that `cmd` does not read, naming the
+    /// known key it is a prefix of (or that is a prefix of it), if any.
+    fn reject_unknown(&self, cmd: &str) -> Result<()> {
+        let Some((_, own)) = COMMAND_KEYS.iter().find(|(c, _)| *c == cmd) else {
+            return Ok(()); // `run` reports the unknown command
+        };
+        let known = || {
+            own.split_whitespace()
+                .chain(OBSERVABILITY_KEYS.split_whitespace())
+        };
+        let unknown = self.map.keys().filter(|k| !known().any(|n| n == *k)).min();
+        let Some(key) = unknown else { return Ok(()) };
+        let near = known().find(|n| n.starts_with(key.as_str()) || key.starts_with(n));
+        let hint = near.map_or(String::new(), |n| format!(" (did you mean --{n}?)"));
+        Err(UteError::Invalid(format!(
+            "{cmd}: unknown option --{key}{hint}"
+        )))
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -329,7 +389,8 @@ fn trace_outputs(
 
 /// Finds the node numbers for which `<prefix>.<N>.<ext>` exists in
 /// `dir`, sorted. Unlike a break-at-first-hole scan, this sees files
-/// *past* a missing node — the whole point of salvage mode.
+/// *past* a missing node: salvage mode ingests them, strict mode names
+/// the hole.
 fn scan_node_files(dir: &Path, prefix: &str, ext: &str) -> Result<Vec<u16>> {
     let mut nodes = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -358,12 +419,24 @@ fn missing_nodes(present: &[u16]) -> Vec<u16> {
     }
 }
 
+/// The nodes with a `trace.N.<ext>` in `dir` and those missing from the
+/// numbering. Strict mode has no holes: the first is a `NotFound`.
+fn scan_trace_files(dir: &Path, ext: &str, salvage: bool) -> Result<(Vec<u16>, Vec<u16>)> {
+    let present = scan_node_files(dir, "trace", ext)?;
+    let lost = missing_nodes(&present);
+    match lost.first() {
+        Some(node) if !salvage => Err(UteError::NotFound(format!(
+            "trace.{node}.{ext} in {} (a missing node is an error under --strict)",
+            dir.display()
+        ))),
+        _ => Ok((present, lost)),
+    }
+}
+
 /// Loads a trace directory's raw files. In salvage mode, files past a
 /// hole are still found, unreadable files are dropped with a warning,
-/// and the second return value lists the nodes that could not be
-/// loaded; strict mode fails on the first unreadable file (holes are
-/// reported as missing, not errors — a gap in the numbering is not
-/// itself corrupt data).
+/// and the last return value lists the nodes that could not be loaded;
+/// strict mode fails on the first hole or unreadable file.
 fn load_raw_dir(
     dir: &Path,
     salvage: bool,
@@ -376,8 +449,7 @@ fn load_raw_dir(
     let _span = ute_obs::Span::enter("rawtrace", format!("load {}", dir.display()));
     let threads = read_thread_table_file(&dir.join("threads.utt"))?;
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let present = scan_node_files(dir, "trace", "raw")?;
-    let mut lost = missing_nodes(&present);
+    let (present, mut lost) = scan_trace_files(dir, "raw", salvage)?;
     let mut files = Vec::new();
     for &node in &present {
         let p = dir.join(RawTraceFile::file_name("trace", NodeId(node)));
@@ -472,36 +544,24 @@ fn convert_outputs(args: &Args) -> Result<stages::StageOutput> {
     })
 }
 
-/// Loads the per-node interval files of `dir`. In salvage mode the scan
-/// tolerates holes and unreadable files, returning the nodes lost; in
-/// strict mode it keeps the historical break-at-first-hole behavior.
+/// Loads the per-node interval files of `dir`, returning the nodes lost:
+/// holes and unreadable files, which strict mode fails on instead.
 fn load_interval_files(dir: &Path, salvage: bool) -> Result<(Vec<Vec<u8>>, Vec<u16>)> {
     let _span = ute_obs::Span::enter("format", format!("read {}/trace.N.ivl", dir.display()));
+    let (present, mut lost) = scan_trace_files(dir, "ivl", salvage)?;
     let mut files = Vec::new();
-    let mut lost = Vec::new();
-    if salvage {
-        let present = scan_node_files(dir, "trace", "ivl")?;
-        lost = missing_nodes(&present);
-        for &node in &present {
-            let p = dir.join(format!("trace.{node}.ivl"));
-            match std::fs::read(&p) {
-                Ok(bytes) => files.push(bytes),
-                Err(e) => {
-                    eprintln!("ute: warning: salvage: dropping {}: {e}", p.display());
-                    lost.push(node);
-                }
+    for &node in &present {
+        let p = dir.join(format!("trace.{node}.ivl"));
+        match std::fs::read(&p) {
+            Ok(bytes) => files.push(bytes),
+            Err(e) if salvage => {
+                eprintln!("ute: warning: salvage: dropping {}: {e}", p.display());
+                lost.push(node);
             }
-        }
-        lost.sort_unstable();
-    } else {
-        for node in 0u16.. {
-            let p = dir.join(format!("trace.{node}.ivl"));
-            if !p.exists() {
-                break;
-            }
-            files.push(std::fs::read(&p)?);
+            Err(e) => return Err(e.into()),
         }
     }
+    lost.sort_unstable();
     if files.is_empty() {
         return Err(UteError::NotFound(format!(
             "no trace.N.ivl files in {} (run `ute convert` first)",
@@ -1422,6 +1482,7 @@ pub fn run(argv: &[String]) -> Result<String> {
         rest
     };
     let args = Args::parse(rest)?;
+    args.reject_unknown(cmd)?;
     let self_trace = args.get("self-trace").map(PathBuf::from);
     let self_trace_format = match args.get("self-trace-format") {
         None => selftrace::SelfTraceFormat::default(),

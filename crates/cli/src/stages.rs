@@ -377,16 +377,10 @@ fn drive(
 /// journaled run's metrics — "this never happened" stays distinguishable
 /// from "this was never measured" even outside `ute report`.
 fn register_store_counters() {
-    for n in [
-        "store/journal_records",
-        "store/journal_replayed",
-        "store/stages_run",
-        "store/stages_skipped",
-        "store/artifacts_published",
-        "store/artifacts_verified",
-        "store/temps_gc",
-    ] {
-        ute_obs::counter(n);
+    for n in crate::BASELINE_COUNTERS {
+        if n.starts_with("store/") {
+            ute_obs::counter(n);
+        }
     }
 }
 

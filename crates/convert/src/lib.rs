@@ -12,7 +12,10 @@
 //! nested state transitions close the current piece of every affected
 //! state; the piece's bebits record whether it is the first (`Begin`),
 //! an interior (`Continuation`), the final (`End`), or the only
-//! (`Complete`) piece of its state.
+//! (`Complete`) piece of its state. [`matcher`] is that rule written
+//! once: a row per bracketed state kind, one `open_state`, one
+//! `close_state`, and one `close_piece` that owns the bebits decision
+//! (DESIGN "The matcher is a transition table").
 //!
 //! The converter also re-assigns **globally unique marker identifiers**:
 //! the tracing library hands out ids per task without cross-task

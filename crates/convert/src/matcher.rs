@@ -1,12 +1,16 @@
-//! The per-node event→interval state machine.
+//! The per-node event→interval state machine, as a transition table.
 //!
 //! Per thread the matcher keeps a stack of open states over the implicit
 //! *Running* bottom state. Pieces are closed (emitted) whenever:
 //!
-//! * the thread is descheduled (every open state closes a piece);
+//! * the thread is descheduled (the top state's piece closes; the states
+//!   beneath have none open);
 //! * a nested state begins (the enclosing state's current piece closes);
 //! * the state itself ends (its final piece closes — `End`, or `Complete`
 //!   if it never lost the CPU).
+//!
+//! The bracketed states (MPI call, marker, I/O) are rows (`StateKind`)
+//! driven by one `open_state`, one `close_state` and one `close_piece`.
 //!
 //! Emission happens in event-time order, so the produced records are
 //! naturally "in ascending order based on their end time" (§3.1), which
@@ -26,7 +30,7 @@ use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
 use ute_format::value::Value;
 use ute_rawtrace::file::RawTraceFile;
-use ute_rawtrace::record::{ClockPayload, DispatchPayload, MarkerPayload, MpiPayload, RawEvent};
+use ute_rawtrace::record::{ClockPayload, DispatchPayload, MarkerPayload, MpiPayload};
 
 use crate::marker::MarkerMap;
 use crate::node_threads;
@@ -82,7 +86,7 @@ pub struct ConvertOutput {
 }
 
 /// Extra fields attached to an open state, completed at its end event.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StateExtras {
     rank: Option<u32>,
     peer: Option<u32>,
@@ -93,7 +97,6 @@ struct StateExtras {
     address: Option<u64>,
     address_end: Option<u64>,
     marker_id: Option<u32>,
-    req_seqs: Option<Vec<u64>>,
 }
 
 #[derive(Debug)]
@@ -116,147 +119,432 @@ struct ThreadCursor {
     running_since: Option<LocalTime>,
 }
 
-/// Where an emitted record's extra field takes its value from — the
-/// enum-dispatched replacement for matching field *names* per record.
-#[derive(Debug, Clone)]
-enum FillKind {
-    Rank,
-    Peer,
-    Tag,
-    Sent,
-    Recvd,
-    Seq,
-    Address,
-    AddressEnd,
-    MarkerId,
-    /// `globalTime` rides in the seq slot (clock records).
-    GlobalTime,
-    ReqSeqs,
-    /// A field the converter has no source for; emitting a record that
-    /// demands it reports the same error the name-matching path did.
-    Unknown(String),
+/// Where an emitted record's extra field takes its value from. The
+/// profile's field names are resolved once (`fills`, by name index), so
+/// no record compares a name.
+#[derive(Clone, Copy)]
+enum Fill {
+    /// A field every record has (`start`, `cpu`, ...): not an extra.
+    Core,
+    Uint(fn(&StateExtras) -> u64),
+    /// `reqSeqs`: the converter records no request list.
+    EmptyVec,
+    /// No source: a record that demands the field is an error naming it.
+    Unknown,
 }
 
-/// Per-record-type fill plans, compiled once per conversion. Each plan
-/// lists the non-core fields of the spec in order with their value
-/// source, so `emit` fills extras without touching the name table.
-struct FillPlans {
-    plans: Vec<(u32, Vec<(u16, FillKind)>)>,
-    last: std::cell::Cell<usize>,
+fn fills(profile: &Profile) -> Vec<Fill> {
+    let fill = |name: &String| match name.as_str() {
+        "recType" | "start" | "dura" | "cpu" | "node" | "thread" => Fill::Core,
+        "rank" => Fill::Uint(|x| x.rank.unwrap_or(0) as u64),
+        "peer" => Fill::Uint(|x| x.peer.unwrap_or(u32::MAX) as u64),
+        "tag" => Fill::Uint(|x| x.tag.unwrap_or(0) as u64),
+        "msgSizeSent" => Fill::Uint(|x| x.sent.unwrap_or(0)),
+        "msgSizeRecvd" => Fill::Uint(|x| x.recvd.unwrap_or(0)),
+        // `globalTime` rides in the seq slot (clock records).
+        "seq" | "globalTime" => Fill::Uint(|x| x.seq.unwrap_or(0)),
+        "address" => Fill::Uint(|x| x.address.unwrap_or(0)),
+        "addressEnd" => Fill::Uint(|x| x.address_end.unwrap_or(0)),
+        "markerId" => Fill::Uint(|x| x.marker_id.unwrap_or(0) as u64),
+        "reqSeqs" => Fill::EmptyVec,
+        _ => Fill::Unknown,
+    };
+    profile.field_names.iter().map(fill).collect()
 }
 
-impl FillPlans {
-    fn build(profile: &Profile) -> FillPlans {
-        let mut plans = Vec::with_capacity(profile.specs.len());
-        for (&itype_raw, spec) in &profile.specs {
-            let mut fields = Vec::new();
-            for f in &spec.fields {
-                let name = profile
-                    .field_names
-                    .get(f.name_idx as usize)
-                    .map(|s| s.as_str())
-                    .unwrap_or("");
-                let kind = match name {
-                    "recType" | "start" | "dura" | "cpu" | "node" | "thread" => continue,
-                    "rank" => FillKind::Rank,
-                    "peer" => FillKind::Peer,
-                    "tag" => FillKind::Tag,
-                    "msgSizeSent" => FillKind::Sent,
-                    "msgSizeRecvd" => FillKind::Recvd,
-                    "seq" => FillKind::Seq,
-                    "address" => FillKind::Address,
-                    "addressEnd" => FillKind::AddressEnd,
-                    "markerId" => FillKind::MarkerId,
-                    "globalTime" => FillKind::GlobalTime,
-                    "reqSeqs" => FillKind::ReqSeqs,
-                    other => FillKind::Unknown(other.to_string()),
-                };
-                fields.push((f.name_idx, kind));
-            }
-            plans.push((itype_raw, fields));
-        }
-        plans.sort_by_key(|(t, _)| *t);
-        FillPlans {
-            plans,
-            last: std::cell::Cell::new(0),
+/// One row of the transition table: a bracketed state, and what differs
+/// between the three — its state code and what its end event says when
+/// it cannot close the state it should. A row's extras are built and
+/// completed in its arms of [`Matcher::step`], where the payload is.
+#[derive(Debug, Clone, Copy)]
+enum StateKind {
+    Mpi(MpiOp),
+    Marker,
+    Io,
+}
+
+impl StateKind {
+    fn state(self) -> StateCode {
+        match self {
+            StateKind::Mpi(op) => StateCode::mpi(op),
+            StateKind::Marker => StateCode::MARKER,
+            StateKind::Io => StateCode::IO,
         }
     }
 
-    fn plan(&self, itype_raw: u32) -> Option<&[(u16, FillKind)]> {
-        if let Some((t, fields)) = self.plans.get(self.last.get()) {
-            if *t == itype_raw {
-                return Some(fields);
-            }
-        }
-        let idx = self
-            .plans
-            .binary_search_by_key(&itype_raw, |(t, _)| *t)
-            .ok()?;
-        self.last.set(idx);
-        Some(&self.plans[idx].1)
+    fn end_without_begin(self, thread: LogicalThreadId) -> UteError {
+        UteError::corrupt(match self {
+            StateKind::Mpi(op) => format!("{op}: end without begin on thread {thread}"),
+            StateKind::Marker => format!("marker end without begin on thread {thread}"),
+            StateKind::Io => format!("IoEnd without IoStart on thread {thread}"),
+        })
+    }
+
+    fn closed_another_state(self, open: StateCode) -> UteError {
+        UteError::corrupt(match self {
+            StateKind::Mpi(op) => format!("mismatched end: open state {open} closed by {op}"),
+            StateKind::Marker => format!("marker end closed a {open} state"),
+            StateKind::Io => "IoEnd closed a non-IO state".to_string(),
+        })
+    }
+
+    /// Where the last piece starts when the end arrives at `now` with the
+    /// thread descheduled: corrupt, except that an I/O end is taken as an
+    /// empty piece at its own time (inherited behaviour, kept as it was).
+    fn end_while_descheduled(self, now: LocalTime) -> Result<LocalTime> {
+        let what = match self {
+            StateKind::Mpi(op) => op.name(),
+            StateKind::Marker => "marker",
+            StateKind::Io => return Ok(now),
+        };
+        let text = format!("{what} ended while its thread was descheduled");
+        Err(UteError::corrupt(text))
     }
 }
 
-struct Emitter<'a> {
+fn mpi_extras(p: &MpiPayload, op: MpiOp) -> StateExtras {
+    StateExtras {
+        rank: Some(p.rank),
+        peer: Some(p.peer),
+        tag: Some(p.tag),
+        sent: (op.is_p2p_send() || op.is_collective()).then_some(p.bytes),
+        recvd: op.is_p2p_recv().then_some(p.bytes),
+        seq: Some(p.seq),
+        address: Some(p.address),
+        ..StateExtras::default()
+    }
+}
+
+/// One node's matcher, less the per-thread cursors it advances: what
+/// every transition reads, and where the pieces go.
+struct Matcher<'a> {
     writer: IntervalFileWriter<'a>,
-    fills: FillPlans,
+    profile: &'a Profile,
+    fills: Vec<Fill>,
     node: NodeId,
+    table: &'a ThreadTable,
+    markers: &'a MarkerMap,
+    /// Where an end without a begin is clipped to (lenient mode); `None`
+    /// makes it, and a dispatch out of turn, corrupt.
+    clip_to: Option<LocalTime>,
     stats: ConvertStats,
 }
 
-impl Emitter<'_> {
-    #[allow(clippy::too_many_arguments)] // the seven pieces of an interval record
+type Cursors = HashMap<LogicalThreadId, ThreadCursor>;
+
+/// One event on one thread: what a transition emits is the thread's, till now.
+struct Event<'m, 'a> {
+    m: &'m mut Matcher<'a>,
+    thread: LogicalThreadId,
+    now: LocalTime,
+}
+
+impl Event<'_, '_> {
     fn emit(
         &mut self,
         state: StateCode,
         bebits: BeBits,
         start: LocalTime,
-        end: LocalTime,
         cpu: CpuId,
-        thread: LogicalThreadId,
         extras: &StateExtras,
     ) -> Result<()> {
+        let m = &mut *self.m;
         let itype = IntervalType { state, bebits };
         let mut iv = Interval::basic(
             itype,
             start.ticks(),
-            end.ticks().saturating_sub(start.ticks()),
+            self.now.ticks().saturating_sub(start.ticks()),
             cpu,
-            self.node,
-            thread,
+            m.node,
+            self.thread,
         );
-        // Fill the fields the profile demands for this state. A missing
-        // plan (no spec) leaves the extras empty, exactly as before —
-        // the writer then rejects the unknown record type.
-        if let Some(fields) = self.fills.plan(itype.to_u32()) {
-            for (name_idx, kind) in fields {
-                let v = match kind {
-                    FillKind::Rank => Value::Uint(extras.rank.unwrap_or(0) as u64),
-                    FillKind::Peer => Value::Uint(extras.peer.unwrap_or(u32::MAX) as u64),
-                    FillKind::Tag => Value::Uint(extras.tag.unwrap_or(0) as u64),
-                    FillKind::Sent => Value::Uint(extras.sent.unwrap_or(0)),
-                    FillKind::Recvd => Value::Uint(extras.recvd.unwrap_or(0)),
-                    FillKind::Seq => Value::Uint(extras.seq.unwrap_or(0)),
-                    FillKind::Address => Value::Uint(extras.address.unwrap_or(0)),
-                    FillKind::AddressEnd => Value::Uint(extras.address_end.unwrap_or(0)),
-                    FillKind::MarkerId => Value::Uint(extras.marker_id.unwrap_or(0) as u64),
-                    FillKind::GlobalTime => Value::Uint(extras.seq.unwrap_or(0)),
-                    FillKind::ReqSeqs => {
-                        Value::UintVec(extras.req_seqs.clone().unwrap_or_default().into())
-                    }
-                    FillKind::Unknown(other) => {
-                        return Err(UteError::Invalid(format!(
-                            "converter does not know how to fill field {other}"
-                        )))
-                    }
-                };
-                iv.extras.push((*name_idx, v));
-            }
+        // Fill the fields the profile demands for this state. A type
+        // without a spec gets no extras: the writer then rejects it.
+        let spec = m.profile.specs.get(&itype.to_u32());
+        for f in spec.map_or(&[][..], |spec| &spec.fields[..]) {
+            let name_idx = f.name_idx as usize;
+            let v = match m.fills.get(name_idx).unwrap_or(&Fill::Unknown) {
+                Fill::Core => continue,
+                Fill::Uint(of) => Value::Uint(of(extras)),
+                Fill::EmptyVec => Value::UintVec(Vec::new().into()),
+                Fill::Unknown => {
+                    let name = m.profile.field_names.get(name_idx);
+                    return Err(UteError::Invalid(format!(
+                        "converter does not know how to fill field {}",
+                        name.map_or("", String::as_str)
+                    )));
+                }
+            };
+            iv.extras.push((f.name_idx, v));
         }
-        self.writer.push(&iv)?;
-        self.stats.intervals_out += 1;
+        m.writer.push(&iv)?;
+        m.stats.intervals_out += 1;
         Ok(())
     }
+
+    /// A record without extras: a point event, a burst of Running.
+    fn emit_whole(&mut self, state: StateCode, start: LocalTime, cpu: CpuId) -> Result<()> {
+        self.emit(state, BeBits::Complete, start, cpu, &StateExtras::default())
+    }
+}
+
+impl OpenState {
+    /// The one piece rule: closes the current piece, if there is one (a
+    /// descheduled state has none). Which piece it was follows from
+    /// whether the state emitted one before and whether this is its last.
+    fn close_piece(&mut self, ev: &mut Event, last: bool, cpu: CpuId) -> Result<()> {
+        let Some(start) = self.piece_start.take() else {
+            return Ok(());
+        };
+        let bebits = match (self.emitted, last) {
+            (false, false) => BeBits::Begin,
+            (true, false) => BeBits::Continuation,
+            (true, true) => BeBits::End,
+            (false, true) => BeBits::Complete,
+        };
+        self.emitted = true;
+        ev.emit(self.state, bebits, start, cpu, &self.extras)
+    }
+}
+
+impl ThreadCursor {
+    fn cpu(&self) -> CpuId {
+        self.cpu.unwrap_or(CpuId(0))
+    }
+
+    /// Running bursts are independent complete intervals: the "state"
+    /// conceptually spans gaps but each burst stands alone.
+    fn close_running(&mut self, ev: &mut Event) -> Result<()> {
+        match self.running_since.take() {
+            Some(since) => ev.emit_whole(StateCode::RUNNING, since, self.cpu()),
+            None => Ok(()),
+        }
+    }
+
+    /// Closes the piece of the top open state (or Running), because a
+    /// nested state begins or the thread is descheduled.
+    fn pause_top(&mut self, ev: &mut Event) -> Result<()> {
+        let cpu = self.cpu();
+        match self.stack.last_mut() {
+            Some(open) => open.close_piece(ev, false, cpu),
+            None => self.close_running(ev),
+        }
+    }
+
+    /// Resumes the top open state (or Running), after a dispatch or after
+    /// a nested state ended.
+    fn resume_top(&mut self, now: LocalTime) {
+        if self.cpu.is_none() {
+            return;
+        }
+        match self.stack.last_mut() {
+            Some(open) => open.piece_start = Some(now),
+            None => self.running_since = Some(now),
+        }
+    }
+
+    fn dispatch(&mut self, ev: &mut Event, cpu: CpuId) -> Result<()> {
+        if self.cpu.is_some() {
+            if ev.m.clip_to.is_none() {
+                let thread = ev.thread;
+                return Err(UteError::corrupt(format!(
+                    "thread {thread} dispatched while already running"
+                )));
+            }
+            // Partial trace lost the undispatch: treat as migration.
+            self.pause_top(ev)?;
+        }
+        self.cpu = Some(cpu);
+        self.resume_top(ev.now);
+        Ok(())
+    }
+
+    fn undispatch(&mut self, ev: &mut Event, cpu: CpuId) -> Result<()> {
+        if self.cpu.is_none() {
+            let Some(trace_start) = ev.m.clip_to else {
+                let thread = ev.thread;
+                return Err(UteError::corrupt(format!(
+                    "thread {thread} undispatched while not running"
+                )));
+            };
+            // Thread was running since before the trace started.
+            ev.m.stats.clipped_starts += 1;
+            self.cpu = Some(cpu);
+            self.running_since = Some(trace_start);
+        }
+        self.pause_top(ev)?;
+        self.cpu = None;
+        Ok(())
+    }
+
+    /// A begin event: whatever was on top closes a piece, and the new
+    /// state opens its first.
+    fn open_state(&mut self, ev: &mut Event, kind: StateKind, extras: StateExtras) -> Result<()> {
+        self.pause_top(ev)?;
+        self.stack.push(OpenState {
+            state: kind.state(),
+            piece_start: Some(ev.now),
+            emitted: false,
+            extras,
+        });
+        ev.m.stats.max_stack = ev.m.stats.max_stack.max(self.stack.len() as u64);
+        Ok(())
+    }
+
+    /// An end event: the top state must be of `kind`; its last piece
+    /// closes and whatever is beneath resumes. `complete` turns the extras
+    /// the state opened with (`None`: a clipped end) into its last piece's.
+    fn close_state(
+        &mut self,
+        ev: &mut Event,
+        kind: StateKind,
+        complete: impl FnOnce(&Matcher, Option<StateExtras>) -> StateExtras,
+    ) -> Result<()> {
+        let mut open = match (self.stack.pop(), ev.m.clip_to) {
+            (Some(open), _) if open.state != kind.state() => {
+                return Err(kind.closed_another_state(open.state))
+            }
+            (Some(open), _) => OpenState {
+                extras: complete(ev.m, Some(open.extras)),
+                ..open
+            },
+            // The begin predates the (delayed) trace: a last piece from
+            // the trace start, its Begin piece never seen.
+            (None, Some(trace_start)) => {
+                ev.m.stats.clipped_starts += 1;
+                OpenState {
+                    state: kind.state(),
+                    piece_start: Some(trace_start.min(ev.now)),
+                    emitted: true,
+                    extras: complete(ev.m, None),
+                }
+            }
+            (None, None) => return Err(kind.end_without_begin(ev.thread)),
+        };
+        if open.piece_start.is_none() {
+            open.piece_start = Some(kind.end_while_descheduled(ev.now)?);
+        }
+        open.close_piece(ev, true, self.cpu())?;
+        self.resume_top(ev.now);
+        Ok(())
+    }
+}
+
+impl Matcher<'_> {
+    /// The rank of `thread`'s task and, if that task defined it, the
+    /// unified id of its marker `local_id`.
+    fn unify(&self, thread: LogicalThreadId, local_id: u32) -> (u32, Option<u32>) {
+        let entry = self.table.lookup(self.node, thread);
+        let rank = entry.map_or(u32::MAX, |e| e.task.raw());
+        (rank, self.markers.unify(rank, local_id))
+    }
+
+    /// Applies one event: decode its payload, dispatch on its row. The
+    /// payload is borrowed, so the caller may own events or view them.
+    fn step(
+        &mut self,
+        cursors: &mut Cursors,
+        code: EventCode,
+        now: LocalTime,
+        payload: &[u8],
+    ) -> Result<()> {
+        match code {
+            EventCode::TraceStart | EventCode::TraceStop | EventCode::MarkerDef => Ok(()),
+
+            EventCode::GlobalClock => {
+                let p = ClockPayload::from_bytes(payload)?;
+                // Clock records ride along as zero-duration CLOCK intervals on
+                // pseudo-thread 0; `seq` carries the global timestamp into the
+                // profile's globalTime field.
+                let extras = StateExtras {
+                    seq: Some(p.global.ticks()),
+                    ..StateExtras::default()
+                };
+                let (m, thread) = (self, LogicalThreadId(0));
+                let mut ev = Event { m, thread, now };
+                ev.emit(StateCode::CLOCK, BeBits::Complete, now, CpuId(0), &extras)
+            }
+
+            EventCode::MpiBegin(op) => {
+                let p = MpiPayload::from_bytes(payload)?;
+                let (cur, ev) = &mut on(self, cursors, p.thread, now);
+                cur.open_state(ev, StateKind::Mpi(op), mpi_extras(&p, op))
+            }
+            EventCode::MpiEnd(op) => {
+                let p = MpiPayload::from_bytes(payload)?;
+                let (cur, ev) = &mut on(self, cursors, p.thread, now);
+                // The end event carries the completed call's arguments.
+                cur.close_state(ev, StateKind::Mpi(op), |_, _| mpi_extras(&p, op))
+            }
+
+            EventCode::MarkerBegin => {
+                let p = MarkerPayload::from_bytes(payload)?;
+                let (rank, unified) = self.unify(p.thread, p.local_id);
+                let unified = unified.ok_or_else(|| {
+                    UteError::corrupt(format!(
+                        "marker begin for undefined id {} (rank {rank})",
+                        p.local_id
+                    ))
+                })?;
+                let extras = StateExtras {
+                    marker_id: Some(unified),
+                    address: Some(p.address),
+                    ..StateExtras::default()
+                };
+                let (cur, ev) = &mut on(self, cursors, p.thread, now);
+                cur.open_state(ev, StateKind::Marker, extras)
+            }
+            EventCode::MarkerEnd => {
+                let p = MarkerPayload::from_bytes(payload)?;
+                // A marker opened before the trace started has the id its
+                // task defined since, else 0.
+                let clipped = |m: &Matcher| StateExtras {
+                    marker_id: m.unify(p.thread, p.local_id).1.or(Some(0)),
+                    ..StateExtras::default()
+                };
+                let (cur, ev) = &mut on(self, cursors, p.thread, now);
+                cur.close_state(ev, StateKind::Marker, |m, opened_with| StateExtras {
+                    address_end: Some(p.address),
+                    ..opened_with.unwrap_or_else(|| clipped(m))
+                })
+            }
+
+            // The events that say only which thread, on which CPU.
+            EventCode::ThreadDispatch
+            | EventCode::ThreadUndispatch
+            | EventCode::IoStart
+            | EventCode::IoEnd
+            | EventCode::Syscall
+            | EventCode::PageFault
+            | EventCode::Interrupt => {
+                let p = DispatchPayload::from_bytes(payload)?;
+                let (cur, ev) = &mut on(self, cursors, p.thread, now);
+                match code {
+                    EventCode::ThreadDispatch => cur.dispatch(ev, p.cpu),
+                    EventCode::ThreadUndispatch => cur.undispatch(ev, p.cpu),
+                    EventCode::IoStart => cur.open_state(ev, StateKind::Io, StateExtras::default()),
+                    EventCode::IoEnd => {
+                        cur.close_state(ev, StateKind::Io, |_, e| e.unwrap_or_default())
+                    }
+                    // Point system events become zero-duration complete
+                    // intervals without splitting the enclosing state.
+                    EventCode::Syscall => ev.emit_whole(StateCode::SYSCALL, now, cur.cpu()),
+                    EventCode::PageFault => ev.emit_whole(StateCode::PAGE_FAULT, now, cur.cpu()),
+                    _ => ev.emit_whole(StateCode::INTERRUPT, now, cur.cpu()),
+                }
+            }
+        }
+    }
+}
+
+/// The cursor of `thread` and the event at `now` its transitions emit into.
+fn on<'m, 'a>(
+    m: &'m mut Matcher<'a>,
+    cursors: &'m mut Cursors,
+    thread: LogicalThreadId,
+    now: LocalTime,
+) -> (&'m mut ThreadCursor, Event<'m, 'a>) {
+    (cursors.entry(thread).or_default(), Event { m, thread, now })
 }
 
 /// Converts one node's raw trace into a per-node interval file
@@ -288,7 +576,6 @@ pub fn convert_node_opts(
     markers: &MarkerMap,
     opts: &ConvertOptions,
 ) -> Result<ConvertOutput> {
-    let policy = opts.policy;
     let node = file.node;
     let _span = ute_obs::Span::enter("convert", format!("convert node {}", node.raw()));
     let table = node_threads(threads, node);
@@ -298,429 +585,54 @@ pub fn convert_node_opts(
         node.raw(),
         &table,
         markers.table(),
-        policy,
+        opts.policy,
     );
-    let mut em = Emitter {
+    let trace_start = file.events.first().map_or(LocalTime(0), |e| e.timestamp);
+    let mut m = Matcher {
         writer,
-        fills: FillPlans::build(profile),
+        profile,
+        fills: fills(profile),
         node,
+        table: &table,
+        markers,
+        clip_to: opts.lenient.then_some(trace_start),
         stats: ConvertStats::default(),
     };
-    let mut cursors: HashMap<LogicalThreadId, ThreadCursor> = HashMap::new();
+    let mut cursors = Cursors::new();
     let mut last_time = LocalTime(0);
-    let trace_start = file
-        .events
-        .first()
-        .map(|e| e.timestamp)
-        .unwrap_or(LocalTime(0));
-
     for ev in &file.events {
-        em.stats.events_in += 1;
+        m.stats.events_in += 1;
         last_time = last_time.max(ev.timestamp);
-        step(
-            &mut em,
-            &mut cursors,
-            &table,
-            markers,
-            ev,
-            opts,
-            trace_start,
-        )?;
+        m.step(&mut cursors, ev.code, ev.timestamp, &ev.payload)?;
     }
-    // Force-close anything still open at the end of the trace.
+    // Force-close anything still open at the end of the trace: on each
+    // thread its Running burst, then its stack from the top, every piece
+    // a last one.
     let mut leftover: Vec<LogicalThreadId> = cursors.keys().copied().collect();
     leftover.sort();
-    for tid in leftover {
-        let cur = cursors.get_mut(&tid).expect("cursor exists");
-        let cpu = cur.cpu.unwrap_or(CpuId(0));
-        if let Some(since) = cur.running_since.take() {
-            em.emit(
-                StateCode::RUNNING,
-                BeBits::Complete,
-                since,
-                last_time,
-                cpu,
-                tid,
-                &StateExtras::default(),
-            )?;
-            em.stats.force_closed += 1;
-        }
+    let before = m.stats.intervals_out;
+    for thread in leftover {
+        let (cur, ev) = &mut on(&mut m, &mut cursors, thread, last_time);
+        cur.close_running(ev)?;
         while let Some(mut open) = cur.stack.pop() {
-            if let Some(ps) = open.piece_start.take() {
-                let bebits = if open.emitted {
-                    BeBits::End
-                } else {
-                    BeBits::Complete
-                };
-                em.emit(open.state, bebits, ps, last_time, cpu, tid, &open.extras)?;
-                em.stats.force_closed += 1;
-            }
+            open.close_piece(ev, true, cur.cpu())?;
         }
     }
-    ute_obs::counter("convert/records_in").add(em.stats.events_in);
-    ute_obs::counter("convert/intervals_out").add(em.stats.intervals_out);
-    ute_obs::counter("convert/force_closed").add(em.stats.force_closed);
-    if opts.salvage && em.stats.force_closed > 0 {
-        ute_obs::counter("salvage/intervals_truncated").add(em.stats.force_closed);
+    let stats = &mut m.stats;
+    stats.force_closed = stats.intervals_out - before;
+    ute_obs::counter("convert/records_in").add(stats.events_in);
+    ute_obs::counter("convert/intervals_out").add(stats.intervals_out);
+    ute_obs::counter("convert/force_closed").add(stats.force_closed);
+    if opts.salvage && stats.force_closed > 0 {
+        ute_obs::counter("salvage/intervals_truncated").add(stats.force_closed);
     }
-    ute_obs::counter("convert/clipped_starts").add(em.stats.clipped_starts);
-    ute_obs::gauge("convert/match_stack_max").set_max(em.stats.max_stack as f64);
+    ute_obs::counter("convert/clipped_starts").add(stats.clipped_starts);
+    ute_obs::gauge("convert/match_stack_max").set_max(stats.max_stack as f64);
     Ok(ConvertOutput {
         node,
-        interval_file: em.writer.finish(),
-        stats: em.stats,
+        interval_file: m.writer.finish(),
+        stats: m.stats,
     })
-}
-
-/// Closes the piece of the top open state (or Running) at `now`, because
-/// a nested state begins or the thread is descheduled.
-fn pause_top(
-    em: &mut Emitter,
-    cur: &mut ThreadCursor,
-    tid: LogicalThreadId,
-    now: LocalTime,
-) -> Result<()> {
-    let cpu = cur.cpu.unwrap_or(CpuId(0));
-    if let Some(open) = cur.stack.last_mut() {
-        if let Some(ps) = open.piece_start.take() {
-            let bebits = if open.emitted {
-                BeBits::Continuation
-            } else {
-                BeBits::Begin
-            };
-            let extras = open.extras.clone();
-            open.emitted = true;
-            em.emit(open.state, bebits, ps, now, cpu, tid, &extras)?;
-        }
-    } else if let Some(since) = cur.running_since.take() {
-        // Running pieces are independent complete intervals; the Running
-        // "state" conceptually spans gaps but each burst stands alone.
-        em.emit(
-            StateCode::RUNNING,
-            BeBits::Complete,
-            since,
-            now,
-            cpu,
-            tid,
-            &StateExtras::default(),
-        )?;
-    }
-    Ok(())
-}
-
-/// Resumes the top open state (or Running) at `now`, after a dispatch or
-/// after a nested state ended.
-fn resume_top(cur: &mut ThreadCursor, now: LocalTime) {
-    if cur.cpu.is_none() {
-        return;
-    }
-    if let Some(open) = cur.stack.last_mut() {
-        open.piece_start = Some(now);
-    } else {
-        cur.running_since = Some(now);
-    }
-}
-
-fn mpi_extras(p: &MpiPayload, op: MpiOp) -> StateExtras {
-    StateExtras {
-        rank: Some(p.rank),
-        peer: Some(p.peer),
-        tag: Some(p.tag),
-        sent: if op.is_p2p_send() || op.is_collective() {
-            Some(p.bytes)
-        } else {
-            None
-        },
-        recvd: if op.is_p2p_recv() {
-            Some(p.bytes)
-        } else {
-            None
-        },
-        seq: Some(p.seq),
-        address: Some(p.address),
-        ..StateExtras::default()
-    }
-}
-
-fn step(
-    em: &mut Emitter,
-    cursors: &mut HashMap<LogicalThreadId, ThreadCursor>,
-    table: &ThreadTable,
-    markers: &MarkerMap,
-    ev: &RawEvent,
-    opts: &ConvertOptions,
-    trace_start: LocalTime,
-) -> Result<()> {
-    let now = ev.timestamp;
-    match ev.code {
-        EventCode::TraceStart | EventCode::TraceStop | EventCode::MarkerDef => Ok(()),
-
-        EventCode::GlobalClock => {
-            let p = ClockPayload::from_bytes(&ev.payload)?;
-            // Clock records ride along as zero-duration CLOCK intervals on
-            // pseudo-thread 0; `seq` carries the global timestamp into the
-            // profile's globalTime field.
-            let extras = StateExtras {
-                seq: Some(p.global.ticks()),
-                ..StateExtras::default()
-            };
-            em.emit(
-                StateCode::CLOCK,
-                BeBits::Complete,
-                now,
-                now,
-                CpuId(0),
-                LogicalThreadId(0),
-                &extras,
-            )
-        }
-
-        EventCode::ThreadDispatch => {
-            let p = DispatchPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            if cur.cpu.is_some() {
-                if !opts.lenient {
-                    return Err(UteError::corrupt(format!(
-                        "thread {} dispatched while already running",
-                        p.thread
-                    )));
-                }
-                // Partial trace lost the undispatch: treat as migration.
-                pause_top(em, cur, p.thread, now)?;
-            }
-            cur.cpu = Some(p.cpu);
-            resume_top(cur, now);
-            Ok(())
-        }
-
-        EventCode::ThreadUndispatch => {
-            let p = DispatchPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            if cur.cpu.is_none() {
-                if !opts.lenient {
-                    return Err(UteError::corrupt(format!(
-                        "thread {} undispatched while not running",
-                        p.thread
-                    )));
-                }
-                // Thread was running since before the trace started.
-                em.stats.clipped_starts += 1;
-                cur.cpu = Some(p.cpu);
-                cur.running_since = Some(trace_start);
-            }
-            pause_top(em, cur, p.thread, now)?;
-            cur.cpu = None;
-            Ok(())
-        }
-
-        EventCode::MpiBegin(op) => {
-            let p = MpiPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            pause_top(em, cur, p.thread, now)?;
-            cur.stack.push(OpenState {
-                state: StateCode::mpi(op),
-                piece_start: Some(now),
-                emitted: false,
-                extras: mpi_extras(&p, op),
-            });
-            em.stats.max_stack = em.stats.max_stack.max(cur.stack.len() as u64);
-            Ok(())
-        }
-
-        EventCode::MpiEnd(op) => {
-            let p = MpiPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            let popped = match cur.stack.pop() {
-                Some(open) => Some(open),
-                None if opts.lenient => {
-                    // The begin predates the trace: clip to trace start.
-                    em.stats.clipped_starts += 1;
-                    Some(OpenState {
-                        state: StateCode::mpi(op),
-                        piece_start: Some(trace_start.min(now)),
-                        emitted: true, // never saw the Begin piece
-                        extras: StateExtras::default(),
-                    })
-                }
-                None => None,
-            };
-            let mut open = popped.ok_or_else(|| {
-                UteError::corrupt(format!("{}: end without begin on thread {}", op, p.thread))
-            })?;
-            if open.state != StateCode::mpi(op) {
-                return Err(UteError::corrupt(format!(
-                    "mismatched end: open state {} closed by {}",
-                    open.state,
-                    op.name()
-                )));
-            }
-            // The end event carries the completed call's arguments.
-            open.extras = mpi_extras(&p, op);
-            let cpu = cur.cpu.unwrap_or(CpuId(0));
-            let ps = open.piece_start.take().ok_or_else(|| {
-                UteError::corrupt(format!(
-                    "{} ended while its thread was descheduled",
-                    op.name()
-                ))
-            })?;
-            let bebits = if open.emitted {
-                BeBits::End
-            } else {
-                BeBits::Complete
-            };
-            em.emit(open.state, bebits, ps, now, cpu, p.thread, &open.extras)?;
-            resume_top(cur, now);
-            Ok(())
-        }
-
-        EventCode::MarkerBegin => {
-            let p = MarkerPayload::from_bytes(&ev.payload)?;
-            let rank = table
-                .lookup(em.node, p.thread)
-                .map(|e| e.task.raw())
-                .unwrap_or(u32::MAX);
-            let unified = markers.unify(rank, p.local_id).ok_or_else(|| {
-                UteError::corrupt(format!(
-                    "marker begin for undefined id {} (rank {rank})",
-                    p.local_id
-                ))
-            })?;
-            let cur = cursors.entry(p.thread).or_default();
-            pause_top(em, cur, p.thread, now)?;
-            cur.stack.push(OpenState {
-                state: StateCode::MARKER,
-                piece_start: Some(now),
-                emitted: false,
-                extras: StateExtras {
-                    marker_id: Some(unified),
-                    address: Some(p.address),
-                    ..StateExtras::default()
-                },
-            });
-            em.stats.max_stack = em.stats.max_stack.max(cur.stack.len() as u64);
-            Ok(())
-        }
-
-        EventCode::MarkerEnd => {
-            let p = MarkerPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            let popped = match cur.stack.pop() {
-                Some(open) => Some(open),
-                None if opts.lenient => {
-                    // Marker opened before the (delayed) trace started.
-                    em.stats.clipped_starts += 1;
-                    let rank = table
-                        .lookup(em.node, p.thread)
-                        .map(|e| e.task.raw())
-                        .unwrap_or(u32::MAX);
-                    Some(OpenState {
-                        state: StateCode::MARKER,
-                        piece_start: Some(trace_start.min(now)),
-                        emitted: true,
-                        extras: StateExtras {
-                            marker_id: markers.unify(rank, p.local_id).or(Some(0)),
-                            ..StateExtras::default()
-                        },
-                    })
-                }
-                None => None,
-            };
-            let mut open = popped.ok_or_else(|| {
-                UteError::corrupt(format!("marker end without begin on thread {}", p.thread))
-            })?;
-            if open.state != StateCode::MARKER {
-                return Err(UteError::corrupt(format!(
-                    "marker end closed a {} state",
-                    open.state
-                )));
-            }
-            open.extras.address_end = Some(p.address);
-            let cpu = cur.cpu.unwrap_or(CpuId(0));
-            let ps = open.piece_start.take().ok_or_else(|| {
-                UteError::corrupt("marker ended while its thread was descheduled".to_string())
-            })?;
-            let bebits = if open.emitted {
-                BeBits::End
-            } else {
-                BeBits::Complete
-            };
-            em.emit(open.state, bebits, ps, now, cpu, p.thread, &open.extras)?;
-            resume_top(cur, now);
-            Ok(())
-        }
-
-        EventCode::Syscall | EventCode::PageFault | EventCode::Interrupt => {
-            let p = DispatchPayload::from_bytes(&ev.payload)?;
-            let state = match ev.code {
-                EventCode::Syscall => StateCode::SYSCALL,
-                EventCode::PageFault => StateCode::PAGE_FAULT,
-                _ => StateCode::INTERRUPT,
-            };
-            let cpu = cursors
-                .get(&p.thread)
-                .and_then(|c| c.cpu)
-                .unwrap_or(CpuId(0));
-            // Point system events become zero-duration complete intervals
-            // without splitting the enclosing state.
-            em.emit(
-                state,
-                BeBits::Complete,
-                now,
-                now,
-                cpu,
-                p.thread,
-                &StateExtras::default(),
-            )
-        }
-
-        EventCode::IoStart => {
-            let p = DispatchPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            pause_top(em, cur, p.thread, now)?;
-            cur.stack.push(OpenState {
-                state: StateCode::IO,
-                piece_start: Some(now),
-                emitted: false,
-                extras: StateExtras::default(),
-            });
-            em.stats.max_stack = em.stats.max_stack.max(cur.stack.len() as u64);
-            Ok(())
-        }
-
-        EventCode::IoEnd => {
-            let p = DispatchPayload::from_bytes(&ev.payload)?;
-            let cur = cursors.entry(p.thread).or_default();
-            let popped = match cur.stack.pop() {
-                Some(open) => Some(open),
-                None if opts.lenient => {
-                    em.stats.clipped_starts += 1;
-                    Some(OpenState {
-                        state: StateCode::IO,
-                        piece_start: Some(trace_start.min(now)),
-                        emitted: true,
-                        extras: StateExtras::default(),
-                    })
-                }
-                None => None,
-            };
-            let mut open = popped.ok_or_else(|| {
-                UteError::corrupt(format!("IoEnd without IoStart on thread {}", p.thread))
-            })?;
-            if open.state != StateCode::IO {
-                return Err(UteError::corrupt("IoEnd closed a non-IO state"));
-            }
-            let cpu = cur.cpu.unwrap_or(CpuId(0));
-            let ps = open.piece_start.take().unwrap_or(now);
-            let bebits = if open.emitted {
-                BeBits::End
-            } else {
-                BeBits::Complete
-            };
-            em.emit(open.state, bebits, ps, now, cpu, p.thread, &open.extras)?;
-            resume_top(cur, now);
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -729,8 +641,9 @@ mod tests {
     use ute_core::ids::{Pid, SystemThreadId, TaskId, ThreadType};
     use ute_format::file::IntervalFileReader;
     use ute_format::thread_table::ThreadEntry;
+    use ute_rawtrace::record::RawEvent;
 
-    fn table() -> ThreadTable {
+    pub(super) fn table() -> ThreadTable {
         let mut t = ThreadTable::new();
         t.register(ThreadEntry {
             task: TaskId(0),
@@ -1033,24 +946,10 @@ mod tests {
 
 #[cfg(test)]
 mod lenient_tests {
+    use super::tests::table;
     use super::*;
-    use ute_core::ids::{Pid, SystemThreadId, TaskId, ThreadType};
     use ute_format::file::IntervalFileReader;
-    use ute_format::thread_table::ThreadEntry;
-
-    fn table() -> ThreadTable {
-        let mut t = ThreadTable::new();
-        t.register(ThreadEntry {
-            task: TaskId(0),
-            pid: Pid(1),
-            system_tid: SystemThreadId(1),
-            node: NodeId(0),
-            logical: LogicalThreadId(0),
-            ttype: ThreadType::Mpi,
-        })
-        .unwrap();
-        t
-    }
+    use ute_rawtrace::record::RawEvent;
 
     fn mpi_end(op: MpiOp, t: u16, at: u64) -> RawEvent {
         let mut p = MpiPayload::bare(LogicalThreadId(t), 0);
@@ -1158,23 +1057,12 @@ mod lenient_tests {
 #[cfg(test)]
 mod lenient_marker_io_tests {
     use super::*;
-    use ute_core::ids::{Pid, SystemThreadId, TaskId, ThreadType};
     use ute_format::file::IntervalFileReader;
-    use ute_format::thread_table::ThreadEntry;
+    use ute_rawtrace::record::RawEvent;
 
     #[test]
     fn lenient_marker_and_io_ends_clip_to_trace_start() {
-        let mut table = ThreadTable::new();
-        table
-            .register(ThreadEntry {
-                task: TaskId(0),
-                pid: Pid(1),
-                system_tid: SystemThreadId(1),
-                node: NodeId(0),
-                logical: LogicalThreadId(0),
-                ttype: ThreadType::Mpi,
-            })
-            .unwrap();
+        let table = tests::table();
         let d = |on: bool, at: u64| {
             RawEvent::new(
                 if on {

@@ -148,9 +148,8 @@ impl RawTraceFile {
     /// events are materialized from borrowed views into an
     /// exactly-sized vector. Error behavior (including reported
     /// offsets) is identical to the pre-zero-copy decoder, which is
-    /// kept as [`RawTraceFile::from_bytes_reference`] behind the
-    /// `reference-decode` feature and compared byte-for-byte by the
-    /// fast-vs-reference oracle.
+    /// kept as [`RawTraceFile::from_bytes_reference`] and compared
+    /// byte-for-byte by the fast-vs-reference oracle.
     pub fn from_bytes(data: &[u8]) -> Result<RawTraceFile> {
         let view = crate::view::RawTraceView::open(data)?;
         let mut events = Vec::with_capacity(view.records);
@@ -165,7 +164,6 @@ impl RawTraceFile {
     /// The pre-zero-copy strict decoder, kept verbatim as the
     /// differential baseline for `ute-verify`'s fast-vs-reference
     /// oracle. Decodes incrementally, copying each payload.
-    #[cfg(feature = "reference-decode")]
     pub fn from_bytes_reference(data: &[u8]) -> Result<RawTraceFile> {
         let mut r = RawTraceReader::open(data)?;
         let cap = ute_core::codec::clamped_capacity(
@@ -213,7 +211,6 @@ impl RawTraceFile {
     /// The pre-zero-copy salvage decoder, kept verbatim (minus the
     /// metric side effects, which the production path already records)
     /// as the differential baseline for the fast-vs-reference oracle.
-    #[cfg(feature = "reference-decode")]
     pub fn from_bytes_salvage_reference(data: &[u8]) -> Result<(RawTraceFile, SalvageReport)> {
         let rd = RawTraceReader::open(data)?;
         let (node, tick_rate, record_count) = (rd.node, rd.tick_rate, rd.record_count);

@@ -14,8 +14,9 @@
 //!
 //! The owned decoders ([`crate::RawTraceFile::from_bytes`] and friends)
 //! are thin layers over this module; the pre-zero-copy implementations
-//! survive behind the `reference-decode` feature as the differential
-//! baseline for the fast-vs-reference oracle in `ute-verify`.
+//! survive (`from_bytes_reference`, `from_bytes_salvage_reference`) as
+//! the differential baseline for the fast-vs-reference oracle in
+//! `ute-verify`.
 
 use ute_core::codec::ByteReader;
 use ute_core::error::{Result, UteError};

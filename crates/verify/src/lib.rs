@@ -14,7 +14,7 @@
 //! * **Differential oracles** ([`oracle`]) — pairs of pipelines the
 //!   design guarantees are equivalent (serial vs `--jobs N`, salvage ⊆
 //!   strict under loss-only faults, clock-adjusted order, zero-copy
-//!   decode vs the `reference-decode` baseline), run and compared.
+//!   decode vs the reference decoders), run and compared.
 //! * **Structure-aware fuzzer** ([`fuzz`]) — seeded mutations over valid
 //!   corpora, driving every decoder; decoders must reject damage with
 //!   typed errors, never panic, never allocate unboundedly.

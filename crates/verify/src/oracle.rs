@@ -341,8 +341,8 @@ pub fn oracle_clock_monotone() -> Report {
 /// Both fast read paths against their references. Raw traces: the
 /// zero-copy decode path (`RawTraceFile::from_bytes` /
 /// `from_bytes_salvage`, built on validated borrowed views) and the
-/// pre-zero-copy reference decoders (kept behind `ute-rawtrace`'s
-/// `reference-decode` feature) must be observationally identical: the
+/// pre-zero-copy reference decoders (`from_bytes_reference` /
+/// `from_bytes_salvage_reference`) must be observationally identical: the
 /// same decoded file or the same error text on strict decode, and the
 /// same recovered events plus the same [`ute_rawtrace::SalvageReport`]
 /// in salvage mode. Checked over the corpus's clean raw files and over

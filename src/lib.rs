@@ -47,8 +47,8 @@
 //!   time per stage, flamegraph stacks, and the ranked bottleneck
 //!   report behind `ute profile`.
 //! * [`analyze`] — the programmable diagnostics layer over interval
-//!   files: columnar trace table, composable operators, and the
-//!   late-sender / imbalance / comm-pattern / critical-path diagnostics
+//!   files: columnar trace table and the late-sender / imbalance /
+//!   comm-pattern / critical-path diagnostics
 //!   behind `ute analyze`.
 //! * [`cli`] — the `ute` command-line tool as a library, including the
 //!   self-trace sink and the `ute report` metrics report.

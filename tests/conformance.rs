@@ -118,3 +118,37 @@ fn fuzz_subcommand_is_deterministic_and_clean() {
     assert_eq!(a, b, "fuzz output must be a pure function of the seed");
     assert!(a.contains("0 panic(s)"), "{a}");
 }
+
+#[test]
+fn unknown_options_are_rejected_before_any_command_runs() {
+    // A misspelt option used to be stored and ignored (`--job 7` ran at
+    // the default `--jobs`). Every command checks what it is given
+    // against the keys it reads, before it touches anything.
+    for (cmd, ..) in ute::cli::COMMAND_KEYS {
+        let err = run(&argv(&[cmd, "--no-such-option", "x"])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("invalid request: {cmd}: unknown option --no-such-option")
+        );
+    }
+    let dir = tmpdir("unknown_option");
+    let out = dir.to_str().unwrap();
+    let err = run(&argv(&[
+        "pipeline",
+        "--workload",
+        "stencil",
+        "--out",
+        out,
+        "--job",
+        "1",
+    ]))
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid request: pipeline: unknown option --job (did you mean --jobs?)"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing ran");
+    // An option of another command is unknown here too.
+    let err = run(&argv(&["convert", "--in", out, "--frames", "8"])).unwrap_err();
+    assert!(err.to_string().contains("convert: unknown option --frames"));
+}

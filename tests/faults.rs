@@ -318,3 +318,72 @@ fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
         );
     }
 }
+
+/// `--strict` promises "any corrupt, truncated, or missing input is a
+/// hard error": a hole in the node numbering is one, for the raw and the
+/// interval loader alike, and names the missing file. Salvage mode over
+/// the same directories publishes what it did at the commit before the
+/// loaders shared one scan (digests recorded there).
+#[test]
+fn strict_mode_rejects_a_hole_that_salvage_ingests() {
+    let argv = |tokens: &[&str]| -> Vec<String> { tokens.iter().map(|s| s.to_string()).collect() };
+    let dir = std::env::temp_dir().join(format!("ute_faults_hole_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let merged = dir.join("merged.ivl");
+    let out = merged.to_str().unwrap();
+    ute::cli::run(&argv(&[
+        "trace",
+        "--workload",
+        "stencil",
+        "--iterations",
+        "6",
+        "--out",
+        d,
+    ]))
+    .unwrap();
+    ute::cli::run(&argv(&["convert", "--in", d, "--strict"])).unwrap();
+    // What a command said and what it published, as one number.
+    let digest = |msg: &str, files: &[&str]| {
+        let mut bytes = msg.as_bytes().to_vec();
+        for f in files {
+            bytes.extend(std::fs::read(dir.join(f)).unwrap());
+        }
+        ute::store::fnv64(&bytes)
+    };
+    let strict_error = |cmd: &[&str], missing: &str| {
+        let mut tokens = cmd.to_vec();
+        tokens.push("--strict");
+        let err = ute::cli::run(&argv(&tokens)).unwrap_err();
+        assert!(
+            matches!(err, ute::core::error::UteError::NotFound(_)),
+            "{err}"
+        );
+        let text = err.to_string();
+        assert!(text.contains(missing) && text.contains(d), "{text}");
+    };
+
+    // The interval loader: merge, slogmerge, clockfit.
+    std::fs::remove_file(dir.join("trace.1.ivl")).unwrap();
+    let msg = ute::cli::run(&argv(&["merge", "--in", d, "--out", out])).unwrap();
+    assert!(msg.starts_with("merged 3 files: "), "{msg}");
+    assert_eq!(digest(&msg, &["merged.ivl"]), 7152839254332012626, "{msg}");
+    strict_error(&["merge", "--in", d, "--out", out], "trace.1.ivl");
+    strict_error(&["slogmerge", "--in", d, "--out", out], "trace.1.ivl");
+    strict_error(&["clockfit", "--in", d], "trace.1.ivl");
+
+    // The raw loader: convert.
+    std::fs::remove_file(dir.join("trace.1.raw")).unwrap();
+    let msg = ute::cli::run(&argv(&["convert", "--in", d])).unwrap();
+    assert!(
+        msg.ends_with("salvage: 1 node(s) unreadable or missing: [1]\n"),
+        "{msg}"
+    );
+    assert_eq!(
+        digest(&msg, &["trace.0.ivl", "trace.2.ivl", "trace.3.ivl"]),
+        13350623615245208116,
+        "{msg}"
+    );
+    strict_error(&["convert", "--in", d], "trace.1.raw");
+    let _ = std::fs::remove_dir_all(&dir);
+}

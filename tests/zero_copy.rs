@@ -1,10 +1,9 @@
 //! Zero-copy safety wall: the validate-then-view raw decoder must never
 //! panic or read out of bounds on hostile input, and must stay
-//! observationally identical to the retired copy-decoder (kept behind
-//! `ute-rawtrace`'s `reference-decode` feature, enabled here through
-//! `ute-verify`). The same properties are asserted over a real
-//! memory-mapped file, where an out-of-bounds slice would fault instead
-//! of merely failing an assert.
+//! observationally identical to the retired copy-decoder (kept as
+//! `RawTraceFile::from_bytes_reference`). The same properties are
+//! asserted over a real memory-mapped file, where an out-of-bounds slice
+//! would fault instead of merely failing an assert.
 
 use proptest::prelude::*;
 
