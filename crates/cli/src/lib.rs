@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use ute_clock::ratio::RatioEstimator;
 use ute_cluster::Simulator;
 use ute_convert::{convert_job_pooled, ConvertOptions};
-use ute_core::error::{Result, UteError};
+use ute_core::error::{PathContext, Result, UteError};
 use ute_core::ids::NodeId;
 use ute_faults::FaultPlan;
 use ute_format::codecio::{read_thread_table_file, thread_table_to_bytes};
@@ -313,7 +313,6 @@ fn run_and_write_trace(
     plan: Option<FaultPlan>,
     out: &Path,
 ) -> Result<String> {
-    use ute_core::error::PathContext;
     std::fs::create_dir_all(out).in_file(out)?;
     let so = trace_outputs(&name, w, plan)?;
     stages::publish_plain(out, &so)?;
@@ -480,7 +479,7 @@ fn load_raw_dir(
                 }
             }
         } else {
-            files.push(RawTraceFile::read_from(&p)?);
+            files.push(RawTraceFile::read_from(&p).in_file(&p)?);
         }
     }
     if files.is_empty() {
@@ -544,21 +543,30 @@ fn convert_outputs(args: &Args) -> Result<stages::StageOutput> {
     })
 }
 
-/// Loads the per-node interval files of `dir`, returning the nodes lost:
-/// holes and unreadable files, which strict mode fails on instead.
-fn load_interval_files(dir: &Path, salvage: bool) -> Result<(Vec<Vec<u8>>, Vec<u16>)> {
+/// What [`load_interval_files`] found: the path and the bytes of each
+/// file (index for index, so a merge error can name its file), and the
+/// nodes lost.
+type IntervalFiles = (Vec<PathBuf>, Vec<Vec<u8>>, Vec<u16>);
+
+/// Loads the per-node interval files of `dir`. The nodes lost are holes
+/// and unreadable files, which strict mode fails on instead.
+fn load_interval_files(dir: &Path, salvage: bool) -> Result<IntervalFiles> {
     let _span = ute_obs::Span::enter("format", format!("read {}/trace.N.ivl", dir.display()));
     let (present, mut lost) = scan_trace_files(dir, "ivl", salvage)?;
+    let mut paths = Vec::new();
     let mut files = Vec::new();
     for &node in &present {
         let p = dir.join(format!("trace.{node}.ivl"));
         match std::fs::read(&p) {
-            Ok(bytes) => files.push(bytes),
+            Ok(bytes) => {
+                paths.push(p);
+                files.push(bytes);
+            }
             Err(e) if salvage => {
                 eprintln!("ute: warning: salvage: dropping {}: {e}", p.display());
                 lost.push(node);
             }
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e).in_file(&p),
         }
     }
     lost.sort_unstable();
@@ -568,7 +576,7 @@ fn load_interval_files(dir: &Path, salvage: bool) -> Result<(Vec<Vec<u8>>, Vec<u
             dir.display()
         )));
     }
-    Ok((files, lost))
+    Ok((paths, files, lost))
 }
 
 fn merge_options(args: &Args, gap_nodes: Vec<u16>) -> Result<MergeOptions> {
@@ -604,14 +612,15 @@ pub fn cmd_merge(args: &Args) -> Result<String> {
 fn merge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
     let dir = PathBuf::from(args.require("in")?);
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (files, lost) = load_interval_files(&dir, args.salvage())?;
+    let (paths, files, lost) = load_interval_files(&dir, args.salvage())?;
     let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
     let merged = merge_files_jobs(
         &refs,
         &profile,
         &merge_options(args, lost.clone())?,
         args.jobs()?,
-    )?;
+    )
+    .map_err(|e| e.name_input(&paths))?;
     let degraded = lost.len() as u64 + merged.stats.nodes_degraded;
     if degraded > 0 {
         ute_obs::counter("salvage/nodes_degraded").add(degraded);
@@ -657,7 +666,7 @@ pub fn cmd_slogmerge(args: &Args) -> Result<String> {
 fn slogmerge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
     let dir = PathBuf::from(args.require("in")?);
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (files, _lost) = load_interval_files(&dir, args.salvage())?;
+    let (paths, files, _lost) = load_interval_files(&dir, args.salvage())?;
     let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
     let build = BuildOptions {
         nframes: args.num("frames", 64usize)?,
@@ -670,7 +679,8 @@ fn slogmerge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
         &merge_options(args, Vec::new())?,
         build,
         args.jobs()?,
-    )?;
+    )
+    .map_err(|e| e.name_input(&paths))?;
     let msg = format!(
         "slogmerge: {} records in, {} merged, {} frames, {} slog records\n",
         stats.records_in,
@@ -691,17 +701,18 @@ pub fn cmd_stats(args: &Args) -> Result<String> {
 /// written directly, not published.
 fn stats_output(args: &Args) -> Result<String> {
     let read_span = ute_obs::Span::enter("format", "read + decode merged file");
-    let merged = std::fs::read(args.require("merged")?)?;
+    let merged_path = Path::new(args.require("merged")?);
+    let merged = std::fs::read(merged_path).in_file(merged_path)?;
     let profile_path = args.get("profile").map(PathBuf::from).unwrap_or_else(|| {
-        Path::new(args.get("merged").unwrap())
+        merged_path
             .parent()
             .unwrap_or(Path::new("."))
             .join("profile.ute")
     });
     let profile = Profile::read_from(&profile_path)?;
-    let reader = IntervalFileReader::open(&merged, &profile)?;
+    let reader = IntervalFileReader::open(&merged, &profile).in_file(merged_path)?;
     let intervals: Result<Vec<_>> = reader.intervals().collect();
-    let intervals = intervals?;
+    let intervals = intervals.in_file(merged_path)?;
     drop(read_span);
     let specs = match args.get("program") {
         Some(p) => parse_program(&std::fs::read_to_string(p)?)?,
@@ -854,10 +865,10 @@ pub fn cmd_view(args: &Args) -> Result<String> {
 pub fn cmd_clockfit(args: &Args) -> Result<String> {
     let dir = PathBuf::from(args.require("in")?);
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (files, _lost) = load_interval_files(&dir, args.salvage())?;
+    let (paths, files, _lost) = load_interval_files(&dir, args.salvage())?;
     let estimator = estimator_by_name(args.get("estimator").unwrap_or("rms"))?;
     let mut msg = String::new();
-    for bytes in &files {
+    for (path, bytes) in paths.iter().zip(&files) {
         let fit = (|| {
             let reader = IntervalFileReader::open(bytes, &profile)?;
             ute_merge::clockfit::fit_node(&reader, &profile, estimator, !args.has("no-filter"))
@@ -868,7 +879,7 @@ pub fn cmd_clockfit(args: &Args) -> Result<String> {
                 msg.push_str(&format!("node ?: unfittable ({e})\n"));
                 continue;
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.in_file(path)),
         };
         let r = nf.fit.ratio();
         msg.push_str(&format!(
@@ -1417,7 +1428,7 @@ pub fn cmd_analyze(args: &Args) -> Result<String> {
         }
     };
     let load = ute_analyze::LoadOptions { window, nodes };
-    let table = ute_analyze::load_table(&merged, &profile, &load)?;
+    let table = ute_analyze::load_table(&merged, &profile, &load).in_file(&merged)?;
     let diags: Vec<&str> = match args.get("diag") {
         Some(d) if ute_analyze::DIAGNOSTICS.contains(&d) => vec![d],
         Some(d) => {

@@ -50,6 +50,16 @@ pub enum UteError {
         /// The underlying failure.
         source: Box<UteError>,
     },
+    /// An error tied to one of the byte buffers a call was handed, by
+    /// position. The callee has bytes, not paths, so the text is the
+    /// source's alone; a caller that knows where buffer `index` came
+    /// from names it with [`UteError::name_input`].
+    Input {
+        /// Position of the offending buffer in the call's input slice.
+        index: usize,
+        /// The underlying failure.
+        source: Box<UteError>,
+    },
 }
 
 impl UteError {
@@ -78,6 +88,18 @@ impl UteError {
                 path: path.as_ref().display().to_string(),
                 source: Box::new(e),
             },
+        }
+    }
+
+    /// Turns an [`UteError::Input`] into the same failure
+    /// [in the file](UteError::in_file) `paths[index]`; any other error
+    /// (or an index `paths` does not cover) passes through.
+    pub fn name_input<P: AsRef<std::path::Path>>(self, paths: &[P]) -> UteError {
+        match self {
+            UteError::Input { index, source } if index < paths.len() => {
+                source.in_file(&paths[index])
+            }
+            e => e,
         }
     }
 }
@@ -110,6 +132,7 @@ impl fmt::Display for UteError {
             UteError::Parse { msg, pos } => write!(f, "parse error at {pos}: {msg}"),
             UteError::Invalid(msg) => write!(f, "invalid request: {msg}"),
             UteError::File { path, source } => write!(f, "{path}: {source}"),
+            UteError::Input { source, .. } => source.fmt(f),
         }
     }
 }
@@ -118,7 +141,7 @@ impl std::error::Error for UteError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             UteError::Io(e) => Some(e),
-            UteError::File { source, .. } => Some(source),
+            UteError::File { source, .. } | UteError::Input { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -166,6 +189,20 @@ mod tests {
         let e = r.in_file("/data/x.ivl").unwrap_err();
         assert!(e.to_string().starts_with("/data/x.ivl: "), "{e}");
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn an_input_error_reads_as_its_source_until_it_is_named() {
+        let e = UteError::Input {
+            index: 1,
+            source: Box::new(UteError::corrupt_at("bytes", 7)),
+        };
+        assert_eq!(e.to_string(), "corrupt bytes at byte 7");
+        let named = e.name_input(&["d/trace.0.ivl", "d/trace.2.ivl"]);
+        assert_eq!(named.to_string(), "d/trace.2.ivl: corrupt bytes at byte 7");
+        // Anything else passes through.
+        let e = UteError::corrupt("x").name_input(&["a"]);
+        assert_eq!(e.to_string(), "corrupt x");
     }
 
     #[test]

@@ -315,8 +315,10 @@ fn stage_node<'r>(
 /// schedule, so the output is the same bytes at every `jobs`.
 ///
 /// The first file, in input order, that failed to open, absorb or stage
-/// decides the outcome: its error is returned, or in salvage mode the
-/// node is dropped with a warning and counted, and the next is looked at.
+/// decides the outcome: its error is returned as an [`UteError::Input`]
+/// carrying its position in `files` (the caller may know a path for it),
+/// or in salvage mode the node is dropped with a warning and counted,
+/// and the next is looked at.
 fn merge_core<T>(
     files: &[&[u8]],
     profile: &Profile,
@@ -372,7 +374,7 @@ fn merge_core<T>(
     })?;
 
     let mut sources = Vec::with_capacity(files.len());
-    for (failure, staged) in failures.into_iter().zip(staged) {
+    for (index, (failure, staged)) in failures.into_iter().zip(staged).enumerate() {
         let outcome = match staged {
             Some((link, outcome)) => {
                 ute_obs::flow_end(link);
@@ -390,7 +392,12 @@ fn merge_core<T>(
                 stats.nodes_degraded += 1;
                 eprintln!("ute: warning: salvage: dropping {who}: {e}");
             }
-            Err((_, e)) => return Err(e),
+            Err((_, e)) => {
+                return Err(UteError::Input {
+                    index,
+                    source: Box::new(e),
+                })
+            }
         }
     }
 

@@ -4,34 +4,40 @@
 //! stage runner on the main thread:
 //!
 //! 1. [`ArtifactStore::write_temp`] — bytes land in `NAME.tmp.<pid>` in
-//!    the run directory and are fsync'd. A disk-budget check runs first;
-//!    `ENOSPC` surfaces as a typed, graceful error. A chaos point sits
-//!    *mid-write*, so an armed abort leaves a genuinely torn temp.
+//!    the run directory, hashed as they are written, and are fsync'd. A
+//!    disk-budget check runs first; `ENOSPC` surfaces as a typed,
+//!    graceful error. A chaos point sits *mid-write*, so an armed abort
+//!    leaves a genuinely torn temp.
 //! 2. The caller appends the journal `stage-commit` record (content
 //!    hashes of every temp) — the durability pivot.
 //! 3. [`ArtifactStore::promote`] — rename temp → final, directory fsync.
 //!    Readers only ever see complete artifacts.
 //!
 //! On resume, [`ArtifactStore::verify_final`] / [`verify_temp`] check
-//! published or committed bytes against the journal's hashes, and
+//! published or committed bytes against the journal's lengths and
+//! hashes (streamed through a fixed buffer, never a whole-file read), and
 //! [`ArtifactStore::gc_stale_temps`] sweeps `*.tmp.*` leftovers from
 //! dead runs (sparing temps a committed-but-unpublished stage still
 //! needs).
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::chaos;
 use crate::error::StoreError;
-use crate::{fnv64, fsync_dir};
+use crate::{fsync_dir, ContentHasher};
+
+/// The buffer a resume streams an artifact through to hash it: what
+/// bounds its memory, whatever the artifact's size.
+const VERIFY_BUF: usize = 256 << 10;
 
 /// One committed artifact: final name, content hash, byte length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactMeta {
     /// Final file name inside the run directory (no separators).
     pub name: String,
-    /// [`fnv64`] of the full content.
+    /// [`content_hash`](crate::content_hash) of the full content.
     pub hash: u64,
     /// Content length in bytes.
     pub len: u64,
@@ -104,25 +110,30 @@ impl ArtifactStore {
             self.budget = Some(budget - len);
         }
         let tmp = self.dir.join(Self::temp_name(name, std::process::id()));
-        let half = bytes.len() / 2;
-        let write = |f: &mut File, chunk: &[u8]| -> Result<(), StoreError> {
-            f.write_all(chunk)
+        let mut f = File::create(&tmp).map_err(|e| StoreError::write_failure(stage, &tmp, e))?;
+        let mut hasher = ContentHasher::new();
+        // Each half is hashed as it is written, so there is no second
+        // walk over the buffer (a finer interleave did not pay:
+        // DESIGN.md, "The content hash").
+        let mut write = |part: &[u8]| -> Result<(), StoreError> {
+            hasher.update(part);
+            f.write_all(part)
                 .map_err(|e| StoreError::write_failure(stage, &tmp, e))
         };
-        let mut f = File::create(&tmp).map_err(|e| StoreError::write_failure(stage, &tmp, e))?;
-        write(&mut f, &bytes[..half])?;
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        write(head)?;
         // An abort armed here leaves a genuinely torn temp on disk —
         // exactly what a kill mid-write produces. Unarmed, this is one
         // atomic load.
         chaos::point(|| format!("mid_write:{stage}:{name}"))?;
-        write(&mut f, &bytes[half..])?;
+        write(tail)?;
         f.sync_data()
             .map_err(|e| StoreError::write_failure(stage, &tmp, e))?;
         drop(f);
         chaos::point(|| format!("temp_durable:{stage}:{name}"))?;
         Ok(ArtifactMeta {
             name: name.to_string(),
-            hash: fnv64(bytes),
+            hash: hasher.finish(),
             len,
         })
     }
@@ -153,10 +164,27 @@ impl ArtifactStore {
 
     fn verify_at(&self, path: &Path, meta: &ArtifactMeta) -> bool {
         ute_obs::counter("store/artifacts_verified").inc();
-        match std::fs::read(path) {
-            Ok(bytes) => bytes.len() as u64 == meta.len && fnv64(&bytes) == meta.hash,
-            Err(_) => false,
-        }
+        // Length first, from the metadata: a file of the wrong size is
+        // refused without reading it. Then the content, through one
+        // fixed buffer whatever the artifact's size.
+        let holds = || -> std::io::Result<bool> {
+            let mut f = File::open(path)?;
+            if f.metadata()?.len() != meta.len {
+                return Ok(false);
+            }
+            let mut hasher = ContentHasher::new();
+            let mut buf = vec![0u8; VERIFY_BUF];
+            loop {
+                match f.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => hasher.update(&buf[..n]),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(hasher.finish() == meta.hash)
+        };
+        holds().unwrap_or(false)
     }
 
     /// Removes every `*.tmp.*` file in the run directory except those

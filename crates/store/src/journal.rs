@@ -7,18 +7,24 @@
 //! <fnv64-hex> <kind> [key=value ...]\n
 //! ```
 //!
-//! The leading checksum covers everything after it, so replay can detect
-//! a record torn by a mid-append kill. Values are percent-escaped
-//! (space, `%`, control bytes), keeping the format self-describing and
-//! greppable. Record kinds, in protocol order per stage:
+//! The leading checksum ([`fnv64`], right for a line) covers everything
+//! after it, so replay can detect a record torn by a mid-append kill.
+//! Values are percent-escaped (space, `%`, control bytes), keeping the
+//! format self-describing and greppable. Record kinds, in protocol order
+//! per stage:
 //!
 //! ```text
-//! run-start      v=1 config_hash=H <config key=values>
+//! run-start      v=2 config_hash=H <config key=values>
 //! stage-start    stage=NAME
 //! stage-commit   stage=NAME pid=P artifacts=name:hash:len,...  [removes=a,b]
 //! stage-publish  stage=NAME
 //! run-end
 //! ```
+//!
+//! An artifact's `hash` is its [`content_hash`](crate::content_hash)
+//! (XXH64) since `v=2`; `v=1` recorded `fnv64` there. The two are not
+//! comparable, so a journal of another version is refused by name
+//! instead of being replayed into five spurious hash mismatches.
 //!
 //! The *commit* record is the durability pivot: it is written (and
 //! fsync'd) after every artifact temp is durable but before any rename.
@@ -40,8 +46,8 @@ use crate::fnv64;
 /// The journal's file name inside a run directory.
 pub const JOURNAL_NAME: &str = "journal.utj";
 
-/// Journal format version.
-pub const VERSION: u32 = 1;
+/// Journal format version: what an artifact's `hash` field means.
+pub const VERSION: u32 = 2;
 
 /// Percent-escapes a value so it is one whitespace-free token.
 fn esc(s: &str) -> String {
@@ -365,8 +371,10 @@ impl RunJournal {
 
     /// Replays an existing journal and reopens it for appending — the
     /// `ute resume` entry point. Fails with [`StoreError::JournalCorrupt`]
-    /// if the journal is missing or its `run-start` is unreadable (a torn
-    /// *tail* is fine and reported via [`ReplayState::torn_tail`]).
+    /// if the journal is missing, its `run-start` is unreadable, or it is
+    /// of another format [`VERSION`] (a torn *tail* is fine and reported
+    /// via [`ReplayState::torn_tail`]). Nothing is opened for writing
+    /// until the replay has succeeded.
     pub fn open_for_resume(dir: &Path) -> Result<(RunJournal, ReplayState), StoreError> {
         let _span = ute_obs::Span::enter("store", "replay journal");
         let path = Self::path_in(dir);
@@ -420,25 +428,30 @@ pub fn config_hash(config: &[(String, String)]) -> u64 {
     fnv64(s.as_bytes())
 }
 
+/// The `v=` of an intact `run-start` body another build wrote.
+fn foreign_version(body: &str) -> Option<u32> {
+    let mut tokens = body.strip_prefix("run-start ")?.split(' ');
+    let v: u32 = tokens.find_map(|t| t.strip_prefix("v="))?.parse().ok()?;
+    (v != VERSION).then_some(v)
+}
+
 /// Replays journal bytes into a [`ReplayState`]. Torn or checksum-failed
 /// content *terminates* replay (everything from the bad line on is
 /// ignored) — that is the legitimate residue of a mid-append kill. Only
-/// an unusable first record is an error.
+/// an unusable first record is an error, and one that is intact but of
+/// another format version says so.
 fn replay(path: &Path, data: &[u8]) -> Result<ReplayState, StoreError> {
     let text = String::from_utf8_lossy(data);
     let mut state = ReplayState::default();
     let mut saw_start = false;
     for (i, line) in text.split_inclusive('\n').enumerate() {
-        let parsed = (|| {
+        let body = (|| {
             let line = line.strip_suffix('\n')?; // no newline: torn tail
             let (crc, body) = line.split_once(' ')?;
             let crc = u64::from_str_radix(crc, 16).ok()?;
-            if crc != fnv64(body.as_bytes()) {
-                return None;
-            }
-            JournalRecord::parse(body)
+            (crc == fnv64(body.as_bytes())).then_some(body)
         })();
-        match parsed {
+        match body.and_then(JournalRecord::parse) {
             Some(rec) => {
                 if !saw_start {
                     if !matches!(rec, JournalRecord::RunStart { .. }) {
@@ -455,10 +468,17 @@ fn replay(path: &Path, data: &[u8]) -> Result<ReplayState, StoreError> {
             }
             None => {
                 if !saw_start {
+                    let what = match body.and_then(foreign_version) {
+                        Some(v) => format!(
+                            "journal format v{v}, this build reads v{VERSION}: re-run \
+                             `ute pipeline` (artifact hashes are not comparable across formats)"
+                        ),
+                        None => "unreadable run-start record".to_string(),
+                    };
                     return Err(StoreError::JournalCorrupt {
                         path: path.to_path_buf(),
                         line: i + 1,
-                        what: "unreadable run-start record".to_string(),
+                        what,
                     });
                 }
                 state.torn_tail = true;

@@ -47,9 +47,11 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-/// FNV-1a 64-bit content hash — the workspace has no external crypto
-/// dependency, and the store needs collision resistance against
-/// *accidental* corruption (torn writes, truncation), not an adversary.
+/// FNV-1a 64-bit — the workspace has no external crypto dependency, and
+/// the store needs collision resistance against *accidental* corruption
+/// (torn writes, truncation), not an adversary. One byte per multiply
+/// latency: right for a journal line or a config string, which is what
+/// the store uses it for; artifacts go through [`ContentHasher`].
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -57,6 +59,142 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes one [`ContentHasher`] step consumes: one word per lane.
+const STRIPE: usize = 32;
+
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("caller sliced 8 bytes"))
+}
+
+/// The artifact content hash, streaming: XXH64 with seed 0, so
+/// `xxh64sum FILE` prints the hash the journal committed. Four
+/// independent lanes each take one little-endian word of every 32-byte
+/// stripe, so no multiply waits on the previous byte's (DESIGN.md, "The
+/// content hash"). A function of the bytes alone — not of how they were
+/// split across [`update`](ContentHasher::update) calls, nor of the
+/// host's endianness — and, like [`fnv64`], a guard against accidental
+/// corruption, not an adversary.
+pub struct ContentHasher {
+    lanes: [u64; 4],
+    /// The bytes of a stripe not yet complete, `buf[..buffered]`.
+    buf: [u8; STRIPE],
+    buffered: usize,
+    len: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> ContentHasher {
+        ContentHasher::new()
+    }
+}
+
+impl ContentHasher {
+    /// A hasher that has seen no bytes.
+    pub fn new() -> ContentHasher {
+        ContentHasher {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            buf: [0; STRIPE],
+            buffered: 0,
+            len: 0,
+        }
+    }
+
+    fn stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, le64(word));
+        }
+    }
+
+    /// Feeds the next bytes of the content.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = bytes.len().min(STRIPE - self.buffered);
+            self.buf[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < STRIPE {
+                return;
+            }
+            Self::stripe(&mut self.lanes, &self.buf);
+            self.buffered = 0;
+        }
+        // Locals, so the four lanes stay in registers across the loop.
+        let mut lanes = self.lanes;
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for s in &mut stripes {
+            Self::stripe(&mut lanes, s);
+        }
+        self.lanes = lanes;
+        let rest = stripes.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        let mut h = if self.len >= STRIPE as u64 {
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.lanes.iter().fold(h, |h, &lane| {
+                (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+            })
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.len);
+        let mut tail = &self.buf[..self.buffered];
+        while tail.len() >= 8 {
+            h = (h ^ round(0, le64(&tail[..8])))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("sliced 4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// [`ContentHasher`] over one buffer.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h = ContentHasher::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Fsyncs a directory so a rename performed inside it is durable.

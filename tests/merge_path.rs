@@ -201,7 +201,7 @@ fn gap_count(opts: &MergeOptions) -> u64 {
 /// its words.
 fn assert_matches_reference(files: &[&[u8]], p: &Profile, opts: &MergeOptions, what: &str) {
     let expected = reference(files, p, opts).map_err(|e| e.to_string());
-    for jobs in [None, Some(1), Some(2), Some(8)] {
+    for jobs in [None, Some(1), Some(2), Some(8), Some(64)] {
         let got = shipped(files, p, opts, jobs).map_err(|e| e.to_string());
         assert!(
             got == expected,
@@ -311,7 +311,7 @@ fn shipped_merge_equals_the_interval_reference_on_the_torture_corpus() {
     let c = torture();
     assert!(c.files.len() >= 256);
     let expected = reference(&c.refs(), &c.profile, &MergeOptions::default()).unwrap();
-    for jobs in [None, Some(2), Some(8)] {
+    for jobs in [None, Some(2), Some(8), Some(64)] {
         let got = shipped(&c.refs(), &c.profile, &MergeOptions::default(), jobs).unwrap();
         assert!(got == expected, "jobs {jobs:?}");
     }
@@ -404,7 +404,7 @@ fn two_damaged_inputs_are_reported_in_input_order() {
         .unwrap_err()
         .to_string();
     assert_ne!(of_cut, of_header, "the two faults must be told apart");
-    for jobs in [1, 2, 8] {
+    for jobs in [1, 2, 8, 64] {
         let merge = merge_files_jobs(&files, &c.profile, &strict, jobs).unwrap_err();
         let slog = slogmerge_jobs(&files, &c.profile, &strict, BUILD, jobs).unwrap_err();
         assert_eq!(merge.to_string(), of_cut, "merge, jobs {jobs}");
@@ -414,7 +414,7 @@ fn two_damaged_inputs_are_reported_in_input_order() {
         salvage: true,
         ..strict
     };
-    for jobs in [1, 2, 8] {
+    for jobs in [1, 2, 8, 64] {
         let out = merge_files_jobs(&files, &c.profile, &salvage, jobs).unwrap();
         assert_eq!(out.stats.nodes_degraded, 2, "jobs {jobs}");
     }
