@@ -29,6 +29,8 @@
 pub mod selftrace;
 mod stages;
 
+pub use stages::RunPlan;
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -50,119 +52,57 @@ use ute_stats::{parse_program, run_tables};
 use ute_view::model::{build_view, ViewConfig, ViewKind};
 use ute_workloads::{flash, micro, patterns, scaling, sppm, Workload};
 
-/// Parsed `--flag value` arguments.
-#[derive(Debug, Default)]
+/// Parsed `--flag value` arguments, checked against one [`Command`] row.
+#[derive(Debug)]
 pub struct Args {
     map: HashMap<String, String>,
     flags: Vec<String>,
 }
 
-/// The bare switches the CLI knows. Every other `--key` takes a value;
-/// keeping this list explicit is what lets `Args::parse` reject
-/// `--in --no-filter` (a valued key swallowing a switch) instead of
-/// silently demoting `--in` to a flag.
-const KNOWN_SWITCHES: &[&str] = &[
-    "no-filter",
-    "no-arrows",
-    "connected",
-    "hide-running",
-    "metrics",
-    "stable",
-    "strict",
-    "oracles",
-    "lenient-tail",
-    "all",
-    "json",
-    "describe",
-    "profiler",
-];
-
-/// The valued `--key`s every command takes (`observability` in [`USAGE`]).
-const OBSERVABILITY_KEYS: &str = "self-trace self-trace-format self-trace-limit metrics-interval";
-
-/// What a journaled pipeline run reads (`stages::RunPlan::from_args`).
-const RUN_KEYS: &str = "workload out iterations jobs fault-seed fault-plan disk-budget";
-
-/// Every command of [`run`] with the valued `--key`s it reads, space
-/// separated: what `Args::reject_unknown` checks an invocation against.
-pub const COMMAND_KEYS: &[(&str, &str)] = &[
-    ("trace", "workload out iterations fault-seed fault-plan"),
-    ("convert", "in jobs"),
-    ("merge", "in out estimator jobs"),
-    ("slogmerge", "in out estimator frames bins jobs"),
-    ("stats", "merged profile program out"),
-    ("preview", "slog ivl svg"),
-    ("view", "slog kind window frame-at cpus width svg"),
-    ("clockfit", "in estimator"),
-    ("corrupt", "in seed plan"),
-    ("pipeline", RUN_KEYS),
-    ("resume", "in jobs disk-budget"),
-    (
-        "chaos",
-        "workload out iterations jobs fault-seed fault-plan disk-budget seed kills mode",
-    ),
-    (
-        "scenario",
-        "seed out jobs fault-seed fault-plan nodes cpus tasks-per-node threads pattern rounds \
-         straggler skew burst depth width fanout",
-    ),
-    ("report", RUN_KEYS),
-    ("profile", RUN_KEYS),
-    (
-        "analyze",
-        "in diag window nodes imbalance-threshold profile",
-    ),
-    ("check", "in ivl profile slog raw seed"),
-    ("fuzz", "seed iters"),
-    ("help", ""),
-    ("--help", ""),
-];
-
 impl Args {
-    /// Parses `--key value` and bare `--switch` arguments.
+    /// Parses `--key value` and bare `--switch` arguments against the
+    /// row of the command they were given to.
     ///
-    /// Switches are recognized by name ([`KNOWN_SWITCHES`]); any other
-    /// `--key` must be followed by a value, and a `--key` followed by
-    /// another `--token` (or the end of the argument list) is an error.
-    pub fn parse(argv: &[String]) -> Result<Args> {
-        let mut a = Args::default();
-        let mut i = 0;
-        while i < argv.len() {
-            let k = &argv[i];
+    /// The row (with [`SHARED`]) says which names are switches and which
+    /// take a value: a valued `--key` followed by another `--token` (or
+    /// the end of the argument list) is an error, and a name in neither
+    /// list is an unknown option — reported before anything runs, with
+    /// the known name it is a prefix of (or that is a prefix of it), if
+    /// any. A leading bare token is the value of the row's positional
+    /// key (`ute analyze DIR`, `ute resume DIR`).
+    pub fn parse(cmd: &Command, argv: &[String]) -> Result<Args> {
+        let mut a = Args {
+            map: HashMap::new(),
+            flags: Vec::new(),
+        };
+        let mut unknown = Vec::new();
+        let mut rest = argv.iter().peekable();
+        if let Some(key) = cmd.positional {
+            if let Some(v) = rest.next_if(|t| !t.starts_with("--")) {
+                a.map.insert(key.to_string(), v.clone());
+            }
+        }
+        while let Some(k) = rest.next() {
             if !k.starts_with("--") {
                 return Err(UteError::Invalid(format!("unexpected argument `{k}`")));
             }
-            let key = k.trim_start_matches("--").to_string();
-            if KNOWN_SWITCHES.contains(&key.as_str()) {
-                a.flags.push(key);
-                i += 1;
-            } else if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                a.map.insert(key, argv[i + 1].clone());
-                i += 2;
+            let key = k.trim_start_matches("--");
+            if cmd.switches.contains(&key) || SHARED.switches.contains(&key) {
+                a.flags.push(key.to_string());
+            } else if cmd.keys.contains(&key) || SHARED.keys.contains(&key) {
+                let v = rest
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| UteError::Invalid(format!("missing value for --{key}")))?;
+                a.map.insert(key.to_string(), v.clone());
             } else {
-                return Err(UteError::Invalid(format!("missing value for --{key}")));
+                unknown.push(key);
+                rest.next_if(|v| !v.starts_with("--"));
             }
         }
-        Ok(a)
-    }
-
-    /// Fails on a valued `--key` that `cmd` does not read, naming the
-    /// known key it is a prefix of (or that is a prefix of it), if any.
-    fn reject_unknown(&self, cmd: &str) -> Result<()> {
-        let Some((_, own)) = COMMAND_KEYS.iter().find(|(c, _)| *c == cmd) else {
-            return Ok(()); // `run` reports the unknown command
-        };
-        let known = || {
-            own.split_whitespace()
-                .chain(OBSERVABILITY_KEYS.split_whitespace())
-        };
-        let unknown = self.map.keys().filter(|k| !known().any(|n| n == *k)).min();
-        let Some(key) = unknown else { return Ok(()) };
-        let near = known().find(|n| n.starts_with(key.as_str()) || key.starts_with(n));
-        let hint = near.map_or(String::new(), |n| format!(" (did you mean --{n}?)"));
-        Err(UteError::Invalid(format!(
-            "{cmd}: unknown option --{key}{hint}"
-        )))
+        match unknown.into_iter().min() {
+            Some(key) => Err(cmd.unknown_option(key)),
+            None => Ok(a),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -178,13 +118,17 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| UteError::Invalid(format!("--{key}: bad value `{v}`")))
+            })
+            .transpose()
+    }
+
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| UteError::Invalid(format!("--{key}: bad value `{v}`"))),
-        }
+        Ok(self.opt_num(key)?.unwrap_or(default))
     }
 
     /// The `--jobs N` worker count; defaults to the machine's available
@@ -204,20 +148,14 @@ impl Args {
     fn salvage(&self) -> bool {
         !self.has("strict")
     }
+}
 
-    /// The fault plan from `--fault-plan SPEC` or `--fault-seed N`
-    /// (seeded plans need the node count).
-    fn fault_plan(&self, nodes: u16) -> Result<Option<FaultPlan>> {
-        if let Some(spec) = self.get("fault-plan") {
-            return Ok(Some(FaultPlan::parse(spec)?));
-        }
-        match self.get("fault-seed") {
-            Some(_) => {
-                let seed = self.num("fault-seed", 0u64)?;
-                Ok(Some(FaultPlan::from_seed(seed, nodes)))
-            }
-            None => Ok(None),
-        }
+/// The fault plan of `--fault-plan SPEC` or `--fault-seed N` (seeded
+/// plans need the node count); an explicit plan wins.
+fn fault_plan(spec: Option<&str>, seed: Option<u64>, nodes: u16) -> Result<Option<FaultPlan>> {
+    match spec {
+        Some(spec) => Ok(Some(FaultPlan::parse(spec)?)),
+        None => Ok(seed.map(|s| FaultPlan::from_seed(s, nodes))),
     }
 }
 
@@ -292,13 +230,17 @@ fn estimator_by_name(name: &str) -> Result<RatioEstimator> {
 /// the tracing buffers during the run; byte-level kinds (truncation,
 /// bit flips, overrun splices) mutate the raw bytes as they are
 /// written; a `missing` fault suppresses the node's file entirely.
-pub fn cmd_trace(args: &Args) -> Result<String> {
+pub(crate) fn cmd_trace(args: &Args) -> Result<String> {
     let _span = ute_obs::Span::stage("trace");
     let name = args.require("workload")?;
     let iterations = args.num("iterations", 256u32)?;
     let out = PathBuf::from(args.require("out")?);
     let w = workload_by_name(name, iterations)?;
-    let plan = args.fault_plan(w.config.nodes)?;
+    let plan = fault_plan(
+        args.get("fault-plan"),
+        args.opt_num("fault-seed")?,
+        w.config.nodes,
+    )?;
     run_and_write_trace(name.to_string(), w, plan, &out)
 }
 
@@ -492,31 +434,52 @@ fn load_raw_dir(
     Ok((files, threads, profile, lost))
 }
 
+/// What every ingest stage reads: the trace directory, the worker count,
+/// and whether damaged input degrades (salvage) or fails (`--strict`).
+/// The commands build it from their row-checked [`Args`]; `ute pipeline`
+/// and `ute scenario` build it from the values they already hold.
+pub(crate) struct Ingest {
+    pub dir: PathBuf,
+    pub jobs: usize,
+    pub salvage: bool,
+}
+
+impl Ingest {
+    fn from_args(args: &Args) -> Result<Ingest> {
+        Ok(Ingest {
+            dir: PathBuf::from(args.require("in")?),
+            jobs: args.jobs()?,
+            salvage: args.salvage(),
+        })
+    }
+}
+
 /// `ute convert`: raw trace files → per-node interval files. Salvages
 /// corrupt raw files by default (`--strict` restores fail-fast): the
 /// decoder resynchronizes on the next valid hookword after a corrupt
 /// record, and states left open by a truncated stream become synthetic
 /// truncated intervals.
-pub fn cmd_convert(args: &Args) -> Result<String> {
+pub(crate) fn cmd_convert(args: &Args) -> Result<String> {
+    convert(&Ingest::from_args(args)?)
+}
+
+/// The convert stage, published in place without a journal.
+fn convert(ing: &Ingest) -> Result<String> {
     let _span = ute_obs::Span::stage("convert");
-    let dir = PathBuf::from(args.require("in")?);
-    let so = convert_outputs(args)?;
-    stages::publish_plain(&dir, &so)?;
+    let so = convert_outputs(ing)?;
+    stages::publish_plain(&ing.dir, &so)?;
     Ok(so.msg)
 }
 
 /// The convert stage as pure data (see [`trace_outputs`]).
-fn convert_outputs(args: &Args) -> Result<stages::StageOutput> {
-    let jobs = args.jobs()?;
-    let salvage = args.salvage();
-    let dir = PathBuf::from(args.require("in")?);
-    let (files, threads, profile, lost) = load_raw_dir(&dir, salvage)?;
+pub(crate) fn convert_outputs(ing: &Ingest) -> Result<stages::StageOutput> {
+    let (files, threads, profile, lost) = load_raw_dir(&ing.dir, ing.salvage)?;
     let copts = ConvertOptions {
         policy: FramePolicy::default(),
-        lenient: salvage,
-        salvage,
+        lenient: ing.salvage,
+        salvage: ing.salvage,
     };
-    let outputs = convert_job_pooled(&files, &threads, &profile, &copts, jobs)?;
+    let outputs = convert_job_pooled(&files, &threads, &profile, &copts, ing.jobs)?;
     let mut msg = String::new();
     let mut artifacts = Vec::new();
     for o in outputs {
@@ -579,12 +542,11 @@ fn load_interval_files(dir: &Path, salvage: bool) -> Result<IntervalFiles> {
     Ok((paths, files, lost))
 }
 
-fn merge_options(args: &Args, gap_nodes: Vec<u16>) -> Result<MergeOptions> {
+/// The clock-fit choices `merge`, `slogmerge` and `clockfit` share.
+fn merge_options(args: &Args) -> Result<MergeOptions> {
     Ok(MergeOptions {
         estimator: estimator_by_name(args.get("estimator").unwrap_or("rms"))?,
         filter_outliers: !args.has("no-filter"),
-        salvage: args.salvage(),
-        gap_nodes,
         ..MergeOptions::default()
     })
 }
@@ -598,29 +560,35 @@ fn merge_options(args: &Args, gap_nodes: Vec<u16>) -> Result<MergeOptions> {
 /// place that counter is bumped, so a staged `ute pipeline` run (which
 /// also re-reads the files for slogmerge) counts each degraded node
 /// once.
-pub fn cmd_merge(args: &Args) -> Result<String> {
+pub(crate) fn cmd_merge(args: &Args) -> Result<String> {
+    let out = Path::new(args.require("out")?);
+    merge(&Ingest::from_args(args)?, merge_options(args)?, out)
+}
+
+/// The merge stage, written to `out` without a journal.
+fn merge(ing: &Ingest, opts: MergeOptions, out: &Path) -> Result<String> {
     let _span = ute_obs::Span::stage("merge");
-    let out = PathBuf::from(args.require("out")?);
-    let (bytes, msg) = merge_outputs(args)?;
-    ute_store::atomic_write(&out, &bytes)?;
+    let (bytes, msg) = merge_outputs(ing, opts)?;
+    ute_store::atomic_write(out, &bytes)?;
     Ok(msg)
 }
 
 /// The merge stage as pure data: the merged file's bytes plus the
-/// message. Counter bumps (`salvage/nodes_degraded`) happen here — once
-/// per merge, wherever the bytes end up.
-fn merge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
-    let dir = PathBuf::from(args.require("in")?);
-    let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (paths, files, lost) = load_interval_files(&dir, args.salvage())?;
+/// message. `opts` carries the clock-fit choices; salvage and the gap
+/// nodes come from `ing` and the load. Counter bumps
+/// (`salvage/nodes_degraded`) happen here — once per merge, wherever
+/// the bytes end up.
+pub(crate) fn merge_outputs(ing: &Ingest, opts: MergeOptions) -> Result<(Vec<u8>, String)> {
+    let profile = Profile::read_from(&ing.dir.join("profile.ute"))?;
+    let (paths, files, lost) = load_interval_files(&ing.dir, ing.salvage)?;
     let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
-    let merged = merge_files_jobs(
-        &refs,
-        &profile,
-        &merge_options(args, lost.clone())?,
-        args.jobs()?,
-    )
-    .map_err(|e| e.name_input(&paths))?;
+    let opts = MergeOptions {
+        salvage: ing.salvage,
+        gap_nodes: lost.clone(),
+        ..opts
+    };
+    let merged =
+        merge_files_jobs(&refs, &profile, &opts, ing.jobs).map_err(|e| e.name_input(&paths))?;
     let degraded = lost.len() as u64 + merged.stats.nodes_degraded;
     if degraded > 0 {
         ute_obs::counter("salvage/nodes_degraded").add(degraded);
@@ -654,33 +622,39 @@ fn merge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
 /// semantics match `ute merge`, except degraded nodes are not counted
 /// again (see [`cmd_merge`]) and the SLOG carries no gap records — a
 /// missing node simply has no timelines.
-pub fn cmd_slogmerge(args: &Args) -> Result<String> {
-    let _span = ute_obs::Span::stage("slogmerge");
-    let out = PathBuf::from(args.require("out")?);
-    let (bytes, msg) = slogmerge_outputs(args)?;
-    ute_store::atomic_write(&out, &bytes)?;
-    Ok(msg)
-}
-
-/// The slogmerge stage as pure data (see [`merge_outputs`]).
-fn slogmerge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
-    let dir = PathBuf::from(args.require("in")?);
-    let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (paths, files, _lost) = load_interval_files(&dir, args.salvage())?;
-    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
+pub(crate) fn cmd_slogmerge(args: &Args) -> Result<String> {
+    let out = Path::new(args.require("out")?);
     let build = BuildOptions {
         nframes: args.num("frames", 64usize)?,
         preview_bins: args.num("bins", 128u32)?,
         arrows: !args.has("no-arrows"),
     };
-    let (slog, stats) = slogmerge_jobs(
-        &refs,
-        &profile,
-        &merge_options(args, Vec::new())?,
-        build,
-        args.jobs()?,
-    )
-    .map_err(|e| e.name_input(&paths))?;
+    slogmerge(&Ingest::from_args(args)?, merge_options(args)?, build, out)
+}
+
+/// The slogmerge stage, written to `out` without a journal.
+fn slogmerge(ing: &Ingest, opts: MergeOptions, build: BuildOptions, out: &Path) -> Result<String> {
+    let _span = ute_obs::Span::stage("slogmerge");
+    let (bytes, msg) = slogmerge_outputs(ing, opts, build)?;
+    ute_store::atomic_write(out, &bytes)?;
+    Ok(msg)
+}
+
+/// The slogmerge stage as pure data (see [`merge_outputs`]).
+pub(crate) fn slogmerge_outputs(
+    ing: &Ingest,
+    opts: MergeOptions,
+    build: BuildOptions,
+) -> Result<(Vec<u8>, String)> {
+    let profile = Profile::read_from(&ing.dir.join("profile.ute"))?;
+    let (paths, files, _lost) = load_interval_files(&ing.dir, ing.salvage)?;
+    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
+    let opts = MergeOptions {
+        salvage: ing.salvage,
+        ..opts
+    };
+    let (slog, stats) = slogmerge_jobs(&refs, &profile, &opts, build, ing.jobs)
+        .map_err(|e| e.name_input(&paths))?;
     let msg = format!(
         "slogmerge: {} records in, {} merged, {} frames, {} slog records\n",
         stats.records_in,
@@ -691,19 +665,41 @@ fn slogmerge_outputs(args: &Args) -> Result<(Vec<u8>, String)> {
     Ok((slog.to_bytes(), msg))
 }
 
-/// `ute stats`: run the statistics utility over a merged interval file.
-pub fn cmd_stats(args: &Args) -> Result<String> {
-    let _span = ute_obs::Span::stage("stats");
-    stats_output(args)
+/// The files `ute stats` reads and writes. Only `merged` is required:
+/// the profile defaults to `profile.ute` beside it, the program to the
+/// predefined tables, and without `out` nothing is written.
+#[derive(Default)]
+pub(crate) struct StatsPaths {
+    pub merged: PathBuf,
+    pub profile: Option<PathBuf>,
+    pub program: Option<PathBuf>,
+    pub out: Option<PathBuf>,
 }
 
-/// The stats stage's text (see [`trace_outputs`]); `--out` tables are
+/// `ute stats`: run the statistics utility over a merged interval file.
+pub(crate) fn cmd_stats(args: &Args) -> Result<String> {
+    let path = |key| args.get(key).map(PathBuf::from);
+    stats(&StatsPaths {
+        merged: PathBuf::from(args.require("merged")?),
+        profile: path("profile"),
+        program: path("program"),
+        out: path("out"),
+    })
+}
+
+/// The stats stage outside a journal.
+fn stats(paths: &StatsPaths) -> Result<String> {
+    let _span = ute_obs::Span::stage("stats");
+    stats_output(paths)
+}
+
+/// The stats stage's text (see [`trace_outputs`]); `out` tables are
 /// written directly, not published.
-fn stats_output(args: &Args) -> Result<String> {
+pub(crate) fn stats_output(paths: &StatsPaths) -> Result<String> {
     let read_span = ute_obs::Span::enter("format", "read + decode merged file");
-    let merged_path = Path::new(args.require("merged")?);
+    let merged_path = paths.merged.as_path();
     let merged = std::fs::read(merged_path).in_file(merged_path)?;
-    let profile_path = args.get("profile").map(PathBuf::from).unwrap_or_else(|| {
+    let profile_path = paths.profile.clone().unwrap_or_else(|| {
         merged_path
             .parent()
             .unwrap_or(Path::new("."))
@@ -714,13 +710,13 @@ fn stats_output(args: &Args) -> Result<String> {
     let intervals: Result<Vec<_>> = reader.intervals().collect();
     let intervals = intervals.in_file(merged_path)?;
     drop(read_span);
-    let specs = match args.get("program") {
+    let specs = match &paths.program {
         Some(p) => parse_program(&std::fs::read_to_string(p)?)?,
         None => predefined_tables(),
     };
     let tables = run_tables(&specs, &profile, &intervals)?;
-    let out_dir = args.get("out").map(PathBuf::from);
-    if let Some(dir) = &out_dir {
+    let out_dir = paths.out.as_deref();
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)?;
     }
     let mut msg = String::new();
@@ -736,7 +732,7 @@ fn stats_output(args: &Args) -> Result<String> {
                 msg.push_str(&hm);
             }
         }
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = out_dir {
             std::fs::write(dir.join(format!("{}.tsv", t.name)), t.to_tsv())?;
             if t.x_labels.len() == 2 {
                 if let Ok(svg) = ute_stats::viewer::heatmap_svg(t, 0, 10) {
@@ -753,7 +749,7 @@ fn stats_output(args: &Args) -> Result<String> {
 /// `ute preview`: render the whole-run preview of a SLOG file, or of a
 /// standard-profile interval file (`--ivl`, e.g. a `--self-trace`
 /// output) by building an in-memory SLOG from it first.
-pub fn cmd_preview(args: &Args) -> Result<String> {
+pub(crate) fn cmd_preview(args: &Args) -> Result<String> {
     let slog = match args.get("ivl") {
         Some(ivl) => {
             let bytes = std::fs::read(ivl)?;
@@ -797,7 +793,7 @@ pub fn cmd_preview(args: &Args) -> Result<String> {
 }
 
 /// `ute view`: render a time-space diagram of a SLOG file.
-pub fn cmd_view(args: &Args) -> Result<String> {
+pub(crate) fn cmd_view(args: &Args) -> Result<String> {
     let slog_path = Path::new(args.require("slog")?);
     let kind = match args.get("kind").unwrap_or("thread") {
         "thread" => ViewKind::ThreadActivity,
@@ -862,20 +858,21 @@ pub fn cmd_view(args: &Args) -> Result<String> {
 }
 
 /// `ute clockfit`: print per-node clock fits from per-node interval files.
-pub fn cmd_clockfit(args: &Args) -> Result<String> {
+pub(crate) fn cmd_clockfit(args: &Args) -> Result<String> {
     let dir = PathBuf::from(args.require("in")?);
+    let salvage = args.salvage();
+    let opts = merge_options(args)?;
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (paths, files, _lost) = load_interval_files(&dir, args.salvage())?;
-    let estimator = estimator_by_name(args.get("estimator").unwrap_or("rms"))?;
+    let (paths, files, _lost) = load_interval_files(&dir, salvage)?;
     let mut msg = String::new();
     for (path, bytes) in paths.iter().zip(&files) {
         let fit = (|| {
             let reader = IntervalFileReader::open(bytes, &profile)?;
-            ute_merge::clockfit::fit_node(&reader, &profile, estimator, !args.has("no-filter"))
+            ute_merge::clockfit::fit_node(&reader, &profile, opts.estimator, opts.filter_outliers)
         })();
         let nf = match fit {
             Ok(nf) => nf,
-            Err(e) if args.salvage() => {
+            Err(e) if salvage => {
                 msg.push_str(&format!("node ?: unfittable ({e})\n"));
                 continue;
             }
@@ -898,7 +895,7 @@ pub fn cmd_clockfit(args: &Args) -> Result<String> {
 /// derives a byte-level plan (always including a truncation, so
 /// `--strict` re-runs are guaranteed to fail); `--plan SPEC` applies an
 /// explicit plan. `profile.ute` and `threads.utt` are never touched.
-pub fn cmd_corrupt(args: &Args) -> Result<String> {
+pub(crate) fn cmd_corrupt(args: &Args) -> Result<String> {
     let dir = PathBuf::from(args.require("in")?);
     let raw_nodes = scan_node_files(&dir, "trace", "raw")?;
     let ivl_nodes = scan_node_files(&dir, "trace", "ivl")?;
@@ -946,67 +943,6 @@ pub fn cmd_corrupt(args: &Args) -> Result<String> {
     Ok(msg)
 }
 
-/// `ute pipeline`: trace → convert → merge → slogmerge → stats in one go.
-/// `--jobs` (and `--strict`) are forwarded to every stage; fault flags
-/// apply to the trace stage.
-///
-/// Every stage runs under the crash-safe publish protocol of
-/// `ute-store`: outputs are written to fsync'd temps, committed to the
-/// write-ahead journal (`journal.utj`) with content hashes, and only
-/// then renamed into place. A killed run is finished by `ute resume`;
-/// `--disk-budget BYTES` stops gracefully (journaled, resumable) before
-/// a stage would exceed the budget.
-pub fn cmd_pipeline(args: &Args) -> Result<String> {
-    stages::cmd_pipeline(args)
-}
-
-/// `ute resume`: see [`stages::cmd_resume`].
-pub fn cmd_resume(args: &Args) -> Result<String> {
-    stages::cmd_resume(args)
-}
-
-/// `ute chaos`: see [`stages::cmd_chaos`].
-pub fn cmd_chaos(args: &Args) -> Result<String> {
-    stages::cmd_chaos(args)
-}
-
-/// Sub-command `Args` for one ingest stage of a chained run: `pairs`
-/// plus the run's `--jobs` and `--strict`.
-fn sub_args(jobs: usize, strict: bool, pairs: &[(&str, String)]) -> Args {
-    let mut a = Args::default();
-    for (k, v) in pairs {
-        a.map.insert(k.to_string(), v.clone());
-    }
-    a.map.insert("jobs".to_string(), jobs.to_string());
-    if strict {
-        a.flags.push("strict".to_string());
-    }
-    a
-}
-
-/// The convert → merge → slogmerge → stats chain over a traced
-/// directory, as `ute scenario` runs it: the plain commands back to
-/// back, no journal (`ute pipeline` runs the same stages through
-/// [`stages`]).
-fn ingest_stages(out: &str, jobs: usize, strict: bool) -> Result<String> {
-    let sub = |pairs: &[(&str, String)]| sub_args(jobs, strict, pairs);
-    let mut msg = String::new();
-    msg.push_str(&cmd_convert(&sub(&[("in", out.to_string())]))?);
-    msg.push_str(&cmd_merge(&sub(&[
-        ("in", out.to_string()),
-        ("out", format!("{out}/merged.ivl")),
-    ]))?);
-    msg.push_str(&cmd_slogmerge(&sub(&[
-        ("in", out.to_string()),
-        ("out", format!("{out}/run.slog")),
-    ]))?);
-    msg.push_str(&cmd_stats(&sub(&[(
-        "merged",
-        format!("{out}/merged.ivl"),
-    )]))?);
-    Ok(msg)
-}
-
 /// `ute scenario`: expand a seeded random workload and run it through
 /// the full pipeline, or print its spec as JSON.
 ///
@@ -1025,32 +961,17 @@ fn ingest_stages(out: &str, jobs: usize, strict: bool) -> Result<String> {
 /// guarantees the `Collect` ground-truth phase); `--skew X` multiplies
 /// upper-half-rank message sizes; `--burst N` sets the bursty-phase
 /// volley length; `--depth/--width/--fanout` shape the service graph.
-pub fn cmd_scenario(args: &Args) -> Result<String> {
+pub(crate) fn cmd_scenario(args: &Args) -> Result<String> {
     let seed: u64 = args
         .require("seed")?
         .parse()
         .map_err(|_| UteError::Invalid("--seed: wants an unsigned integer".into()))?;
     let mut spec = ute_scenario::ScenarioSpec::from_seed(seed);
-    if let Some(n) = args.get("nodes") {
-        spec.topology.nodes = n
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("--nodes: bad value `{n}`")))?;
-    }
-    if let Some(c) = args.get("cpus") {
-        spec.topology.cpus_per_node = c
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("--cpus: bad value `{c}`")))?;
-    }
-    if let Some(t) = args.get("tasks-per-node") {
-        spec.topology.tasks_per_node = t
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("--tasks-per-node: bad value `{t}`")))?;
-    }
-    if let Some(t) = args.get("threads") {
-        spec.topology.threads_per_task = t
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("--threads: bad value `{t}`")))?;
-    }
+    let topo = &mut spec.topology;
+    topo.nodes = args.num("nodes", topo.nodes)?;
+    topo.cpus_per_node = args.num("cpus", topo.cpus_per_node)?;
+    topo.tasks_per_node = args.num("tasks-per-node", topo.tasks_per_node)?;
+    topo.threads_per_task = args.num("threads", topo.threads_per_task)?;
     if let Some(p) = args.get("pattern") {
         let pattern = ute_scenario::PatternKind::parse(p).ok_or_else(|| {
             UteError::Invalid(format!(
@@ -1059,10 +980,7 @@ pub fn cmd_scenario(args: &Args) -> Result<String> {
         })?;
         spec.force_pattern(pattern);
     }
-    if let Some(r) = args.get("rounds") {
-        let rounds: u32 = r
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("--rounds: bad value `{r}`")))?;
+    if let Some(rounds) = args.opt_num::<u32>("rounds")? {
         for p in &mut spec.phases {
             p.rounds = rounds.max(1);
         }
@@ -1088,11 +1006,19 @@ pub fn cmd_scenario(args: &Args) -> Result<String> {
     if args.has("describe") {
         return Ok(format!("{}\n", spec.to_json()));
     }
-    let out = args.require("out")?;
+    let ing = Ingest {
+        dir: PathBuf::from(args.require("out")?),
+        jobs: args.jobs()?,
+        salvage: args.salvage(),
+    };
     let w = scenario_workload(&spec)?;
-    let plan = args.fault_plan(w.config.nodes)?;
-    let out_dir = PathBuf::from(out);
-    std::fs::create_dir_all(&out_dir)?;
+    let plan = fault_plan(
+        args.get("fault-plan"),
+        args.opt_num("fault-seed")?,
+        w.config.nodes,
+    )?;
+    let out_dir = &ing.dir;
+    std::fs::create_dir_all(out_dir)?;
     // Provenance first: the spec that produced everything else in the
     // directory, byte-stable for the CI determinism comparisons.
     std::fs::write(
@@ -1110,9 +1036,23 @@ pub fn cmd_scenario(args: &Args) -> Result<String> {
         format!("scenario seed {seed}"),
         w,
         plan,
-        &out_dir,
+        out_dir,
     )?);
-    msg.push_str(&ingest_stages(out, args.jobs()?, args.has("strict"))?);
+    // The plain commands back to back, no journal (`ute pipeline` runs
+    // the same stage functions through [`stages`]).
+    let merged = out_dir.join("merged.ivl");
+    msg.push_str(&convert(&ing)?);
+    msg.push_str(&merge(&ing, MergeOptions::default(), &merged)?);
+    msg.push_str(&slogmerge(
+        &ing,
+        MergeOptions::default(),
+        BuildOptions::default(),
+        &out_dir.join("run.slog"),
+    )?);
+    msg.push_str(&stats(&StatsPaths {
+        merged,
+        ..StatsPaths::default()
+    })?);
     Ok(msg)
 }
 
@@ -1148,19 +1088,17 @@ const BASELINE_COUNTERS: &[&str] = &[
 
 /// `ute report`: run the full pipeline with metrics from zero and emit
 /// every counter, gauge, and histogram as machine-readable JSON,
-/// including p50/p95/p99 estimates per histogram and — when
-/// `--metrics-interval` is active — the sampler's time-series block.
-/// `--stable` drops wall-clock and `--jobs`-dependent metrics (and the
-/// percentile/time-series extras) so the output is byte-comparable
-/// across runs and thread counts (the form the CI determinism job
-/// diffs); deterministic `salvage/*` and `obs/*` totals are kept and
-/// always present.
-pub fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
+/// including p50/p95/p99 estimates per histogram. `--stable` drops
+/// wall-clock and `--jobs`-dependent metrics (and the percentiles) so
+/// the output is byte-comparable across runs and thread counts (the
+/// form the CI determinism job diffs); deterministic `salvage/*` and
+/// `obs/*` totals are kept and always present.
+pub(crate) fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
     ute_obs::reset();
     for name in BASELINE_COUNTERS {
         ute_obs::counter(name);
     }
-    cmd_pipeline(args)?;
+    stages::cmd_pipeline(args)?;
     // Run the diagnostics over the pipeline's merged output before the
     // snapshot, so the analyze stage's own counters land in the report
     // and the JSON always carries a diagnostics summary block. Findings
@@ -1177,10 +1115,6 @@ pub fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
         let findings = ute_analyze::run_all(&table, &ute_analyze::DiagOptions::default());
         ute_analyze::summary_json(ute_analyze::DIAGNOSTICS, &findings)
     };
-    // Fold any live sampler's ticks into this report (stopping it here,
-    // before the snapshot, so the last partial interval is included);
-    // the dispatcher's later stop is then a no-op.
-    let ticks = ute_obs::sampler::stop();
     let stable = args.has("stable");
     let snap = ute_obs::snapshot();
     let snap = if stable { snap.stable() } else { snap };
@@ -1201,11 +1135,6 @@ pub fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
     }
     let opts = ute_obs::ReportOptions {
         percentiles: !stable,
-        timeseries: if !stable && !ticks.is_empty() {
-            Some(&ticks)
-        } else {
-            None
-        },
         extra: &extra,
     };
     let mut json = snap.render_json(&opts);
@@ -1229,7 +1158,7 @@ fn profile_so_far(workload: &str, root: &ute_obs::Span) -> ute_profile::ProfileR
 /// (the full report) through the same atomic store protocol as the
 /// pipeline artifacts. `--json` prints the report JSON instead of the
 /// text rendering.
-pub fn cmd_profile(args: &Args, root: &ute_obs::Span) -> Result<String> {
+pub(crate) fn cmd_profile(args: &Args, root: &ute_obs::Span) -> Result<String> {
     ute_obs::reset();
     for name in BASELINE_COUNTERS {
         ute_obs::counter(name);
@@ -1269,7 +1198,7 @@ pub fn cmd_profile(args: &Args, root: &ute_obs::Span) -> Result<String> {
 /// strict, clock-adjusted order, fast vs reference decode). Violations
 /// are structured findings, never panics; any error-severity finding
 /// makes the command fail with the full report in the error text.
-pub fn cmd_check(args: &Args) -> Result<String> {
+pub(crate) fn cmd_check(args: &Args) -> Result<String> {
     let ivl_opts = ute_verify::IvlCheckOptions {
         lenient_tail: args.has("lenient-tail"),
     };
@@ -1356,7 +1285,7 @@ pub fn cmd_check(args: &Args) -> Result<String> {
 /// mutations of valid raw/interval/SLOG corpora, every decoder driven
 /// over each mutant. Deterministic in `--seed`; fails if any decoder
 /// panics (mutants must be *rejected*, not crashed on).
-pub fn cmd_fuzz(args: &Args) -> Result<String> {
+pub(crate) fn cmd_fuzz(args: &Args) -> Result<String> {
     let opts = ute_verify::FuzzOptions {
         seed: args.num("seed", 1u64)?,
         iters: args.num("iters", 256u64)?,
@@ -1378,7 +1307,7 @@ pub fn cmd_fuzz(args: &Args) -> Result<String> {
 /// `--nodes A..B` restrict what is even *loaded* — the loader walks the
 /// frame directory and skips frames outside the window without decoding
 /// them. `--json` emits the structured findings report instead of text.
-pub fn cmd_analyze(args: &Args) -> Result<String> {
+pub(crate) fn cmd_analyze(args: &Args) -> Result<String> {
     let input = PathBuf::from(args.require("in")?);
     let (merged, default_profile) = if input.is_dir() {
         (input.join("merged.ivl"), input.join("profile.ute"))
@@ -1466,34 +1395,411 @@ pub fn cmd_analyze(args: &Args) -> Result<String> {
     Ok(msg)
 }
 
-/// Dispatches one invocation. The `--metrics`, `--metrics-interval MS`,
-/// `--self-trace FILE` and `--profiler` switches work on every
-/// subcommand: the first prints the metrics table (TSV) to stderr when
-/// the command finishes, the second runs a background sampler that
-/// prints live progress lines while the command executes, the third
-/// writes the run's own spans as a UTE interval file (or Chrome trace
-/// JSON with `--self-trace-format chrome`), and the fourth prints their
-/// fold — the ranked stage table — to stderr. The last two (and
-/// `ute profile`) render the same capture, drained once here.
+/// How a command is entered.
+pub enum Run {
+    /// Reads its [`Args`] only; under `--profiler` the dispatcher prints
+    /// the ranked stage table to stderr once it returns.
+    Plain(fn(&Args) -> Result<String>),
+    /// Renders the run's profile itself, from the still-open root span
+    /// (`report`, when `--profiler` is given).
+    Profiled(fn(&Args, &ute_obs::Span) -> Result<String>),
+    /// As `Profiled`, with span capture on whether or not an option
+    /// asks for it (`profile`).
+    Profiler(fn(&Args, &ute_obs::Span) -> Result<String>),
+}
+
+/// One command of [`run`], declared once: [`Args::parse`] accepts
+/// exactly `keys` (valued) and `switches` (bare) plus [`SHARED`], `run`
+/// dispatches by `name`, and `ute help` prints `usage` — whose synopsis
+/// names exactly `keys ∪ switches` (`tests/cli.rs` holds that).
+pub struct Command {
+    pub name: &'static str,
+    /// The `--key VALUE` options the command reads.
+    pub keys: &'static [&'static str],
+    /// The bare `--switch`es the command reads.
+    pub switches: &'static [&'static str],
+    /// The key a leading bare token is the value of (`ute analyze DIR`).
+    pub positional: Option<&'static str>,
+    /// The command's block of `ute help`: synopsis lines, then an
+    /// optional parenthesised note.
+    pub usage: &'static str,
+    run: Run,
+}
+
+impl Command {
+    /// The error for an option the command does not read, naming the
+    /// known option `key` is a prefix of (or that is a prefix of it).
+    fn unknown_option(&self, key: &str) -> UteError {
+        let near = [self.keys, SHARED.keys, self.switches, SHARED.switches]
+            .into_iter()
+            .flatten()
+            .find(|n| n.starts_with(key) || key.starts_with(**n));
+        let hint = near.map_or(String::new(), |n| format!(" (did you mean --{n}?)"));
+        UteError::Invalid(format!("{}: unknown option --{key}{hint}", self.name))
+    }
+}
+
+/// The options every command takes, and the section of `ute help` that
+/// documents them (one option per line that starts `  --`).
+pub struct Shared {
+    pub keys: &'static [&'static str],
+    pub switches: &'static [&'static str],
+    pub usage: &'static str,
+}
+
+pub const SHARED: Shared = Shared {
+    keys: &["self-trace", "self-trace-format", "self-trace-limit"],
+    switches: &["metrics", "profiler"],
+    usage: "\
+observability (any command):
+  --metrics            print the per-stage metrics table (TSV) to stderr
+  --self-trace FILE    write this run's own spans (hierarchical: parent
+                       ids, per-thread lanes, cross-thread flow links,
+                       thread CPU time per span)
+  --self-trace-format ivl|chrome
+                       self-trace sink format (default ivl). `ivl` is a
+                       UTE interval file (view with `ute preview --ivl`);
+                       `chrome` is Chrome trace JSON for ui.perfetto.dev
+  --self-trace-limit N capture at most N spans (default 1048576); spans
+                       beyond the cap are dropped and counted in
+                       obs/spans_dropped
+  --profiler           fold the same spans into `ute profile`'s ranked
+                       stage table: printed to stderr on any command,
+                       embedded as the \"profile\" block by `ute report`.
+                       Build with `--features profile-alloc` to also
+                       attribute allocations to the active stage
+",
+};
+
+/// Every command, in `ute help` order.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "trace",
+        keys: &["workload", "out", "iterations", "fault-seed", "fault-plan"],
+        switches: &[],
+        positional: None,
+        usage: "  trace     --workload NAME --out DIR [--iterations N]
+            [--fault-seed N | --fault-plan SPEC]
+",
+        run: Run::Plain(cmd_trace),
+    },
+    Command {
+        name: "convert",
+        keys: &["in", "jobs"],
+        switches: &["strict"],
+        positional: None,
+        usage: "  convert   --in DIR [--jobs N] [--strict]
+",
+        run: Run::Plain(cmd_convert),
+    },
+    Command {
+        name: "merge",
+        keys: &["in", "out", "estimator", "jobs"],
+        switches: &["strict", "no-filter"],
+        positional: None,
+        usage:
+            "  merge     --in DIR --out FILE [--estimator rms|rmsall|last|piecewise] [--no-filter]
+            [--jobs N] [--strict]
+",
+        run: Run::Plain(cmd_merge),
+    },
+    Command {
+        name: "slogmerge",
+        keys: &["in", "out", "estimator", "frames", "bins", "jobs"],
+        switches: &["strict", "no-filter", "no-arrows"],
+        positional: None,
+        usage: "  slogmerge --in DIR --out FILE [--estimator ...] [--no-filter] [--frames N]
+            [--bins N] [--no-arrows] [--jobs N] [--strict]
+",
+        run: Run::Plain(cmd_slogmerge),
+    },
+    Command {
+        name: "stats",
+        keys: &["merged", "profile", "program", "out"],
+        switches: &[],
+        positional: None,
+        usage: "  stats     --merged FILE [--profile FILE] [--program FILE] [--out DIR]
+",
+        run: Run::Plain(cmd_stats),
+    },
+    Command {
+        name: "preview",
+        keys: &["slog", "ivl", "svg"],
+        switches: &[],
+        positional: None,
+        usage: "  preview   --slog FILE | --ivl FILE [--svg FILE]
+",
+        run: Run::Plain(cmd_preview),
+    },
+    Command {
+        name: "view",
+        keys: &["slog", "kind", "window", "frame-at", "cpus", "width", "svg"],
+        switches: &["connected", "hide-running"],
+        positional: None,
+        usage: "  view      --slog FILE [--kind thread|cpu|threadcpu|cputhread|type]
+            [--window a,b] [--frame-at t] [--connected] [--hide-running]
+            [--cpus N] [--width N] [--svg FILE]
+",
+        run: Run::Plain(cmd_view),
+    },
+    Command {
+        name: "clockfit",
+        keys: &["in", "estimator"],
+        switches: &["strict", "no-filter"],
+        positional: None,
+        usage: "  clockfit  --in DIR [--estimator ...] [--no-filter] [--strict]
+",
+        run: Run::Plain(cmd_clockfit),
+    },
+    Command {
+        name: "corrupt",
+        keys: &["in", "seed", "plan"],
+        switches: &[],
+        positional: None,
+        usage: "  corrupt   --in DIR [--seed N | --plan SPEC]
+            (deterministically corrupt trace.N.raw/.ivl for regression
+             corpora; profile.ute and threads.utt are never touched)
+",
+        run: Run::Plain(cmd_corrupt),
+    },
+    Command {
+        name: "pipeline",
+        keys: &[
+            "workload",
+            "out",
+            "iterations",
+            "jobs",
+            "fault-seed",
+            "fault-plan",
+            "disk-budget",
+        ],
+        switches: &["strict"],
+        positional: None,
+        usage: "  pipeline  --workload NAME --out DIR [--iterations N] [--jobs N] [--strict]
+            [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES[k|m|g]]
+",
+        run: Run::Plain(stages::cmd_pipeline),
+    },
+    Command {
+        name: "resume",
+        keys: &["in", "jobs", "disk-budget"],
+        switches: &[],
+        positional: Some("in"),
+        usage: "  resume    DIR | --in DIR [--jobs N] [--disk-budget BYTES]
+            (replay DIR/journal.utj from an interrupted `ute pipeline`
+             run, verify published artifacts by content hash, complete
+             any half-published stage from its committed temps, and
+             re-run only the incomplete stages; the finished directory
+             is byte-identical to an uninterrupted run at any --jobs)
+",
+        run: Run::Plain(stages::cmd_resume),
+    },
+    Command {
+        name: "chaos",
+        keys: &[
+            "workload",
+            "out",
+            "iterations",
+            "jobs",
+            "fault-seed",
+            "fault-plan",
+            "disk-budget",
+            "seed",
+            "kills",
+            "mode",
+        ],
+        switches: &["strict"],
+        positional: None,
+        usage: "  chaos     --workload NAME --out DIR [--seed N] [--kills K] [--jobs N]
+            [--mode point|timed|soft] [--iterations N] [--strict]
+            [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES]
+            (process-kill chaos harness: run a clean reference pipeline
+             under OUT/clean, then for each kill run a victim pipeline
+             that dies at a seeded abort point — `point` SIGKILL-aborts
+             a child process at an exact protocol state, `timed` kills
+             it on a seeded timer, `soft` aborts in-process — resume
+             it, and verify the result is byte-identical to the clean
+             run with no stale temp files)
+",
+        run: Run::Plain(stages::cmd_chaos),
+    },
+    Command {
+        name: "scenario",
+        keys: &[
+            "seed",
+            "out",
+            "jobs",
+            "fault-seed",
+            "fault-plan",
+            "nodes",
+            "cpus",
+            "tasks-per-node",
+            "threads",
+            "pattern",
+            "rounds",
+            "straggler",
+            "skew",
+            "burst",
+            "depth",
+            "width",
+            "fanout",
+        ],
+        switches: &["strict", "describe"],
+        positional: None,
+        usage: "  scenario  --seed N (--out DIR | --describe) [--jobs N] [--strict]
+            [--fault-seed N | --fault-plan SPEC]
+            [--nodes K] [--cpus C] [--tasks-per-node T] [--threads W]
+            [--pattern nn|ring|tree|hub|alltoall|service] [--rounds N]
+            [--straggler RANK:FACTOR] [--skew X] [--burst N]
+            [--depth D] [--width W] [--fanout F]
+            (expand a seeded random workload — topology, phase structure,
+             communication patterns, injected imbalance — and run it
+             through the full pipeline; the seed fully determines the
+             trace bytes. --describe prints the expanded spec as JSON;
+             a run writes it to OUT/scenario.json. Seeded specs are also
+             usable anywhere a workload name is: --workload scenario:N)
+",
+        run: Run::Plain(cmd_scenario),
+    },
+    Command {
+        name: "report",
+        keys: &[
+            "workload",
+            "out",
+            "iterations",
+            "jobs",
+            "fault-seed",
+            "fault-plan",
+            "disk-budget",
+        ],
+        switches: &["strict", "stable"],
+        positional: None,
+        usage: "  report    --workload NAME --out DIR [--iterations N] [--jobs N] [--stable]
+            [--strict] [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES]
+            (metrics as JSON with p50/p95/p99 per histogram; --stable
+             drops wall-clock and worker-count metrics — and the
+             percentiles — so output is byte-comparable across runs and
+             --jobs; salvage/* and obs/* totals are kept)
+",
+        run: Run::Profiled(cmd_report),
+    },
+    Command {
+        name: "profile",
+        keys: &[
+            "workload",
+            "out",
+            "iterations",
+            "jobs",
+            "fault-seed",
+            "fault-plan",
+            "disk-budget",
+        ],
+        switches: &["strict", "json"],
+        positional: None,
+        usage: "  profile   --workload NAME --out DIR [--json] [--jobs N]
+            [--iterations N] [--strict] [--fault-seed N | --fault-plan SPEC]
+            [--disk-budget BYTES]
+            (run the journaled pipeline with span capture on and fold
+             the spans into a ranked bottleneck report — exact self
+             time per stage, wall-vs-CPU utilization, coverage (the
+             share of the run inside a named stage) — and publish
+             OUT/profile.folded (flamegraph-ready folded stacks, weight
+             = µs of self time) and OUT/profile.json as a sixth
+             journaled stage. --json prints the report JSON instead of
+             the text table)
+",
+        run: Run::Profiler(cmd_profile),
+    },
+    Command {
+        name: "analyze",
+        keys: &[
+            "in",
+            "diag",
+            "window",
+            "nodes",
+            "imbalance-threshold",
+            "profile",
+        ],
+        switches: &["all", "json"],
+        positional: Some("in"),
+        usage: "  analyze   DIR | --in DIR|FILE [--diag late_sender|imbalance|comm_pattern
+            |critical_path | --all] [--window T0:T1] [--nodes A..B] [--json]
+            [--imbalance-threshold X] [--profile FILE]
+            (programmable diagnostics over DIR/merged.ivl: late-sender
+             wait attribution, per-phase load imbalance, communication-
+             pattern classification, critical-path extraction; --window/
+             --nodes load only the matching frames through the frame
+             directory; --json emits structured findings)
+",
+        run: Run::Plain(cmd_analyze),
+    },
+    Command {
+        name: "check",
+        keys: &["in", "ivl", "profile", "slog", "raw", "seed"],
+        switches: &["oracles", "lenient-tail"],
+        positional: None,
+        usage: "  check     --in DIR | --ivl FILE [--profile FILE] | --slog FILE
+            | --raw FILE | --oracles [--seed N]   [--lenient-tail]
+            (conformance rule suites over trace artifacts, or the
+             differential oracles; violations are structured findings
+             and any error-severity finding fails the command)
+",
+        run: Run::Plain(cmd_check),
+    },
+    Command {
+        name: "fuzz",
+        keys: &["seed", "iters"],
+        switches: &[],
+        positional: None,
+        usage: "  fuzz      [--seed N] [--iters M]
+            (structure-aware decoder fuzzing: seeded mutations of valid
+             corpora; fails if any decoder panics instead of rejecting)
+",
+        run: Run::Plain(cmd_fuzz),
+    },
+    Command {
+        name: "help",
+        keys: &[],
+        switches: &[],
+        positional: None,
+        usage: "",
+        run: Run::Plain(|_| Ok(help())),
+    },
+];
+
+/// The row for `name` (`ute --help` is `ute help`).
+pub fn command(name: &str) -> Option<&'static Command> {
+    let name = if name == "--help" { "help" } else { name };
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// The text of `ute help`: the rows' usage blocks in table order between
+/// a fixed header and the cross-command notes, [`SHARED`]'s last.
+pub fn help() -> String {
+    let mut s = String::from(HELP_HEADER);
+    for c in COMMANDS {
+        s.push_str(c.usage);
+    }
+    s.push_str(HELP_NOTES);
+    s.push_str(SHARED.usage);
+    s
+}
+
+/// Dispatches one invocation through its [`COMMANDS`] row. The
+/// [`SHARED`] options work on every command: `--metrics` prints the
+/// metrics table (TSV) to stderr when the command finishes,
+/// `--self-trace FILE` writes the run's own spans as a UTE interval file
+/// (or Chrome trace JSON with `--self-trace-format chrome`), and
+/// `--profiler` prints their fold — the ranked stage table — to stderr.
+/// The last two (and `ute profile`) render the same capture, drained
+/// once here.
 pub fn run(argv: &[String]) -> Result<String> {
-    let (cmd, rest) = argv
+    let (name, rest) = argv
         .split_first()
-        .ok_or_else(|| UteError::Invalid(USAGE.trim().to_string()))?;
-    // `ute analyze <dir>` / `ute resume <dir>` sugar: a leading bare
-    // token becomes --in.
-    let rewritten: Vec<String>;
-    let rest = if (cmd == "analyze" || cmd == "resume")
-        && rest.first().is_some_and(|t| !t.starts_with("--"))
-    {
-        rewritten = std::iter::once("--in".to_string())
-            .chain(rest.iter().cloned())
-            .collect();
-        &rewritten[..]
-    } else {
-        rest
-    };
-    let args = Args::parse(rest)?;
-    args.reject_unknown(cmd)?;
+        .ok_or_else(|| UteError::Invalid(help().trim().to_string()))?;
+    let cmd = command(name)
+        .ok_or_else(|| UteError::Invalid(format!("unknown command `{name}`\n{}", help())))?;
+    let args = Args::parse(cmd, rest)?;
     let self_trace = args.get("self-trace").map(PathBuf::from);
     let self_trace_format = match args.get("self-trace-format") {
         None => selftrace::SelfTraceFormat::default(),
@@ -1509,61 +1815,31 @@ pub fn run(argv: &[String]) -> Result<String> {
             .map_err(|_| UteError::Invalid(format!("bad --self-trace-limit `{limit}`")))?;
         ute_obs::set_capture_limit(limit);
     }
-    let capture = self_trace.is_some() || args.has("profiler") || cmd == "profile";
+    let capture =
+        self_trace.is_some() || args.has("profiler") || matches!(cmd.run, Run::Profiler(_));
     if capture {
         ute_obs::set_capture(true);
         ute_obs::drain_spans();
         ute_obs::drain_flows();
     }
-    if let Some(ms) = args.get("metrics-interval") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| UteError::Invalid(format!("bad --metrics-interval `{ms}`")))?;
-        ute_obs::sampler::start(std::time::Duration::from_millis(ms), true);
-    }
     let result = {
         // Root of the run's span tree: every stage span opened on this
         // thread (and every worker adopting it across a spawn) nests
         // under one `cli/<command>` interval.
-        let root = ute_obs::Span::enter("cli", cmd.to_string());
-        match cmd.as_str() {
-            "trace" => cmd_trace(&args),
-            "convert" => cmd_convert(&args),
-            "merge" => cmd_merge(&args),
-            "slogmerge" => cmd_slogmerge(&args),
-            "stats" => cmd_stats(&args),
-            "preview" => cmd_preview(&args),
-            "view" => cmd_view(&args),
-            "clockfit" => cmd_clockfit(&args),
-            "corrupt" => cmd_corrupt(&args),
-            "pipeline" => cmd_pipeline(&args),
-            "resume" => cmd_resume(&args),
-            "chaos" => cmd_chaos(&args),
-            "scenario" => cmd_scenario(&args),
-            "report" => cmd_report(&args, &root),
-            "profile" => cmd_profile(&args, &root),
-            "analyze" => cmd_analyze(&args),
-            "check" => cmd_check(&args),
-            "fuzz" => cmd_fuzz(&args),
-            "help" | "--help" => Ok(USAGE.to_string()),
-            other => Err(UteError::Invalid(format!(
-                "unknown command `{other}`\n{USAGE}"
-            ))),
+        let root = ute_obs::Span::enter("cli", cmd.name);
+        match cmd.run {
+            Run::Plain(f) => f(&args),
+            Run::Profiled(f) | Run::Profiler(f) => f(&args, &root),
         }
     };
-    // No-op unless --metrics-interval started it and the command did not
-    // already fold the ticks into its own output (`report` does).
-    ute_obs::sampler::stop();
     let (spans, flows) = if capture {
         ute_obs::set_capture(false);
         (ute_obs::drain_spans(), ute_obs::drain_flows())
     } else {
         Default::default()
     };
-    // `--profiler` on a command that does not render the profile itself
-    // (`profile` and `report` do): the ranked table goes to stderr.
-    if args.has("profiler") && cmd != "profile" && cmd != "report" {
-        let label = args.get("workload").unwrap_or(cmd);
+    if args.has("profiler") && matches!(cmd.run, Run::Plain(_)) {
+        let label = args.get("workload").unwrap_or(cmd.name);
         let report = ute_profile::build_report(label, ute_profile::fold(&spans, None));
         eprint!("{}", report.render_text());
     }
@@ -1582,89 +1858,13 @@ pub fn run(argv: &[String]) -> Result<String> {
     Ok(msg)
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+const HELP_HEADER: &str = "\
 ute — Unified Trace Environment (SC 2000 reproduction)
 
 commands:
-  trace     --workload NAME --out DIR [--iterations N]
-            [--fault-seed N | --fault-plan SPEC]
-  convert   --in DIR [--jobs N] [--strict]
-  merge     --in DIR --out FILE [--estimator rms|rmsall|last|piecewise] [--no-filter]
-            [--jobs N] [--strict]
-  slogmerge --in DIR --out FILE [--frames N] [--bins N] [--no-arrows] [--jobs N]
-            [--strict]
-  stats     --merged FILE [--profile FILE] [--program FILE] [--out DIR]
-  preview   --slog FILE | --ivl FILE [--svg FILE]
-  view      --slog FILE [--kind thread|cpu|threadcpu|cputhread|type]
-            [--window a,b] [--frame-at t] [--connected] [--hide-running]
-            [--cpus N] [--width N] [--svg FILE]
-  clockfit  --in DIR [--estimator ...] [--no-filter]
-  corrupt   --in DIR [--seed N | --plan SPEC]
-            (deterministically corrupt trace.N.raw/.ivl for regression
-             corpora; profile.ute and threads.utt are never touched)
-  pipeline  --workload NAME --out DIR [--iterations N] [--jobs N] [--strict]
-            [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES[k|m|g]]
-  resume    DIR | --in DIR [--jobs N] [--disk-budget BYTES]
-            (replay DIR/journal.utj from an interrupted `ute pipeline`
-             run, verify published artifacts by content hash, complete
-             any half-published stage from its committed temps, and
-             re-run only the incomplete stages; the finished directory
-             is byte-identical to an uninterrupted run at any --jobs)
-  chaos     --workload NAME --out DIR [--seed N] [--kills K] [--jobs N]
-            [--mode point|timed|soft] [--iterations N] [--strict]
-            (process-kill chaos harness: run a clean reference pipeline
-             under OUT/clean, then for each kill run a victim pipeline
-             that dies at a seeded abort point — `point` SIGKILL-aborts
-             a child process at an exact protocol state, `timed` kills
-             it on a seeded timer, `soft` aborts in-process — resume
-             it, and verify the result is byte-identical to the clean
-             run with no stale temp files)
-  scenario  --seed N (--out DIR | --describe) [--jobs N] [--strict]
-            [--fault-seed N | --fault-plan SPEC]
-            [--nodes K] [--cpus C] [--tasks-per-node T] [--threads W]
-            [--pattern nn|ring|tree|hub|alltoall|service] [--rounds N]
-            [--straggler RANK:FACTOR] [--skew X] [--burst N]
-            [--depth D] [--width W] [--fanout F]
-            (expand a seeded random workload — topology, phase structure,
-             communication patterns, injected imbalance — and run it
-             through the full pipeline; the seed fully determines the
-             trace bytes. --describe prints the expanded spec as JSON;
-             a run writes it to OUT/scenario.json. Seeded specs are also
-             usable anywhere a workload name is: --workload scenario:N)
-  report    --workload NAME --out DIR [--iterations N] [--jobs N] [--stable]
-            (metrics as JSON with p50/p95/p99 per histogram and, when
-             --metrics-interval is active, a sampler time-series block;
-             --stable drops wall-clock and worker-count metrics — and the
-             percentile/time-series extras — so output is byte-comparable
-             across runs and --jobs; salvage/* and obs/* totals are kept)
-  profile   --workload NAME --out DIR [--json] [--jobs N]
-            [--iterations N] [--strict] [--fault-seed N | --fault-plan SPEC]
-            (run the journaled pipeline with span capture on and fold
-             the spans into a ranked bottleneck report — exact self
-             time per stage, wall-vs-CPU utilization, coverage (the
-             share of the run inside a named stage) — and publish
-             OUT/profile.folded (flamegraph-ready folded stacks, weight
-             = µs of self time) and OUT/profile.json as a sixth
-             journaled stage. --json prints the report JSON instead of
-             the text table)
-  analyze   DIR | --in DIR|FILE [--diag late_sender|imbalance|comm_pattern
-            |critical_path | --all] [--window T0:T1] [--nodes A..B] [--json]
-            [--imbalance-threshold X] [--profile FILE]
-            (programmable diagnostics over DIR/merged.ivl: late-sender
-             wait attribution, per-phase load imbalance, communication-
-             pattern classification, critical-path extraction; --window/
-             --nodes load only the matching frames through the frame
-             directory; --json emits structured findings)
-  check     --in DIR | --ivl FILE [--profile FILE] | --slog FILE
-            | --raw FILE | --oracles [--seed N]   [--lenient-tail]
-            (conformance rule suites over trace artifacts, or the
-             differential oracles; violations are structured findings
-             and any error-severity finding fails the command)
-  fuzz      [--seed N] [--iters M]
-            (structure-aware decoder fuzzing: seeded mutations of valid
-             corpora; fails if any decoder panics instead of rejecting)
+";
 
+const HELP_NOTES: &str = "
 fault tolerance:
   Ingestion commands salvage by default: corrupt records are skipped
   (the decoder resynchronizes on the next valid hookword), truncated
@@ -1696,467 +1896,53 @@ parallelism:
                        cores; 1 = serial). Output is byte-identical for
                        every value — CI enforces it.
 
-observability (any command):
-  --metrics            print the per-stage metrics table (TSV) to stderr
-  --metrics-interval MS
-                       sample counters every MS milliseconds on a
-                       background thread, printing live progress lines
-                       (records/s, bytes/s, salvage events) to stderr;
-                       `ute report` embeds the time series in its JSON
-  --self-trace FILE    write this run's own spans (hierarchical: parent
-                       ids, per-thread lanes, cross-thread flow links,
-                       thread CPU time per span)
-  --self-trace-format ivl|chrome
-                       self-trace sink format (default ivl). `ivl` is a
-                       UTE interval file (view with `ute preview --ivl`);
-                       `chrome` is Chrome trace JSON for ui.perfetto.dev
-  --self-trace-limit N capture at most N spans (default 1048576); spans
-                       beyond the cap are dropped and counted in
-                       obs/spans_dropped
-  --profiler           fold the same spans into `ute profile`'s ranked
-                       stage table: printed to stderr on any command,
-                       embedded as the \"profile\" block by `ute report`.
-                       Build with `--features profile-alloc` to also
-                       attribute allocations to the active stage
 ";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(pairs: &[(&str, &str)], flags: &[&str]) -> Args {
-        let mut a = Args::default();
-        for (k, v) in pairs {
-            a.map.insert(k.to_string(), v.to_string());
-        }
-        a.flags = flags.iter().map(|s| s.to_string()).collect();
-        a
-    }
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ute_cli_{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn parse(cmd: &str, tokens: &[&str]) -> Result<Args> {
+        let argv: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+        Args::parse(command(cmd).unwrap(), &argv)
     }
 
     #[test]
     fn args_parse() {
-        let argv: Vec<String> = ["--in", "x", "--no-filter", "--frames", "8"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let a = Args::parse(&argv).unwrap();
+        let a = parse("slogmerge", &["--in", "x", "--no-filter", "--frames", "8"]).unwrap();
         assert_eq!(a.get("in"), Some("x"));
         assert!(a.has("no-filter"));
+        assert!(!a.has("no-arrows"));
         assert_eq!(a.num("frames", 0usize).unwrap(), 8);
         assert_eq!(a.num("bins", 99u32).unwrap(), 99);
+        assert_eq!(a.opt_num::<u32>("bins").unwrap(), None);
         assert!(a.require("out").is_err());
-        assert!(Args::parse(&["oops".to_string()]).is_err());
-    }
-
-    fn argv(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn valued_key_missing_its_value_is_an_error() {
-        // The ambiguous case: `--in` swallowed by the next switch. The
-        // old parser silently demoted `--in` to a bare flag; now it is
-        // a hard error naming the key.
-        let e = Args::parse(&argv(&["--in", "--no-filter"])).unwrap_err();
-        assert!(e.to_string().contains("missing value for --in"), "{e}");
-        // Same at the end of the argument list.
-        let e = Args::parse(&argv(&["--workload", "sppm", "--out"])).unwrap_err();
-        assert!(e.to_string().contains("missing value for --out"), "{e}");
-        // Two valued keys back to back.
-        let e = Args::parse(&argv(&["--in", "--out", "x"])).unwrap_err();
-        assert!(e.to_string().contains("missing value for --in"), "{e}");
-    }
-
-    #[test]
-    fn switches_and_values_interleave() {
-        let a = Args::parse(&argv(&[
-            "--metrics",
-            "--in",
-            "dir",
-            "--no-arrows",
-            "--self-trace",
-            "self.ivl",
-        ]))
-        .unwrap();
-        assert!(a.has("metrics"));
-        assert!(a.has("no-arrows"));
-        assert_eq!(a.get("in"), Some("dir"));
-        assert_eq!(a.get("self-trace"), Some("self.ivl"));
-    }
-
-    #[test]
-    fn full_pipeline_through_cli() {
-        let dir = tmpdir("pipeline");
-        let out = dir.to_str().unwrap();
-        let msg = cmd_pipeline(&args(&[("workload", "pingpong"), ("out", out)], &[])).unwrap();
-        assert!(msg.contains("traced pingpong"));
-        assert!(msg.contains("merged 2 files"));
-        assert!(msg.contains("slogmerge:"));
-        assert!(msg.contains("mpi_by_routine"));
-        // Artifacts exist.
-        for f in [
-            "trace.0.raw",
-            "trace.0.ivl",
-            "merged.ivl",
-            "run.slog",
-            "profile.ute",
-            "threads.utt",
-        ] {
-            assert!(dir.join(f).exists(), "missing {f}");
-        }
-        // Views render from the produced SLOG.
-        let v = cmd_view(&args(
-            &[("slog", &format!("{out}/run.slog")), ("kind", "thread")],
-            &["hide-running"],
-        ))
-        .unwrap();
-        assert!(v.contains("legend:"), "{v}");
-        let p = cmd_preview(&args(&[("slog", &format!("{out}/run.slog"))], &[])).unwrap();
-        assert!(p.contains("interesting ranges:"));
-        let c = cmd_clockfit(&args(&[("in", out)], &[])).unwrap();
-        assert!(c.contains("node 0"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn jobs_values_produce_identical_artifacts() {
-        // The determinism guarantee at the CLI surface: the same seeded
-        // workload merged with different worker counts produces the same
-        // merged.ivl and run.slog bytes.
-        let dir = tmpdir("jobs");
-        let out = dir.to_str().unwrap();
-        cmd_pipeline(&args(
-            &[("workload", "sendrecv"), ("out", out), ("jobs", "1")],
-            &[],
-        ))
-        .unwrap();
-        let merged_serial = std::fs::read(dir.join("merged.ivl")).unwrap();
-        let slog_serial = std::fs::read(dir.join("run.slog")).unwrap();
-        for jobs in ["2", "8"] {
-            cmd_pipeline(&args(
-                &[("workload", "sendrecv"), ("out", out), ("jobs", jobs)],
-                &[],
-            ))
-            .unwrap();
-            assert_eq!(
-                merged_serial,
-                std::fs::read(dir.join("merged.ivl")).unwrap(),
-                "merged.ivl differs at --jobs {jobs}"
-            );
-            assert_eq!(
-                slog_serial,
-                std::fs::read(dir.join("run.slog")).unwrap(),
-                "run.slog differs at --jobs {jobs}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn jobs_zero_is_rejected() {
-        let e = cmd_convert(&args(&[("in", "/nonexistent"), ("jobs", "0")], &[])).unwrap_err();
-        // --jobs is validated before any filesystem access.
-        assert!(e.to_string().contains("--jobs"), "{e}");
-    }
-
-    #[test]
-    fn unknown_command_and_workload() {
-        assert!(run(&["bogus".to_string()]).is_err());
-        let e = cmd_trace(&args(&[("workload", "bogus"), ("out", "/tmp/x")], &[])).unwrap_err();
-        assert!(e.to_string().contains("unknown workload"));
-    }
-
-    #[test]
-    fn help_prints_usage() {
-        let msg = run(&["help".to_string()]).unwrap();
-        assert!(msg.contains("slogmerge"));
-    }
-
-    #[test]
-    fn custom_stats_program_via_cli() {
-        let dir = tmpdir("stats");
-        let out = dir.to_str().unwrap();
-        cmd_pipeline(&args(&[("workload", "allreduce"), ("out", out)], &[])).unwrap();
-        let prog = dir.join("prog.uts");
-        std::fs::write(
-            &prog,
-            "table name=by_node x=(\"node\", node) y=(\"time\", dura, sum)",
-        )
-        .unwrap();
-        let msg = cmd_stats(&args(
-            &[
-                ("merged", &format!("{out}/merged.ivl")),
-                ("program", prog.to_str().unwrap()),
-            ],
-            &[],
-        ))
-        .unwrap();
-        assert!(msg.contains("=== by_node ==="));
-        assert!(msg.lines().any(|l| l.starts_with("node\ttime")));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[cfg(test)]
-mod extended_cli_tests {
-    use super::*;
-
-    fn args(pairs: &[(&str, &str)], flags: &[&str]) -> Args {
-        let mut a = Args::default();
-        for (k, v) in pairs {
-            a.map.insert(k.to_string(), v.to_string());
-        }
-        a.flags = flags.iter().map(|s| s.to_string()).collect();
-        a
-    }
-
-    #[test]
-    fn frame_at_and_stats_out_dir() {
-        let dir = std::env::temp_dir().join(format!("ute_cli_ext_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.to_str().unwrap().to_string();
-        cmd_pipeline(&args(&[("workload", "stencil"), ("out", &out)], &[])).unwrap();
-        // Frame-at view through the CLI.
-        let v = cmd_view(&args(
-            &[
-                ("slog", &format!("{out}/run.slog")),
-                ("frame-at", "0.01"),
-                ("kind", "thread"),
-            ],
-            &["connected", "hide-running"],
-        ))
-        .unwrap();
-        assert!(v.contains("legend:"), "{v}");
-        // Stats with an output directory writes TSVs.
-        let stats_dir = dir.join("tables");
-        let msg = cmd_stats(&args(
-            &[
-                ("merged", &format!("{out}/merged.ivl")),
-                ("out", stats_dir.to_str().unwrap()),
-            ],
-            &[],
-        ))
-        .unwrap();
-        assert!(msg.contains("wrote"));
-        assert!(stats_dir.join("mpi_by_routine.tsv").exists());
-        assert!(stats_dir.join("interesting_by_node_bin.svg").exists());
-        // Piecewise estimator available through merge.
-        let m = cmd_merge(&args(
-            &[
-                ("in", &out),
-                ("out", &format!("{out}/merged_pw.ivl")),
-                ("estimator", "piecewise"),
-            ],
-            &[],
-        ))
-        .unwrap();
-        assert!(m.contains("merged"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[cfg(test)]
-mod fault_cli_tests {
-    use super::*;
-
-    fn args(pairs: &[(&str, &str)], flags: &[&str]) -> Args {
-        let mut a = Args::default();
-        for (k, v) in pairs {
-            a.map.insert(k.to_string(), v.to_string());
-        }
-        a.flags = flags.iter().map(|s| s.to_string()).collect();
-        a
-    }
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ute_cli_fault_{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    const PLAN: &str = "0:truncate@800,1:bitflip@200.3,2:missing";
-
-    #[test]
-    fn fault_pipeline_salvages_and_stays_deterministic() {
-        // The issue's acceptance scenario: one truncated, one
-        // bit-flipped, one missing node — the pipeline completes, the
-        // missing node's raw file does not exist, and the artifacts are
-        // byte-identical at every job count.
-        let d1 = tmpdir("plan1");
-        let msg = cmd_pipeline(&args(
-            &[
-                ("workload", "stencil"),
-                ("out", d1.to_str().unwrap()),
-                ("iterations", "6"),
-                ("jobs", "1"),
-                ("fault-plan", PLAN),
-            ],
-            &[],
-        ))
-        .unwrap();
-        assert!(msg.contains("injected faults"), "{msg}");
-        assert!(!d1.join("trace.2.raw").exists());
-        assert!(!d1.join("trace.2.ivl").exists());
-        let merged = std::fs::read(d1.join("merged.ivl")).unwrap();
-        let slog = std::fs::read(d1.join("run.slog")).unwrap();
-
-        let d8 = tmpdir("plan8");
-        cmd_pipeline(&args(
-            &[
-                ("workload", "stencil"),
-                ("out", d8.to_str().unwrap()),
-                ("iterations", "6"),
-                ("jobs", "8"),
-                ("fault-plan", PLAN),
-            ],
-            &[],
-        ))
-        .unwrap();
-        assert_eq!(
-            merged,
-            std::fs::read(d8.join("merged.ivl")).unwrap(),
-            "merged.ivl differs between --jobs 1 and 8 under faults"
-        );
-        assert_eq!(
-            slog,
-            std::fs::read(d8.join("run.slog")).unwrap(),
-            "run.slog differs between --jobs 1 and 8 under faults"
-        );
-
-        // The same corpus is a hard error under --strict.
-        let ds = tmpdir("planstrict");
-        let e = cmd_pipeline(&args(
-            &[
-                ("workload", "stencil"),
-                ("out", ds.to_str().unwrap()),
-                ("iterations", "6"),
-                ("fault-plan", PLAN),
-            ],
-            &["strict"],
-        ))
-        .unwrap_err();
-        assert!(!e.to_string().is_empty());
-
-        for d in [d1, d8, ds] {
-            std::fs::remove_dir_all(&d).ok();
-        }
-    }
-
-    #[test]
-    fn report_counts_degraded_nodes() {
-        let dir = tmpdir("report");
-        let json = cmd_report(
-            &args(
-                &[
-                    ("workload", "stencil"),
-                    ("out", dir.to_str().unwrap()),
-                    ("iterations", "6"),
-                    ("fault-plan", PLAN),
-                ],
-                &["stable"],
-            ),
-            &ute_obs::Span::enter("cli", "report"),
-        )
-        .unwrap();
-        // Node 2 is missing; nodes 0 and 1 salvage without degrading.
-        // (Other tests share the global registry, so assert >= 1 by
-        // excluding only the zero case.)
-        assert!(json.contains("\"salvage/nodes_degraded\""), "{json}");
-        assert!(!json.contains("\"salvage/nodes_degraded\": 0"), "{json}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_respects_metadata_and_gates_strict() {
-        let dir = tmpdir("corrupt");
-        let out = dir.to_str().unwrap().to_string();
-        cmd_trace(&args(
-            &[("workload", "stencil"), ("out", &out), ("iterations", "6")],
-            &[],
-        ))
-        .unwrap();
-        let profile_before = std::fs::read(dir.join("profile.ute")).unwrap();
-        let threads_before = std::fs::read(dir.join("threads.utt")).unwrap();
-        let msg = cmd_corrupt(&args(&[("in", &out), ("plan", "0:truncate@123")], &[])).unwrap();
-        assert!(msg.contains("mutated"), "{msg}");
-        assert_eq!(
-            profile_before,
-            std::fs::read(dir.join("profile.ute")).unwrap()
-        );
-        assert_eq!(
-            threads_before,
-            std::fs::read(dir.join("threads.utt")).unwrap()
-        );
-        // Strict convert refuses the truncated file; salvage proceeds.
-        assert!(cmd_convert(&args(&[("in", &out)], &["strict"])).is_err());
-        let msg = cmd_convert(&args(&[("in", &out)], &[])).unwrap();
-        assert!(msg.contains("node 0"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn seeded_corruption_is_reproducible() {
-        // Same workload + same seed ⇒ identical damaged bytes — the
-        // property CI's fault matrix relies on.
-        let (da, db) = (tmpdir("seed_a"), tmpdir("seed_b"));
-        for d in [&da, &db] {
-            let out = d.to_str().unwrap();
-            cmd_trace(&args(
-                &[("workload", "stencil"), ("out", out), ("iterations", "6")],
-                &[],
-            ))
-            .unwrap();
-            cmd_corrupt(&args(&[("in", out), ("seed", "42")], &[])).unwrap();
-        }
-        let mut names: Vec<_> = std::fs::read_dir(&da)
+        let e = parse("slogmerge", &["--frames", "x"])
             .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        names.sort();
-        assert!(!names.is_empty());
-        for name in names {
-            let a = std::fs::read(da.join(&name)).unwrap();
-            let b = std::fs::read(db.join(&name)).unwrap();
-            assert_eq!(a, b, "{name:?} differs between identically seeded runs");
-        }
-        std::fs::remove_dir_all(&da).ok();
-        std::fs::remove_dir_all(&db).ok();
+            .num("frames", 0usize);
+        assert_eq!(
+            e.unwrap_err().to_string(),
+            "invalid request: --frames: bad value `x`"
+        );
     }
 
     #[test]
-    fn preview_reports_empty_traces_cleanly() {
-        use ute_format::file::IntervalFileWriter;
-        use ute_format::profile::MASK_PER_NODE;
-        use ute_format::thread_table::ThreadTable;
+    fn a_later_value_wins_and_the_positional_is_only_the_first_token() {
+        let a = parse("resume", &["d", "--in", "e"]).unwrap();
+        assert_eq!(a.get("in"), Some("e"));
+        let e = parse("resume", &["--jobs", "2", "d"]).unwrap_err();
+        assert!(e.to_string().contains("unexpected argument `d`"), "{e}");
+    }
 
-        let dir = tmpdir("preview");
-        // Zero-length file: a trace that never got written.
-        let empty = dir.join("empty.ivl");
-        std::fs::write(&empty, b"").unwrap();
-        let msg = cmd_preview(&args(&[("ivl", empty.to_str().unwrap())], &[])).unwrap();
-        assert!(msg.contains("empty trace"), "{msg}");
-        assert!(msg.contains("has no data"), "{msg}");
-
-        // Header-only file: structurally valid, zero intervals.
-        let profile = Profile::standard();
-        let w = IntervalFileWriter::new(
-            &profile,
-            MASK_PER_NODE,
-            0,
-            &ThreadTable::new(),
-            &[],
-            FramePolicy::default(),
+    #[test]
+    fn the_first_unknown_name_in_sort_order_is_reported_whatever_follows_it() {
+        let e = parse("merge", &["--zeta", "--in", "d", "--alpha", "1"]).unwrap_err();
+        assert!(
+            e.to_string().ends_with("merge: unknown option --alpha"),
+            "{e}"
         );
-        let headonly = dir.join("headonly.ivl");
-        std::fs::write(&headonly, w.finish()).unwrap();
-        let msg = cmd_preview(&args(&[("ivl", headonly.to_str().unwrap())], &[])).unwrap();
-        assert!(msg.contains("contains no intervals"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
+        // A value missing from a key the row does read is reported first.
+        let e = parse("merge", &["--zeta", "--in"]).unwrap_err();
+        assert!(e.to_string().contains("missing value for --in"), "{e}");
     }
 }

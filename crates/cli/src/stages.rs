@@ -19,12 +19,13 @@
 use std::path::{Path, PathBuf};
 
 use ute_core::error::{PathContext, Result, UteError};
-use ute_faults::FaultPlan;
+use ute_merge::MergeOptions;
+use ute_slog::builder::BuildOptions;
 use ute_store::{
     chaos, ArtifactStore, JournalRecord, ReplayState, RunJournal, StageStatus, StoreError,
 };
 
-use crate::Args;
+use crate::{Args, Ingest, StatsPaths};
 
 /// One stage's computed outputs: artifacts to publish atomically, stale
 /// files to remove at publish time, and the user-facing message.
@@ -89,15 +90,15 @@ pub(crate) fn parse_budget(args: &Args) -> Result<Option<u64>> {
 /// `jobs` and `disk_budget` are deliberately excluded — output bytes are
 /// identical for every `--jobs`, so a resume may change both.
 #[derive(Debug, Clone)]
-pub(crate) struct RunPlan {
-    pub workload: String,
-    pub iterations: u32,
-    pub strict: bool,
-    pub jobs: usize,
-    pub fault_plan: Option<String>,
-    pub fault_seed: Option<u64>,
-    pub out: PathBuf,
-    pub disk_budget: Option<u64>,
+pub struct RunPlan {
+    workload: String,
+    iterations: u32,
+    strict: bool,
+    jobs: usize,
+    fault_plan: Option<String>,
+    fault_seed: Option<u64>,
+    out: PathBuf,
+    disk_budget: Option<u64>,
 }
 
 impl RunPlan {
@@ -108,10 +109,7 @@ impl RunPlan {
             strict: args.has("strict"),
             jobs: args.jobs()?,
             fault_plan: args.get("fault-plan").map(str::to_string),
-            fault_seed: match args.get("fault-seed") {
-                Some(_) => Some(args.num("fault-seed", 0u64)?),
-                None => None,
-            },
+            fault_seed: args.opt_num("fault-seed")?,
             out: PathBuf::from(args.require("out")?),
             disk_budget: parse_budget(args)?,
         })
@@ -139,7 +137,7 @@ impl RunPlan {
     }
 
     /// Reconstructs the plan from a replayed journal's `run-start`.
-    pub fn from_config(
+    fn from_config(
         config: &[(String, String)],
         out: &Path,
         jobs: usize,
@@ -166,20 +164,26 @@ impl RunPlan {
         })
     }
 
-    fn resolve_fault_plan(&self, nodes: u16) -> Result<Option<FaultPlan>> {
-        if let Some(spec) = &self.fault_plan {
-            return Ok(Some(FaultPlan::parse(spec)?));
+    /// The argv of the `ute pipeline` invocation this plan describes —
+    /// what a chaos child runs. The options are [`Self::config_pairs`]
+    /// (the one list of what a run is a function of) plus where and how
+    /// wide to run it.
+    pub fn pipeline_argv(&self) -> Vec<String> {
+        let mut v = vec![
+            "pipeline".to_string(),
+            "--out".to_string(),
+            self.out.display().to_string(),
+            "--jobs".to_string(),
+            self.jobs.to_string(),
+        ];
+        for (key, value) in self.config_pairs() {
+            if key != "strict" {
+                v.extend([format!("--{key}"), value]);
+            } else if self.strict {
+                v.push("--strict".to_string());
+            }
         }
-        Ok(self.fault_seed.map(|s| FaultPlan::from_seed(s, nodes)))
-    }
-
-    fn out_str(&self) -> String {
-        self.out.display().to_string()
-    }
-
-    /// Sub-command `Args` for one ingest stage, forwarding jobs/strict.
-    fn sub(&self, pairs: &[(&str, String)]) -> Args {
-        crate::sub_args(self.jobs, self.strict, pairs)
+        v
     }
 }
 
@@ -339,33 +343,36 @@ fn drive(
     msg: &mut String,
     extra: ExtraStage<'_>,
 ) -> std::result::Result<(), StageFailure> {
-    let out = plan.out_str();
     msg.push_str(&runner.run_stage("trace", || {
         let w = crate::workload_by_name(&plan.workload, plan.iterations)?;
-        let fplan = plan.resolve_fault_plan(w.config.nodes)?;
-        crate::trace_outputs(&plan.workload, w, fplan)
+        let faults =
+            crate::fault_plan(plan.fault_plan.as_deref(), plan.fault_seed, w.config.nodes)?;
+        crate::trace_outputs(&plan.workload, w, faults)
     })?);
-    let cargs = plan.sub(&[("in", out.clone())]);
-    msg.push_str(&runner.run_stage("convert", || crate::convert_outputs(&cargs))?);
-    let margs = plan.sub(&[("in", out.clone()), ("out", format!("{out}/merged.ivl"))]);
+    let ing = Ingest {
+        dir: plan.out.clone(),
+        jobs: plan.jobs,
+        salvage: !plan.strict,
+    };
+    let one = |name: &str, (bytes, msg)| StageOutput {
+        artifacts: vec![(name.to_string(), bytes)],
+        removes: Vec::new(),
+        msg,
+    };
+    msg.push_str(&runner.run_stage("convert", || crate::convert_outputs(&ing))?);
     msg.push_str(&runner.run_stage("merge", || {
-        crate::merge_outputs(&margs).map(|(bytes, m)| StageOutput {
-            artifacts: vec![("merged.ivl".to_string(), bytes)],
-            removes: Vec::new(),
-            msg: m,
-        })
+        crate::merge_outputs(&ing, MergeOptions::default()).map(|o| one("merged.ivl", o))
     })?);
-    let sargs = plan.sub(&[("in", out.clone()), ("out", format!("{out}/run.slog"))]);
     msg.push_str(&runner.run_stage("slogmerge", || {
-        crate::slogmerge_outputs(&sargs).map(|(bytes, m)| StageOutput {
-            artifacts: vec![("run.slog".to_string(), bytes)],
-            removes: Vec::new(),
-            msg: m,
-        })
+        crate::slogmerge_outputs(&ing, MergeOptions::default(), BuildOptions::default())
+            .map(|o| one("run.slog", o))
     })?);
-    let targs = plan.sub(&[("merged", format!("{out}/merged.ivl"))]);
+    let paths = StatsPaths {
+        merged: plan.out.join("merged.ivl"),
+        ..StatsPaths::default()
+    };
     msg.push_str(&runner.run_stage("stats", || {
-        crate::stats_output(&targs).map(StageOutput::message)
+        crate::stats_output(&paths).map(StageOutput::message)
     })?);
     if let Some((name, f)) = extra {
         msg.push_str(&runner.run_stage(name, f)?);
@@ -479,7 +486,7 @@ pub(crate) fn cmd_pipeline(args: &Args) -> Result<String> {
 }
 
 /// `ute profile` — the journaled pipeline with a sixth, `profile` stage
-/// appended: `finish` stops the sampler, builds the report, and returns
+/// appended: `finish` folds the spans so far into the report and returns
 /// its artifacts (`profile.folded`, `profile.json`), which go through
 /// the same temp-write → commit → promote protocol as every other
 /// stage — a crash mid-profile leaves a resumable directory.
@@ -561,7 +568,7 @@ pub(crate) fn cmd_chaos(args: &Args) -> Result<String> {
             }
             _ => {
                 let exe = std::env::current_exe()?;
-                let argv = pipeline_argv(&vplan);
+                let argv = vplan.pipeline_argv();
                 if mode == "point" {
                     let status = ute_faults::chaos::spawn_hard_kill(&exe, &argv, idx)?;
                     if status.success() {
@@ -622,31 +629,4 @@ pub(crate) fn cmd_chaos(args: &Args) -> Result<String> {
     }
     msg.push_str(&format!("chaos: seed {seed}: {kills} kill(s) verified\n"));
     Ok(msg)
-}
-
-/// The argv a chaos child runs: the victim's pipeline invocation.
-fn pipeline_argv(plan: &RunPlan) -> Vec<String> {
-    let mut v = vec![
-        "pipeline".to_string(),
-        "--workload".to_string(),
-        plan.workload.clone(),
-        "--out".to_string(),
-        plan.out_str(),
-        "--iterations".to_string(),
-        plan.iterations.to_string(),
-        "--jobs".to_string(),
-        plan.jobs.to_string(),
-    ];
-    if plan.strict {
-        v.push("--strict".to_string());
-    }
-    if let Some(p) = &plan.fault_plan {
-        v.push("--fault-plan".to_string());
-        v.push(p.clone());
-    }
-    if let Some(s) = plan.fault_seed {
-        v.push("--fault-seed".to_string());
-        v.push(s.to_string());
-    }
-    v
 }

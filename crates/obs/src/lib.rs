@@ -39,7 +39,6 @@
 pub mod metrics;
 pub mod prof;
 pub mod report;
-pub mod sampler;
 pub mod span;
 
 pub use metrics::{counter, gauge, histogram, reset, Counter, Gauge, Histogram, MetricsRegistry};
@@ -48,7 +47,6 @@ pub use prof::{
     MAX_STAGE_SLOTS,
 };
 pub use report::{json_escape, snapshot, MetricsSnapshot, ReportOptions};
-pub use sampler::SamplerTick;
 pub use span::{
     capture_enabled, captured_spans, current_span, drain_flows, drain_spans, flow_begin, flow_end,
     new_link, set_capture, set_capture_limit, thread_index, FinishedSpan, FlowPoint, Span,

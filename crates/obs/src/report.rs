@@ -4,7 +4,6 @@
 //! this crate stays dependency-free.
 
 use crate::metrics::{self, Histogram, HIST_BUCKETS};
-use crate::sampler::SamplerTick;
 
 /// One histogram, frozen.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,22 +106,16 @@ pub fn snapshot() -> MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// A copy with every scheduling- and wall-clock-dependent metric
-    /// removed: names ending in `_ns` (span timings, fitted residuals),
-    /// the `pipeline/` execution-layer metrics (worker counts, queue
-    /// depths — functions of `--jobs`, not of the trace), and the
-    /// `obs/sampler/` bookkeeping (tick counts are a function of wall
-    /// time). Deterministic `salvage/*` and `obs/*` totals are *kept*,
+    /// removed: names ending in `_ns` (span timings, fitted residuals)
+    /// and the `pipeline/` execution-layer metrics (worker counts, queue
+    /// depths — functions of `--jobs`, not of the trace). Deterministic `salvage/*` and `obs/*` totals are *kept*,
     /// so fault-matrix CI can assert on degraded-node and drop counts
     /// byte-comparably. What remains is a pure function of the input,
     /// so `ute report --stable` output is byte-comparable across runs
     /// and across `--jobs` values — the form the CI determinism gate
     /// diffs.
     pub fn stable(&self) -> MetricsSnapshot {
-        let keep = |name: &str| {
-            !name.ends_with("_ns")
-                && !name.starts_with("pipeline/")
-                && !name.starts_with("obs/sampler/")
-        };
+        let keep = |name: &str| !name.ends_with("_ns") && !name.starts_with("pipeline/");
         MetricsSnapshot {
             counters: self
                 .counters
@@ -206,9 +199,8 @@ impl MetricsSnapshot {
     /// as `[lo, hi, count]` triples; `opts.percentiles` adds
     /// p50/p95/p99 fields (off under `--stable`: the estimates are
     /// interpolated floats of wall-clock data and would defeat
-    /// byte-comparability); `opts.timeseries` appends the sampler's
-    /// tick ring as a `"timeseries"` array; `opts.extra` blocks close
-    /// the object, in order, as further top-level keys.
+    /// byte-comparability); `opts.extra` blocks close the object, in
+    /// order, as further top-level keys.
     pub fn render_json(&self, opts: &ReportOptions<'_>) -> String {
         let mut s = String::from("{\n  \"counters\": {");
         push_entries(&mut s, self.counters.iter(), |s, v| {
@@ -250,36 +242,6 @@ impl MetricsSnapshot {
             s.push_str("]}");
         });
         s.push('}');
-        if let Some(ticks) = opts.timeseries {
-            s.push_str(",\n  \"timeseries\": [");
-            let mut first_tick = true;
-            for t in ticks {
-                if !first_tick {
-                    s.push(',');
-                }
-                first_tick = false;
-                s.push_str(&format!("\n    {{\"at_ns\": {}, \"deltas\": {{", t.at_ns));
-                let mut first = true;
-                for (name, d) in &t.counter_deltas {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    first = false;
-                    s.push_str(&format!("\"{}\": {d}", json_escape(name)));
-                }
-                s.push_str("}, \"gauges\": {");
-                let mut first = true;
-                for (name, v) in &t.gauges {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    first = false;
-                    s.push_str(&format!("\"{}\": {}", json_escape(name), fmt_f64(*v)));
-                }
-                s.push_str("}}");
-            }
-            s.push_str("\n  ]");
-        }
         for (key, json) in opts.extra {
             s.push_str(&format!(",\n  \"{}\": {json}", json_escape(key)));
         }
@@ -293,8 +255,6 @@ impl MetricsSnapshot {
 pub struct ReportOptions<'a> {
     /// Include p50/p95/p99 estimates on histograms.
     pub percentiles: bool,
-    /// Sampler ticks to append as a `"timeseries"` array.
-    pub timeseries: Option<&'a [SamplerTick]>,
     /// Further top-level `(key, raw JSON value)` blocks, rendered last
     /// in this order (`ute report`'s diagnostics and profile).
     pub extra: &'a [(&'a str, String)],
@@ -384,7 +344,6 @@ mod tests {
         counter("pipeline/test_stable_batches").add(3);
         counter("salvage/test_stable_kept").add(2);
         counter("obs/test_stable_kept").add(4);
-        counter("obs/sampler/test_stable_ticks").add(9);
         gauge("test/stable/span_ns").set(123.0);
         histogram("teststage/span_ns").record(55);
         let snap = snapshot().stable();
@@ -392,11 +351,9 @@ mod tests {
         assert_eq!(snap.counter("pipeline/test_stable_batches"), None);
         assert_eq!(snap.gauge("test/stable/span_ns"), None);
         assert!(snap.histogram("teststage/span_ns").is_none());
-        // Deterministic salvage/obs totals survive the filter; sampler
-        // bookkeeping (wall-clock tick counts) does not.
+        // Deterministic salvage/obs totals survive the filter.
         assert_eq!(snap.counter("salvage/test_stable_kept"), Some(2));
         assert_eq!(snap.counter("obs/test_stable_kept"), Some(4));
-        assert_eq!(snap.counter("obs/sampler/test_stable_ticks"), None);
     }
 
     #[test]
@@ -440,26 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn render_json_options_add_percentiles_and_timeseries() {
+    fn render_json_options_add_percentiles_and_extra_blocks() {
         histogram("test/report/opts_h").record(512);
         let snap = snapshot();
         let plain = snap.to_json();
         assert!(!plain.contains("\"p95\""), "percentiles off by default");
-        let ticks = vec![crate::sampler::SamplerTick {
-            at_ns: 42,
-            counter_deltas: vec![("merge/records_in".into(), 7)],
-            gauges: vec![("pipeline/jobs".into(), 2.0)],
-        }];
         let full = snap.render_json(&ReportOptions {
             percentiles: true,
-            timeseries: Some(&ticks),
             extra: &[("diagnostics", "{\"findings\": 0}".to_string())],
         });
-        assert!(full.ends_with("  ],\n  \"diagnostics\": {\"findings\": 0}\n}\n"));
+        assert!(full.ends_with("]}\n  },\n  \"diagnostics\": {\"findings\": 0}\n}\n"));
         assert!(full.contains("\"p50\""), "{full}");
-        assert!(full.contains("\"timeseries\": ["));
-        assert!(full.contains("\"at_ns\": 42"));
-        assert!(full.contains("\"merge/records_in\": 7"));
-        assert!(full.contains("\"pipeline/jobs\": 2"));
     }
 }

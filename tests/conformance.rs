@@ -124,7 +124,7 @@ fn unknown_options_are_rejected_before_any_command_runs() {
     // A misspelt option used to be stored and ignored (`--job 7` ran at
     // the default `--jobs`). Every command checks what it is given
     // against the keys it reads, before it touches anything.
-    for (cmd, ..) in ute::cli::COMMAND_KEYS {
+    for cmd in ute::cli::COMMANDS.iter().map(|c| c.name) {
         let err = run(&argv(&[cmd, "--no-such-option", "x"])).unwrap_err();
         assert_eq!(
             err.to_string(),

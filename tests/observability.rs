@@ -418,21 +418,20 @@ fn report_percentiles_timeseries_and_stable_baselines() {
         "pingpong",
         "--out",
         out.to_str().unwrap(),
-        "--metrics-interval",
-        "1",
     ]))
     .unwrap();
-    // Percentile fields ride on every histogram, and the 1 ms sampler
-    // ticked at least once during the run, so its series is embedded.
+    // Percentile fields ride on every histogram.
     assert!(json.contains("\"p50\":"), "no p50 in live report");
     assert!(json.contains("\"p95\":"), "no p95 in live report");
     assert!(json.contains("\"p99\":"), "no p99 in live report");
-    assert!(json.contains("\"timeseries\""), "no sampler series");
-    assert!(json.contains("\"at_ns\""), "timeseries has no ticks");
+    // The sampler that once fed a series into the report is gone, and
+    // its flag with it.
+    let refused = run(&argv(&["report", "--metrics-interval", "1"])).unwrap_err();
+    assert!(refused.to_string().contains("report: unknown option"));
 
     // --stable keeps only deterministic values: no percentiles (they
-    // derive from wall-clock histograms), no time series — but always
-    // the salvage/obs baseline counters, even on a clean run like this.
+    // derive from wall-clock histograms) — but always the salvage/obs
+    // baseline counters, even on a clean run like this.
     let out = dir.join("stable");
     let stable = run(&argv(&[
         "report",
@@ -446,10 +445,6 @@ fn report_percentiles_timeseries_and_stable_baselines() {
     assert!(
         !stable.contains("\"p50\":"),
         "percentiles leaked into --stable"
-    );
-    assert!(
-        !stable.contains("\"timeseries\""),
-        "series leaked into --stable"
     );
     for key in [
         "salvage/nodes_degraded",
