@@ -87,9 +87,14 @@ impl Args {
                 return Err(UteError::Invalid(format!("unexpected argument `{k}`")));
             }
             let key = k.trim_start_matches("--");
-            if cmd.switches.contains(&key) || SHARED.switches.contains(&key) {
+            let among = |own: &str, shared: &str| {
+                own.split_whitespace()
+                    .chain(shared.split_whitespace())
+                    .any(|n| n == key)
+            };
+            if among(cmd.switches, SHARED.switches) {
                 a.flags.push(key.to_string());
-            } else if cmd.keys.contains(&key) || SHARED.keys.contains(&key) {
+            } else if among(cmd.keys, SHARED.keys) {
                 let v = rest
                     .next_if(|v| !v.starts_with("--"))
                     .ok_or_else(|| UteError::Invalid(format!("missing value for --{key}")))?;
@@ -1414,10 +1419,10 @@ pub enum Run {
 /// names exactly `keys ∪ switches` (`tests/cli.rs` holds that).
 pub struct Command {
     pub name: &'static str,
-    /// The `--key VALUE` options the command reads.
-    pub keys: &'static [&'static str],
-    /// The bare `--switch`es the command reads.
-    pub switches: &'static [&'static str],
+    /// The `--key VALUE` options the command reads, space separated.
+    pub keys: &'static str,
+    /// The bare `--switch`es the command reads, space separated.
+    pub switches: &'static str,
     /// The key a leading bare token is the value of (`ute analyze DIR`).
     pub positional: Option<&'static str>,
     /// The command's block of `ute help`: synopsis lines, then an
@@ -1432,8 +1437,8 @@ impl Command {
     fn unknown_option(&self, key: &str) -> UteError {
         let near = [self.keys, SHARED.keys, self.switches, SHARED.switches]
             .into_iter()
-            .flatten()
-            .find(|n| n.starts_with(key) || key.starts_with(**n));
+            .flat_map(str::split_whitespace)
+            .find(|n| n.starts_with(key) || key.starts_with(n));
         let hint = near.map_or(String::new(), |n| format!(" (did you mean --{n}?)"));
         UteError::Invalid(format!("{}: unknown option --{key}{hint}", self.name))
     }
@@ -1442,14 +1447,14 @@ impl Command {
 /// The options every command takes, and the section of `ute help` that
 /// documents them (one option per line that starts `  --`).
 pub struct Shared {
-    pub keys: &'static [&'static str],
-    pub switches: &'static [&'static str],
+    pub keys: &'static str,
+    pub switches: &'static str,
     pub usage: &'static str,
 }
 
 pub const SHARED: Shared = Shared {
-    keys: &["self-trace", "self-trace-format", "self-trace-limit"],
-    switches: &["metrics", "profiler"],
+    keys: "self-trace self-trace-format self-trace-limit",
+    switches: "metrics profiler",
     usage: "\
 observability (any command):
   --metrics            print the per-stage metrics table (TSV) to stderr
@@ -1475,8 +1480,8 @@ observability (any command):
 pub const COMMANDS: &[Command] = &[
     Command {
         name: "trace",
-        keys: &["workload", "out", "iterations", "fault-seed", "fault-plan"],
-        switches: &[],
+        keys: "workload out iterations fault-seed fault-plan",
+        switches: "",
         positional: None,
         usage: "  trace     --workload NAME --out DIR [--iterations N]
             [--fault-seed N | --fault-plan SPEC]
@@ -1485,8 +1490,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "convert",
-        keys: &["in", "jobs"],
-        switches: &["strict"],
+        keys: "in jobs",
+        switches: "strict",
         positional: None,
         usage: "  convert   --in DIR [--jobs N] [--strict]
 ",
@@ -1494,8 +1499,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "merge",
-        keys: &["in", "out", "estimator", "jobs"],
-        switches: &["strict", "no-filter"],
+        keys: "in out estimator jobs",
+        switches: "strict no-filter",
         positional: None,
         usage:
             "  merge     --in DIR --out FILE [--estimator rms|rmsall|last|piecewise] [--no-filter]
@@ -1505,8 +1510,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "slogmerge",
-        keys: &["in", "out", "estimator", "frames", "bins", "jobs"],
-        switches: &["strict", "no-filter", "no-arrows"],
+        keys: "in out estimator frames bins jobs",
+        switches: "strict no-filter no-arrows",
         positional: None,
         usage: "  slogmerge --in DIR --out FILE [--estimator ...] [--no-filter] [--frames N]
             [--bins N] [--no-arrows] [--jobs N] [--strict]
@@ -1515,8 +1520,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "stats",
-        keys: &["merged", "profile", "program", "out"],
-        switches: &[],
+        keys: "merged profile program out",
+        switches: "",
         positional: None,
         usage: "  stats     --merged FILE [--profile FILE] [--program FILE] [--out DIR]
 ",
@@ -1524,8 +1529,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "preview",
-        keys: &["slog", "ivl", "svg"],
-        switches: &[],
+        keys: "slog ivl svg",
+        switches: "",
         positional: None,
         usage: "  preview   --slog FILE | --ivl FILE [--svg FILE]
 ",
@@ -1533,8 +1538,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "view",
-        keys: &["slog", "kind", "window", "frame-at", "cpus", "width", "svg"],
-        switches: &["connected", "hide-running"],
+        keys: "slog kind window frame-at cpus width svg",
+        switches: "connected hide-running",
         positional: None,
         usage: "  view      --slog FILE [--kind thread|cpu|threadcpu|cputhread|type]
             [--window a,b] [--frame-at t] [--connected] [--hide-running]
@@ -1544,8 +1549,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "clockfit",
-        keys: &["in", "estimator"],
-        switches: &["strict", "no-filter"],
+        keys: "in estimator",
+        switches: "strict no-filter",
         positional: None,
         usage: "  clockfit  --in DIR [--estimator ...] [--no-filter] [--strict]
 ",
@@ -1553,8 +1558,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "corrupt",
-        keys: &["in", "seed", "plan"],
-        switches: &[],
+        keys: "in seed plan",
+        switches: "",
         positional: None,
         usage: "  corrupt   --in DIR [--seed N | --plan SPEC]
             (deterministically corrupt trace.N.raw/.ivl for regression
@@ -1564,16 +1569,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "pipeline",
-        keys: &[
-            "workload",
-            "out",
-            "iterations",
-            "jobs",
-            "fault-seed",
-            "fault-plan",
-            "disk-budget",
-        ],
-        switches: &["strict"],
+        keys: "workload out iterations jobs fault-seed fault-plan disk-budget",
+        switches: "strict",
         positional: None,
         usage: "  pipeline  --workload NAME --out DIR [--iterations N] [--jobs N] [--strict]
             [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES[k|m|g]]
@@ -1582,8 +1579,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "resume",
-        keys: &["in", "jobs", "disk-budget"],
-        switches: &[],
+        keys: "in jobs disk-budget",
+        switches: "",
         positional: Some("in"),
         usage: "  resume    DIR | --in DIR [--jobs N] [--disk-budget BYTES]
             (replay DIR/journal.utj from an interrupted `ute pipeline`
@@ -1596,19 +1593,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "chaos",
-        keys: &[
-            "workload",
-            "out",
-            "iterations",
-            "jobs",
-            "fault-seed",
-            "fault-plan",
-            "disk-budget",
-            "seed",
-            "kills",
-            "mode",
-        ],
-        switches: &["strict"],
+        keys: "workload out iterations jobs fault-seed fault-plan disk-budget seed kills mode",
+        switches: "strict",
         positional: None,
         usage: "  chaos     --workload NAME --out DIR [--seed N] [--kills K] [--jobs N]
             [--mode point|timed|soft] [--iterations N] [--strict]
@@ -1625,26 +1611,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "scenario",
-        keys: &[
-            "seed",
-            "out",
-            "jobs",
-            "fault-seed",
-            "fault-plan",
-            "nodes",
-            "cpus",
-            "tasks-per-node",
-            "threads",
-            "pattern",
-            "rounds",
-            "straggler",
-            "skew",
-            "burst",
-            "depth",
-            "width",
-            "fanout",
-        ],
-        switches: &["strict", "describe"],
+        keys: "seed out jobs fault-seed fault-plan nodes cpus tasks-per-node threads pattern rounds straggler skew burst depth width fanout",
+        switches: "strict describe",
         positional: None,
         usage: "  scenario  --seed N (--out DIR | --describe) [--jobs N] [--strict]
             [--fault-seed N | --fault-plan SPEC]
@@ -1663,16 +1631,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "report",
-        keys: &[
-            "workload",
-            "out",
-            "iterations",
-            "jobs",
-            "fault-seed",
-            "fault-plan",
-            "disk-budget",
-        ],
-        switches: &["strict", "stable"],
+        keys: "workload out iterations jobs fault-seed fault-plan disk-budget",
+        switches: "strict stable",
         positional: None,
         usage: "  report    --workload NAME --out DIR [--iterations N] [--jobs N] [--stable]
             [--strict] [--fault-seed N | --fault-plan SPEC] [--disk-budget BYTES]
@@ -1685,16 +1645,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "profile",
-        keys: &[
-            "workload",
-            "out",
-            "iterations",
-            "jobs",
-            "fault-seed",
-            "fault-plan",
-            "disk-budget",
-        ],
-        switches: &["strict", "json"],
+        keys: "workload out iterations jobs fault-seed fault-plan disk-budget",
+        switches: "strict json",
         positional: None,
         usage: "  profile   --workload NAME --out DIR [--json] [--jobs N]
             [--iterations N] [--strict] [--fault-seed N | --fault-plan SPEC]
@@ -1712,15 +1664,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "analyze",
-        keys: &[
-            "in",
-            "diag",
-            "window",
-            "nodes",
-            "imbalance-threshold",
-            "profile",
-        ],
-        switches: &["all", "json"],
+        keys: "in diag window nodes imbalance-threshold profile",
+        switches: "all json",
         positional: Some("in"),
         usage: "  analyze   DIR | --in DIR|FILE [--diag late_sender|imbalance|comm_pattern
             |critical_path | --all] [--window T0:T1] [--nodes A..B] [--json]
@@ -1735,8 +1680,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "check",
-        keys: &["in", "ivl", "profile", "slog", "raw", "seed"],
-        switches: &["oracles", "lenient-tail"],
+        keys: "in ivl profile slog raw seed",
+        switches: "oracles lenient-tail",
         positional: None,
         usage: "  check     --in DIR | --ivl FILE [--profile FILE] | --slog FILE
             | --raw FILE | --oracles [--seed N]   [--lenient-tail]
@@ -1748,8 +1693,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "fuzz",
-        keys: &["seed", "iters"],
-        switches: &[],
+        keys: "seed iters",
+        switches: "",
         positional: None,
         usage: "  fuzz      [--seed N] [--iters M]
             (structure-aware decoder fuzzing: seeded mutations of valid
@@ -1759,8 +1704,8 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "help",
-        keys: &[],
-        switches: &[],
+        keys: "",
+        switches: "",
         positional: None,
         usage: "",
         run: Run::Plain(|_| Ok(help())),

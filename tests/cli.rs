@@ -68,8 +68,11 @@ fn synopsis(usage: &str) -> String {
         .join("\n")
 }
 
-fn declared<'a>(keys: &[&'a str], switches: &[&'a str]) -> BTreeSet<&'a str> {
-    keys.iter().chain(switches).copied().collect()
+/// The names of two space-separated lists of a row.
+fn declared<'a>(keys: &'a str, switches: &'a str) -> BTreeSet<&'a str> {
+    keys.split_whitespace()
+        .chain(switches.split_whitespace())
+        .collect()
 }
 
 #[test]
@@ -82,7 +85,7 @@ fn every_usage_block_names_exactly_the_options_of_its_row() {
             c.name
         );
         assert_eq!(
-            c.keys.len() + c.switches.len(),
+            c.keys.split_whitespace().count() + c.switches.split_whitespace().count(),
             declared(c.keys, c.switches).len(),
             "`{}` declares a name twice",
             c.name
@@ -103,7 +106,11 @@ fn every_usage_block_names_exactly_the_options_of_its_row() {
             );
         }
         if let Some(key) = c.positional {
-            assert!(c.keys.contains(&key), "`{}` positional --{key}", c.name);
+            assert!(
+                declared(c.keys, "").contains(key),
+                "`{}` positional --{key}",
+                c.name
+            );
         }
     }
     // The shared section defines one option per line that starts `  --`.
@@ -147,12 +154,19 @@ fn help_is_the_recorded_text() {
 
 #[test]
 fn a_switch_is_accepted_only_by_the_commands_that_read_it() {
-    let all: BTreeSet<&str> = COMMANDS.iter().flat_map(|c| c.switches).copied().collect();
+    let all: BTreeSet<&str> = COMMANDS
+        .iter()
+        .flat_map(|c| c.switches.split_whitespace())
+        .collect();
     assert_eq!(all.len(), 11, "{all:?}");
     for c in COMMANDS {
-        for sw in all.iter().chain(SHARED.switches) {
+        for sw in all
+            .iter()
+            .copied()
+            .chain(SHARED.switches.split_whitespace())
+        {
             let parsed = Args::parse(c, &argv(&[&format!("--{sw}")]));
-            if c.switches.contains(sw) || SHARED.switches.contains(sw) {
+            if declared(c.switches, SHARED.switches).contains(sw) {
                 assert!(parsed.is_ok(), "{} --{sw}: {parsed:?}", c.name);
             } else {
                 let e = parsed.unwrap_err().to_string();
