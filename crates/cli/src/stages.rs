@@ -25,7 +25,8 @@ use ute_store::{
     chaos, ArtifactStore, JournalRecord, ReplayState, RunJournal, StageStatus, StoreError,
 };
 
-use crate::{Args, Ingest, StatsPaths};
+use crate::ingest::{self, Ingest, StatsPaths};
+use crate::Args;
 
 /// One stage's computed outputs: artifacts to publish atomically, stale
 /// files to remove at publish time, and the user-facing message.
@@ -344,10 +345,10 @@ fn drive(
     extra: ExtraStage<'_>,
 ) -> std::result::Result<(), StageFailure> {
     msg.push_str(&runner.run_stage("trace", || {
-        let w = crate::workload_by_name(&plan.workload, plan.iterations)?;
+        let w = ingest::workload_by_name(&plan.workload, plan.iterations)?;
         let faults =
-            crate::fault_plan(plan.fault_plan.as_deref(), plan.fault_seed, w.config.nodes)?;
-        crate::trace_outputs(&plan.workload, w, faults)
+            ingest::fault_plan(plan.fault_plan.as_deref(), plan.fault_seed, w.config.nodes)?;
+        ingest::trace_outputs(&plan.workload, w, faults)
     })?);
     let ing = Ingest {
         dir: plan.out.clone(),
@@ -359,12 +360,12 @@ fn drive(
         removes: Vec::new(),
         msg,
     };
-    msg.push_str(&runner.run_stage("convert", || crate::convert_outputs(&ing))?);
+    msg.push_str(&runner.run_stage("convert", || ingest::convert_outputs(&ing))?);
     msg.push_str(&runner.run_stage("merge", || {
-        crate::merge_outputs(&ing, MergeOptions::default()).map(|o| one("merged.ivl", o))
+        ingest::merge_outputs(&ing, MergeOptions::default()).map(|o| one("merged.ivl", o))
     })?);
     msg.push_str(&runner.run_stage("slogmerge", || {
-        crate::slogmerge_outputs(&ing, MergeOptions::default(), BuildOptions::default())
+        ingest::slogmerge_outputs(&ing, MergeOptions::default(), BuildOptions::default())
             .map(|o| one("run.slog", o))
     })?);
     let paths = StatsPaths {
@@ -372,7 +373,7 @@ fn drive(
         ..StatsPaths::default()
     };
     msg.push_str(&runner.run_stage("stats", || {
-        crate::stats_output(&paths).map(StageOutput::message)
+        ingest::stats_output(&paths).map(StageOutput::message)
     })?);
     if let Some((name, f)) = extra {
         msg.push_str(&runner.run_stage(name, f)?);
@@ -384,7 +385,7 @@ fn drive(
 /// journaled run's metrics — "this never happened" stays distinguishable
 /// from "this was never measured" even outside `ute report`.
 fn register_store_counters() {
-    for n in crate::BASELINE_COUNTERS {
+    for n in crate::observe::BASELINE_COUNTERS {
         if n.starts_with("store/") {
             ute_obs::counter(n);
         }
