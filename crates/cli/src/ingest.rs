@@ -805,7 +805,7 @@ pub(crate) fn cmd_scenario(args: &Args) -> Result<String> {
         out_dir,
     )?);
     // The plain commands back to back, no journal (`ute pipeline` runs
-    // the same stage functions through [`stages`]).
+    // the same stage functions through `crate::stages`).
     let merged = out_dir.join("merged.ivl");
     msg.push_str(&convert(&ing)?);
     msg.push_str(&merge(&ing, MergeOptions::default(), &merged)?);

@@ -18,6 +18,10 @@
 //!   `ute-format` writer, so the framework's own run is viewable with
 //!   `ute preview`/`ute view` — therefore lives one layer up, in
 //!   `ute-cli` (`selftrace` module), consuming [`span::drain_spans`].
+//! * **No thread of its own.** Everything here runs on the thread that
+//!   calls it: a metric moves when a stage bumps it, a span is recorded
+//!   when it closes. When each stage did its work is in the span log
+//!   exactly; there is no sampler to race the workers.
 //! * **Always on, nearly free.** Counters are maintained
 //!   unconditionally (an uncontended atomic add is ~1 ns). Span
 //!   *capture* allocates and reads the thread CPU clock, so it is gated

@@ -108,12 +108,12 @@ impl MetricsSnapshot {
     /// A copy with every scheduling- and wall-clock-dependent metric
     /// removed: names ending in `_ns` (span timings, fitted residuals)
     /// and the `pipeline/` execution-layer metrics (worker counts, queue
-    /// depths — functions of `--jobs`, not of the trace). Deterministic `salvage/*` and `obs/*` totals are *kept*,
-    /// so fault-matrix CI can assert on degraded-node and drop counts
-    /// byte-comparably. What remains is a pure function of the input,
-    /// so `ute report --stable` output is byte-comparable across runs
-    /// and across `--jobs` values — the form the CI determinism gate
-    /// diffs.
+    /// depths — functions of `--jobs`, not of the trace). Deterministic
+    /// `salvage/*` and `obs/*` totals are *kept*, so fault-matrix CI can
+    /// assert on degraded-node and drop counts byte-comparably. What
+    /// remains is a pure function of the input, so `ute report --stable`
+    /// output is byte-comparable across runs and across `--jobs` values
+    /// — the form the CI determinism gate diffs.
     pub fn stable(&self) -> MetricsSnapshot {
         let keep = |name: &str| !name.ends_with("_ns") && !name.starts_with("pipeline/");
         MetricsSnapshot {

@@ -50,8 +50,10 @@
 //!   files: columnar trace table and the late-sender / imbalance /
 //!   comm-pattern / critical-path diagnostics
 //!   behind `ute analyze`.
-//! * [`cli`] — the `ute` command-line tool as a library, including the
-//!   self-trace sink and the `ute report` metrics report.
+//! * [`cli`] — the `ute` command-line tool as a library: one command
+//!   table (`cli::COMMANDS`) from which parsing, dispatch and `ute help`
+//!   are derived, the commands by family, the self-trace sink and the
+//!   `ute report` metrics report.
 //! * [`verify`] — the conformance subsystem: invariant rule suites over
 //!   raw/interval/SLOG artifacts, differential oracles, and the
 //!   structure-aware decoder fuzzer behind `ute check` / `ute fuzz`.
