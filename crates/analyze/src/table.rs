@@ -11,9 +11,9 @@
 use std::path::Path;
 
 use ute_core::bebits::BeBits;
-use ute_core::error::Result;
-use ute_format::file_io::FileIntervalReader;
-use ute_format::frame::NO_DIR;
+use ute_core::error::{PathContext, Result};
+use ute_core::mmap::map_file;
+use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
@@ -222,17 +222,26 @@ impl LoadOptions {
 /// Loads an interval file into a [`TraceTable`] through its frame
 /// directory chain.
 ///
-/// A frame whose `[start_time, end_time]` envelope misses the window is
+/// The file is opened as a mapping ([`map_file`]) and read by the one
+/// interval-file reader, so a windowed load touches the pages of the
+/// directories and of the frames it decodes, and fails on exactly the
+/// files `ute stats`, `ute check` and the fuzzer's walk fail on. A
+/// frame whose `[start_time, end_time]` envelope misses the window is
 /// skipped without decoding (its entry metadata alone proves no record
 /// in it can overlap: `end_time` is the max record end, `start_time` the
 /// min record start). The records of the surviving frames are read in
-/// place ([`Record`]), filtered on their time and node fields, and the
-/// admitted ones pushed straight into the columns — no `Interval` is
-/// built. Windowed loading stays *exactly* equivalent to loading
-/// everything and filtering — a property the test suite checks.
+/// place ([`ute_format::Record`]), filtered on their time and node
+/// fields, and the admitted ones pushed straight into the columns — no
+/// `Interval` is built. Windowed loading stays *exactly* equivalent to
+/// loading everything and filtering — a property the test suite checks.
 pub fn load_table(path: &Path, profile: &Profile, opts: &LoadOptions) -> Result<TraceTable> {
     let _span = ute_obs::Span::enter("analyze", format!("load {}", path.display()));
-    let mut r = FileIntervalReader::open(path, profile)?;
+    let bytes = map_file(path).in_file(path)?;
+    load_from(&bytes, profile, opts).in_file(path)
+}
+
+fn load_from(bytes: &[u8], profile: &Profile, opts: &LoadOptions) -> Result<TraceTable> {
+    let r = IntervalFileReader::open(bytes, profile)?;
     let mut table = TraceTable::new(r.markers.clone());
     let cols = ExtraColumns::resolve(profile);
     // The directory chain first: which frames overlap the window, and
@@ -240,16 +249,13 @@ pub fn load_table(path: &Path, profile: &Profile, opts: &LoadOptions) -> Result<
     // instead of doubling their way up.
     let mut frames = Vec::new();
     let mut skipped = 0u64;
-    let mut at = r.first_dir;
-    while at != NO_DIR {
-        let dir = r.read_frame_dir(at)?;
-        for entry in dir.entries {
+    for dir in r.directories() {
+        for entry in dir?.entries {
             match opts.window {
                 Some((t0, t1)) if entry.end_time < t0 || entry.start_time > t1 => skipped += 1,
                 _ => frames.push(entry),
             }
         }
-        at = dir.next;
     }
     let read = frames.len() as u64;
     // A record is a length byte and a type word at least, whatever a
@@ -258,9 +264,9 @@ pub fn load_table(path: &Path, profile: &Profile, opts: &LoadOptions) -> Result<
         .iter()
         .map(|e| (e.nrecords as u64).min(e.size / 5))
         .sum();
-    table.reserve(rows.min(r.file_len() / 5) as usize);
+    table.reserve(rows.min(bytes.len() as u64 / 5) as usize);
     for entry in &frames {
-        r.for_each_record(entry, |rec| {
+        r.frame_records(entry, |rec| {
             if opts.admits(rec.start(), rec.end(), rec.node().raw()) {
                 table.push_row(&cols, &rec);
             }

@@ -5,6 +5,7 @@ use std::path::{Path, PathBuf};
 
 use ute_core::error::{Result, UteError};
 use ute_core::ids::NodeId;
+use ute_core::mmap::map_file;
 use ute_format::profile::Profile;
 use ute_rawtrace::file::RawTraceFile;
 
@@ -28,7 +29,7 @@ pub(crate) fn cmd_check(args: &Args) -> Result<String> {
         let _span = ute_obs::Span::enter("check", "oracles".to_string());
         reports.extend(ute_verify::run_all_oracles(args.num("seed", 7u64)?));
     } else if let Some(path) = args.get("ivl") {
-        let bytes = std::fs::read(path)?;
+        let bytes = map_file(Path::new(path))?;
         let profile = match args.get("profile") {
             Some(p) => Profile::read_from(Path::new(p))?,
             None => Profile::standard(),
@@ -37,10 +38,10 @@ pub(crate) fn cmd_check(args: &Args) -> Result<String> {
             path, &bytes, &profile, ivl_opts,
         ));
     } else if let Some(path) = args.get("slog") {
-        let bytes = std::fs::read(path)?;
+        let bytes = map_file(Path::new(path))?;
         reports.push(ute_verify::check_slog_bytes(path, &bytes));
     } else if let Some(path) = args.get("raw") {
-        let bytes = std::fs::read(path)?;
+        let bytes = map_file(Path::new(path))?;
         reports.push(ute_verify::check_raw_bytes(path, &bytes));
         reports.push(ute_verify::check_salvage_agrees(path, &bytes));
     } else {
@@ -48,14 +49,14 @@ pub(crate) fn cmd_check(args: &Args) -> Result<String> {
         let profile = Profile::read_from(&dir.join("profile.ute"))?;
         for node in scan_node_files(&dir, "trace", "raw")? {
             let p = dir.join(RawTraceFile::file_name("trace", NodeId(node)));
-            let bytes = std::fs::read(&p)?;
+            let bytes = map_file(&p)?;
             let label = p.display().to_string();
             reports.push(ute_verify::check_raw_bytes(&label, &bytes));
             reports.push(ute_verify::check_salvage_agrees(&label, &bytes));
         }
         for node in scan_node_files(&dir, "trace", "ivl")? {
             let p = dir.join(format!("trace.{node}.ivl"));
-            let bytes = std::fs::read(&p)?;
+            let bytes = map_file(&p)?;
             reports.push(ute_verify::check_interval_bytes(
                 &p.display().to_string(),
                 &bytes,
@@ -68,7 +69,7 @@ pub(crate) fn cmd_check(args: &Args) -> Result<String> {
             if !p.exists() {
                 continue;
             }
-            let bytes = std::fs::read(&p)?;
+            let bytes = map_file(&p)?;
             let label = p.display().to_string();
             if name.ends_with(".slog") {
                 reports.push(ute_verify::check_slog_bytes(&label, &bytes));

@@ -10,6 +10,7 @@ use ute_cluster::Simulator;
 use ute_convert::{convert_job_pooled, ConvertOptions};
 use ute_core::error::{PathContext, Result, UteError};
 use ute_core::ids::NodeId;
+use ute_core::mmap::{map_file, FileBytes};
 use ute_faults::FaultPlan;
 use ute_format::codecio::{read_thread_table_file, thread_table_to_bytes};
 use ute_format::file::{FramePolicy, IntervalFileReader};
@@ -386,7 +387,7 @@ pub(crate) fn convert_outputs(ing: &Ingest) -> Result<stages::StageOutput> {
 /// What [`load_interval_files`] found: the path and the bytes of each
 /// file (index for index, so a merge error can name its file), and the
 /// nodes lost.
-type IntervalFiles = (Vec<PathBuf>, Vec<Vec<u8>>, Vec<u16>);
+type IntervalFiles = (Vec<PathBuf>, Vec<FileBytes>, Vec<u16>);
 
 /// Loads the per-node interval files of `dir`. The nodes lost are holes
 /// and unreadable files, which strict mode fails on instead.
@@ -397,7 +398,7 @@ fn load_interval_files(dir: &Path, salvage: bool) -> Result<IntervalFiles> {
     let mut files = Vec::new();
     for &node in &present {
         let p = dir.join(format!("trace.{node}.ivl"));
-        match std::fs::read(&p) {
+        match map_file(&p) {
             Ok(bytes) => {
                 paths.push(p);
                 files.push(bytes);
@@ -458,7 +459,7 @@ fn merge(ing: &Ingest, opts: MergeOptions, out: &Path) -> Result<String> {
 pub(crate) fn merge_outputs(ing: &Ingest, opts: MergeOptions) -> Result<(Vec<u8>, String)> {
     let profile = Profile::read_from(&ing.dir.join("profile.ute"))?;
     let (paths, files, lost) = load_interval_files(&ing.dir, ing.salvage)?;
-    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
+    let refs: Vec<&[u8]> = files.iter().map(|f| &f[..]).collect();
     let opts = MergeOptions {
         salvage: ing.salvage,
         gap_nodes: lost.clone(),
@@ -525,7 +526,7 @@ pub(crate) fn slogmerge_outputs(
 ) -> Result<(Vec<u8>, String)> {
     let profile = Profile::read_from(&ing.dir.join("profile.ute"))?;
     let (paths, files, _lost) = load_interval_files(&ing.dir, ing.salvage)?;
-    let refs: Vec<&[u8]> = files.iter().map(|f| f.as_slice()).collect();
+    let refs: Vec<&[u8]> = files.iter().map(|f| &f[..]).collect();
     let opts = MergeOptions {
         salvage: ing.salvage,
         ..opts
@@ -575,7 +576,7 @@ fn stats(paths: &StatsPaths) -> Result<String> {
 pub(crate) fn stats_output(paths: &StatsPaths) -> Result<String> {
     let read_span = ute_obs::Span::enter("format", "read + decode merged file");
     let merged_path = paths.merged.as_path();
-    let merged = std::fs::read(merged_path).in_file(merged_path)?;
+    let merged = map_file(merged_path).in_file(merged_path)?;
     let profile_path = paths.profile.clone().unwrap_or_else(|| {
         merged_path
             .parent()
@@ -681,10 +682,12 @@ pub(crate) fn cmd_corrupt(args: &Args) -> Result<String> {
         if !path.exists() || plan.for_node(node).next().is_none() {
             return Ok(());
         }
+        // Not a mapping: the file is replaced below, and a mapping must
+        // not outlive the file it maps.
         let data = std::fs::read(path)?;
         match plan.apply_to_file(node, data, protect) {
             Some(bytes) => {
-                std::fs::write(path, bytes)?;
+                ute_store::atomic_write(path, &bytes)?;
                 msg.push_str(&format!("  mutated {}\n", path.display()));
             }
             None => {

@@ -3,7 +3,8 @@
 
 use std::path::{Path, PathBuf};
 
-use ute_core::error::{PathContext, Result, UteError};
+use ute_core::error::{Result, UteError};
+use ute_core::mmap::map_file;
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
 use ute_slog::builder::BuildOptions;
@@ -18,7 +19,7 @@ use crate::Args;
 pub(crate) fn cmd_preview(args: &Args) -> Result<String> {
     let slog = match args.get("ivl") {
         Some(ivl) => {
-            let bytes = std::fs::read(ivl)?;
+            let bytes = map_file(Path::new(ivl))?;
             // A zero-length file is a trace that never got written;
             // say so instead of failing on a header short-read.
             if bytes.is_empty() {
@@ -180,7 +181,7 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<String> {
         }
     };
     let load = ute_analyze::LoadOptions { window, nodes };
-    let table = ute_analyze::load_table(&merged, &profile, &load).in_file(&merged)?;
+    let table = ute_analyze::load_table(&merged, &profile, &load)?;
     let diags: Vec<&str> = match args.get("diag") {
         Some(d) if ute_analyze::DIAGNOSTICS.contains(&d) => vec![d],
         Some(d) => {

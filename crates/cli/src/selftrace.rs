@@ -239,10 +239,13 @@ pub fn write_self_trace(
     path: &Path,
     format: SelfTraceFormat,
 ) -> Result<()> {
-    match format {
-        SelfTraceFormat::Ivl => std::fs::write(path, self_trace_bytes(spans)?)?,
-        SelfTraceFormat::Chrome => std::fs::write(path, chrome_trace_json(spans, flows))?,
-    }
+    let bytes = match format {
+        SelfTraceFormat::Ivl => self_trace_bytes(spans)?,
+        SelfTraceFormat::Chrome => chrome_trace_json(spans, flows).into_bytes(),
+    };
+    // By rename, like every file another command may have mapped
+    // (`ute preview --ivl` reads this one).
+    ute_store::atomic_write(path, &bytes)?;
     Ok(())
 }
 

@@ -4,8 +4,10 @@
 //! identifiers ([`ids`]), simulated time ([`time`]), trace event codes
 //! ([`event`]), interval begin/end bits ([`bebits`]), the common error type
 //! ([`error`]), a small little-endian byte codec ([`codec`]) used by the
-//! raw-trace, interval, and SLOG file formats, and the one worker pool
-//! ([`pool`]) that `--jobs N` means in convert and merge alike.
+//! raw-trace, interval, and SLOG file formats, the one worker pool
+//! ([`pool`]) that `--jobs N` means in convert and merge alike, and the
+//! one way a command gets an artifact's bytes ([`mmap`]: a read-only
+//! mapping where the target has one, `fs::read` otherwise).
 //!
 //! The vocabulary follows the SC 2000 paper *"From Trace Generation to
 //! Visualization: A Performance Framework for Distributed Parallel Systems"*
@@ -19,6 +21,7 @@ pub mod codec;
 pub mod error;
 pub mod event;
 pub mod ids;
+pub mod mmap;
 pub mod pool;
 pub mod time;
 

@@ -1,24 +1,27 @@
-//! Read-only file mapping with a portable fallback.
+//! How a command gets an artifact's bytes: a read-only file mapping
+//! with a portable fallback.
 //!
 //! [`map_file`] memory-maps a file on 64-bit Linux through a direct
 //! `mmap(2)` FFI binding (no external crates — the same pattern as
 //! `ute-profile`'s `clock_gettime` binding) and falls back to
 //! [`std::fs::read`] on other targets, for empty files, or whenever the
 //! map call fails. The returned [`FileBytes`] derefs to `&[u8]` either
-//! way, so decode layers never know the difference.
+//! way, so decode layers never know the difference: every reader of a
+//! record-bearing artifact (raw, interval, SLOG) takes a slice, and a
+//! reader that walks a frame directory touches only the pages of the
+//! directories and frames it decodes.
 //!
-//! Validation contract: nothing here inspects the bytes. A mapped raw
-//! trace file is handed to [`crate::RawTraceView::open`], which
-//! bounds-checks every record against the mapping's length exactly once;
-//! after that, borrowed views never touch memory outside the mapping.
-//! The mapped file must not be truncated while the map lives — UTE
-//! writes trace files once and never rewrites them in place (the atomic
-//! artifact store replaces whole files by rename).
+//! Validation contract: nothing here inspects the bytes. The readers
+//! bounds-check every offset a file names against the slice's length
+//! ([`crate::codec::ByteReader`], `RawTraceView::open`), so a borrowed
+//! view never touches memory outside the mapping. The mapped file must
+//! not be truncated while the map lives — every UTE writer of a mapped
+//! artifact replaces the whole file by rename (the atomic artifact
+//! store), never rewrites it in place; a command that rewrites the file
+//! it read (`ute corrupt`) reads it with [`std::fs::read`] instead.
 
 use std::ops::Deref;
 use std::path::Path;
-
-use ute_core::error::Result;
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod sys {
@@ -83,6 +86,17 @@ pub enum FileBytes {
     Owned(Vec<u8>),
 }
 
+impl FileBytes {
+    /// Whether these bytes are a live mapping rather than a copy.
+    pub fn is_mapped(&self) -> bool {
+        match self {
+            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+            FileBytes::Mapped(_) => true,
+            FileBytes::Owned(_) => false,
+        }
+    }
+}
+
 impl Deref for FileBytes {
     type Target = [u8];
 
@@ -96,7 +110,7 @@ impl Deref for FileBytes {
 }
 
 /// Opens a file as [`FileBytes`]: mapped where supported, read otherwise.
-pub fn map_file(path: &Path) -> Result<FileBytes> {
+pub fn map_file(path: &Path) -> std::io::Result<FileBytes> {
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     {
         use std::os::unix::io::AsRawFd;
@@ -119,8 +133,6 @@ pub fn map_file(path: &Path) -> Result<FileBytes> {
                         )
                     };
                     if !ptr.is_null() && ptr as isize != -1 {
-                        ute_obs::counter("rawtrace/mmap_files").inc();
-                        ute_obs::counter("rawtrace/mmap_bytes").add(len as u64);
                         return Ok(FileBytes::Mapped(Mapping { ptr, len }));
                     }
                 }
@@ -128,7 +140,7 @@ pub fn map_file(path: &Path) -> Result<FileBytes> {
         }
         // Any failure above falls through to the portable read.
     }
-    Ok(FileBytes::Owned(std::fs::read(path)?))
+    std::fs::read(path).map(FileBytes::Owned)
 }
 
 #[cfg(test)]

@@ -383,18 +383,21 @@ impl<'a> IntervalFileReader<'a> {
         }
     }
 
-    /// Decodes the records of one frame (random access — nothing before
-    /// the frame is touched).
-    pub fn frame_intervals(&self, entry: &FrameEntry) -> Result<Vec<Interval>> {
+    /// Hands each record of one frame to `f`, viewed in place where its
+    /// layout allows (random access — nothing before the frame is
+    /// touched), and checks that the records fill the frame.
+    pub fn frame_records(&self, entry: &FrameEntry, f: impl FnMut(Record<'_>)) -> Result<()> {
         ute_obs::counter("format/frames_read").inc();
         ute_obs::counter("format/bytes_read").add(entry.size);
+        self.decoder.walk_frame(self.data, entry, f)
+    }
+
+    /// Decodes the records of one frame.
+    pub fn frame_intervals(&self, entry: &FrameEntry) -> Result<Vec<Interval>> {
         let remaining = self.data.len().saturating_sub(entry.offset as usize);
         let cap = ute_core::codec::clamped_capacity(entry.nrecords as usize, 2, remaining);
         let mut out = Vec::with_capacity(cap);
-        self.decoder
-            .walk_frame(self.data, entry.offset, entry, |rec| {
-                out.push(rec.into_interval())
-            })?;
+        self.frame_records(entry, |rec| out.push(rec.into_interval()))?;
         Ok(out)
     }
 

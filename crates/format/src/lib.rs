@@ -22,11 +22,17 @@
 //! header, read the first frame directory, read the profile, then iterate
 //! records with frames hidden ([`file::IntervalFileReader::record_bodies`])
 //! and pull fields out by name ([`profile::Profile::get_item_by_name`]).
+//!
+//! There is one interval-file reader, and it reads a byte slice. A
+//! command hands it a file as `ute_core::mmap::map_file` opened it, so
+//! "jump into a specific frame without reading or processing any record
+//! ahead of the frame" holds of the pages touched:
+//! [`file::IntervalFileReader::directories`] reads the directory chain
+//! and [`file::IntervalFileReader::frame_records`] one frame.
 
 pub mod codecio;
 pub mod datatype;
 pub mod file;
-pub mod file_io;
 pub mod frame;
 pub mod plan;
 pub mod profile;
@@ -39,7 +45,6 @@ pub mod view;
 
 pub use datatype::FieldType;
 pub use file::{FramePolicy, IntervalFileReader, IntervalFileWriter};
-pub use file_io::FileIntervalReader;
 pub use frame::{FrameDirectory, FrameEntry};
 pub use plan::{PlanSet, RecordPlan};
 pub use profile::{FieldSpec, Profile, RecordSpec};

@@ -691,22 +691,21 @@ impl<'p> RecordDecoder<'p> {
         Interval::decode_body(self.profile, self.mask, body, self.default_node)
     }
 
-    /// Walks the records of one frame, which starts `at` bytes into
-    /// `data`, and checks that they fill it: `nrecords` records in
-    /// exactly `size` bytes.
+    /// Walks the records of the frame `entry` names in the file `data`
+    /// and checks that they fill it: `nrecords` records in exactly
+    /// `size` bytes.
     pub(crate) fn walk_frame<'a>(
         &'a self,
         data: &'a [u8],
-        at: u64,
         entry: &FrameEntry,
         mut f: impl FnMut(Record<'a>),
     ) -> Result<()> {
         let mut r = ByteReader::new(data);
-        r.seek(at)?;
+        r.seek(entry.offset)?;
         for _ in 0..entry.nrecords {
             f(self.read(read_record(&mut r)?)?);
         }
-        if r.pos() - at != entry.size {
+        if r.pos() - entry.offset != entry.size {
             return Err(UteError::corrupt_at(
                 "frame size disagrees with its records",
                 entry.offset,

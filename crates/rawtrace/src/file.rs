@@ -263,26 +263,35 @@ impl RawTraceFile {
     }
 
     /// Reads a file from disk, memory-mapping it where supported (see
-    /// [`crate::mmap::map_file`]) so decoding views never pays a
+    /// [`ute_core::mmap::map_file`]) so decoding views never pays a
     /// read-into-buffer copy of the whole file.
     pub fn read_from(path: &std::path::Path) -> Result<RawTraceFile> {
         let _span = ute_obs::Span::enter("rawtrace", format!("read {}", path.display()));
-        let data = crate::mmap::map_file(path)?;
-        RawTraceFile::from_bytes(&data)
+        RawTraceFile::from_bytes(&map_counted(path)?)
     }
 
     /// Reads a file from disk in salvage mode, memory-mapped where
     /// supported — the salvage resync scan runs directly on the mapping.
     pub fn read_from_salvage(path: &std::path::Path) -> Result<(RawTraceFile, SalvageReport)> {
         let _span = ute_obs::Span::enter("rawtrace", format!("salvage read {}", path.display()));
-        let data = crate::mmap::map_file(path)?;
-        RawTraceFile::from_bytes_salvage(&data)
+        RawTraceFile::from_bytes_salvage(&map_counted(path)?)
     }
 
     /// The conventional per-node file name: `<prefix>.<node>.raw`.
     pub fn file_name(prefix: &str, node: NodeId) -> String {
         format!("{prefix}.{}.raw", node.raw())
     }
+}
+
+/// [`map_file`](ute_core::mmap::map_file), counting what was mapped
+/// (`ute-core` has no metrics registry to count in).
+fn map_counted(path: &std::path::Path) -> Result<ute_core::mmap::FileBytes> {
+    let data = ute_core::mmap::map_file(path)?;
+    if data.is_mapped() {
+        ute_obs::counter("rawtrace/mmap_files").inc();
+        ute_obs::counter("rawtrace/mmap_bytes").add(data.len() as u64);
+    }
+    Ok(data)
 }
 
 /// Streaming reader over a serialized raw trace file.

@@ -12,12 +12,12 @@
 //!   samples, markers, and MPI call arguments.
 //! * [`buffer`] — the per-node trace buffer with configurable size, event
 //!   enable mask, delayed start, and flush accounting.
-//! * [`mod@file`] — the on-disk raw trace file, one per node.
+//! * [`mod@file`] — the on-disk raw trace file, one per node; read from
+//!   disk through `ute_core::mmap::map_file`, so the view decoder runs
+//!   on the mapping.
 //! * [`view`] — zero-copy decoding: validate record bounds once, then
 //!   hand out borrowed [`RawEventView`]s instead of copying per record;
 //!   salvage resync runs on the same views.
-//! * [`mmap`] — read-only `mmap(2)` file ingestion (64-bit Linux, with a
-//!   portable `fs::read` fallback) feeding the view decoder.
 //! * [`facility`] — the per-node tracing handle the simulator (and a
 //!   traced program) uses to cut records; it owns the message sequence
 //!   numbers that let utilities match sends with receives.
@@ -28,7 +28,6 @@ pub mod cost;
 pub mod facility;
 pub mod file;
 pub mod hookword;
-pub mod mmap;
 pub mod record;
 pub mod view;
 
@@ -36,7 +35,6 @@ pub use buffer::{BufferMode, TraceBuffer, TraceOptions};
 pub use facility::TraceFacility;
 pub use file::{RawTraceFile, RawTraceReader, SalvageReport};
 pub use hookword::Hookword;
-pub use mmap::{map_file, FileBytes};
 pub use record::{
     ClockPayload, DispatchPayload, MarkerDefPayload, MarkerPayload, MpiPayload, RawEvent,
 };

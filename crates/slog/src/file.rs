@@ -221,7 +221,7 @@ impl SlogFile {
     /// [`SlogFile::from_bytes_in`] of a file on disk.
     pub fn read_from_in(path: &std::path::Path, window: Option<(u64, u64)>) -> Result<SlogFile> {
         use ute_core::error::PathContext;
-        let data = std::fs::read(path).in_file(path)?;
+        let data = ute_core::mmap::map_file(path).in_file(path)?;
         SlogFile::from_bytes_in(&data, window).in_file(path)
     }
 }

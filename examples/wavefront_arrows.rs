@@ -1,14 +1,15 @@
 //! A pipelined wavefront traced end to end, showing the message arrows
-//! marching diagonally across thread timelines, and the file-backed
-//! streaming reader working on the merged file without loading it whole.
+//! marching diagonally across thread timelines, and the interval-file
+//! reader working on the merged file as a mapping, without copying it.
 //!
 //! Run with: `cargo run --example wavefront_arrows`
 
 use ute::cluster::Simulator;
 use ute::convert::convert_job;
-use ute::format::file::FramePolicy;
-use ute::format::file_io::FileIntervalReader;
+use ute::core::mmap::map_file;
+use ute::format::file::{FramePolicy, IntervalFileReader};
 use ute::format::profile::Profile;
+use ute::format::RecordFields;
 use ute::merge::{merge_files, slogmerge, MergeOptions};
 use ute::slog::builder::BuildOptions;
 use ute::slog::record::SlogRecord;
@@ -57,21 +58,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{arrows} message arrows (expected 5 hops x 10 sweeps = 50)");
     assert_eq!(arrows, 50);
 
-    // The streaming reader: write the merged file to disk and walk it
-    // frame by frame without ever holding the whole file in memory.
+    // The reader over a mapping: write the merged file to disk and walk
+    // it record by record, each one viewed in place in the mapped file.
     let merged = merge_files(&files, &profile, &MergeOptions::default())?;
     let dir = std::path::Path::new("target/examples");
     std::fs::create_dir_all(dir)?;
     let path = dir.join("wavefront_merged.ivl");
     std::fs::write(&path, &merged.merged)?;
-    let mut reader = FileIntervalReader::open(&path, &profile)?;
+    let bytes = map_file(&path)?;
+    let reader = IntervalFileReader::open(&bytes, &profile)?;
     let total = reader.total_records()?;
     let mut mpi_time = 0u64;
-    reader.for_each_interval(|iv| {
-        if iv.itype.state.as_mpi().is_some() {
-            mpi_time += iv.duration;
+    for rec in reader.records() {
+        let rec = rec?;
+        if rec.itype().state.as_mpi().is_some() {
+            mpi_time += rec.duration();
         }
-    })?;
+    }
     println!(
         "streamed {} records from {} ({} bytes); total MPI time {:.3} ms",
         total,

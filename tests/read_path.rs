@@ -16,7 +16,6 @@ use ute::core::error::{Result, UteError};
 use ute::core::ids::{CpuId, LogicalThreadId, NodeId};
 use ute::core::time::TICKS_PER_SEC;
 use ute::format::file::{FramePolicy, IntervalFileReader, IntervalFileWriter, MERGED_NODE};
-use ute::format::file_io::FileIntervalReader;
 use ute::format::frame::{FrameEntry, NO_DIR};
 use ute::format::plan::PlanSet;
 use ute::format::profile::{Profile, MASK_PER_NODE};
@@ -332,13 +331,13 @@ proptest! {
         let viewed: Vec<Interval> = r.records().map(|rec| rec.unwrap().into_interval()).collect();
         prop_assert_eq!(&viewed, &reference);
 
-        let path = tmp(&format!("readers_{seed:x}.ivl"));
-        std::fs::write(&path, &bytes).unwrap();
-        let mut streamed = Vec::new();
-        let mut f = FileIntervalReader::open(&path, &p).unwrap();
-        f.for_each_interval(|iv| streamed.push(iv)).unwrap();
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&streamed, &reference);
+        let mut framed = Vec::new();
+        for dir in r.directories() {
+            for entry in &dir.unwrap().entries {
+                r.frame_records(entry, |rec| framed.push(rec.into_interval())).unwrap();
+            }
+        }
+        prop_assert_eq!(&framed, &reference);
 
         let plans = PlanSet::build(&p, r.mask);
         let node = NodeId(if merged { 0 } else { 3 });
@@ -548,16 +547,13 @@ fn clockfit_command_prints_what_the_reference_decode_fits() {
 fn both_readers_check_a_frame_against_its_entry() {
     let p = Profile::standard();
     let bytes = random_file(&mut Rng(77), &p, true, 200);
-    let path = tmp("frame_size.ivl");
-    std::fs::write(&path, &bytes).unwrap();
-    let mem = IntervalFileReader::open(&bytes, &p).unwrap();
-    let mut file = FileIntervalReader::open(&path, &p).unwrap();
-    let dir = mem.read_frame_dir(NO_DIR).unwrap();
+    let r = IntervalFileReader::open(&bytes, &p).unwrap();
+    let dir = r.read_frame_dir(NO_DIR).unwrap();
     let entry = *dir.entries.iter().find(|e| e.nrecords > 1).unwrap();
-    assert_eq!(
-        mem.frame_intervals(&entry).unwrap(),
-        file.frame_intervals(&entry).unwrap()
-    );
+    let mut walked = Vec::new();
+    r.frame_records(&entry, |rec| walked.push(rec.into_interval()))
+        .unwrap();
+    assert_eq!(r.frame_intervals(&entry).unwrap(), walked);
     let wrong = [
         FrameEntry {
             nrecords: entry.nrecords - 1,
@@ -573,10 +569,9 @@ fn both_readers_check_a_frame_against_its_entry() {
             "frame size disagrees with its records at byte {}",
             entry.offset
         );
-        let a = mem.frame_intervals(e).unwrap_err().to_string();
-        let b = file.frame_intervals(e).unwrap_err().to_string();
+        let a = r.frame_records(e, |_| {}).unwrap_err().to_string();
+        let b = r.frame_intervals(e).unwrap_err().to_string();
         assert!(a.contains(&expect), "{a}");
         assert!(b.contains(&expect), "{b}");
     }
-    std::fs::remove_file(&path).ok();
 }

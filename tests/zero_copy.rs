@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 
 use ute::cluster::Simulator;
+use ute::core::mmap::map_file;
 use ute::faults::FaultPlan;
-use ute::rawtrace::{map_file, salvage_views, RawTraceFile, RawTraceView};
+use ute::rawtrace::{salvage_views, RawTraceFile, RawTraceView};
 use ute::workloads::micro::ping_pong;
 
 /// One node's valid raw trace bytes, built once per case.
