@@ -6,6 +6,13 @@
 //! that node's *drifting local clock*, so the produced raw files exhibit
 //! the clock-synchronization problem of §1.1 for real.
 //!
+//! Every MPI op is one wrapped call (§2.1): a `Call` names the routine,
+//! the CPU the wrapper burns on entry and the body `Step`s between its
+//! BEGIN and END records. `Simulator::advance` runs that one protocol
+//! for every op — phase 0 cuts BEGIN, phase k runs step k−1, the last
+//! phase cuts END — and keeps short arms only for what is not a call:
+//! compute, markers, system events, I/O and daemons.
+//!
 //! Threads block inside MPI receives, waits, collectives and I/O; a
 //! blocked thread is descheduled (cutting `ThreadUndispatch`), its CPU is
 //! handed to the next ready thread, and when it resumes — possibly on a
@@ -44,13 +51,13 @@ type ThreadIdx = usize;
 enum BlockReason {
     /// Blocking receive waiting for (from, tag).
     Recv { from: u32, tag: u32 },
-    /// Waiting on non-blocking requests.
-    Wait,
+    /// Waiting for request `req` (`None`: every request) to complete.
+    Wait { req: Option<u32> },
     /// Inside a collective, waiting for completion.
     Collective { key: u64 },
     /// Waiting for an I/O completion.
     Io,
-    /// Daemon asleep between periodic bursts.
+    /// Not started yet, or a daemon between periodic bursts.
     Sleep,
 }
 
@@ -66,11 +73,15 @@ enum ThreadState {
 struct Request {
     /// For posted receives: the (from, tag) signature.
     recv_sig: Option<(u32, u32)>,
-    complete: bool,
     /// Message satisfied by (for receives).
     msg: Option<usize>,
-    /// Whether a Wait/Waitall is currently parked on this request.
-    awaited: bool,
+}
+
+impl Request {
+    /// A send is complete once posted, a receive once matched.
+    fn complete(&self) -> bool {
+        self.recv_sig.is_none() || self.msg.is_some()
+    }
 }
 
 #[derive(Debug)]
@@ -80,7 +91,6 @@ struct Msg {
     tag: u32,
     bytes: u64,
     seq: u64,
-    consumed: bool,
 }
 
 #[derive(Debug)]
@@ -89,8 +99,44 @@ struct CollState {
     root: u32,
     bytes: u64,
     arrived: Vec<ThreadIdx>,
-    latest: Time,
-    done: bool,
+}
+
+/// An MPI op as the §2.1 wrapper runs it: BEGIN for `op`, `entry` CPU,
+/// the body steps in order, END for `op`.
+struct Call {
+    op: MpiOp,
+    entry: Duration,
+    body: [Option<Step>; 2],
+}
+
+impl Call {
+    /// A call whose body is `steps`, at most two.
+    fn new(op: MpiOp, entry: Duration, steps: &[Step]) -> Call {
+        let mut body = [None; 2];
+        for (slot, &step) in body.iter_mut().zip(steps) {
+            *slot = Some(step);
+        }
+        Call { op, entry, body }
+    }
+}
+
+/// One step of a call's body. A step either completes at this instant
+/// (the next phase runs at once), demands CPU, or blocks the thread.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Send the message; its sequence number goes in the END record.
+    Post { to: u32, bytes: u64, tag: u32 },
+    /// Take a matching message from the mailbox and burn the copy cost,
+    /// or block until one arrives and retry.
+    Match { from: u32, tag: u32 },
+    /// Append a request: a receive, matched in the mailbox now or
+    /// posted for its message's arrival, or (`None`) a send, complete.
+    Request { recv: Option<(u32, u32)> },
+    /// Wait for request `req` (`None`: every request) to complete,
+    /// blocking until it has.
+    Await { req: Option<u32> },
+    /// Arrive at the collective and block until it completes.
+    Join { op: MpiOp, root: u32, bytes: u64 },
 }
 
 #[derive(Debug)]
@@ -101,15 +147,16 @@ struct SimThread {
     logical: LogicalThreadId,
     ops: Vec<Op>,
     pc: usize,
-    /// Micro-phase within the current op.
+    /// Micro-phase within the current op: for a call, phase k ≥ 1 runs
+    /// body step k−1 and the phase after the last step cuts END.
     phase: u8,
     /// Remaining CPU need of the current phase.
     need: Duration,
     state: ThreadState,
     requests: Vec<Request>,
-    /// Consumed message stashed between Recv phases.
+    /// Message a call's `Match` step took, for its END record.
     stash_msg: Option<usize>,
-    /// Outgoing sequence number stashed between Sendrecv phases.
+    /// Sequence number a call's `Post` step sent, for its END record.
     stash_seq: u64,
     /// Open marker local-ids (for MarkerEnd matching).
     open_markers: Vec<(String, u32)>,
@@ -131,10 +178,36 @@ struct SimThread {
     wakes: u64,
 }
 
+impl SimThread {
+    /// A task thread running `ops`, or (`rank` `None`) a daemon; either
+    /// sleeps until its first wake.
+    fn new(node: u16, rank: Option<u32>, logical: LogicalThreadId, ops: Vec<Op>) -> SimThread {
+        SimThread {
+            node,
+            rank,
+            logical,
+            ops,
+            pc: 0,
+            phase: 0,
+            need: Duration::ZERO,
+            state: ThreadState::Blocked(BlockReason::Sleep),
+            requests: Vec::new(),
+            stash_msg: None,
+            stash_seq: 0,
+            open_markers: Vec::new(),
+            coll_seq: 0,
+            daemon: rank.is_none(),
+            epoch: 0,
+            last_cpu: None,
+            slice_used: Duration::ZERO,
+            wakes: 0,
+        }
+    }
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum Ev {
     CpuTimer {
-        node: u16,
         cpu: u16,
         thread: ThreadIdx,
         epoch: u64,
@@ -247,84 +320,39 @@ impl Simulator {
         let mut threads = Vec::new();
         let mut thread_table = ThreadTable::new();
         let mut logical_counters = vec![0u16; cfg.nodes as usize];
+        // Logical ids count per node, system tids per simulator; a
+        // daemon is task `u32::MAX` of pid 1.
+        let mut add = |node: u16, rank: Option<u32>, ttype, ops| -> Result<()> {
+            let logical = LogicalThreadId(logical_counters[node as usize]);
+            logical_counters[node as usize] += 1;
+            thread_table.register(ThreadEntry {
+                task: TaskId(rank.unwrap_or(u32::MAX)),
+                pid: Pid(rank.map_or(1, |r| 1000 + r)),
+                system_tid: SystemThreadId(100_000 + threads.len() as u64),
+                node: NodeId(node),
+                logical,
+                ttype,
+            })?;
+            threads.push(SimThread::new(node, rank, logical, ops));
+            Ok(())
+        };
         for (rank, task) in job.tasks.iter().enumerate() {
             let rank = rank as u32;
-            let node = cfg.node_of_rank(rank);
             if task.threads.is_empty() {
                 return Err(UteError::Invalid(format!("rank {rank} has no threads")));
             }
             for (tix, ops) in task.threads.iter().enumerate() {
-                let logical = LogicalThreadId(logical_counters[node as usize]);
-                logical_counters[node as usize] += 1;
-                let idx = threads.len();
-                threads.push(SimThread {
-                    node,
-                    rank: Some(rank),
-                    logical,
-                    ops: ops.clone(),
-                    pc: 0,
-                    phase: 0,
-                    need: Duration::ZERO,
-                    state: ThreadState::Ready,
-                    requests: Vec::new(),
-                    stash_msg: None,
-                    stash_seq: 0,
-                    open_markers: Vec::new(),
-                    coll_seq: 0,
-                    daemon: false,
-                    epoch: 0,
-                    last_cpu: None,
-                    slice_used: Duration::ZERO,
-                    wakes: 0,
-                });
-                thread_table.register(ThreadEntry {
-                    task: TaskId(rank),
-                    pid: Pid(1000 + rank),
-                    system_tid: SystemThreadId(100_000 + idx as u64),
-                    node: NodeId(node),
-                    logical,
-                    ttype: if tix == 0 {
-                        ThreadType::Mpi
-                    } else {
-                        ThreadType::User
-                    },
-                })?;
+                let ttype = if tix == 0 {
+                    ThreadType::Mpi
+                } else {
+                    ThreadType::User
+                };
+                add(cfg.node_of_rank(rank), Some(rank), ttype, ops.clone())?;
             }
         }
-        // Daemon threads, one batch per node.
         for node in 0..cfg.nodes {
             for _ in 0..cfg.daemons_per_node {
-                let logical = LogicalThreadId(logical_counters[node as usize]);
-                logical_counters[node as usize] += 1;
-                let idx = threads.len();
-                threads.push(SimThread {
-                    node,
-                    rank: None,
-                    logical,
-                    ops: Vec::new(),
-                    pc: 0,
-                    phase: 0,
-                    need: Duration::ZERO,
-                    state: ThreadState::Blocked(BlockReason::Sleep),
-                    requests: Vec::new(),
-                    stash_msg: None,
-                    stash_seq: 0,
-                    open_markers: Vec::new(),
-                    coll_seq: 0,
-                    daemon: true,
-                    epoch: 0,
-                    last_cpu: None,
-                    slice_used: Duration::ZERO,
-                    wakes: 0,
-                });
-                thread_table.register(ThreadEntry {
-                    task: TaskId(u32::MAX),
-                    pid: Pid(1),
-                    system_tid: SystemThreadId(100_000 + idx as u64),
-                    node: NodeId(node),
-                    logical,
-                    ttype: ThreadType::System,
-                })?;
+                add(node, None, ThreadType::System, Vec::new())?;
             }
         }
         let facilities = (0..cfg.nodes)
@@ -406,11 +434,9 @@ impl Simulator {
             }
             self.now = Time(at);
             self.handle(ev)?;
-            if self.all_tasks_done() {
+            // Done, or nothing left that could ever advance a task thread.
+            if self.all_tasks_done() || self.pending_progress == 0 {
                 break;
-            }
-            if self.pending_progress == 0 {
-                break; // nothing left that could ever advance a task thread
             }
         }
         if !self.all_tasks_done() {
@@ -466,7 +492,6 @@ impl Simulator {
     fn handle(&mut self, ev: Ev) -> Result<()> {
         match ev {
             Ev::CpuTimer {
-                node,
                 cpu,
                 thread,
                 epoch,
@@ -477,14 +502,15 @@ impl Simulator {
                 {
                     return Ok(()); // stale timer
                 }
+                let node = self.threads[thread].node;
                 if completes {
                     self.threads[thread].need = Duration::ZERO;
-                    self.on_phase_done(thread)?;
+                    self.advance(thread)?;
                 } else {
                     // Quantum expiry: preempt only if someone is waiting.
                     if self.ready[node as usize].is_empty() {
                         self.threads[thread].slice_used = Duration::ZERO;
-                        self.arm_timer(node, cpu, thread);
+                        self.arm_timer(thread);
                     } else {
                         self.undispatch(thread)?;
                         self.threads[thread].state = ThreadState::Ready;
@@ -494,58 +520,45 @@ impl Simulator {
                 }
             }
             Ev::MsgArrive { msg } => {
-                let dst = self.msgs[msg].dst;
                 self.stats.messages += 1;
+                let &Msg { src, dst, tag, .. } = &self.msgs[msg];
                 // Posted non-blocking receive?
-                let sig = (self.msgs[msg].src, self.msgs[msg].tag);
-                let mut matched_posted = None;
-                for (qi, &(t, req)) in self.posted_recvs[dst as usize].iter().enumerate() {
-                    if self.threads[t].requests[req].recv_sig == Some(sig)
-                        && !self.threads[t].requests[req].complete
-                    {
-                        matched_posted = Some((qi, t, req));
-                        break;
-                    }
-                }
-                if let Some((qi, t, req)) = matched_posted {
-                    self.posted_recvs[dst as usize].remove(qi);
-                    self.msgs[msg].consumed = true;
-                    let r = &mut self.threads[t].requests[req];
-                    r.complete = true;
-                    r.msg = Some(msg);
+                let posted = self.posted_recvs[dst as usize]
+                    .iter()
+                    .position(|&(t, req)| {
+                        let r = &self.threads[t].requests[req];
+                        r.recv_sig == Some((src, tag)) && !r.complete()
+                    });
+                if let Some(qi) = posted {
+                    let (t, req) = self.posted_recvs[dst as usize]
+                        .remove(qi)
+                        .expect("index found in this queue");
+                    self.threads[t].requests[req].msg = Some(msg);
                     // Wake a Wait parked on this thread if now satisfied.
-                    if self.threads[t].state == ThreadState::Blocked(BlockReason::Wait)
-                        && self.wait_satisfied(t)
-                    {
-                        self.make_ready(t)?;
+                    if let ThreadState::Blocked(BlockReason::Wait { req }) = self.threads[t].state {
+                        if self.wait_satisfied(t, req) {
+                            self.make_ready(t)?;
+                        }
                     }
                     return Ok(());
                 }
                 self.mailbox[dst as usize].push(msg);
                 // Wake one blocked Recv that matches.
-                let waiter = self.threads.iter().position(|t| {
-                    t.rank == Some(dst)
-                        && t.state
-                            == ThreadState::Blocked(BlockReason::Recv {
-                                from: sig.0,
-                                tag: sig.1,
-                            })
-                });
+                let blocked = ThreadState::Blocked(BlockReason::Recv { from: src, tag });
+                let waiter = self
+                    .threads
+                    .iter()
+                    .position(|t| t.rank == Some(dst) && t.state == blocked);
                 if let Some(t) = waiter {
                     self.make_ready(t)?;
                 }
             }
             Ev::CollComplete { key } => {
-                let parts = {
-                    let c = self.colls.get_mut(&key).expect("collective vanished");
-                    c.done = true;
-                    self.stats.collectives += 1;
-                    c.arrived.clone()
-                };
-                for t in parts {
-                    if self.threads[t].state
-                        == ThreadState::Blocked(BlockReason::Collective { key })
-                    {
+                self.stats.collectives += 1;
+                let parts = self.colls.get(&key).expect("collective vanished");
+                let blocked = ThreadState::Blocked(BlockReason::Collective { key });
+                for t in parts.arrived.clone() {
+                    if self.threads[t].state == blocked {
                         self.make_ready(t)?;
                     }
                 }
@@ -624,19 +637,15 @@ impl Simulator {
         self.threads[t].slice_used = Duration::ZERO;
         self.threads[t].epoch += 1;
         self.stats.dispatches += 1;
+        let logical = self.threads[t].logical;
         let l = self.local_now(node);
-        self.facilities[node as usize].cut_dispatch(
-            l,
-            self.threads[t].logical,
-            CpuId(cpu),
-            true,
-        )?;
+        self.facilities[node as usize].cut_dispatch(l, logical, CpuId(cpu), true)?;
         // If the thread has no pending CPU need, advance its script now to
         // find the next need (cuts zero-time events at this instant).
         if self.threads[t].need == Duration::ZERO {
             self.advance(t)?;
         } else {
-            self.arm_timer(node, cpu, t);
+            self.arm_timer(t);
         }
         Ok(())
     }
@@ -645,13 +654,9 @@ impl Simulator {
         if let ThreadState::Running { cpu } = self.threads[t].state {
             let node = self.threads[t].node;
             self.cpus[node as usize][cpu as usize] = None;
+            let logical = self.threads[t].logical;
             let l = self.local_now(node);
-            self.facilities[node as usize].cut_dispatch(
-                l,
-                self.threads[t].logical,
-                CpuId(cpu),
-                false,
-            )?;
+            self.facilities[node as usize].cut_dispatch(l, logical, CpuId(cpu), false)?;
             self.threads[t].epoch += 1;
         }
         Ok(())
@@ -667,43 +672,36 @@ impl Simulator {
         Ok(())
     }
 
-    fn arm_timer(&mut self, node: u16, cpu: u16, t: ThreadIdx) {
-        let mut budget = self.cfg.quantum.saturating_sub(self.threads[t].slice_used);
-        if budget == Duration::ZERO {
-            // Quantum exhausted across consecutive short ops.
-            if self.ready[node as usize].is_empty() {
-                // Nobody waiting: renew the quantum in place.
-                self.threads[t].slice_used = Duration::ZERO;
+    /// Arms a running thread's timer for its next slice of CPU need.
+    fn arm_timer(&mut self, t: ThreadIdx) {
+        let th = &mut self.threads[t];
+        let ThreadState::Running { cpu } = th.state else {
+            unreachable!("timer for a thread not running");
+        };
+        let node = th.node as usize;
+        let mut budget = self.cfg.quantum.saturating_sub(th.slice_used);
+        // Quantum exhausted across consecutive short ops: with someone
+        // waiting, route through the normal preemption path immediately;
+        // with nobody, renew the quantum in place.
+        let (at, completes) = if budget == Duration::ZERO && !self.ready[node].is_empty() {
+            (self.now, false)
+        } else {
+            if budget == Duration::ZERO {
+                th.slice_used = Duration::ZERO;
                 budget = self.cfg.quantum;
-            } else {
-                // Route through the normal preemption path immediately.
-                let epoch = self.threads[t].epoch;
-                self.schedule(
-                    self.now,
-                    Ev::CpuTimer {
-                        node,
-                        cpu,
-                        thread: t,
-                        epoch,
-                        completes: false,
-                    },
-                );
-                return;
             }
-        }
-        let need = self.threads[t].need;
-        let slice = need.min(budget);
-        let completes = slice >= need;
-        // Remaining need shrinks by the slice we are about to run; the
-        // quantum budget shrinks likewise.
-        self.threads[t].need = need.saturating_sub(slice);
-        self.threads[t].slice_used += slice;
-        let at = self.now + self.cfg.ctx_switch + slice;
-        let epoch = self.threads[t].epoch;
+            let need = th.need;
+            let slice = need.min(budget);
+            // Remaining need shrinks by the slice we are about to run; the
+            // quantum budget shrinks likewise.
+            th.need = need.saturating_sub(slice);
+            th.slice_used += slice;
+            (self.now + self.cfg.ctx_switch + slice, slice >= need)
+        };
+        let epoch = th.epoch;
         self.schedule(
             at,
             Ev::CpuTimer {
-                node,
                 cpu,
                 thread: t,
                 epoch,
@@ -715,41 +713,33 @@ impl Simulator {
     /// Gives a running thread CPU work: arms the slice timer.
     fn demand_cpu(&mut self, t: ThreadIdx, d: Duration) {
         self.threads[t].need = d;
-        if let ThreadState::Running { cpu } = self.threads[t].state {
-            let node = self.threads[t].node;
-            self.arm_timer(node, cpu, t);
-        } else {
-            unreachable!("demand_cpu on non-running thread");
-        }
+        self.arm_timer(t);
     }
 
     /// Blocks a running thread: undispatch, free the CPU, refill it.
     fn block(&mut self, t: ThreadIdx, why: BlockReason) -> Result<()> {
+        self.leave_cpu(t, ThreadState::Blocked(why))
+    }
+
+    /// Takes a running thread off its CPU into `state` (blocked or
+    /// done) and hands the CPU to the next ready thread.
+    fn leave_cpu(&mut self, t: ThreadIdx, state: ThreadState) -> Result<()> {
         let ThreadState::Running { cpu } = self.threads[t].state else {
-            unreachable!("block on non-running thread");
+            unreachable!("leave_cpu on non-running thread");
         };
         let node = self.threads[t].node;
         self.undispatch(t)?;
-        self.threads[t].state = ThreadState::Blocked(why);
+        self.threads[t].state = state;
         self.fill_cpu(node, cpu)
     }
 
-    fn finish_thread(&mut self, t: ThreadIdx) -> Result<()> {
-        let ThreadState::Running { cpu } = self.threads[t].state else {
-            unreachable!("finish on non-running thread");
-        };
-        let node = self.threads[t].node;
-        self.undispatch(t)?;
-        self.threads[t].state = ThreadState::Done;
-        self.fill_cpu(node, cpu)
-    }
-
-    fn wait_satisfied(&self, t: ThreadIdx) -> bool {
-        self.threads[t]
-            .requests
-            .iter()
-            .filter(|r| r.awaited)
-            .all(|r| r.complete)
+    /// Whether request `req` (`None`: every request) of the thread is complete.
+    fn wait_satisfied(&self, t: ThreadIdx, req: Option<u32>) -> bool {
+        let requests = &self.threads[t].requests;
+        match req {
+            Some(ri) => requests[ri as usize].complete(),
+            None => requests.iter().all(Request::complete),
+        }
     }
 
     fn mpi_payload(&self, t: ThreadIdx) -> MpiPayload {
@@ -763,21 +753,74 @@ impl Simulator {
         begin: bool,
         mut payload: MpiPayload,
     ) -> Result<()> {
-        if payload.address == 0 {
-            // Synthetic call-site address, "suitable for a source code
-            // browser" (§2.3.2): one stable address per routine.
-            payload.address = 0x0040_0000 + ((op.code() as u64) << 6);
-        }
+        // Synthetic call-site address, "suitable for a source code
+        // browser" (§2.3.2): one stable address per routine.
+        payload.address = 0x0040_0000 + ((op.code() as u64) << 6);
         let node = self.threads[t].node;
         let l = self.local_now(node);
         self.facilities[node as usize].cut_mpi(l, op, begin, payload)?;
         Ok(())
     }
 
-    /// The phase the thread was burning CPU for has finished; perform its
-    /// completion action and advance the script.
-    fn on_phase_done(&mut self, t: ThreadIdx) -> Result<()> {
-        self.advance(t)
+    /// Cuts a system event on the thread's node at this instant.
+    fn cut_system(&mut self, t: ThreadIdx, code: EventCode) -> Result<()> {
+        let node = self.threads[t].node;
+        let logical = self.threads[t].logical;
+        let l = self.local_now(node);
+        self.facilities[node as usize].cut_system(l, code, logical)?;
+        Ok(())
+    }
+
+    /// Cuts a marker begin or end record for marker `id` at this instant.
+    fn cut_marker(&mut self, t: ThreadIdx, id: u32, begin: bool) -> Result<()> {
+        let node = self.threads[t].node;
+        let logical = self.threads[t].logical;
+        let base: u64 = if begin { 0x4000 } else { 0x8000 };
+        let l = self.local_now(node);
+        self.facilities[node as usize].cut_marker(l, logical, id, base + id as u64, begin)?;
+        Ok(())
+    }
+
+    /// The call an MPI op makes, or `None` for an op that is no call.
+    fn call(&self, op: &Op) -> Option<Call> {
+        // A send's entry includes putting its bytes on the wire.
+        let send = |bytes| MPI_ENTRY_COST + self.cfg.network.send_time(bytes);
+        Some(match *op {
+            Op::Send { to, bytes, tag } => {
+                Call::new(MpiOp::Send, send(bytes), &[Step::Post { to, bytes, tag }])
+            }
+            Op::Isend { to, bytes, tag } => Call::new(
+                MpiOp::Isend,
+                send(bytes),
+                &[Step::Post { to, bytes, tag }, Step::Request { recv: None }],
+            ),
+            Op::Sendrecv {
+                to,
+                from,
+                bytes,
+                tag,
+            } => Call::new(
+                MpiOp::Sendrecv,
+                send(bytes),
+                &[Step::Post { to, bytes, tag }, Step::Match { from, tag }],
+            ),
+            Op::Recv { from, tag } => {
+                Call::new(MpiOp::Recv, MPI_ENTRY_COST, &[Step::Match { from, tag }])
+            }
+            Op::Irecv { from, tag } => {
+                let recv = Some((from, tag));
+                Call::new(MpiOp::Irecv, MPI_ENTRY_COST, &[Step::Request { recv }])
+            }
+            Op::Wait { req } => {
+                let req = Some(req);
+                Call::new(MpiOp::Wait, MPI_ENTRY_COST, &[Step::Await { req }])
+            }
+            Op::Waitall => Call::new(MpiOp::Waitall, MPI_ENTRY_COST, &[Step::Await { req: None }]),
+            _ => {
+                let (op, root, bytes) = op.collective()?;
+                Call::new(op, MPI_ENTRY_COST, &[Step::Join { op, root, bytes }])
+            }
+        })
     }
 
     /// Drives a *running* thread's script forward. Cuts events for
@@ -785,361 +828,90 @@ impl Simulator {
     /// thread needs CPU (arming its timer), blocks, or finishes.
     fn advance(&mut self, t: ThreadIdx) -> Result<()> {
         loop {
-            // Daemon threads run a fixed burst instead of a script.
+            // Daemon threads run a fixed burst instead of a script, then
+            // cut an interrupt and sleep for a period.
             if self.threads[t].daemon {
-                match self.threads[t].phase {
-                    0 => {
-                        self.threads[t].phase = 1;
-                        let d = self.threads[t].need.max(self.cfg.daemon_burst);
-                        self.demand_cpu(t, d);
-                        return Ok(());
-                    }
-                    _ => {
-                        let node = self.threads[t].node;
-                        let l = self.local_now(node);
-                        let logical = self.threads[t].logical;
-                        self.facilities[node as usize].cut_system(
-                            l,
-                            EventCode::Interrupt,
-                            logical,
-                        )?;
-                        self.threads[t].phase = 0;
-                        self.threads[t].need = Duration::ZERO;
-                        let next = self.now + self.cfg.daemon_period;
-                        self.schedule(next, Ev::DaemonWake { thread: t });
-                        let ThreadState::Running { cpu } = self.threads[t].state else {
-                            unreachable!()
-                        };
-                        let node = self.threads[t].node;
-                        self.undispatch(t)?;
-                        self.threads[t].state = ThreadState::Blocked(BlockReason::Sleep);
-                        self.fill_cpu(node, cpu)?;
-                        return Ok(());
-                    }
+                if self.threads[t].phase == 0 {
+                    self.threads[t].phase = 1;
+                    self.demand_cpu(t, self.cfg.daemon_burst);
+                    return Ok(());
                 }
+                self.cut_system(t, EventCode::Interrupt)?;
+                self.threads[t].phase = 0;
+                self.schedule(
+                    self.now + self.cfg.daemon_period,
+                    Ev::DaemonWake { thread: t },
+                );
+                return self.block(t, BlockReason::Sleep);
             }
 
             let pc = self.threads[t].pc;
             if pc >= self.threads[t].ops.len() {
-                return self.finish_thread(t);
+                return self.leave_cpu(t, ThreadState::Done);
             }
             let op = self.threads[t].ops[pc].clone();
-            let phase = self.threads[t].phase;
-            match (&op, phase) {
-                (Op::Compute(d), 0) => {
+            let phase = self.threads[t].phase as usize;
+
+            // Every MPI op: BEGIN and the entry CPU, the body one step
+            // per phase, then END.
+            if let Some(call) = self.call(&op) {
+                if phase == 0 {
+                    self.cut_mpi(t, call.op, true, self.mpi_payload(t))?;
                     self.threads[t].phase = 1;
-                    self.demand_cpu(t, *d);
+                    self.demand_cpu(t, call.entry);
                     return Ok(());
                 }
-                (Op::Compute(_), _) => {
-                    self.step_pc(t);
+                match call.body.get(phase - 1).copied().flatten() {
+                    Some(step) => {
+                        if !self.run_step(t, step)? {
+                            return Ok(());
+                        }
+                    }
+                    None => {
+                        let p = self.end_payload(t, &op)?;
+                        self.cut_mpi(t, call.op, false, p)?;
+                        if matches!(op, Op::Waitall) {
+                            self.threads[t].requests.clear();
+                            self.posted_recvs
+                                .iter_mut()
+                                .for_each(|q| q.retain(|&(ti, _)| ti != t));
+                        }
+                        self.step_pc(t);
+                    }
                 }
+                continue;
+            }
 
-                (Op::Sendrecv { bytes, .. }, 0) => {
-                    self.cut_mpi(t, MpiOp::Sendrecv, true, self.mpi_payload(t))?;
+            // I/O blocks without CPU between its two records.
+            if let Op::Io(d) = op {
+                if phase == 0 {
+                    self.cut_system(t, EventCode::IoStart)?;
                     self.threads[t].phase = 1;
-                    let d = MPI_ENTRY_COST + self.cfg.network.send_time(*bytes);
-                    self.demand_cpu(t, d);
-                    return Ok(());
+                    self.schedule(self.now + d, Ev::IoComplete { thread: t });
+                    return self.block(t, BlockReason::Io);
                 }
-                (Op::Sendrecv { to, bytes, tag, .. }, 1) => {
-                    let seq = self.post_message(t, *to, *bytes, *tag);
-                    self.threads[t].stash_seq = seq;
-                    self.threads[t].phase = 2;
-                    // fall through to the receive attempt on the next spin
-                }
-                (Op::Sendrecv { from, tag, .. }, 2) => {
-                    let rank = self.threads[t].rank.expect("sendrecv on daemon");
-                    if let Some(m) = self.take_from_mailbox(rank, *from, *tag) {
-                        self.threads[t].stash_msg = Some(m);
-                        self.threads[t].phase = 3;
-                        let d = self.cfg.network.overhead
-                            + Duration(
-                                self.cfg.network.transfer_time(self.msgs[m].bytes).ticks() / 4,
-                            );
-                        self.demand_cpu(t, d);
-                        return Ok(());
-                    }
-                    return self.block(
-                        t,
-                        BlockReason::Recv {
-                            from: *from,
-                            tag: *tag,
-                        },
-                    );
-                }
-                (Op::Sendrecv { to, bytes, tag, .. }, _) => {
-                    // The receive phase only advances here after a message
-                    // was stashed; its absence means the engine's own
-                    // bookkeeping broke, which must surface as an error,
-                    // not a panic inside a long simulation.
-                    let Some(m) = self.threads[t].stash_msg.take() else {
-                        return Err(UteError::Invalid(format!(
-                            "sendrecv on thread {t} completed without a matched message"
-                        )));
-                    };
-                    let mut p = self.mpi_payload(t);
-                    p.peer = *to;
-                    p.tag = *tag;
-                    p.bytes = *bytes;
-                    // The record's sequence number is the outgoing one; the
-                    // incoming message's own seq matched it to our mailbox.
-                    p.seq = self.threads[t].stash_seq;
-                    let _ = self.msgs[m].bytes;
-                    self.cut_mpi(t, MpiOp::Sendrecv, false, p)?;
-                    self.step_pc(t);
-                }
+                self.cut_system(t, EventCode::IoEnd)?;
+                self.step_pc(t);
+                continue;
+            }
 
-                (Op::Send { bytes, .. }, 0) => {
-                    self.cut_mpi(t, MpiOp::Send, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    let d = MPI_ENTRY_COST + self.cfg.network.send_time(*bytes);
-                    self.demand_cpu(t, d);
-                    return Ok(());
-                }
-                (Op::Send { to, bytes, tag }, _) => {
-                    let seq = self.post_message(t, *to, *bytes, *tag);
-                    let mut p = self.mpi_payload(t);
-                    p.peer = *to;
-                    p.tag = *tag;
-                    p.bytes = *bytes;
-                    p.seq = seq;
-                    self.cut_mpi(t, MpiOp::Send, false, p)?;
-                    self.step_pc(t);
-                }
-
-                (Op::Isend { bytes, .. }, 0) => {
-                    self.cut_mpi(t, MpiOp::Isend, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    let d = MPI_ENTRY_COST + self.cfg.network.send_time(*bytes);
-                    self.demand_cpu(t, d);
-                    return Ok(());
-                }
-                (Op::Isend { to, bytes, tag }, _) => {
-                    let seq = self.post_message(t, *to, *bytes, *tag);
-                    self.threads[t].requests.push(Request {
-                        recv_sig: None,
-                        complete: true,
-                        msg: None,
-                        awaited: false,
-                    });
-                    let mut p = self.mpi_payload(t);
-                    p.peer = *to;
-                    p.tag = *tag;
-                    p.bytes = *bytes;
-                    p.seq = seq;
-                    self.cut_mpi(t, MpiOp::Isend, false, p)?;
-                    self.step_pc(t);
-                }
-
-                (Op::Irecv { .. }, 0) => {
-                    self.cut_mpi(t, MpiOp::Irecv, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    self.demand_cpu(t, MPI_ENTRY_COST);
-                    return Ok(());
-                }
-                (Op::Irecv { from, tag }, _) => {
-                    let rank = self.threads[t].rank.expect("irecv on daemon");
-                    let req = self.threads[t].requests.len();
-                    self.threads[t].requests.push(Request {
-                        recv_sig: Some((*from, *tag)),
-                        complete: false,
-                        msg: None,
-                        awaited: false,
-                    });
-                    // Match an already-arrived message if present.
-                    if let Some(m) = self.take_from_mailbox(rank, *from, *tag) {
-                        let r = &mut self.threads[t].requests[req];
-                        r.complete = true;
-                        r.msg = Some(m);
-                    } else {
-                        self.posted_recvs[rank as usize].push_back((t, req));
-                    }
-                    let mut p = self.mpi_payload(t);
-                    p.peer = *from;
-                    p.tag = *tag;
-                    self.cut_mpi(t, MpiOp::Irecv, false, p)?;
-                    self.step_pc(t);
-                }
-
-                (Op::Recv { .. }, 0) => {
-                    self.cut_mpi(t, MpiOp::Recv, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    self.demand_cpu(t, MPI_ENTRY_COST);
-                    return Ok(());
-                }
-                (Op::Recv { from, tag }, 1) => {
-                    let rank = self.threads[t].rank.expect("recv on daemon");
-                    if let Some(m) = self.take_from_mailbox(rank, *from, *tag) {
-                        self.threads[t].stash_msg = Some(m);
-                        self.threads[t].phase = 2;
-                        // Copy cost proportional to message size.
-                        let d = self.cfg.network.overhead
-                            + Duration(
-                                self.cfg.network.transfer_time(self.msgs[m].bytes).ticks() / 4,
-                            );
-                        self.demand_cpu(t, d);
-                        return Ok(());
-                    }
-                    return self.block(
-                        t,
-                        BlockReason::Recv {
-                            from: *from,
-                            tag: *tag,
-                        },
-                    );
-                }
-                (Op::Recv { from, tag }, _) => {
-                    let Some(m) = self.threads[t].stash_msg.take() else {
-                        return Err(UteError::Invalid(format!(
-                            "recv on thread {t} completed without a matched message"
-                        )));
-                    };
-                    let mut p = self.mpi_payload(t);
-                    p.peer = *from;
-                    p.tag = *tag;
-                    p.bytes = self.msgs[m].bytes;
-                    p.seq = self.msgs[m].seq;
-                    self.cut_mpi(t, MpiOp::Recv, false, p)?;
-                    self.step_pc(t);
-                }
-
-                (Op::Wait { .. } | Op::Waitall, 0) => {
-                    let op_kind = if matches!(op, Op::Waitall) {
-                        MpiOp::Waitall
-                    } else {
-                        MpiOp::Wait
-                    };
-                    self.cut_mpi(t, op_kind, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    self.demand_cpu(t, MPI_ENTRY_COST);
-                    return Ok(());
-                }
-                (Op::Wait { req }, 1) => {
-                    let ri = *req as usize;
-                    if ri >= self.threads[t].requests.len() {
-                        return Err(UteError::Invalid(format!(
-                            "Wait on request {ri} but only {} posted",
-                            self.threads[t].requests.len()
-                        )));
-                    }
-                    for r in &mut self.threads[t].requests {
-                        r.awaited = false;
-                    }
-                    self.threads[t].requests[ri].awaited = true;
-                    if self.threads[t].requests[ri].complete {
-                        self.threads[t].phase = 2;
-                        continue;
-                    }
-                    return self.block(t, BlockReason::Wait);
-                }
-                (Op::Waitall, 1) => {
-                    for r in &mut self.threads[t].requests {
-                        r.awaited = true;
-                    }
-                    if self.wait_satisfied(t) {
-                        self.threads[t].phase = 2;
-                        continue;
-                    }
-                    return self.block(t, BlockReason::Wait);
-                }
-                (Op::Wait { req }, _) => {
-                    let ri = *req as usize;
-                    let mut p = self.mpi_payload(t);
-                    if let Some(m) = self.threads[t].requests[ri].msg {
-                        p.bytes = self.msgs[m].bytes;
-                        p.seq = self.msgs[m].seq;
-                        p.peer = self.msgs[m].src;
-                        p.tag = self.msgs[m].tag;
-                    }
-                    self.cut_mpi(t, MpiOp::Wait, false, p)?;
-                    self.step_pc(t);
-                }
-                (Op::Waitall, _) => {
-                    self.cut_mpi(t, MpiOp::Waitall, false, self.mpi_payload(t))?;
-                    self.threads[t].requests.clear();
-                    self.posted_recvs
-                        .iter_mut()
-                        .for_each(|q| q.retain(|&(ti, _)| ti != t));
-                    self.step_pc(t);
-                }
-
-                (
-                    Op::Init
-                    | Op::Finalize
-                    | Op::Barrier
-                    | Op::Bcast { .. }
-                    | Op::Reduce { .. }
-                    | Op::Allreduce { .. }
-                    | Op::Alltoall { .. }
-                    | Op::Gather { .. }
-                    | Op::Scatter { .. }
-                    | Op::Allgather { .. },
-                    0,
-                ) => {
-                    let (mpi_op, _, _) = collective_parts(&op);
-                    self.cut_mpi(t, mpi_op, true, self.mpi_payload(t))?;
-                    self.threads[t].phase = 1;
-                    self.demand_cpu(t, MPI_ENTRY_COST);
-                    return Ok(());
-                }
-                (
-                    Op::Init
-                    | Op::Finalize
-                    | Op::Barrier
-                    | Op::Bcast { .. }
-                    | Op::Reduce { .. }
-                    | Op::Allreduce { .. }
-                    | Op::Alltoall { .. }
-                    | Op::Gather { .. }
-                    | Op::Scatter { .. }
-                    | Op::Allgather { .. },
-                    1,
-                ) => {
-                    return self.enter_collective(t, &op);
-                }
-                (
-                    Op::Init
-                    | Op::Finalize
-                    | Op::Barrier
-                    | Op::Bcast { .. }
-                    | Op::Reduce { .. }
-                    | Op::Allreduce { .. }
-                    | Op::Alltoall { .. }
-                    | Op::Gather { .. }
-                    | Op::Scatter { .. }
-                    | Op::Allgather { .. },
-                    _,
-                ) => {
-                    let (mpi_op, root, bytes) = collective_parts(&op);
-                    let mut p = self.mpi_payload(t);
-                    p.peer = root;
-                    p.bytes = bytes;
-                    self.cut_mpi(t, mpi_op, false, p)?;
-                    self.step_pc(t);
-                }
-
-                (Op::MarkerBegin(name), _) => {
+            // The rest cut at most one record, then burn CPU.
+            if phase > 0 {
+                self.step_pc(t);
+                continue;
+            }
+            let cost = match &op {
+                Op::Compute(d) => *d,
+                Op::MarkerBegin(name) => {
                     let node = self.threads[t].node;
                     let rank = self.threads[t].rank.unwrap_or(u32::MAX);
                     let l = self.local_now(node);
                     let id = self.facilities[node as usize].define_marker(l, rank, name)?;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_marker(
-                        l,
-                        logical,
-                        id,
-                        0x4000 + id as u64,
-                        true,
-                    )?;
+                    self.cut_marker(t, id, true)?;
                     self.threads[t].open_markers.push((name.clone(), id));
-                    self.threads[t].phase = 1;
-                    self.step_pc(t);
-                    self.demand_cpu(t, MARKER_COST);
-                    return Ok(());
+                    MARKER_COST
                 }
-                (Op::MarkerEnd(name), _) => {
+                Op::MarkerEnd(name) => {
                     let pos = self.threads[t]
                         .open_markers
                         .iter()
@@ -1148,61 +920,126 @@ impl Simulator {
                             UteError::Invalid(format!("MarkerEnd(\"{name}\") without begin"))
                         })?;
                     let (_, id) = self.threads[t].open_markers.remove(pos);
-                    let node = self.threads[t].node;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_marker(
-                        l,
-                        logical,
-                        id,
-                        0x8000 + id as u64,
-                        false,
-                    )?;
-                    self.threads[t].phase = 1;
-                    self.step_pc(t);
-                    self.demand_cpu(t, MARKER_COST);
-                    return Ok(());
+                    self.cut_marker(t, id, false)?;
+                    MARKER_COST
                 }
+                Op::Syscall => {
+                    self.cut_system(t, EventCode::Syscall)?;
+                    SYSCALL_COST
+                }
+                Op::PageFault => {
+                    self.cut_system(t, EventCode::PageFault)?;
+                    PAGE_FAULT_COST
+                }
+                other => unreachable!("{other:?} is a call or I/O"),
+            };
+            self.threads[t].phase = 1;
+            self.demand_cpu(t, cost);
+            return Ok(());
+        }
+    }
 
-                (Op::Syscall, _) => {
-                    let node = self.threads[t].node;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_system(l, EventCode::Syscall, logical)?;
-                    self.threads[t].phase = 1;
-                    self.step_pc(t);
-                    self.demand_cpu(t, SYSCALL_COST);
-                    return Ok(());
+    /// Runs one body step; `Ok(true)` when it completed at this instant
+    /// and the next phase runs at once, `Ok(false)` when the thread is
+    /// burning CPU or blocked. A blocked step is retried on wakeup,
+    /// except `Join`, which a completed collective resumes past.
+    fn run_step(&mut self, t: ThreadIdx, step: Step) -> Result<bool> {
+        match step {
+            Step::Post { to, bytes, tag } => {
+                self.threads[t].stash_seq = self.post_message(t, to, bytes, tag);
+            }
+            Step::Match { from, tag } => {
+                let rank = self.threads[t].rank.expect("receive on daemon");
+                let Some(m) = self.take_from_mailbox(rank, from, tag) else {
+                    self.block(t, BlockReason::Recv { from, tag })?;
+                    return Ok(false);
+                };
+                self.threads[t].stash_msg = Some(m);
+                self.threads[t].phase += 1;
+                // Copy cost proportional to message size.
+                let net = &self.cfg.network;
+                let copy =
+                    net.overhead + Duration(net.transfer_time(self.msgs[m].bytes).ticks() / 4);
+                self.demand_cpu(t, copy);
+                return Ok(false);
+            }
+            Step::Request { recv } => {
+                let req = self.threads[t].requests.len();
+                let mut msg = None;
+                if let Some((from, tag)) = recv {
+                    let rank = self.threads[t].rank.expect("irecv on daemon");
+                    msg = self.take_from_mailbox(rank, from, tag);
+                    if msg.is_none() {
+                        self.posted_recvs[rank as usize].push_back((t, req));
+                    }
                 }
-                (Op::PageFault, _) => {
-                    let node = self.threads[t].node;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_system(l, EventCode::PageFault, logical)?;
-                    self.threads[t].phase = 1;
-                    self.step_pc(t);
-                    self.demand_cpu(t, PAGE_FAULT_COST);
-                    return Ok(());
+                self.threads[t].requests.push(Request {
+                    recv_sig: recv,
+                    msg,
+                });
+            }
+            Step::Await { req } => {
+                let posted = self.threads[t].requests.len();
+                if let Some(ri) = req.filter(|&ri| ri as usize >= posted) {
+                    return Err(UteError::Invalid(format!(
+                        "Wait on request {ri} but only {posted} posted"
+                    )));
                 }
+                if !self.wait_satisfied(t, req) {
+                    self.block(t, BlockReason::Wait { req })?;
+                    return Ok(false);
+                }
+            }
+            Step::Join { op, root, bytes } => {
+                self.threads[t].phase += 1;
+                self.join_collective(t, op, root, bytes)?;
+                return Ok(false);
+            }
+        }
+        self.threads[t].phase += 1;
+        Ok(true)
+    }
 
-                (Op::Io(d), 0) => {
-                    let node = self.threads[t].node;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_system(l, EventCode::IoStart, logical)?;
-                    self.threads[t].phase = 1;
-                    self.schedule(self.now + *d, Ev::IoComplete { thread: t });
-                    return self.block(t, BlockReason::Io);
+    /// The END record's payload: the call's peer, tag and bytes, and what
+    /// its body learned — the posted sequence number, the matched message.
+    fn end_payload(&mut self, t: ThreadIdx, op: &Op) -> Result<MpiPayload> {
+        let mut p = self.mpi_payload(t);
+        let th = &mut self.threads[t];
+        match *op {
+            // Sendrecv's record carries the outgoing seq; the incoming
+            // message's own seq matched it to our mailbox.
+            Op::Send { to, bytes, tag }
+            | Op::Isend { to, bytes, tag }
+            | Op::Sendrecv { to, bytes, tag, .. } => {
+                (p.peer, p.tag, p.bytes, p.seq) = (to, tag, bytes, th.stash_seq);
+            }
+            Op::Recv { from, tag } => {
+                // The step only advances here after a message was taken;
+                // its absence means the engine's own bookkeeping broke,
+                // which must surface as an error, not a panic inside a
+                // long simulation.
+                let Some(m) = th.stash_msg.take() else {
+                    return Err(UteError::Invalid(format!(
+                        "recv on thread {t} completed without a matched message"
+                    )));
+                };
+                let m = &self.msgs[m];
+                (p.peer, p.tag, p.bytes, p.seq) = (from, tag, m.bytes, m.seq);
+            }
+            Op::Irecv { from, tag } => (p.peer, p.tag) = (from, tag),
+            Op::Wait { req } => {
+                if let Some(m) = th.requests[req as usize].msg {
+                    let m = &self.msgs[m];
+                    (p.peer, p.tag, p.bytes, p.seq) = (m.src, m.tag, m.bytes, m.seq);
                 }
-                (Op::Io(_), _) => {
-                    let node = self.threads[t].node;
-                    let logical = self.threads[t].logical;
-                    let l = self.local_now(node);
-                    self.facilities[node as usize].cut_system(l, EventCode::IoEnd, logical)?;
-                    self.step_pc(t);
+            }
+            _ => {
+                if let Some((_, root, bytes)) = op.collective() {
+                    (p.peer, p.bytes) = (root, bytes);
                 }
             }
         }
+        Ok(p)
     }
 
     fn step_pc(&mut self, t: ThreadIdx) {
@@ -1221,7 +1058,6 @@ impl Simulator {
             tag,
             bytes,
             seq,
-            consumed: false,
         });
         let arrive = self.now + self.cfg.network.latency;
         self.schedule(arrive, Ev::MsgArrive { msg });
@@ -1230,39 +1066,34 @@ impl Simulator {
 
     fn take_from_mailbox(&mut self, rank: u32, from: u32, tag: u32) -> Option<usize> {
         let q = &mut self.mailbox[rank as usize];
-        let pos = q.iter().position(|&m| {
-            !self.msgs[m].consumed && self.msgs[m].src == from && self.msgs[m].tag == tag
-        })?;
-        let m = q.remove(pos);
-        self.msgs[m].consumed = true;
-        Some(m)
+        let pos = q
+            .iter()
+            .position(|&m| self.msgs[m].src == from && self.msgs[m].tag == tag)?;
+        Some(q.remove(pos))
     }
 
-    fn enter_collective(&mut self, t: ThreadIdx, op: &Op) -> Result<()> {
-        let (mpi_op, root, bytes) = collective_parts(op);
+    /// Registers the thread's arrival at its next collective and blocks
+    /// it; the last arrival schedules the completion.
+    fn join_collective(&mut self, t: ThreadIdx, op: MpiOp, root: u32, bytes: u64) -> Result<()> {
         let key = self.threads[t].coll_seq;
         self.threads[t].coll_seq += 1;
         let ntasks = self.cfg.total_tasks();
-        let now = self.now;
         let entry = self.colls.entry(key).or_insert_with(|| CollState {
-            op: mpi_op,
+            op,
             root,
             bytes,
             arrived: Vec::new(),
-            latest: now,
-            done: false,
         });
-        if entry.op != mpi_op || entry.root != root || entry.bytes != bytes {
+        if entry.op != op || entry.root != root || entry.bytes != bytes {
             return Err(UteError::Invalid(format!(
                 "collective mismatch at index {key}: {:?} root {} ({} B) vs {:?} root {} ({} B)",
-                entry.op, entry.root, entry.bytes, mpi_op, root, bytes
+                entry.op, entry.root, entry.bytes, op, root, bytes
             )));
         }
         entry.arrived.push(t);
-        entry.latest = entry.latest.max(now);
-        self.threads[t].phase = 2;
+        // The last arrival starts the collective's own time.
         if entry.arrived.len() == ntasks as usize {
-            let done_at = entry.latest + self.cfg.network.collective_time(ntasks, bytes);
+            let done_at = self.now + self.cfg.network.collective_time(ntasks, bytes);
             self.schedule(done_at, Ev::CollComplete { key });
         }
         self.block(t, BlockReason::Collective { key })
@@ -1277,22 +1108,6 @@ fn is_progress(ev: &Ev) -> bool {
             | Ev::CollComplete { .. }
             | Ev::IoComplete { .. }
     )
-}
-
-fn collective_parts(op: &Op) -> (MpiOp, u32, u64) {
-    match op {
-        Op::Init => (MpiOp::Init, u32::MAX, 0),
-        Op::Finalize => (MpiOp::Finalize, u32::MAX, 0),
-        Op::Barrier => (MpiOp::Barrier, u32::MAX, 0),
-        Op::Bcast { root, bytes } => (MpiOp::Bcast, *root, *bytes),
-        Op::Reduce { root, bytes } => (MpiOp::Reduce, *root, *bytes),
-        Op::Allreduce { bytes } => (MpiOp::Allreduce, u32::MAX, *bytes),
-        Op::Alltoall { bytes } => (MpiOp::Alltoall, u32::MAX, *bytes),
-        Op::Gather { root, bytes } => (MpiOp::Gather, *root, *bytes),
-        Op::Scatter { root, bytes } => (MpiOp::Scatter, *root, *bytes),
-        Op::Allgather { bytes } => (MpiOp::Allgather, u32::MAX, *bytes),
-        other => unreachable!("not a collective: {other:?}"),
-    }
 }
 
 #[cfg(test)]

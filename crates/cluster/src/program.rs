@@ -5,6 +5,7 @@
 //! matching the paper's sPPM setup: "There were four threads per MPI
 //! process, one of which made MPI calls").
 
+use ute_core::event::MpiOp;
 use ute_core::time::Duration;
 
 /// One operation of a simulated thread.
@@ -126,39 +127,23 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether executing this op may block the thread (descheduling it).
-    pub fn may_block(&self) -> bool {
-        matches!(
-            self,
-            Op::Init
-                | Op::Finalize
-                | Op::Sendrecv { .. }
-                | Op::Recv { .. }
-                | Op::Wait { .. }
-                | Op::Waitall
-                | Op::Barrier
-                | Op::Bcast { .. }
-                | Op::Reduce { .. }
-                | Op::Allreduce { .. }
-                | Op::Alltoall { .. }
-                | Op::Gather { .. }
-                | Op::Scatter { .. }
-                | Op::Allgather { .. }
-                | Op::Io(_)
-        )
-    }
-
-    /// Whether this is any MPI call.
-    pub fn is_mpi(&self) -> bool {
-        !matches!(
-            self,
-            Op::Compute(_)
-                | Op::MarkerBegin(_)
-                | Op::MarkerEnd(_)
-                | Op::Syscall
-                | Op::PageFault
-                | Op::Io(_)
-        )
+    /// The collective routine this op calls, its root (`u32::MAX` when
+    /// it has none) and its bytes per task; `None` for any other op.
+    pub fn collective(&self) -> Option<(MpiOp, u32, u64)> {
+        const NONE: u32 = u32::MAX;
+        Some(match *self {
+            Op::Init => (MpiOp::Init, NONE, 0),
+            Op::Finalize => (MpiOp::Finalize, NONE, 0),
+            Op::Barrier => (MpiOp::Barrier, NONE, 0),
+            Op::Bcast { root, bytes } => (MpiOp::Bcast, root, bytes),
+            Op::Reduce { root, bytes } => (MpiOp::Reduce, root, bytes),
+            Op::Allreduce { bytes } => (MpiOp::Allreduce, NONE, bytes),
+            Op::Alltoall { bytes } => (MpiOp::Alltoall, NONE, bytes),
+            Op::Gather { root, bytes } => (MpiOp::Gather, root, bytes),
+            Op::Scatter { root, bytes } => (MpiOp::Scatter, root, bytes),
+            Op::Allgather { bytes } => (MpiOp::Allgather, NONE, bytes),
+            _ => return None,
+        })
     }
 }
 
@@ -212,40 +197,6 @@ impl JobProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocking_classification() {
-        assert!(Op::Recv { from: 0, tag: 0 }.may_block());
-        assert!(Op::Barrier.may_block());
-        assert!(Op::Io(Duration::from_millis(1)).may_block());
-        assert!(!Op::Send {
-            to: 0,
-            bytes: 10,
-            tag: 0
-        }
-        .may_block());
-        assert!(!Op::Compute(Duration::from_millis(1)).may_block());
-        assert!(!Op::Isend {
-            to: 0,
-            bytes: 1,
-            tag: 0
-        }
-        .may_block());
-    }
-
-    #[test]
-    fn mpi_classification() {
-        assert!(Op::Send {
-            to: 0,
-            bytes: 0,
-            tag: 0
-        }
-        .is_mpi());
-        assert!(Op::Allreduce { bytes: 8 }.is_mpi());
-        assert!(!Op::Compute(Duration::ZERO).is_mpi());
-        assert!(!Op::MarkerBegin("x".into()).is_mpi());
-        assert!(!Op::Io(Duration::ZERO).is_mpi());
-    }
 
     #[test]
     fn spmd_builder() {
