@@ -1,13 +1,13 @@
 //! §2.1's cost claim: "the average cost of cutting a trace record is
 //! fairly small (a small fraction of one micro second) for the first two
 //! parts". This bench measures the *actual implementation* cost of the
-//! buffer insertion path (enable test + encode + insert) per record.
+//! buffer insertion path (enable test + encode in place) per record.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ute_core::event::EventCode;
 use ute_core::time::LocalTime;
 use ute_rawtrace::buffer::{TraceBuffer, TraceOptions};
-use ute_rawtrace::record::{DispatchPayload, RawEvent};
+use ute_rawtrace::record::DispatchPayload;
 
 fn bench_cut(c: &mut Criterion) {
     let mut group = c.benchmark_group("record_cut");
@@ -28,8 +28,8 @@ fn bench_cut(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 1;
-            let ev = RawEvent::new(EventCode::ThreadDispatch, LocalTime(t), payload.clone());
-            buf.cut(&ev, false).unwrap()
+            buf.cut(EventCode::ThreadDispatch, LocalTime(t), &payload, false)
+                .unwrap()
         })
     });
 
@@ -40,8 +40,8 @@ fn bench_cut(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 1;
-            let ev = RawEvent::new(EventCode::Syscall, LocalTime(t), payload.clone());
-            buf.cut(&ev, false).unwrap()
+            buf.cut(EventCode::Syscall, LocalTime(t), &payload, false)
+                .unwrap()
         })
     });
     group.finish();

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use ute_clock::ratio::RatioEstimator;
 use ute_cluster::Simulator;
-use ute_convert::{convert_job_pooled, ConvertOptions};
+use ute_convert::{convert_nodes, ConvertOptions, ConvertOutput, RawRecords};
 use ute_core::error::{PathContext, Result, UteError};
 use ute_core::ids::NodeId;
 use ute_core::mmap::{map_file, FileBytes};
@@ -15,8 +15,10 @@ use ute_faults::FaultPlan;
 use ute_format::codecio::{read_thread_table_file, thread_table_to_bytes};
 use ute_format::file::{FramePolicy, IntervalFileReader};
 use ute_format::profile::Profile;
+use ute_format::thread_table::ThreadTable;
 use ute_merge::{merge_files_jobs, slogmerge_jobs, MergeOptions};
-use ute_rawtrace::file::{RawTraceFile, HEADER_LEN};
+use ute_rawtrace::file::{map_raw_file, RawTraceFile, HEADER_LEN};
+use ute_rawtrace::view::{salvage_views, RawTraceView, SalvagedViews};
 use ute_slog::builder::BuildOptions;
 use ute_stats::predefined::predefined_tables;
 use ute_stats::{parse_program, run_tables};
@@ -154,23 +156,22 @@ pub(crate) fn trace_outputs(
     }
     let res = {
         let _span = ute_obs::Span::enter("trace", format!("simulate {name}"));
-        Simulator::new(w.config, &w.job)?.run()?
+        Simulator::new(w.config, &w.job)?.run_bytes()?
     };
-    let _span = ute_obs::Span::enter("rawtrace", "encode raw files");
+    let nodes = res.raw_bytes.len();
     let mut faulted = 0usize;
     let mut suppressed = 0usize;
     let mut artifacts = Vec::new();
     let mut removes = Vec::new();
-    for f in &res.raw_files {
-        let fname = RawTraceFile::file_name("trace", f.node);
+    for (node, bytes) in (0u16..).zip(res.raw_bytes) {
+        let fname = RawTraceFile::file_name("trace", NodeId(node));
         match &plan {
-            None => artifacts.push((fname, f.to_bytes()?)),
+            None => artifacts.push((fname, bytes)),
             Some(plan) => {
-                let node = f.node.raw();
                 if plan.for_node(node).next().is_some() {
                     faulted += 1;
                 }
-                match plan.apply_to_file(node, f.to_bytes()?, HEADER_LEN) {
+                match plan.apply_to_file(node, bytes, HEADER_LEN) {
                     Some(bytes) => artifacts.push((fname, bytes)),
                     None => {
                         suppressed += 1;
@@ -188,8 +189,7 @@ pub(crate) fn trace_outputs(
     ));
     artifacts.push(("profile.ute".to_string(), Profile::standard().to_bytes()));
     let mut msg = format!(
-        "traced {name}: {} nodes, {} records, {:.6}s simulated, overhead {}\n",
-        res.raw_files.len(),
+        "traced {name}: {nodes} nodes, {} records, {:.6}s simulated, overhead {}\n",
         res.stats.events_cut,
         res.stats.end_time.as_secs_f64(),
         res.stats.trace_overhead,
@@ -252,64 +252,95 @@ fn scan_trace_files(dir: &Path, ext: &str, salvage: bool) -> Result<(Vec<u16>, V
     }
 }
 
-/// Loads a trace directory's raw files. In salvage mode, files past a
-/// hole are still found, unreadable files are dropped with a warning,
-/// and the last return value lists the nodes that could not be loaded;
-/// strict mode fails on the first hole or unreadable file.
+/// One present node of a trace directory, its raw file and the file's
+/// bytes (or why they could not be mapped).
+type RawFile = (u16, PathBuf, Result<FileBytes>);
+
+/// What a trace directory's raw files are read with: its thread table,
+/// its profile, each raw file mapped whole (nothing decoded yet), and
+/// the nodes missing from the numbering. Strict mode stops mapping at
+/// the first file it cannot map.
 fn load_raw_dir(
     dir: &Path,
     salvage: bool,
-) -> Result<(
-    Vec<RawTraceFile>,
-    ute_format::thread_table::ThreadTable,
-    Profile,
-    Vec<u16>,
-)> {
-    let _span = ute_obs::Span::enter("rawtrace", format!("load {}", dir.display()));
+) -> Result<(ThreadTable, Profile, Vec<RawFile>, Vec<u16>)> {
     let threads = read_thread_table_file(&dir.join("threads.utt"))?;
     let profile = Profile::read_from(&dir.join("profile.ute"))?;
-    let (present, mut lost) = scan_trace_files(dir, "raw", salvage)?;
+    let (present, lost) = scan_trace_files(dir, "raw", salvage)?;
     let mut files = Vec::new();
-    for &node in &present {
-        let p = dir.join(RawTraceFile::file_name("trace", NodeId(node)));
-        if salvage {
-            match RawTraceFile::read_from_salvage(&p) {
-                Ok((f, report)) => {
-                    if !report.is_clean() {
-                        eprintln!(
-                            "ute: warning: salvage: {}: kept {} records, skipped {} \
-                             ({} bytes, {} resyncs{})",
-                            p.display(),
-                            report.records,
-                            report.records_skipped,
-                            report.bytes_skipped,
-                            report.resyncs,
-                            if report.truncated_tail {
-                                ", truncated tail"
-                            } else {
-                                ""
-                            },
-                        );
-                    }
-                    files.push(f);
-                }
-                Err(e) => {
-                    eprintln!("ute: warning: salvage: dropping {}: {e}", p.display());
-                    lost.push(node);
-                }
-            }
-        } else {
-            files.push(RawTraceFile::read_from(&p).in_file(&p)?);
+    for node in present {
+        let path = dir.join(RawTraceFile::file_name("trace", NodeId(node)));
+        let bytes = map_raw_file(&path);
+        let unmapped = bytes.is_err();
+        files.push((node, path, bytes));
+        if unmapped && !salvage {
+            break;
         }
     }
-    if files.is_empty() {
-        return Err(UteError::NotFound(format!(
-            "no trace.N.raw files in {}",
-            dir.display()
-        )));
+    Ok((threads, profile, files, lost))
+}
+
+/// Strict reading: every file must hold its declared records whole. The
+/// first file in node order that cannot be mapped or opened is the
+/// error, named — a file that opens is read before a later one that
+/// failed to map, as reading file by file would.
+fn strict_views(files: &mut Vec<RawFile>) -> Result<Vec<RawTraceView<'_>>> {
+    // The loader stopped at the first file it could not map: every file
+    // before it mapped.
+    let unmapped = files.pop_if(|(_, _, bytes)| bytes.is_err());
+    let mut views = Vec::with_capacity(files.len());
+    for (_, path, bytes) in files.iter() {
+        let _span = ute_obs::Span::enter("rawtrace", format!("read {}", path.display()));
+        if let Ok(bytes) = bytes {
+            views.push(RawTraceView::open(bytes).in_file(path)?);
+        }
+    }
+    match unmapped {
+        Some((_, path, Err(e))) => Err(e).in_file(&path),
+        _ => Ok(views),
+    }
+}
+
+/// Salvage reading: each file yields what its resync scan recovers, a
+/// warning naming any damage; a file that cannot be mapped, or whose
+/// header is gone, is dropped with a warning and its node joins `lost`.
+fn salvaged_views(files: &[RawFile], mut lost: Vec<u16>) -> (Vec<SalvagedViews<'_>>, Vec<u16>) {
+    let mut views = Vec::with_capacity(files.len());
+    for (node, p, bytes) in files {
+        let _span = ute_obs::Span::enter("rawtrace", format!("salvage read {}", p.display()));
+        let read = match bytes {
+            Ok(bytes) => salvage_views(bytes).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        match read {
+            Ok(sv) => {
+                let report = &sv.report;
+                if !report.is_clean() {
+                    eprintln!(
+                        "ute: warning: salvage: {}: kept {} records, skipped {} \
+                         ({} bytes, {} resyncs{})",
+                        p.display(),
+                        report.records,
+                        report.records_skipped,
+                        report.bytes_skipped,
+                        report.resyncs,
+                        if report.truncated_tail {
+                            ", truncated tail"
+                        } else {
+                            ""
+                        },
+                    );
+                }
+                views.push(sv);
+            }
+            Err(e) => {
+                eprintln!("ute: warning: salvage: dropping {}: {e}", p.display());
+                lost.push(*node);
+            }
+        }
     }
     lost.sort_unstable();
-    Ok((files, threads, profile, lost))
+    (views, lost)
 }
 
 /// What every ingest stage reads: the trace directory, the worker count,
@@ -349,15 +380,41 @@ fn convert(ing: &Ingest) -> Result<String> {
     Ok(so.msg)
 }
 
-/// The convert stage as pure data (see [`trace_outputs`]).
-pub(crate) fn convert_outputs(ing: &Ingest) -> Result<stages::StageOutput> {
-    let (files, threads, profile, lost) = load_raw_dir(&ing.dir, ing.salvage)?;
+/// Converts what a trace directory's raw files were read into: views
+/// over each file's mapping go straight to the matcher.
+fn convert_views<R: RawRecords>(
+    views: &[R],
+    ing: &Ingest,
+    threads: &ThreadTable,
+    profile: &Profile,
+) -> Result<Vec<ConvertOutput>> {
+    if views.is_empty() {
+        return Err(UteError::NotFound(format!(
+            "no trace.N.raw files in {}",
+            ing.dir.display()
+        )));
+    }
     let copts = ConvertOptions {
         policy: FramePolicy::default(),
         lenient: ing.salvage,
         salvage: ing.salvage,
     };
-    let outputs = convert_job_pooled(&files, &threads, &profile, &copts, ing.jobs)?;
+    convert_nodes(views, threads, profile, &copts, ing.jobs)
+}
+
+/// The convert stage as pure data (see [`trace_outputs`]).
+pub(crate) fn convert_outputs(ing: &Ingest) -> Result<stages::StageOutput> {
+    let load = ute_obs::Span::enter("rawtrace", format!("load {}", ing.dir.display()));
+    let (threads, profile, mut files, lost) = load_raw_dir(&ing.dir, ing.salvage)?;
+    let (outputs, lost) = if ing.salvage {
+        let (views, lost) = salvaged_views(&files, lost);
+        drop(load);
+        (convert_views(&views, ing, &threads, &profile)?, lost)
+    } else {
+        let views = strict_views(&mut files)?;
+        drop(load);
+        (convert_views(&views, ing, &threads, &profile)?, lost)
+    };
     let mut msg = String::new();
     let mut artifacts = Vec::new();
     for o in outputs {

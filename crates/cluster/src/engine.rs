@@ -260,6 +260,18 @@ pub struct SimResult {
     pub stats: SimStats,
 }
 
+/// [`SimResult`] with each node's raw file as the bytes its trace buffer
+/// holds: what `ute trace` publishes, with nothing decoded.
+#[derive(Debug)]
+pub struct SimBytes {
+    /// Per-node encoded raw trace files, indexed by node.
+    pub raw_bytes: Vec<Vec<u8>>,
+    /// Ground-truth thread table (what the convert utility rebuilds).
+    pub threads: ThreadTable,
+    /// Run statistics.
+    pub stats: SimStats,
+}
+
 /// The simulator.
 pub struct Simulator {
     cfg: ClusterConfig,
@@ -396,8 +408,24 @@ impl Simulator {
         self.clocks[node as usize].read(self.now)
     }
 
-    /// Runs the job to completion.
-    pub fn run(mut self) -> Result<SimResult> {
+    /// Runs the job to completion, decoding each node's raw file: the
+    /// adapter over [`Simulator::run_bytes`] for whoever wants events.
+    pub fn run(self) -> Result<SimResult> {
+        let SimBytes {
+            raw_bytes,
+            threads,
+            stats,
+        } = self.run_bytes()?;
+        let raw_files = raw_bytes.iter().map(|b| RawTraceFile::from_bytes(b));
+        Ok(SimResult {
+            raw_files: raw_files.collect::<Result<_>>()?,
+            threads,
+            stats,
+        })
+    }
+
+    /// Runs the job to completion; each node's raw file comes back encoded.
+    pub fn run_bytes(mut self) -> Result<SimBytes> {
         // Trace start + initial clock sample per node.
         for node in 0..self.cfg.nodes {
             let l = self.local_now(node);
@@ -471,13 +499,8 @@ impl Simulator {
         ute_obs::counter("cluster/messages").add(self.stats.messages);
         ute_obs::counter("cluster/collectives").add(self.stats.collectives);
         ute_obs::counter("cluster/dispatches").add(self.stats.dispatches);
-        let raw_files = self
-            .facilities
-            .into_iter()
-            .map(|f| f.finish())
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SimResult {
-            raw_files,
+        Ok(SimBytes {
+            raw_bytes: self.facilities.into_iter().map(|f| f.finish()).collect(),
             threads: self.thread_table,
             stats: self.stats,
         })

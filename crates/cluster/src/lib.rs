@@ -25,12 +25,14 @@
 //!   facility does.
 //!
 //! Running a [`program::JobProgram`] through [`engine::Simulator`] yields
-//! one raw trace file per node plus the ground-truth thread table.
+//! one raw trace file per node, as the bytes each node's trace buffer
+//! encoded ([`Simulator::run_bytes`]) or decoded ([`Simulator::run`]),
+//! plus the ground-truth thread table.
 
 pub mod config;
 pub mod engine;
 pub mod program;
 
 pub use config::{ClusterConfig, NetworkModel};
-pub use engine::{SimResult, SimStats, Simulator};
+pub use engine::{SimBytes, SimResult, SimStats, Simulator};
 pub use program::{JobProgram, Op, TaskProgram};

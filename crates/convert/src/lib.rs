@@ -36,7 +36,9 @@ use ute_format::thread_table::ThreadTable;
 use ute_rawtrace::file::RawTraceFile;
 
 pub use marker::MarkerMap;
-pub use matcher::{convert_node, convert_node_opts, ConvertOptions, ConvertOutput, ConvertStats};
+pub use matcher::{
+    convert_node, convert_node_opts, ConvertOptions, ConvertOutput, ConvertStats, RawRecords,
+};
 
 /// Converts a whole job's raw trace files into per-node interval files
 /// under the default [`ConvertOptions`] and the given frame policy: on
@@ -60,6 +62,18 @@ pub fn convert_job(
     convert_job_pooled(files, threads, profile, &opts, jobs)
 }
 
+/// [`convert_nodes`] over decoded files: the owned adapter, kept for
+/// the benchmark and as the oracle the view route is compared against.
+pub fn convert_job_pooled(
+    files: &[RawTraceFile],
+    threads: &ThreadTable,
+    profile: &Profile,
+    opts: &ConvertOptions,
+    jobs: usize,
+) -> Result<Vec<ConvertOutput>> {
+    convert_nodes(files, threads, profile, opts, jobs)
+}
+
 /// Converts a whole job's raw trace files on `jobs` workers
 /// ([`map_ordered`]: one item per node file, results in input order).
 ///
@@ -68,8 +82,8 @@ pub fn convert_job(
 /// is then a pure function of `(file, tables, opts)` — workers share no
 /// mutable state — so the output vector is identical for every `jobs`
 /// value; only wall time changes.
-pub fn convert_job_pooled(
-    files: &[RawTraceFile],
+pub fn convert_nodes<R: RawRecords>(
+    files: &[R],
     threads: &ThreadTable,
     profile: &Profile,
     opts: &ConvertOptions,
@@ -82,7 +96,7 @@ pub fn convert_job_pooled(
     map_ordered(files, jobs, |_, file| {
         let _span = ute_obs::Span::enter_under(
             "pipeline",
-            format!("convert worker node {}", file.node.raw()),
+            format!("convert worker node {}", file.node().raw()),
             parent,
         );
         convert_node_opts(file, threads, profile, &markers, opts)

@@ -9,8 +9,9 @@ use std::collections::HashMap;
 
 use ute_core::error::Result;
 use ute_core::event::EventCode;
-use ute_rawtrace::file::RawTraceFile;
 use ute_rawtrace::record::MarkerDefPayload;
+
+use crate::matcher::RawRecords;
 
 /// Job-wide marker identifier assignment.
 #[derive(Debug, Clone, Default)]
@@ -25,12 +26,12 @@ pub struct MarkerMap {
 
 impl MarkerMap {
     /// Scans all files' MarkerDef records.
-    pub fn build(files: &[RawTraceFile]) -> Result<MarkerMap> {
+    pub fn build<R: RawRecords>(files: &[R]) -> Result<MarkerMap> {
         let mut m = MarkerMap::default();
         for f in files {
-            for e in &f.events {
+            for e in f.records() {
                 if e.code == EventCode::MarkerDef {
-                    let def = MarkerDefPayload::from_bytes(&e.payload)?;
+                    let def = MarkerDefPayload::from_bytes(e.payload)?;
                     let next = m.by_name.len() as u32 + 1;
                     let id = *m.by_name.entry(def.name.clone()).or_insert_with(|| {
                         m.names.push((next, def.name.clone()));
@@ -74,6 +75,7 @@ mod tests {
     use super::*;
     use ute_core::ids::NodeId;
     use ute_core::time::LocalTime;
+    use ute_rawtrace::file::RawTraceFile;
     use ute_rawtrace::record::RawEvent;
 
     fn def(rank: u32, local_id: u32, name: &str, t: u64) -> RawEvent {
@@ -120,7 +122,7 @@ mod tests {
 
     #[test]
     fn empty_files_empty_map() {
-        let m = MarkerMap::build(&[]).unwrap();
+        let m = MarkerMap::build::<RawTraceFile>(&[]).unwrap();
         assert!(m.is_empty());
     }
 }

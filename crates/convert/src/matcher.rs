@@ -30,10 +30,49 @@ use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
 use ute_format::value::Value;
 use ute_rawtrace::file::RawTraceFile;
-use ute_rawtrace::record::{ClockPayload, DispatchPayload, MarkerPayload, MpiPayload};
+use ute_rawtrace::record::{ClockPayload, DispatchPayload, MarkerPayload, MpiPayload, RawEvent};
+use ute_rawtrace::view::{RawEventView, RawTraceView, SalvagedViews};
 
 use crate::marker::MarkerMap;
 use crate::node_threads;
+
+/// One node's raw records as the converter reads them: views over the
+/// file's bytes — validated whole ([`RawTraceView`]) or salvaged
+/// ([`SalvagedViews`]) — or, through the same loop, decoded events
+/// ([`RawTraceFile`], the owned adapter).
+pub trait RawRecords: Sync {
+    /// The node that cut the records.
+    fn node(&self) -> NodeId;
+    /// The records, in cut order.
+    fn records(&self) -> impl Iterator<Item = RawEventView<'_>>;
+}
+
+impl RawRecords for RawTraceView<'_> {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn records(&self) -> impl Iterator<Item = RawEventView<'_>> {
+        self.events()
+    }
+}
+
+impl RawRecords for SalvagedViews<'_> {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn records(&self) -> impl Iterator<Item = RawEventView<'_>> {
+        self.events.iter().copied()
+    }
+}
+
+impl RawRecords for RawTraceFile {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn records(&self) -> impl Iterator<Item = RawEventView<'_>> {
+        self.events.iter().map(RawEvent::view)
+    }
+}
 
 /// Conversion options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -219,6 +258,9 @@ fn mpi_extras(p: &MpiPayload, op: MpiOp) -> StateExtras {
 /// every transition reads, and where the pieces go.
 struct Matcher<'a> {
     writer: IntervalFileWriter<'a>,
+    /// The record each piece is filled into before the writer encodes
+    /// it: one per node, its extras cleared and refilled in place.
+    scratch: Interval,
     profile: &'a Profile,
     fills: Vec<Fill>,
     node: NodeId,
@@ -250,14 +292,13 @@ impl Event<'_, '_> {
     ) -> Result<()> {
         let m = &mut *self.m;
         let itype = IntervalType { state, bebits };
-        let mut iv = Interval::basic(
-            itype,
-            start.ticks(),
-            self.now.ticks().saturating_sub(start.ticks()),
-            cpu,
-            m.node,
-            self.thread,
-        );
+        let iv = &mut m.scratch;
+        iv.itype = itype;
+        iv.start = start.ticks();
+        iv.duration = self.now.ticks().saturating_sub(start.ticks());
+        iv.cpu = cpu;
+        iv.thread = self.thread;
+        iv.extras.clear();
         // Fill the fields the profile demands for this state. A type
         // without a spec gets no extras: the writer then rejects it.
         let spec = m.profile.specs.get(&itype.to_u32());
@@ -277,7 +318,7 @@ impl Event<'_, '_> {
             };
             iv.extras.push((f.name_idx, v));
         }
-        m.writer.push(&iv)?;
+        m.writer.push(iv)?;
         m.stats.intervals_out += 1;
         Ok(())
     }
@@ -549,8 +590,8 @@ fn on<'m, 'a>(
 
 /// Converts one node's raw trace into a per-node interval file
 /// (strict mode; see [`convert_node_opts`] for partial traces).
-pub fn convert_node(
-    file: &RawTraceFile,
+pub fn convert_node<R: RawRecords>(
+    file: &R,
     threads: &ThreadTable,
     profile: &Profile,
     markers: &MarkerMap,
@@ -568,15 +609,16 @@ pub fn convert_node(
     )
 }
 
-/// Converts one node's raw trace with explicit options.
-pub fn convert_node_opts(
-    file: &RawTraceFile,
+/// Converts one node's raw trace with explicit options: the one
+/// matcher loop, over views of the file's bytes or of decoded events.
+pub fn convert_node_opts<R: RawRecords>(
+    file: &R,
     threads: &ThreadTable,
     profile: &Profile,
     markers: &MarkerMap,
     opts: &ConvertOptions,
 ) -> Result<ConvertOutput> {
-    let node = file.node;
+    let node = file.node();
     let _span = ute_obs::Span::enter("convert", format!("convert node {}", node.raw()));
     let table = node_threads(threads, node);
     let writer = IntervalFileWriter::new(
@@ -587,9 +629,17 @@ pub fn convert_node_opts(
         markers.table(),
         opts.policy,
     );
-    let trace_start = file.events.first().map_or(LocalTime(0), |e| e.timestamp);
+    let trace_start = file.records().next().map_or(LocalTime(0), |e| e.timestamp);
     let mut m = Matcher {
         writer,
+        scratch: Interval::basic(
+            IntervalType::complete(StateCode::RUNNING),
+            0,
+            0,
+            CpuId(0),
+            node,
+            LogicalThreadId(0),
+        ),
         profile,
         fills: fills(profile),
         node,
@@ -600,10 +650,10 @@ pub fn convert_node_opts(
     };
     let mut cursors = Cursors::new();
     let mut last_time = LocalTime(0);
-    for ev in &file.events {
+    for ev in file.records() {
         m.stats.events_in += 1;
         last_time = last_time.max(ev.timestamp);
-        m.step(&mut cursors, ev.code, ev.timestamp, &ev.payload)?;
+        m.step(&mut cursors, ev.code, ev.timestamp, ev.payload)?;
     }
     // Force-close anything still open at the end of the trace: on each
     // thread its Running burst, then its stack from the top, every piece

@@ -11,14 +11,23 @@
 //! the buffer either flushes to the backing store (the common mode) or
 //! drops further records (single-buffer mode), with drops counted so the
 //! loss is visible.
+//!
+//! Buffer and backing store are one byte vector laid out as the node's
+//! raw file (header, flushed records, records in flight): a record is
+//! encoded in place once, and a flush only moves the boundary between
+//! flushed and in-flight bytes (DESIGN "Raw records are bytes").
 
+use ute_core::codec::ByteWriter;
 use ute_core::error::Result;
-use ute_core::event::EventClass;
-use ute_core::time::LocalTime;
+use ute_core::event::{EventClass, EventCode};
+use ute_core::ids::NodeId;
+use ute_core::time::{LocalTime, TICKS_PER_SEC};
 use ute_faults::FaultPlan;
 
 use crate::cost::{CostLedger, CostModel};
-use crate::record::RawEvent;
+use crate::file::{put_header, HEADER_LEN};
+use crate::hookword::FIXED_PREFIX;
+use crate::record::put_record;
 
 /// What happens when the trace buffer fills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,10 +97,14 @@ impl TraceOptions {
 #[derive(Debug)]
 pub struct TraceBuffer {
     opts: TraceOptions,
-    /// Current in-flight buffer contents.
-    buf: ute_core::codec::ByteWriter,
-    /// Flushed output (becomes the raw file body).
-    flushed: Vec<u8>,
+    /// The node's raw file so far: header, flushed records, in-flight
+    /// records.
+    file: ByteWriter,
+    /// End of the flushed records: the in-flight buffer starts here.
+    flushed_to: u64,
+    /// Records in `file`, and how many of them lie before `flushed_to`.
+    records: u64,
+    flushed_records: u64,
     /// Number of flushes performed.
     pub flush_count: u64,
     /// Records dropped (StopWhenFull mode, or cut before delayed start).
@@ -126,8 +139,9 @@ impl TraceBuffer {
         TraceBuffer::with_node(opts, 0)
     }
 
-    /// [`TraceBuffer::new`] for a specific node: buffer-level faults in
-    /// `opts.faults` planned for other nodes are ignored.
+    /// [`TraceBuffer::new`] for a specific node, whose id the file's
+    /// header carries: buffer-level faults in `opts.faults` planned for
+    /// other nodes are ignored.
     pub fn with_node(opts: TraceOptions, node: u16) -> TraceBuffer {
         let drop_flushes = opts
             .faults
@@ -135,9 +149,13 @@ impl TraceBuffer {
             .map(|p| p.dropped_flushes(node))
             .unwrap_or_default();
         let clock_jump = opts.faults.as_ref().and_then(|p| p.clock_jump(node));
+        let mut file = ByteWriter::with_capacity(HEADER_LEN + opts.buffer_size.min(1 << 16));
+        put_header(&mut file, NodeId(node), TICKS_PER_SEC, 0);
         TraceBuffer {
-            buf: ute_core::codec::ByteWriter::with_capacity(opts.buffer_size.min(1 << 16)),
-            flushed: Vec::new(),
+            flushed_to: file.pos(),
+            file,
+            records: 0,
+            flushed_records: 0,
             flush_count: 0,
             dropped: 0,
             ledger: CostLedger::default(),
@@ -155,11 +173,6 @@ impl TraceBuffer {
         }
     }
 
-    /// The options this buffer was built with.
-    pub fn options(&self) -> &TraceOptions {
-        &self.opts
-    }
-
     /// Turns tracing off (records are dropped but still cost the enable
     /// test).
     pub fn stop(&mut self) {
@@ -171,24 +184,31 @@ impl TraceBuffer {
         self.active = true;
     }
 
-    /// Cuts a record. Returns `true` if it was inserted, `false` if it was
-    /// filtered (class disabled, before delayed start, tracing stopped, or
-    /// buffer full in [`BufferMode::StopWhenFull`]).
-    pub fn cut(&mut self, event: &RawEvent, wrapped: bool) -> Result<bool> {
-        if !self.active || !self.opts.class_enabled(event.code.class()) {
+    /// Cuts a record, encoding it in place. Returns `true` if it was
+    /// inserted, `false` if it was filtered (class disabled, before
+    /// delayed start, tracing stopped, or buffer full in
+    /// [`BufferMode::StopWhenFull`]).
+    pub fn cut(
+        &mut self,
+        code: EventCode,
+        timestamp: LocalTime,
+        payload: &[u8],
+        wrapped: bool,
+    ) -> Result<bool> {
+        if !self.active || !self.opts.class_enabled(code.class()) {
             self.ledger.charge_rejected(&self.opts.cost);
             return Ok(false);
         }
         if let Some(after) = self.opts.start_after {
-            if event.timestamp < after {
+            if timestamp < after {
                 self.ledger.charge_rejected(&self.opts.cost);
                 self.dropped += 1;
                 self.obs_dropped.inc();
                 return Ok(false);
             }
         }
-        let need = event.encoded_len();
-        if self.buf.pos() as usize + need > self.opts.buffer_size {
+        let need = (FIXED_PREFIX + payload.len()) as u64;
+        if self.file.pos() - self.flushed_to + need > self.opts.buffer_size as u64 {
             self.obs_fills.inc();
             match self.opts.mode {
                 BufferMode::Flush => self.flush(),
@@ -200,14 +220,15 @@ impl TraceBuffer {
                 }
             }
         }
-        match self.clock_jump {
+        // An injected clock jump steps the timestamp word as it is written.
+        let timestamp = match self.clock_jump {
             Some((after, delta)) if self.inserted >= after => {
-                let mut jumped = event.clone();
-                jumped.timestamp = LocalTime(event.timestamp.ticks().saturating_add_signed(delta));
-                jumped.encode(&mut self.buf)?;
+                LocalTime(timestamp.ticks().saturating_add_signed(delta))
             }
-            _ => event.encode(&mut self.buf)?,
-        }
+            _ => timestamp,
+        };
+        put_record(&mut self.file, code, timestamp, payload)?;
+        self.records += 1;
         self.inserted += 1;
         self.ledger.charge_cut(&self.opts.cost, wrapped);
         self.obs_cut.inc();
@@ -222,58 +243,52 @@ impl TraceBuffer {
     /// whole contiguous run of records silently lost, exactly what an
     /// asynchronous flush that never completed looks like on disk.
     pub fn flush(&mut self) {
-        if self.buf.pos() > 0 {
+        let pending = self.file.pos() - self.flushed_to;
+        if pending > 0 {
             if self.drop_flushes.contains(&(self.flush_count as u32)) {
                 ute_obs::counter("faults/flushes_dropped").inc();
                 self.dropped += 1;
+                self.file.truncate(self.flushed_to);
+                self.records = self.flushed_records;
             } else {
-                self.obs_bytes.add(self.buf.pos());
+                self.obs_bytes.add(pending);
                 self.obs_flushes.inc();
-                self.flushed.extend_from_slice(self.buf.as_bytes());
+                self.flushed_to = self.file.pos();
+                self.flushed_records = self.records;
             }
-            self.buf =
-                ute_core::codec::ByteWriter::with_capacity(self.opts.buffer_size.min(1 << 16));
             self.flush_count += 1;
         }
     }
 
-    /// Flushes and returns the complete raw byte stream of every record
-    /// cut so far.
+    /// Flushes and returns the node's raw file: the header, carrying the
+    /// count of records that survived, and every flushed record.
     pub fn finish(mut self) -> Vec<u8> {
         self.flush();
-        self.flushed
-    }
-
-    /// Bytes currently pending in the in-flight buffer.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.pos() as usize
+        self.file.patch_u64(HEADER_LEN as u64 - 8, self.records);
+        self.file.into_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ute_core::codec::ByteReader;
-    use ute_core::event::EventCode;
+    use crate::file::RawTraceFile;
+    use crate::record::RawEvent;
 
-    fn ev(t: u64) -> RawEvent {
-        RawEvent::new(EventCode::Syscall, LocalTime(t), vec![0; 4])
+    /// A 16-byte Syscall record at `t`.
+    fn cut(b: &mut TraceBuffer, t: u64, wrapped: bool) -> Result<bool> {
+        b.cut(EventCode::Syscall, LocalTime(t), &[0; 4], wrapped)
     }
 
-    fn decode_all(bytes: &[u8]) -> Vec<RawEvent> {
-        let mut r = ByteReader::new(bytes);
-        let mut out = Vec::new();
-        while !r.is_empty() {
-            out.push(RawEvent::decode(&mut r).unwrap());
-        }
-        out
+    fn decode_all(file: &[u8]) -> Vec<RawEvent> {
+        RawTraceFile::from_bytes(file).unwrap().events
     }
 
     #[test]
     fn cut_and_finish_round_trip() {
         let mut b = TraceBuffer::new(TraceOptions::default());
         for t in 0..100 {
-            assert!(b.cut(&ev(t), false).unwrap());
+            assert!(cut(&mut b, t, false).unwrap());
         }
         let events = decode_all(&b.finish());
         assert_eq!(events.len(), 100);
@@ -288,7 +303,7 @@ mod tests {
         };
         let mut b = TraceBuffer::new(opts);
         for t in 0..10 {
-            assert!(b.cut(&ev(t), false).unwrap());
+            assert!(cut(&mut b, t, false).unwrap());
         }
         assert!(
             b.flush_count >= 2,
@@ -308,7 +323,7 @@ mod tests {
         let mut b = TraceBuffer::new(opts);
         let mut inserted = 0;
         for t in 0..10 {
-            if b.cut(&ev(t), false).unwrap() {
+            if cut(&mut b, t, false).unwrap() {
                 inserted += 1;
             }
         }
@@ -322,13 +337,9 @@ mod tests {
         let opts = TraceOptions::default().with_classes(&[EventClass::Mpi]);
         let mut b = TraceBuffer::new(opts);
         // Syscall is System class — disabled.
-        assert!(!b.cut(&ev(1), false).unwrap());
-        let mpi = RawEvent::new(
-            EventCode::MpiBegin(ute_core::event::MpiOp::Send),
-            LocalTime(2),
-            vec![],
-        );
-        assert!(b.cut(&mpi, true).unwrap());
+        assert!(!cut(&mut b, 1, false).unwrap());
+        let mpi = EventCode::MpiBegin(ute_core::event::MpiOp::Send);
+        assert!(b.cut(mpi, LocalTime(2), &[], true).unwrap());
         assert_eq!(b.ledger.records_cut, 1);
         assert_eq!(b.ledger.tests_rejected, 1);
     }
@@ -340,8 +351,8 @@ mod tests {
             ..TraceOptions::default()
         };
         let mut b = TraceBuffer::new(opts);
-        assert!(!b.cut(&ev(10), false).unwrap());
-        assert!(b.cut(&ev(60), false).unwrap());
+        assert!(!cut(&mut b, 10, false).unwrap());
+        assert!(cut(&mut b, 60, false).unwrap());
         assert_eq!(b.dropped, 1);
         let events = decode_all(&b.finish());
         assert_eq!(events.len(), 1);
@@ -351,11 +362,11 @@ mod tests {
     #[test]
     fn stop_start_toggle() {
         let mut b = TraceBuffer::new(TraceOptions::default());
-        assert!(b.cut(&ev(1), false).unwrap());
+        assert!(cut(&mut b, 1, false).unwrap());
         b.stop();
-        assert!(!b.cut(&ev(2), false).unwrap());
+        assert!(!cut(&mut b, 2, false).unwrap());
         b.start();
-        assert!(b.cut(&ev(3), false).unwrap());
+        assert!(cut(&mut b, 3, false).unwrap());
         assert_eq!(decode_all(&b.finish()).len(), 2);
     }
 
@@ -368,7 +379,7 @@ mod tests {
         };
         let mut b = TraceBuffer::with_node(opts, 3);
         for t in 0..12 {
-            assert!(b.cut(&ev(t), false).unwrap());
+            assert!(cut(&mut b, t, false).unwrap());
         }
         let events = decode_all(&b.finish());
         // Flush 1 (records 4..8) vanished; every survivor is intact.
@@ -386,7 +397,7 @@ mod tests {
         };
         let mut b = TraceBuffer::with_node(opts, 2);
         for t in 0..12 {
-            b.cut(&ev(t), false).unwrap();
+            cut(&mut b, t, false).unwrap();
         }
         assert_eq!(decode_all(&b.finish()).len(), 12);
     }
@@ -399,7 +410,7 @@ mod tests {
         };
         let mut b = TraceBuffer::new(opts);
         for t in 0..10 {
-            b.cut(&ev(t), false).unwrap();
+            cut(&mut b, t, false).unwrap();
         }
         let events = decode_all(&b.finish());
         assert_eq!(events[4].timestamp, LocalTime(4));
@@ -410,8 +421,8 @@ mod tests {
     #[test]
     fn overhead_ledger_charges_costs() {
         let mut b = TraceBuffer::new(TraceOptions::default());
-        b.cut(&ev(1), false).unwrap();
-        b.cut(&ev(2), true).unwrap();
+        cut(&mut b, 1, false).unwrap();
+        cut(&mut b, 2, true).unwrap();
         let m = CostModel::default();
         assert_eq!(b.ledger.total, m.cut() + m.cut_wrapped());
     }

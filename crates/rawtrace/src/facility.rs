@@ -1,8 +1,11 @@
 //! The per-node tracing facility handle.
 //!
-//! This is what the simulator's node (or an instrumented program) holds: a
-//! thread-safe wrapper over the trace buffer with typed cut methods for
-//! every record the wrappers produce. It also owns:
+//! This is what the simulator's node (or an instrumented program) holds:
+//! the node's trace buffer behind typed cut methods for every record the
+//! wrappers produce. Each cut encodes its fixed-layout payload on the
+//! stack and the buffer copies it into the node's file in place, so
+//! cutting a record allocates nothing. One thread drives a facility
+//! (`&mut self`, no lock). It also owns:
 //!
 //! * the per-node **point-to-point sequence counter** — "The tracing
 //!   library also adds a unique sequence number to each point-to-point
@@ -14,7 +17,6 @@
 //!   receive different ids in different tasks and the convert utility must
 //!   re-unify them.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 use ute_core::error::Result;
@@ -23,27 +25,18 @@ use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
 use ute_core::time::{LocalTime, Time};
 
 use crate::buffer::{TraceBuffer, TraceOptions};
-use crate::file::RawTraceFile;
-use crate::record::{
-    ClockPayload, DispatchPayload, MarkerDefPayload, MarkerPayload, MpiPayload, RawEvent,
-};
+use crate::record::{ClockPayload, DispatchPayload, MarkerDefPayload, MarkerPayload, MpiPayload};
 
-struct Inner {
+/// The per-node tracing facility, driven by one thread.
+pub struct TraceFacility {
     buffer: TraceBuffer,
     /// Next point-to-point sequence number on this node, per task rank
     /// (each task numbers its own sends).
     next_seq: HashMap<u32, u64>,
-    /// Task-local marker ids: (rank, marker string) → local id. Ids are
-    /// assigned in call order per task, so identical strings may receive
-    /// different ids in different tasks.
-    marker_ids: HashMap<(u32, String), u32>,
-    next_marker_id: HashMap<u32, u32>,
-}
-
-/// Thread-safe per-node tracing facility.
-pub struct TraceFacility {
-    node: NodeId,
-    inner: Mutex<Inner>,
+    /// Task-local marker ids, per rank: marker string → local id. Ids are
+    /// assigned in call order per task (1, 2, ...), so identical strings
+    /// may receive different ids in different tasks.
+    marker_ids: HashMap<u32, HashMap<String, u32>>,
 }
 
 impl TraceFacility {
@@ -51,64 +44,54 @@ impl TraceFacility {
     /// narrowed to this node's buffer-level faults.
     pub fn new(node: NodeId, opts: TraceOptions) -> TraceFacility {
         TraceFacility {
-            node,
-            inner: Mutex::new(Inner {
-                buffer: TraceBuffer::with_node(opts, node.raw()),
-                next_seq: HashMap::new(),
-                marker_ids: HashMap::new(),
-                next_marker_id: HashMap::new(),
-            }),
+            buffer: TraceBuffer::with_node(opts, node.raw()),
+            next_seq: HashMap::new(),
+            marker_ids: HashMap::new(),
         }
-    }
-
-    /// The node this facility traces.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Allocates the next point-to-point sequence number for a sending
     /// task. The pair (sender rank, seq) is unique job-wide.
-    pub fn next_seq(&self, rank: u32) -> u64 {
-        let mut g = self.inner.lock();
-        let c = g.next_seq.entry(rank).or_insert(0);
+    pub fn next_seq(&mut self, rank: u32) -> u64 {
+        let c = self.next_seq.entry(rank).or_insert(0);
         *c += 1;
         *c
     }
 
     /// Defines (or looks up) a user marker string for a task, cutting a
     /// MarkerDef record on first definition. Returns the task-local id.
-    pub fn define_marker(&self, now: LocalTime, rank: u32, name: &str) -> Result<u32> {
-        let mut g = self.inner.lock();
-        if let Some(&id) = g.marker_ids.get(&(rank, name.to_string())) {
+    /// A lookup allocates nothing; a first definition allocates the key
+    /// and the record's payload.
+    pub fn define_marker(&mut self, now: LocalTime, rank: u32, name: &str) -> Result<u32> {
+        let ids = self.marker_ids.entry(rank).or_default();
+        if let Some(&id) = ids.get(name) {
             return Ok(id);
         }
-        let next = g.next_marker_id.entry(rank).or_insert(0);
-        *next += 1;
-        let id = *next;
-        g.marker_ids.insert((rank, name.to_string()), id);
+        let id = ids.len() as u32 + 1;
+        ids.insert(name.to_string(), id);
         let payload = MarkerDefPayload {
             local_id: id,
             rank,
             name: name.to_string(),
         };
-        let ev = RawEvent::new(EventCode::MarkerDef, now, payload.to_bytes());
-        g.buffer.cut(&ev, false)?;
+        self.buffer
+            .cut(EventCode::MarkerDef, now, &payload.to_bytes(), false)?;
         Ok(id)
     }
 
     /// Cuts a trace start/stop control record.
-    pub fn cut_control(&self, now: LocalTime, start: bool) -> Result<bool> {
+    pub fn cut_control(&mut self, now: LocalTime, start: bool) -> Result<bool> {
         let code = if start {
             EventCode::TraceStart
         } else {
             EventCode::TraceStop
         };
-        self.cut_raw(RawEvent::new(code, now, vec![]), false)
+        self.buffer.cut(code, now, &[], false)
     }
 
     /// Cuts a thread dispatch record.
     pub fn cut_dispatch(
-        &self,
+        &mut self,
         now: LocalTime,
         thread: LogicalThreadId,
         cpu: CpuId,
@@ -120,19 +103,20 @@ impl TraceFacility {
             EventCode::ThreadUndispatch
         };
         let payload = DispatchPayload { thread, cpu }.to_bytes();
-        self.cut_raw(RawEvent::new(code, now, payload), false)
+        self.buffer.cut(code, now, &payload, false)
     }
 
     /// Cuts a global-clock record pairing `global` with the record's own
     /// local timestamp `now`.
-    pub fn cut_clock(&self, now: LocalTime, global: Time) -> Result<bool> {
+    pub fn cut_clock(&mut self, now: LocalTime, global: Time) -> Result<bool> {
         let payload = ClockPayload { global }.to_bytes();
-        self.cut_raw(RawEvent::new(EventCode::GlobalClock, now, payload), false)
+        self.buffer
+            .cut(EventCode::GlobalClock, now, &payload, false)
     }
 
     /// Cuts a marker begin/end record.
     pub fn cut_marker(
-        &self,
+        &mut self,
         now: LocalTime,
         thread: LogicalThreadId,
         local_id: u32,
@@ -148,14 +132,13 @@ impl TraceFacility {
             thread,
             local_id,
             address,
-        }
-        .to_bytes();
-        self.cut_raw(RawEvent::new(code, now, payload), false)
+        };
+        self.buffer.cut(code, now, &payload.to_bytes(), false)
     }
 
     /// Cuts an MPI begin/end record (wrapper cost applies).
     pub fn cut_mpi(
-        &self,
+        &mut self,
         now: LocalTime,
         op: MpiOp,
         begin: bool,
@@ -166,12 +149,12 @@ impl TraceFacility {
         } else {
             EventCode::MpiEnd(op)
         };
-        self.cut_raw(RawEvent::new(code, now, payload.to_bytes()), true)
+        self.buffer.cut(code, now, &payload.to_bytes(), true)
     }
 
     /// Cuts a system-activity record (syscall, page fault, I/O, interrupt).
     pub fn cut_system(
-        &self,
+        &mut self,
         now: LocalTime,
         code: EventCode,
         thread: LogicalThreadId,
@@ -179,48 +162,31 @@ impl TraceFacility {
         let payload = DispatchPayload {
             thread,
             cpu: CpuId(0),
-        }
-        .to_bytes();
-        self.cut_raw(RawEvent::new(code, now, payload), false)
-    }
-
-    /// Cuts an arbitrary pre-built record.
-    pub fn cut_raw(&self, event: RawEvent, wrapped: bool) -> Result<bool> {
-        self.inner.lock().buffer.cut(&event, wrapped)
-    }
-
-    /// Suspends tracing (delayed-start / partial-trace workflows).
-    pub fn stop(&self) {
-        self.inner.lock().buffer.stop();
-    }
-
-    /// Resumes tracing.
-    pub fn start(&self) {
-        self.inner.lock().buffer.start();
+        };
+        self.buffer.cut(code, now, &payload.to_bytes(), false)
     }
 
     /// Total records cut so far.
     pub fn records_cut(&self) -> u64 {
-        self.inner.lock().buffer.ledger.records_cut
+        self.buffer.ledger.records_cut
     }
 
     /// Total modelled tracing overhead charged so far.
     pub fn overhead(&self) -> ute_core::time::Duration {
-        self.inner.lock().buffer.ledger.total
+        self.buffer.ledger.total
     }
 
-    /// Finishes tracing and produces the node's raw trace file.
-    pub fn finish(self) -> Result<RawTraceFile> {
-        let inner = self.inner.into_inner();
-        let body = inner.buffer.finish();
-        RawTraceFile::from_buffer_bytes(self.node, &body)
+    /// Finishes tracing: the node's raw file, encoded, as
+    /// [`crate::RawTraceFile::to_bytes`] would write its records.
+    pub fn finish(self) -> Vec<u8> {
+        self.buffer.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::MpiPayload;
+    use crate::file::RawTraceFile;
 
     fn facility() -> TraceFacility {
         TraceFacility::new(NodeId(1), TraceOptions::default())
@@ -228,7 +194,7 @@ mod tests {
 
     #[test]
     fn seq_numbers_are_per_rank_and_increasing() {
-        let f = facility();
+        let mut f = facility();
         assert_eq!(f.next_seq(0), 1);
         assert_eq!(f.next_seq(0), 2);
         assert_eq!(f.next_seq(1), 1);
@@ -237,7 +203,7 @@ mod tests {
 
     #[test]
     fn marker_definition_is_task_local_and_cut_once() {
-        let f = facility();
+        let mut f = facility();
         let a = f.define_marker(LocalTime(1), 0, "Initial Phase").unwrap();
         let a2 = f.define_marker(LocalTime(2), 0, "Initial Phase").unwrap();
         assert_eq!(a, a2);
@@ -246,7 +212,7 @@ mod tests {
         f.define_marker(LocalTime(3), 1, "Other").unwrap();
         let b = f.define_marker(LocalTime(4), 1, "Initial Phase").unwrap();
         assert_ne!(a, b);
-        let file = f.finish().unwrap();
+        let file = RawTraceFile::from_bytes(&f.finish()).unwrap();
         let defs: Vec<_> = file
             .events
             .iter()
@@ -257,7 +223,7 @@ mod tests {
 
     #[test]
     fn typed_cuts_produce_decodable_records() {
-        let f = facility();
+        let mut f = facility();
         f.cut_control(LocalTime(0), true).unwrap();
         f.cut_dispatch(LocalTime(5), LogicalThreadId(2), CpuId(1), true)
             .unwrap();
@@ -271,7 +237,7 @@ mod tests {
         .unwrap();
         f.cut_system(LocalTime(30), EventCode::PageFault, LogicalThreadId(2))
             .unwrap();
-        let file = f.finish().unwrap();
+        let file = RawTraceFile::from_bytes(&f.finish()).unwrap();
         assert_eq!(file.events.len(), 5);
         assert_eq!(file.events[0].code, EventCode::TraceStart);
         let d = DispatchPayload::from_bytes(&file.events[1].payload).unwrap();
@@ -283,7 +249,7 @@ mod tests {
 
     #[test]
     fn overhead_accumulates_per_cut() {
-        let f = facility();
+        let mut f = facility();
         f.cut_control(LocalTime(0), true).unwrap();
         let after_one = f.overhead();
         f.cut_mpi(
@@ -295,32 +261,5 @@ mod tests {
         .unwrap();
         assert!(f.overhead() > after_one);
         assert_eq!(f.records_cut(), 2);
-    }
-
-    #[test]
-    fn facility_is_shareable_across_threads() {
-        use std::sync::Arc;
-        let f = Arc::new(facility());
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || {
-                    for k in 0..100u64 {
-                        f.cut_system(
-                            LocalTime(i * 1000 + k),
-                            EventCode::Syscall,
-                            LogicalThreadId(i as u16),
-                        )
-                        .unwrap();
-                        f.next_seq(i as u32);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let f = Arc::try_unwrap(f).unwrap_or_else(|_| panic!("refs remain"));
-        assert_eq!(f.finish().unwrap().events.len(), 400);
     }
 }

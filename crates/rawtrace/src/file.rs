@@ -116,25 +116,10 @@ impl RawTraceFile {
         }
     }
 
-    /// Builds a file from the raw byte stream a [`crate::TraceBuffer`]
-    /// produced.
-    pub fn from_buffer_bytes(node: NodeId, body: &[u8]) -> Result<RawTraceFile> {
-        let mut r = ByteReader::new(body);
-        let mut events = Vec::new();
-        while !r.is_empty() {
-            events.push(RawEvent::decode(&mut r)?);
-        }
-        Ok(RawTraceFile::new(node, events))
-    }
-
     /// Serializes header + records.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION);
-        w.put_u16(self.node.raw());
-        w.put_u64(self.tick_rate);
-        w.put_u64(self.events.len() as u64);
+        put_header(&mut w, self.node, self.tick_rate, self.events.len() as u64);
         for e in &self.events {
             e.encode(&mut w)?;
         }
@@ -256,25 +241,19 @@ impl RawTraceFile {
         ))
     }
 
-    /// Writes the file to disk.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<()> {
-        std::fs::write(path, self.to_bytes()?)?;
-        Ok(())
-    }
-
-    /// Reads a file from disk, memory-mapping it where supported (see
-    /// [`ute_core::mmap::map_file`]) so decoding views never pays a
-    /// read-into-buffer copy of the whole file.
+    /// Reads a file from disk, memory-mapped where supported (see
+    /// [`map_raw_file`]) so decoding views never pays a read-into-buffer
+    /// copy of the whole file.
     pub fn read_from(path: &std::path::Path) -> Result<RawTraceFile> {
         let _span = ute_obs::Span::enter("rawtrace", format!("read {}", path.display()));
-        RawTraceFile::from_bytes(&map_counted(path)?)
+        RawTraceFile::from_bytes(&map_raw_file(path)?)
     }
 
     /// Reads a file from disk in salvage mode, memory-mapped where
     /// supported — the salvage resync scan runs directly on the mapping.
     pub fn read_from_salvage(path: &std::path::Path) -> Result<(RawTraceFile, SalvageReport)> {
         let _span = ute_obs::Span::enter("rawtrace", format!("salvage read {}", path.display()));
-        RawTraceFile::from_bytes_salvage(&map_counted(path)?)
+        RawTraceFile::from_bytes_salvage(&map_raw_file(path)?)
     }
 
     /// The conventional per-node file name: `<prefix>.<node>.raw`.
@@ -283,9 +262,20 @@ impl RawTraceFile {
     }
 }
 
+/// Writes the file header: `records` is the count of records that follow.
+pub(crate) fn put_header(w: &mut ByteWriter, node: NodeId, tick_rate: u64, records: u64) {
+    w.put_bytes(MAGIC);
+    w.put_u32(VERSION);
+    w.put_u16(node.raw());
+    w.put_u64(tick_rate);
+    w.put_u64(records);
+}
+
+/// Opens a raw file's bytes for [`crate::RawTraceView`] or
+/// [`crate::salvage_views`] to read in place:
 /// [`map_file`](ute_core::mmap::map_file), counting what was mapped
 /// (`ute-core` has no metrics registry to count in).
-fn map_counted(path: &std::path::Path) -> Result<ute_core::mmap::FileBytes> {
+pub fn map_raw_file(path: &std::path::Path) -> Result<ute_core::mmap::FileBytes> {
     let data = ute_core::mmap::map_file(path)?;
     if data.is_mapped() {
         ute_obs::counter("rawtrace/mmap_files").inc();
@@ -372,9 +362,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(RawTraceFile::file_name("t", NodeId(3)));
         let f = sample_file();
-        f.write_to(&path).unwrap();
-        let back = RawTraceFile::read_from(&path).unwrap();
+        std::fs::write(&path, f.to_bytes().unwrap()).unwrap();
+        let (back, report) = RawTraceFile::read_from_salvage(&path).unwrap();
         assert_eq!(back, f);
+        assert!(report.is_clean());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -506,17 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn buffer_bytes_round_trip() {
+    fn a_buffer_finishes_into_the_file_to_bytes_writes() {
         use crate::buffer::{TraceBuffer, TraceOptions};
-        let mut b = TraceBuffer::new(TraceOptions::default());
-        for t in 0..20 {
-            b.cut(
-                &RawEvent::new(EventCode::PageFault, LocalTime(t), vec![]),
-                false,
-            )
-            .unwrap();
+        let mut b = TraceBuffer::with_node(TraceOptions::default(), 3);
+        for e in &sample_file().events {
+            b.cut(e.code, e.timestamp, &e.payload, false).unwrap();
         }
-        let f = RawTraceFile::from_buffer_bytes(NodeId(0), &b.finish()).unwrap();
-        assert_eq!(f.events.len(), 20);
+        assert_eq!(b.finish(), sample_file().to_bytes().unwrap());
     }
 }

@@ -11,10 +11,12 @@
 //!   the typed payloads cut by the wrappers: thread dispatch, global-clock
 //!   samples, markers, and MPI call arguments.
 //! * [`buffer`] — the per-node trace buffer with configurable size, event
-//!   enable mask, delayed start, and flush accounting.
+//!   enable mask, delayed start, and flush accounting; records are
+//!   encoded once, in place, into the bytes of the node's raw file.
 //! * [`mod@file`] — the on-disk raw trace file, one per node; read from
-//!   disk through `ute_core::mmap::map_file`, so the view decoder runs
-//!   on the mapping.
+//!   disk through [`map_raw_file`], so the view decoder runs on the
+//!   mapping. The owned [`RawTraceFile`] is the decoding adapter for
+//!   tests, examples and the benchmark.
 //! * [`view`] — zero-copy decoding: validate record bounds once, then
 //!   hand out borrowed [`RawEventView`]s instead of copying per record;
 //!   salvage resync runs on the same views.
@@ -33,7 +35,7 @@ pub mod view;
 
 pub use buffer::{BufferMode, TraceBuffer, TraceOptions};
 pub use facility::TraceFacility;
-pub use file::{RawTraceFile, RawTraceReader, SalvageReport};
+pub use file::{map_raw_file, RawTraceFile, RawTraceReader, SalvageReport};
 pub use hookword::Hookword;
 pub use record::{
     ClockPayload, DispatchPayload, MarkerDefPayload, MarkerPayload, MpiPayload, RawEvent,

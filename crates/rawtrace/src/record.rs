@@ -13,6 +13,7 @@ use ute_core::ids::{CpuId, LogicalThreadId};
 use ute_core::time::{LocalTime, Time};
 
 use crate::hookword::Hookword;
+use crate::view::RawEventView;
 
 /// One raw trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,11 +28,11 @@ pub struct RawEvent {
 
 impl RawEvent {
     /// Builds an event with a raw payload.
-    pub fn new(code: EventCode, timestamp: LocalTime, payload: Vec<u8>) -> RawEvent {
+    pub fn new(code: EventCode, timestamp: LocalTime, payload: impl Into<Vec<u8>>) -> RawEvent {
         RawEvent {
             code,
             timestamp,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -42,11 +43,16 @@ impl RawEvent {
 
     /// Appends the record to a writer.
     pub fn encode(&self, w: &mut ByteWriter) -> Result<()> {
-        let hook = Hookword::new(self.code, self.payload.len())?;
-        w.put_u32(hook.to_u32());
-        w.put_u64(self.timestamp.ticks());
-        w.put_bytes(&self.payload);
-        Ok(())
+        put_record(w, self.code, self.timestamp, &self.payload)
+    }
+
+    /// Borrows the event as a view, the shape the converter reads.
+    pub fn view(&self) -> RawEventView<'_> {
+        RawEventView {
+            code: self.code,
+            timestamp: self.timestamp,
+            payload: &self.payload,
+        }
     }
 
     /// Reads one record from a reader — the owned layer over the
@@ -55,6 +61,35 @@ impl RawEvent {
     pub fn decode(r: &mut ByteReader<'_>) -> Result<RawEvent> {
         Ok(crate::view::decode_view(r)?.to_owned())
     }
+}
+
+/// Appends one record — hookword, timestamp, payload — to `w`: the one
+/// encoder of the record layout, under owned events and the trace
+/// buffer's cuts alike.
+pub(crate) fn put_record(
+    w: &mut ByteWriter,
+    code: EventCode,
+    timestamp: LocalTime,
+    payload: &[u8],
+) -> Result<()> {
+    let hook = Hookword::new(code, payload.len())?;
+    w.put_u32(hook.to_u32());
+    w.put_u64(timestamp.ticks());
+    w.put_bytes(payload);
+    Ok(())
+}
+
+/// Concatenates little-endian fields into a fixed-layout payload on the
+/// stack, so a typed cut encodes with no heap allocation.
+fn pack<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0; N];
+    let mut at = 0;
+    for f in fields {
+        out[at..at + f.len()].copy_from_slice(f);
+        at += f.len();
+    }
+    debug_assert_eq!(at, N, "payload layout");
+    out
 }
 
 /// Payload of [`EventCode::ThreadDispatch`] / [`EventCode::ThreadUndispatch`]:
@@ -68,12 +103,12 @@ pub struct DispatchPayload {
 }
 
 impl DispatchPayload {
-    /// Encodes to payload bytes.
-    pub fn to_bytes(self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(4);
-        w.put_u16(self.thread.raw());
-        w.put_u16(self.cpu.raw());
-        w.into_bytes()
+    /// Encodes to payload bytes, on the stack.
+    pub fn to_bytes(self) -> [u8; 4] {
+        pack(&[
+            &self.thread.raw().to_le_bytes(),
+            &self.cpu.raw().to_le_bytes(),
+        ])
     }
 
     /// Decodes from payload bytes.
@@ -96,11 +131,9 @@ pub struct ClockPayload {
 }
 
 impl ClockPayload {
-    /// Encodes to payload bytes.
-    pub fn to_bytes(self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(8);
-        w.put_u64(self.global.ticks());
-        w.into_bytes()
+    /// Encodes to payload bytes, on the stack.
+    pub fn to_bytes(self) -> [u8; 8] {
+        self.global.ticks().to_le_bytes()
     }
 
     /// Decodes from payload bytes.
@@ -160,13 +193,13 @@ pub struct MarkerPayload {
 }
 
 impl MarkerPayload {
-    /// Encodes to payload bytes.
-    pub fn to_bytes(self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(14);
-        w.put_u16(self.thread.raw());
-        w.put_u32(self.local_id);
-        w.put_u64(self.address);
-        w.into_bytes()
+    /// Encodes to payload bytes, on the stack.
+    pub fn to_bytes(self) -> [u8; 14] {
+        pack(&[
+            &self.thread.raw().to_le_bytes(),
+            &self.local_id.to_le_bytes(),
+            &self.address.to_le_bytes(),
+        ])
     }
 
     /// Decodes from payload bytes.
@@ -219,17 +252,17 @@ impl MpiPayload {
         }
     }
 
-    /// Encodes to payload bytes.
-    pub fn to_bytes(self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(38);
-        w.put_u16(self.thread.raw());
-        w.put_u32(self.rank);
-        w.put_u32(self.peer);
-        w.put_u32(self.tag);
-        w.put_u64(self.bytes);
-        w.put_u64(self.seq);
-        w.put_u64(self.address);
-        w.into_bytes()
+    /// Encodes to payload bytes, on the stack.
+    pub fn to_bytes(self) -> [u8; 38] {
+        pack(&[
+            &self.thread.raw().to_le_bytes(),
+            &self.rank.to_le_bytes(),
+            &self.peer.to_le_bytes(),
+            &self.tag.to_le_bytes(),
+            &self.bytes.to_le_bytes(),
+            &self.seq.to_le_bytes(),
+            &self.address.to_le_bytes(),
+        ])
     }
 
     /// Decodes from payload bytes.
