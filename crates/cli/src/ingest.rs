@@ -16,12 +16,13 @@ use ute_format::codecio::{read_thread_table_file, thread_table_to_bytes};
 use ute_format::file::{FramePolicy, IntervalFileReader};
 use ute_format::profile::Profile;
 use ute_format::thread_table::ThreadTable;
-use ute_merge::{merge_files_jobs, slogmerge_jobs, MergeOptions};
+use ute_merge::{merge_files_jobs, slog_of_merged, slogmerge_jobs, MergeOptions};
 use ute_rawtrace::file::{map_raw_file, RawTraceFile, HEADER_LEN};
 use ute_rawtrace::view::{salvage_views, RawTraceView, SalvagedViews};
 use ute_slog::builder::BuildOptions;
+use ute_slog::file::SlogFile;
 use ute_stats::predefined::predefined_tables;
-use ute_stats::{parse_program, run_tables};
+use ute_stats::{parse_program, run_tables_over};
 use ute_workloads::{flash, micro, patterns, scaling, sppm, Workload};
 
 use crate::{stages, Args};
@@ -492,9 +493,8 @@ fn merge_options(args: &Args) -> Result<MergeOptions> {
 /// when a node's file is missing or unreadable: the node is dropped,
 /// a zero-duration Gap pseudo-record marks it in the merged output,
 /// and `salvage/nodes_degraded` counts it. This command is the single
-/// place that counter is bumped, so a staged `ute pipeline` run (which
-/// also re-reads the files for slogmerge) counts each degraded node
-/// once.
+/// place that counter is bumped, so standalone `ute merge` then
+/// `ute slogmerge` over one directory count each degraded node once.
 pub(crate) fn cmd_merge(args: &Args) -> Result<String> {
     let out = Path::new(args.require("out")?);
     merge(&Ingest::from_args(args)?, merge_options(args)?, out)
@@ -575,8 +575,9 @@ fn slogmerge(ing: &Ingest, opts: MergeOptions, build: BuildOptions, out: &Path) 
     Ok(msg)
 }
 
-/// The slogmerge stage as pure data (see [`merge_outputs`]).
-pub(crate) fn slogmerge_outputs(
+/// The standalone slogmerge stage as pure data (see [`merge_outputs`]):
+/// the per-node files merged again, straight into the SLOG builder.
+fn slogmerge_outputs(
     ing: &Ingest,
     opts: MergeOptions,
     build: BuildOptions,
@@ -590,14 +591,34 @@ pub(crate) fn slogmerge_outputs(
     };
     let (slog, stats) = slogmerge_jobs(&refs, &profile, &opts, build, ing.jobs)
         .map_err(|e| e.name_input(&paths))?;
+    Ok(slog_message(stats.records_in, stats.records_out, &slog))
+}
+
+/// The slogmerge stage of `ute pipeline`: `run.slog` built from the
+/// `merged.ivl` the merge stage published under `opts` — one merge per
+/// run, the bytes standalone `ute slogmerge` writes.
+pub(crate) fn slog_of_merged_outputs(
+    dir: &Path,
+    opts: MergeOptions,
+    build: BuildOptions,
+) -> Result<(Vec<u8>, String)> {
+    let profile = Profile::read_from(&dir.join("profile.ute"))?;
+    let path = dir.join("merged.ivl");
+    let merged = map_file(&path).in_file(&path)?;
+    let reader = IntervalFileReader::open(&merged, &profile).in_file(&path)?;
+    let (slog, records) = slog_of_merged(&reader, &profile, &opts, build)?;
+    // With no thread filter, every record the merge read is in its stream.
+    Ok(slog_message(records, records, &slog))
+}
+
+/// The slogmerge stage's bytes and message.
+fn slog_message(records_in: u64, merged: u64, slog: &SlogFile) -> (Vec<u8>, String) {
     let msg = format!(
-        "slogmerge: {} records in, {} merged, {} frames, {} slog records\n",
-        stats.records_in,
-        stats.records_out,
+        "slogmerge: {records_in} records in, {merged} merged, {} frames, {} slog records\n",
         slog.frames.len(),
         slog.total_records()
     );
-    Ok((slog.to_bytes(), msg))
+    (slog.to_bytes(), msg)
 }
 
 /// The files `ute stats` reads and writes. Only `merged` is required:
@@ -629,9 +650,11 @@ fn stats(paths: &StatsPaths) -> Result<String> {
 }
 
 /// The stats stage's text (see [`trace_outputs`]); `out` tables are
-/// written directly, not published.
+/// written directly, not published. The tables are made in one walk over
+/// the merged file's records where they lie, `bin` over the span its
+/// frame directory states ([`run_tables_over`] checks it).
 pub(crate) fn stats_output(paths: &StatsPaths) -> Result<String> {
-    let read_span = ute_obs::Span::enter("format", "read + decode merged file");
+    let open_span = ute_obs::Span::enter("format", "open merged file");
     let merged_path = paths.merged.as_path();
     let merged = map_file(merged_path).in_file(merged_path)?;
     let profile_path = paths.profile.clone().unwrap_or_else(|| {
@@ -642,14 +665,18 @@ pub(crate) fn stats_output(paths: &StatsPaths) -> Result<String> {
     });
     let profile = Profile::read_from(&profile_path)?;
     let reader = IntervalFileReader::open(&merged, &profile).in_file(merged_path)?;
-    let intervals: Result<Vec<_>> = reader.intervals().collect();
-    let intervals = intervals.in_file(merged_path)?;
-    drop(read_span);
+    drop(open_span);
+    let walk = || reader.records().map(|rec| rec.in_file(merged_path));
     let specs = match &paths.program {
-        Some(p) => parse_program(&std::fs::read_to_string(p)?)?,
-        None => predefined_tables(),
-    };
-    let tables = run_tables(&specs, &profile, &intervals)?;
+        Some(p) => std::fs::read_to_string(p)
+            .map_err(UteError::from)
+            .and_then(|text| parse_program(&text)),
+        None => Ok(predefined_tables()),
+    }
+    // A damaged file is reported before a bad program.
+    .map_err(|e| walk().find_map(Result::err).unwrap_or(e))?;
+    let span = reader.time_span().ok().flatten();
+    let tables = run_tables_over(&specs, &profile, span, walk)?;
     let out_dir = paths.out.as_deref();
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)?;

@@ -365,7 +365,7 @@ fn drive(
         ingest::merge_outputs(&ing, MergeOptions::default()).map(|o| one("merged.ivl", o))
     })?);
     msg.push_str(&runner.run_stage("slogmerge", || {
-        ingest::slogmerge_outputs(&ing, MergeOptions::default(), BuildOptions::default())
+        ingest::slog_of_merged_outputs(&ing.dir, MergeOptions::default(), BuildOptions::default())
             .map(|o| one("run.slog", o))
     })?);
     let paths = StatsPaths {

@@ -52,4 +52,4 @@ pub use record::{Interval, IntervalType};
 pub use state::StateCode;
 pub use thread_table::{ThreadEntry, ThreadTable};
 pub use value::Value;
-pub use view::{Record, RecordFields, RecordView, Retimed};
+pub use view::{widen_span, Record, RecordFields, RecordView, Retimed};

@@ -387,6 +387,7 @@ mod tests {
     use crate::profile::{MASK_MERGED, MASK_PER_NODE};
     use crate::record::{write_record, IntervalType};
     use crate::state::StateCode;
+    use crate::view::RecordFields;
     use ute_core::bebits::BeBits;
     use ute_core::event::MpiOp;
     use ute_core::ids::{CpuId, LogicalThreadId};

@@ -25,7 +25,7 @@ use ute_core::codec::ByteWriter;
 use crate::datatype::FieldType;
 use crate::plan::{FieldKind, PlanField, RecordPlan};
 use crate::record::write_record_len;
-use crate::view::{LaidField, Layout, RecordView, Slot};
+use crate::view::{LaidField, Layout, RecordFields, RecordView, Slot};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {

@@ -121,6 +121,17 @@ impl Slot {
             _ => None,
         }
     }
+
+    /// `self.value(..).as_float()` without building the `Value`.
+    #[inline]
+    fn float(self, body: &[u8], at: usize) -> Option<f64> {
+        match (self.counter_len, self.ftype) {
+            (0, FieldType::I64) => Some(i64::from_le_bytes(bytes(body, at)) as f64),
+            (0, FieldType::F64) => Some(f64::from_le_bytes(bytes(body, at))),
+            (0, t) => Some(scalar(t, body, at) as f64),
+            _ => None,
+        }
+    }
 }
 
 /// An unsigned scalar of type `t` at `at`, widened.
@@ -348,54 +359,10 @@ impl<'a> RecordView<'a> {
         slot.map(|s| s.uint(self.body, self.at(s)).unwrap_or(0))
     }
 
-    /// State + bebits.
     #[inline]
-    pub fn itype(&self) -> IntervalType {
-        self.itype
-    }
-
-    /// Start timestamp, ticks.
-    #[inline]
-    pub fn start(&self) -> u64 {
-        self.common(self.layout.start).unwrap_or(0)
-    }
-
-    /// Duration, ticks.
-    #[inline]
-    pub fn duration(&self) -> u64 {
-        self.common(self.layout.dura).unwrap_or(0)
-    }
-
-    /// Processor id.
-    #[inline]
-    pub fn cpu(&self) -> CpuId {
-        CpuId(self.common(self.layout.cpu).unwrap_or(0) as u16)
-    }
-
-    /// Node id: the record's own field, or the file's node when the
-    /// field is masked out (per-node files).
-    #[inline]
-    pub fn node(&self) -> NodeId {
-        match self.common(self.layout.node) {
-            Some(n) => NodeId(n as u16),
-            None => self.default_node,
-        }
-    }
-
-    /// Logical thread id.
-    #[inline]
-    pub fn thread(&self) -> LogicalThreadId {
-        LogicalThreadId(self.common(self.layout.thread).unwrap_or(0) as u16)
-    }
-
-    /// The first extra field with this name index as an unsigned
-    /// integer — what `Interval::extra(..).and_then(Value::as_uint)`
-    /// returns on the decoded record.
-    #[inline]
-    pub fn extra_uint(&self, name_idx: u16) -> Option<u64> {
+    fn extra_slot(&self, name_idx: u16) -> Option<Slot> {
         let at = *self.layout.extra_at.get(name_idx as usize)?;
-        let (_, slot) = *self.layout.extras.get(at as usize)?;
-        slot.uint(self.body, self.at(slot))
+        Some(self.layout.extras.get(at as usize)?.1)
     }
 
     /// Materialises the record: exactly the [`Interval`] the reference
@@ -418,9 +385,9 @@ impl<'a> RecordView<'a> {
 }
 
 /// What a consumer that only reads fields asks of a record, whatever
-/// form the record is in. `extra_uint(i)` is
+/// form the record is in. `extra_uint(i)` / `extra_f64(i)` are
 /// `Interval::extras`' first entry with name index `i`, as an unsigned
-/// integer.
+/// integer / a float ([`Value::as_uint`] / [`Value::as_float`]).
 pub trait RecordFields {
     /// State + bebits.
     fn itype(&self) -> IntervalType;
@@ -442,7 +409,43 @@ pub trait RecordFields {
     /// The first extra field with this name index, as an unsigned
     /// integer.
     fn extra_uint(&self, name_idx: u16) -> Option<u64>;
+    /// The first extra field with this name index, as a float: scalars
+    /// have one, vectors and text do not.
+    fn extra_f64(&self, name_idx: u16) -> Option<f64>;
 }
+
+/// `span` — the least start and greatest end of some records, ticks —
+/// widened to take in `rec`.
+pub fn widen_span(span: Option<(u64, u64)>, rec: &impl RecordFields) -> Option<(u64, u64)> {
+    let (start, end) = (rec.start(), rec.end());
+    Some(span.map_or((start, end), |(s, e)| (s.min(start), e.max(end))))
+}
+
+/// Implements [`RecordFields`] for `$ty` by handing each accessor call
+/// to `$via!(self, call)`, which names the record that answers it.
+macro_rules! forward_fields {
+    ($ty:ty $(, $g:ident)?; $via:ident) => {
+        impl<$($g: RecordFields + ?Sized)?> RecordFields for $ty {
+            #[inline] fn itype(&self) -> IntervalType { $via!(self, itype()) }
+            #[inline] fn start(&self) -> u64 { $via!(self, start()) }
+            #[inline] fn duration(&self) -> u64 { $via!(self, duration()) }
+            #[inline] fn cpu(&self) -> CpuId { $via!(self, cpu()) }
+            #[inline] fn node(&self) -> NodeId { $via!(self, node()) }
+            #[inline] fn thread(&self) -> LogicalThreadId { $via!(self, thread()) }
+            #[inline] fn extra_uint(&self, i: u16) -> Option<u64> { $via!(self, extra_uint(i)) }
+            #[inline] fn extra_f64(&self, i: u16) -> Option<f64> { $via!(self, extra_f64(i)) }
+        }
+    };
+}
+
+/// A borrowed record answers as the record: what lets a slice of
+/// records be handed to a consumer of an iterator of them.
+macro_rules! referent {
+    ($self:ident, $($call:tt)*) => {
+        (**$self).$($call)*
+    };
+}
+forward_fields!(&R, R; referent);
 
 impl RecordFields for Interval {
     #[inline]
@@ -474,8 +477,14 @@ impl RecordFields for Interval {
         let (_, v) = self.extras.iter().find(|(i, _)| *i == name_idx)?;
         v.as_uint()
     }
+    #[inline]
+    fn extra_f64(&self, name_idx: u16) -> Option<f64> {
+        let (_, v) = self.extras.iter().find(|(i, _)| *i == name_idx)?;
+        v.as_float()
+    }
 }
 
+/// A view's accessors: each a load at the place its layout names.
 impl RecordFields for RecordView<'_> {
     #[inline]
     fn itype(&self) -> IntervalType {
@@ -483,27 +492,38 @@ impl RecordFields for RecordView<'_> {
     }
     #[inline]
     fn start(&self) -> u64 {
-        RecordView::start(self)
+        self.common(self.layout.start).unwrap_or(0)
     }
     #[inline]
     fn duration(&self) -> u64 {
-        RecordView::duration(self)
+        self.common(self.layout.dura).unwrap_or(0)
     }
     #[inline]
     fn cpu(&self) -> CpuId {
-        RecordView::cpu(self)
+        CpuId(self.common(self.layout.cpu).unwrap_or(0) as u16)
     }
+    /// The record's own field, or the file's node when the field is
+    /// masked out (per-node files).
     #[inline]
     fn node(&self) -> NodeId {
-        RecordView::node(self)
+        match self.common(self.layout.node) {
+            Some(n) => NodeId(n as u16),
+            None => self.default_node,
+        }
     }
     #[inline]
     fn thread(&self) -> LogicalThreadId {
-        RecordView::thread(self)
+        LogicalThreadId(self.common(self.layout.thread).unwrap_or(0) as u16)
     }
     #[inline]
     fn extra_uint(&self, name_idx: u16) -> Option<u64> {
-        RecordView::extra_uint(self, name_idx)
+        let slot = self.extra_slot(name_idx)?;
+        slot.uint(self.body, self.at(slot))
+    }
+    #[inline]
+    fn extra_f64(&self, name_idx: u16) -> Option<f64> {
+        let slot = self.extra_slot(name_idx)?;
+        slot.float(self.body, self.at(slot))
     }
 }
 
@@ -521,44 +541,14 @@ pub enum Record<'a> {
 
 /// Forwards a [`RecordFields`] accessor to whichever arm holds the record.
 macro_rules! either_arm {
-    ($self:ident, $r:ident => $e:expr) => {
+    ($self:ident, $($call:tt)*) => {
         match $self {
-            Record::View($r) => $e,
-            Record::Owned($r) => $e,
+            Record::View(r) => r.$($call)*,
+            Record::Owned(r) => r.$($call)*,
         }
     };
 }
-
-impl RecordFields for Record<'_> {
-    #[inline]
-    fn itype(&self) -> IntervalType {
-        either_arm!(self, r => r.itype())
-    }
-    #[inline]
-    fn start(&self) -> u64 {
-        either_arm!(self, r => r.start())
-    }
-    #[inline]
-    fn duration(&self) -> u64 {
-        either_arm!(self, r => r.duration())
-    }
-    #[inline]
-    fn cpu(&self) -> CpuId {
-        either_arm!(self, r => r.cpu())
-    }
-    #[inline]
-    fn node(&self) -> NodeId {
-        either_arm!(self, r => r.node())
-    }
-    #[inline]
-    fn thread(&self) -> LogicalThreadId {
-        either_arm!(self, r => r.thread())
-    }
-    #[inline]
-    fn extra_uint(&self, name_idx: u16) -> Option<u64> {
-        either_arm!(self, r => r.extra_uint(name_idx))
-    }
-}
+forward_fields!(Record<'_>; either_arm);
 
 impl Record<'_> {
     /// The decoded record.
@@ -651,6 +641,10 @@ impl RecordFields for Retimed<'_> {
     #[inline]
     fn extra_uint(&self, name_idx: u16) -> Option<u64> {
         self.rec.extra_uint(name_idx)
+    }
+    #[inline]
+    fn extra_f64(&self, name_idx: u16) -> Option<f64> {
+        self.rec.extra_f64(name_idx)
     }
 }
 

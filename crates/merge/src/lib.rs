@@ -41,8 +41,8 @@ pub use clockfit::{
 };
 pub use kway::{BalancedTreeMerge, LoserTreeMerge, MergeSource, NaiveMerge};
 pub use merger::{
-    absorb_file_header, adjust_node, adjust_node_records, build_slog, gap_record, merge_files,
-    merge_files_jobs, slogmerge, slogmerge_jobs, testhook, write_merged_stream, IvSource,
-    MergeItem, MergeOptions, MergeOutput, MergeStats, VecSource,
+    absorb_file_header, adjust_node, adjust_node_records, gap_record, merge_files,
+    merge_files_jobs, merged_stream, slog_of_merged, slogmerge, slogmerge_jobs, testhook,
+    write_merged_stream, IvSource, MergeItem, MergeOptions, MergeOutput, MergeStats, VecSource,
 };
 pub use stream::{ReorderBuffer, REORDER_WINDOW};

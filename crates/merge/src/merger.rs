@@ -1,5 +1,7 @@
 //! The merge pipeline.
 
+use std::collections::BTreeMap;
+
 use ute_clock::ratio::RatioEstimator;
 use ute_core::bebits::BeBits;
 use ute_core::error::{Result, UteError};
@@ -11,7 +13,7 @@ use ute_format::profile::{Profile, MASK_MERGED};
 use ute_format::record::{Interval, IntervalType};
 use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
-use ute_format::{RecordFields, Retimed};
+use ute_format::{widen_span, Record, RecordFields, Retimed};
 use ute_slog::builder::{BuildOptions, SlogBuilder};
 use ute_slog::file::SlogFile;
 
@@ -136,6 +138,11 @@ impl<T> VecSource<T> {
         VecSource {
             items: items.into_iter(),
         }
+    }
+
+    /// The records not yet merged.
+    pub fn as_slice(&self) -> &[T] {
+        self.items.as_slice()
     }
 }
 
@@ -310,9 +317,10 @@ fn stage_node<'r>(
 /// The one merge driver: opens every input and absorbs its header in
 /// input order, runs [`stage_node`] over the readers on `jobs` workers
 /// ([`map_ordered`]), folds the per-file outcomes in input order, and
-/// hands the k-way merge of the surviving nodes to `consume` together
-/// with the union tables. Nothing downstream of the map can observe its
-/// schedule, so the output is the same bytes at every `jobs`.
+/// hands the surviving nodes' staged records, which the k-way merge runs
+/// over, to `consume` together with the union tables. Nothing downstream
+/// of the map can observe its schedule, so the output is the same bytes
+/// at every `jobs`.
 ///
 /// The first file, in input order, that failed to open, absorb or stage
 /// decides the outcome: its error is returned as an [`UteError::Input`]
@@ -325,7 +333,7 @@ fn merge_core<T>(
     opts: &MergeOptions,
     jobs: usize,
     consume: impl FnOnce(
-        LoserTreeMerge<VecSource<Retimed<'_>>>,
+        Vec<VecSource<Retimed<'_>>>,
         &ThreadTable,
         &[(u32, String)],
         &mut MergeStats,
@@ -404,8 +412,7 @@ fn merge_core<T>(
     markers.sort_by_key(|(id, _)| *id);
     // `consume` pulls the k-way merge through whatever it writes.
     let _span = ute_obs::Span::enter("merge", format!("k-way merge of {}", sources.len()));
-    let merged = LoserTreeMerge::new(sources);
-    let out = consume(merged, &union_threads, &markers, &mut stats)?;
+    let out = consume(sources, &union_threads, &markers, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -454,25 +461,34 @@ pub fn gap_record(node: u16) -> Interval {
 /// pseudo continuation records. Keyed by a `BTreeMap` so pseudo records
 /// at a frame head come out in sorted `(node, thread)` order — the
 /// determinism gate compares merged files byte for byte, so emission
-/// order must not depend on hash-map iteration.
-#[derive(Default)]
-struct OpenTracker {
-    open: std::collections::BTreeMap<(u16, u16), Vec<Interval>>,
+/// order must not depend on hash-map iteration. `T` is what is kept of
+/// an open `Begin` piece: the writer keeps the record, a reader nothing.
+struct OpenTracker<T> {
+    open: BTreeMap<(u16, u16), Vec<(StateCode, T)>>,
 }
 
-impl OpenTracker {
-    /// Only a `Begin` piece is kept, so only a `Begin` piece is decoded.
-    fn observe(&mut self, rec: &impl MergeItem) {
+impl<T> OpenTracker<T> {
+    fn new() -> OpenTracker<T> {
+        OpenTracker {
+            open: BTreeMap::new(),
+        }
+    }
+
+    fn observe<R: RecordFields>(&mut self, rec: &R, keep: impl FnOnce(&R) -> T) {
         let itype = rec.itype();
         if itype.state == StateCode::CLOCK {
             return;
         }
         let key = (rec.node().raw(), rec.thread().raw());
         match itype.bebits {
-            BeBits::Begin => self.open.entry(key).or_default().push(rec.to_interval()),
+            BeBits::Begin => self
+                .open
+                .entry(key)
+                .or_default()
+                .push((itype.state, keep(rec))),
             BeBits::End => {
                 if let Some(stack) = self.open.get_mut(&key) {
-                    if let Some(pos) = stack.iter().rposition(|o| o.itype.state == itype.state) {
+                    if let Some(pos) = stack.iter().rposition(|(s, _)| *s == itype.state) {
                         stack.remove(pos);
                     }
                 }
@@ -481,24 +497,18 @@ impl OpenTracker {
         }
     }
 
-    /// Zero-duration continuation records for every state open at `at`,
-    /// in sorted `(node, thread)` order.
-    fn pseudo_records(&self, at: u64) -> Vec<Interval> {
-        let mut out = Vec::new();
-        for stack in self.open.values() {
-            for open in stack {
-                let mut p = open.clone();
-                p.itype = IntervalType {
-                    state: open.itype.state,
-                    bebits: BeBits::Continuation,
-                };
-                p.start = at;
-                p.duration = 0;
-                out.push(p);
-            }
-        }
-        out
+    /// What is kept of every open state, in sorted `(node, thread)` order.
+    fn open(&self) -> impl Iterator<Item = &T> {
+        self.open.values().flatten().map(|(_, kept)| kept)
     }
+}
+
+/// Whether the §3.3 rule puts pseudo records before the stream record
+/// that follows `pushed` records of a merged file: the writer's rule,
+/// which its reader replays.
+fn at_frame_head(opts: &MergeOptions, pushed: u64) -> bool {
+    let frame_len = opts.policy.max_records_per_frame as u64;
+    opts.frame_pseudo_intervals && pushed > 0 && pushed.is_multiple_of(frame_len)
 }
 
 /// Writes an already-merged, end-ordered record stream to a merged
@@ -520,10 +530,9 @@ pub fn write_merged_stream<R: MergeItem>(
         markers,
         opts.policy,
     );
-    let mut tracker = OpenTracker::default();
+    let mut tracker = OpenTracker::<Interval>::new();
     let mut pushed: u64 = 0;
     let mut last_end: u64 = 0;
-    let frame_len = opts.policy.max_records_per_frame as u64;
     // Gap pseudo-records for nodes missing from a degraded merge go
     // first (zero start, zero duration, sorted by node) so they land at
     // a deterministic position regardless of how the merge was run.
@@ -535,8 +544,13 @@ pub fn write_merged_stream<R: MergeItem>(
         pushed += 1;
     }
     for iv in intervals {
-        if opts.frame_pseudo_intervals && pushed > 0 && pushed.is_multiple_of(frame_len) {
-            for p in tracker.pseudo_records(last_end) {
+        if at_frame_head(opts, pushed) {
+            // Zero-duration continuations of every state open here.
+            for open in tracker.open() {
+                let mut p = open.clone();
+                p.itype.bebits = BeBits::Continuation;
+                p.start = last_end;
+                p.duration = 0;
                 writer.push(&p)?;
                 pushed += 1;
                 stats.pseudo_added += 1;
@@ -545,12 +559,46 @@ pub fn write_merged_stream<R: MergeItem>(
         iv.write_to(&mut writer)?;
         pushed += 1;
         last_end = iv.end();
-        tracker.observe(&iv);
+        tracker.observe(&iv, MergeItem::to_interval);
     }
     stats.records_out = writer.record_count();
     ute_obs::counter("merge/records_out").add(stats.records_out);
     ute_obs::counter("merge/pseudo_added").add(stats.pseudo_added);
     Ok(writer.finish())
+}
+
+/// The inverse of [`write_merged_stream`]: the stream a merged file was
+/// written from under `opts`, read where it lies. What the writer added
+/// is skipped — the leading [`StateCode::GAP`] records (GAP is the
+/// merge's own pseudo state: convert writes none) and the frame-head
+/// continuations, counted by replaying the writer's [`OpenTracker`].
+pub fn merged_stream<'a>(
+    reader: &'a IntervalFileReader<'_>,
+    opts: &MergeOptions,
+) -> impl Iterator<Item = Result<Record<'a>>> + 'a {
+    let (mut records, mut tracker, opts) = (reader.records(), OpenTracker::new(), opts.clone());
+    let (mut pushed, mut leading) = (0, true);
+    std::iter::from_fn(move || {
+        let mut pseudo = None;
+        loop {
+            let rec = match records.next()? {
+                Ok(rec) => rec,
+                Err(e) => return Some(Err(e)),
+            };
+            pushed += 1;
+            leading &= rec.itype().state == StateCode::GAP;
+            if leading {
+                continue;
+            }
+            let head = at_frame_head(&opts, pushed - 1);
+            let left = pseudo.get_or_insert_with(|| tracker.open().filter(|_| head).count());
+            if *left == 0 {
+                tracker.observe(&rec, |_| ());
+                return Some(Ok(rec));
+            }
+            *left -= 1;
+        }
+    })
 }
 
 /// Merges per-node interval files into one merged interval file, with
@@ -567,7 +615,8 @@ pub fn merge_files_jobs(
         profile,
         opts,
         jobs,
-        |merged, threads, markers, stats| {
+        |sources, threads, markers, stats| {
+            let merged = LoserTreeMerge::new(sources);
             write_merged_stream(profile, threads, markers, opts, merged, stats)
         },
     )?;
@@ -580,7 +629,8 @@ pub fn merge_files(files: &[&[u8]], profile: &Profile, opts: &MergeOptions) -> R
 }
 
 /// The `slogmerge` utility: the same merge, emitting a SLOG file for
-/// Jumpshot-style visualization (plus the merged stream statistics).
+/// Jumpshot-style visualization (plus the merged stream statistics),
+/// built as the k-way merge runs.
 pub fn slogmerge_jobs(
     files: &[&[u8]],
     profile: &Profile,
@@ -593,8 +643,16 @@ pub fn slogmerge_jobs(
         profile,
         opts,
         jobs,
-        |merged, threads, markers, stats| {
-            build_slog(profile, build, merged, threads, markers, stats)
+        |sources, threads, markers, stats| {
+            // The builder wants the run's span before the first record;
+            // the staged records hold it.
+            let staged = sources.iter().flat_map(VecSource::as_slice);
+            let span = staged.clone().fold(None, widen_span);
+            stats.records_out = staged.count() as u64;
+            ute_obs::counter("merge/records_out").add(stats.records_out);
+            let merged = LoserTreeMerge::new(sources).map(Ok);
+            let builder = SlogBuilder::new(profile, build);
+            builder.build_stream(span, stats.records_out, merged, threads, markers)
         },
     )
 }
@@ -609,21 +667,34 @@ pub fn slogmerge(
     slogmerge_jobs(files, profile, opts, build, 1)
 }
 
-/// The tail of [`slogmerge_jobs`]: gathers the merged
-/// stream (the builder wants its time span before its first record) and
-/// builds the SLOG file from the records as they are.
-pub fn build_slog<R: RecordFields>(
+/// `run.slog` from a merged file: the SLOG [`slogmerge_jobs`] builds from
+/// the per-node files the merged file was written from under `opts`,
+/// built in one walk of its stream read back instead. The frame
+/// directory states the span (and bounds the count) before the walk; the
+/// walk measures the stream's own, and where they differ — a leading GAP
+/// record, a damaged directory — the SLOG is built again under the
+/// stream's. Returns it with the stream's record count.
+pub fn slog_of_merged(
+    reader: &IntervalFileReader<'_>,
     profile: &Profile,
+    opts: &MergeOptions,
     build: BuildOptions,
-    merged: impl Iterator<Item = R>,
-    threads: &ThreadTable,
-    markers: &[(u32, String)],
-    stats: &mut MergeStats,
-) -> Result<SlogFile> {
-    let merged: Vec<R> = merged.collect();
-    stats.records_out = merged.len() as u64;
-    ute_obs::counter("merge/records_out").add(stats.records_out);
-    SlogBuilder::new(profile, build).build_from(&merged, threads, markers)
+) -> Result<(SlogFile, u64)> {
+    let builder = SlogBuilder::new(profile, build);
+    let (mut span, mut bound) = (reader.time_span()?, reader.total_records()?);
+    loop {
+        let (mut seen, mut count) = (None, 0);
+        let stream = merged_stream(reader, opts).inspect(|rec| {
+            if let Ok(rec) = rec {
+                (seen, count) = (widen_span(seen, rec), count + 1);
+            }
+        });
+        let slog = builder.build_stream(span, bound, stream, &reader.threads, &reader.markers)?;
+        if seen == span {
+            return Ok((slog, count));
+        }
+        (span, bound) = (seen, count);
+    }
 }
 
 #[cfg(test)]

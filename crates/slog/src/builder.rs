@@ -18,7 +18,7 @@ use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
-use ute_format::RecordFields;
+use ute_format::{widen_span, RecordFields};
 
 use crate::file::{SlogFile, SlogFrame};
 use crate::preview::Preview;
@@ -71,18 +71,33 @@ impl<'a> SlogBuilder<'a> {
     }
 
     /// [`SlogBuilder::build`] over the merged stream in any form whose
-    /// fields can be read — the merge hands over the records it carried,
-    /// still undecoded.
+    /// fields can be read.
     pub fn build_from<R: RecordFields>(
         &self,
         intervals: &[R],
         threads: &ThreadTable,
         markers: &[(u32, String)],
     ) -> Result<SlogFile> {
-        let _span = ute_obs::Span::enter(
-            "slog",
-            format!("build slog ({} intervals)", intervals.len()),
-        );
+        let span = intervals.iter().fold(None, widen_span);
+        let records = intervals.iter().map(Ok);
+        self.build_stream(span, intervals.len() as u64, records, threads, markers)
+    }
+
+    /// Builds the SLOG file from the merged stream as it is read — the
+    /// records are not gathered first. The frames are laid out before the
+    /// first record arrives, so the caller states what the stream holds:
+    /// `span` is the least start and greatest end of its records (ticks;
+    /// `None` for none), `count` how many there are, or a bound (it names
+    /// the build's span). The first error the stream yields is the build's.
+    pub fn build_stream<R: RecordFields>(
+        &self,
+        span: Option<(u64, u64)>,
+        count: u64,
+        records: impl IntoIterator<Item = Result<R>>,
+        threads: &ThreadTable,
+        markers: &[(u32, String)],
+    ) -> Result<SlogFile> {
+        let _span = ute_obs::Span::enter("slog", format!("build slog ({count} intervals)"));
         // The five fields read below, resolved to name indices once.
         let field = |name: &str| self.profile.field_name_index(name);
         let (f_marker, f_seq, f_rank, f_peer, f_sent) = (
@@ -93,12 +108,9 @@ impl<'a> SlogBuilder<'a> {
             field("msgSizeSent"),
         );
         let nframes = self.opts.nframes.max(1);
-        let span_start = intervals.iter().map(|iv| iv.start()).min().unwrap_or(0);
-        let span_end = intervals
-            .iter()
-            .map(|iv| iv.end())
-            .max()
-            .unwrap_or(span_start + 1)
+        let span_start = span.map_or(0, |(start, _)| start);
+        let span_end = span
+            .map_or(span_start + 1, |(_, end)| end)
             .max(span_start + 1);
         // More frames than ticks would leave degenerate frames past the
         // span (empty or inverted): clamp so every frame is at least one
@@ -137,7 +149,8 @@ impl<'a> SlogBuilder<'a> {
         let mut sends: HashMap<(u64, u64), SendInfo> = HashMap::new();
         let mut arrows: Vec<SlogArrow> = Vec::new();
 
-        for iv in intervals {
+        for iv in records {
+            let iv = iv?;
             let uint = |f: Option<u16>| f.and_then(|idx| iv.extra_uint(idx));
             let (itype, start, duration) = (iv.itype(), iv.start(), iv.duration());
             // Clock records are bookkeeping, and salvage-mode GAP

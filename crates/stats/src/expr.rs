@@ -9,10 +9,10 @@
 //! The builtin `bin(e, n)` maps a time expression to one of `n` equal
 //! bins over the run's span.
 
-use ute_core::error::{Result, UteError};
+use ute_core::error::UteError;
 use ute_core::time::TICKS_PER_SEC;
 use ute_format::profile::Profile;
-use ute_format::record::Interval;
+use ute_format::RecordFields;
 
 /// Evaluation context: the run's time span (for `bin`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -99,9 +99,13 @@ enum FieldRef {
 pub struct MissingField<'e>(&'e str);
 
 impl MissingField<'_> {
-    /// The error [`Expr::eval`] has always reported for this.
-    pub fn on(self, iv: &Interval) -> UteError {
-        UteError::NotFound(format!("field {} on a {} record", self.0, iv.itype.state))
+    /// The error an `x` or `y` reports for this on `rec`.
+    pub fn on(self, rec: &impl RecordFields) -> UteError {
+        UteError::NotFound(format!(
+            "field {} on a {} record",
+            self.0,
+            rec.itype().state
+        ))
     }
 }
 
@@ -120,11 +124,11 @@ enum Node {
 }
 
 impl CompiledExpr {
-    /// Evaluates against one interval record.
+    /// Evaluates against one record, in whatever form it is read.
     pub fn eval<'e>(
         &'e self,
         ctx: &EvalContext,
-        iv: &Interval,
+        iv: &impl RecordFields,
     ) -> std::result::Result<f64, MissingField<'e>> {
         self.0.eval(ctx, iv)
     }
@@ -156,23 +160,22 @@ impl Node {
     fn eval<'e>(
         &'e self,
         ctx: &EvalContext,
-        iv: &Interval,
+        iv: &impl RecordFields,
     ) -> std::result::Result<f64, MissingField<'e>> {
         Ok(match self {
             Node::Num(v) => *v,
             Node::Field(field) => match field {
-                FieldRef::Start => iv.start as f64 / TICKS_PER_SEC as f64,
-                FieldRef::Dura => iv.duration as f64 / TICKS_PER_SEC as f64,
+                FieldRef::Start => iv.start() as f64 / TICKS_PER_SEC as f64,
+                FieldRef::Dura => iv.duration() as f64 / TICKS_PER_SEC as f64,
                 FieldRef::End => iv.end() as f64 / TICKS_PER_SEC as f64,
-                FieldRef::Node => iv.node.raw() as f64,
-                FieldRef::Cpu => iv.cpu.raw() as f64,
-                FieldRef::Thread => iv.thread.raw() as f64,
-                FieldRef::RecType => iv.itype.to_u32() as f64,
-                FieldRef::State => iv.itype.state.0 as f64,
-                FieldRef::Interesting => iv.itype.state.is_interesting() as u8 as f64,
+                FieldRef::Node => iv.node().raw() as f64,
+                FieldRef::Cpu => iv.cpu().raw() as f64,
+                FieldRef::Thread => iv.thread().raw() as f64,
+                FieldRef::RecType => iv.itype().to_u32() as f64,
+                FieldRef::State => iv.itype().state.0 as f64,
+                FieldRef::Interesting => iv.itype().state.is_interesting() as u8 as f64,
                 FieldRef::Extra(idx, name) => idx
-                    .and_then(|idx| iv.extras.iter().find(|(i, _)| *i == idx))
-                    .and_then(|(_, v)| v.as_float())
+                    .and_then(|idx| iv.extra_f64(idx))
                     .ok_or(MissingField(name))?,
             },
             Node::Neg(e) => -e.eval(ctx, iv)?,
@@ -216,14 +219,6 @@ impl Expr {
         CompiledExpr(Node::compile(self, profile))
     }
 
-    /// Evaluates against one interval record. A caller with more than
-    /// one record to evaluate should [`Expr::compile`] once instead.
-    pub fn eval(&self, ctx: &EvalContext, profile: &Profile, iv: &Interval) -> Result<f64> {
-        self.compile(profile)
-            .eval(ctx, iv)
-            .map_err(|missing| missing.on(iv))
-    }
-
     /// Convenience constructor for a field reference.
     pub fn field(name: &str) -> Expr {
         Expr::Field(name.to_string())
@@ -233,10 +228,16 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ute_core::error::Result;
     use ute_core::ids::{CpuId, LogicalThreadId, NodeId};
-    use ute_format::record::IntervalType;
+    use ute_format::record::{Interval, IntervalType};
     use ute_format::state::StateCode;
     use ute_format::value::Value;
+
+    /// Compiles `e` and evaluates it against one record, as a table does.
+    fn eval_on(e: &Expr, ctx: &EvalContext, p: &Profile, iv: &Interval) -> Result<f64> {
+        e.compile(p).eval(ctx, iv).map_err(|missing| missing.on(iv))
+    }
 
     fn iv(profile: &Profile) -> Interval {
         Interval::basic(
@@ -261,7 +262,7 @@ mod tests {
             span_start: 0.0,
             span_end: 10.0,
         };
-        e.eval(&ctx, &p, &iv(&p)).unwrap()
+        eval_on(e, &ctx, &p, &iv(&p)).unwrap()
     }
 
     #[test]
@@ -318,10 +319,10 @@ mod tests {
         let p = Profile::standard();
         let ctx = EvalContext::default();
         let e = Expr::field("bogus");
-        assert!(e.eval(&ctx, &p, &iv(&p)).is_err());
+        assert!(eval_on(&e, &ctx, &p, &iv(&p)).is_err());
         // A field another record type has, but Send doesn't.
         let e = Expr::field("markerId");
-        assert!(e.eval(&ctx, &p, &iv(&p)).is_err());
+        assert!(eval_on(&e, &ctx, &p, &iv(&p)).is_err());
     }
 
     #[test]
@@ -344,6 +345,6 @@ mod tests {
             Box::new(Expr::field("interesting")),
             Box::new(Expr::field("markerId")),
         );
-        assert_eq!(e.eval(&ctx, &p, &running).unwrap(), 0.0);
+        assert_eq!(eval_on(&e, &ctx, &p, &running).unwrap(), 0.0);
     }
 }

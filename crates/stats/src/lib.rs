@@ -37,5 +37,5 @@ pub mod viewer;
 
 pub use expr::{EvalContext, Expr};
 pub use parser::parse_program;
-pub use runner::run_tables;
+pub use runner::{run_tables, run_tables_over};
 pub use table::{Agg, Table, TableSpec};

@@ -2,11 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use ute_core::error::Result;
+use ute_core::error::{Result, UteError};
 use ute_core::time::TICKS_PER_SEC;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
+use ute_format::{widen_span, RecordFields};
 
 use crate::expr::{CompiledExpr, EvalContext};
 use crate::table::{Cell, Key, Table, TableSpec};
@@ -19,78 +20,49 @@ struct Program {
     groups: BTreeMap<Vec<Key>, Vec<Cell>>,
 }
 
-/// Runs every spec over the interval stream, producing one table each.
-///
-/// Each spec is compiled against the profile once; per record a table
-/// then costs its expressions and one map lookup on a reused key buffer.
-///
-/// Clock bookkeeping records are excluded up front: they carry no
-/// activity and their pseudo-thread would pollute groupings.
+/// Runs every spec over the interval stream, producing one table each:
+/// [`run_tables_over`] on decoded records, the read path's oracle.
 pub fn run_tables(
     specs: &[TableSpec],
     profile: &Profile,
     intervals: &[Interval],
 ) -> Result<Vec<Table>> {
+    let span = intervals.iter().fold(None, widen_span);
+    run_tables_over(specs, profile, span, || intervals.iter().map(Ok))
+}
+
+/// Runs every spec over the records `walk` yields, in any form, one
+/// table each; `bin` ranges over `span`, the records' least start and
+/// greatest end as a file's frame directory states them.
+///
+/// Each spec is compiled against the profile once; per record a table
+/// then costs its expressions and one map lookup on a reused key buffer.
+/// Clock bookkeeping records are excluded: they carry no activity and
+/// their pseudo-thread would pollute groupings.
+///
+/// The records are the authority: if their own span is not `span` (a
+/// damaged directory), a second walk makes the tables under theirs. An
+/// error the walk yields beats an evaluation error, held to its end.
+pub fn run_tables_over<R: RecordFields, I: Iterator<Item = Result<R>>>(
+    specs: &[TableSpec],
+    profile: &Profile,
+    span: Option<(u64, u64)>,
+    walk: impl Fn() -> I,
+) -> Result<Vec<Table>> {
     let _span = ute_obs::Span::enter("stats", format!("run {} tables", specs.len()));
     let eval_start = std::time::Instant::now();
+    let mut pass = Pass::over(specs, profile, span, walk())?;
+    if pass.span != span {
+        pass = Pass::over(specs, profile, pass.span, walk())?;
+    }
     ute_obs::counter("stats/tables_run").add(specs.len() as u64);
-    ute_obs::counter("stats/records_scanned").add(intervals.len() as u64);
-    let span_start =
-        intervals.iter().map(|iv| iv.start).min().unwrap_or(0) as f64 / TICKS_PER_SEC as f64;
-    let span_end = intervals
-        .iter()
-        .map(|iv| iv.end())
-        .max()
-        .unwrap_or(0)
-        .max(1) as f64
-        / TICKS_PER_SEC as f64;
-    let ctx = EvalContext {
-        span_start,
-        span_end,
-    };
-    let mut programs: Vec<Program> = specs
-        .iter()
-        .map(|spec| Program {
-            condition: spec.condition.as_ref().map(|e| e.compile(profile)),
-            xs: spec.xs.iter().map(|(_, e)| e.compile(profile)).collect(),
-            ys: spec.ys.iter().map(|(_, e, _)| e.compile(profile)).collect(),
-            groups: BTreeMap::new(),
-        })
-        .collect();
-    let mut key: Vec<Key> = Vec::new();
-    for iv in intervals {
-        if iv.itype.state == StateCode::CLOCK || iv.itype.state == StateCode::GAP {
-            continue;
-        }
-        for prog in &mut programs {
-            if let Some(cond) = &prog.condition {
-                // A record type that lacks a field named in the condition
-                // cannot match it — skip rather than error, so one program
-                // can range over heterogeneous record types.
-                match cond.eval(&ctx, iv) {
-                    Ok(v) if v != 0.0 => {}
-                    _ => continue,
-                }
-            }
-            key.clear();
-            for e in &prog.xs {
-                key.push(Key(e.eval(&ctx, iv).map_err(|m| m.on(iv))?));
-            }
-            let cells = match prog.groups.get_mut(key.as_slice()) {
-                Some(cells) => cells,
-                None => prog
-                    .groups
-                    .entry(key.clone())
-                    .or_insert_with(|| vec![Cell::default(); prog.ys.len()]),
-            };
-            for (e, cell) in prog.ys.iter().zip(cells) {
-                cell.add(e.eval(&ctx, iv).map_err(|m| m.on(iv))?);
-            }
-        }
+    ute_obs::counter("stats/records_scanned").add(pass.records);
+    if let Some(e) = pass.missing {
+        return Err(e);
     }
     let tables: Vec<Table> = specs
         .iter()
-        .zip(programs)
+        .zip(pass.programs)
         .map(|(spec, prog)| Table {
             name: spec.name.clone(),
             x_labels: spec.xs.iter().map(|(l, _)| l.clone()).collect(),
@@ -114,6 +86,90 @@ pub fn run_tables(
         .add(tables.iter().map(|t| t.rows.len() as u64).sum::<u64>());
     ute_obs::histogram("stats/eval_ns").record(eval_start.elapsed().as_nanos() as u64);
     Ok(tables)
+}
+
+/// One walk of the records: the groups every program gathered, the first
+/// evaluation error, and what the walk measured.
+struct Pass {
+    programs: Vec<Program>,
+    missing: Option<UteError>,
+    records: u64,
+    span: Option<(u64, u64)>,
+}
+
+impl Pass {
+    fn over<R: RecordFields>(
+        specs: &[TableSpec],
+        profile: &Profile,
+        span: Option<(u64, u64)>,
+        records: impl Iterator<Item = Result<R>>,
+    ) -> Result<Pass> {
+        let (start, end) = span.unwrap_or((0, 0));
+        let ctx = EvalContext {
+            span_start: start as f64 / TICKS_PER_SEC as f64,
+            span_end: end.max(1) as f64 / TICKS_PER_SEC as f64,
+        };
+        let mut pass = Pass {
+            programs: specs
+                .iter()
+                .map(|spec| Program {
+                    condition: spec.condition.as_ref().map(|e| e.compile(profile)),
+                    xs: spec.xs.iter().map(|(_, e)| e.compile(profile)).collect(),
+                    ys: spec.ys.iter().map(|(_, e, _)| e.compile(profile)).collect(),
+                    groups: BTreeMap::new(),
+                })
+                .collect(),
+            missing: None,
+            records: 0,
+            span: None,
+        };
+        let mut key: Vec<Key> = Vec::new();
+        for rec in records {
+            let rec = rec?;
+            pass.records += 1;
+            pass.span = widen_span(pass.span, &rec);
+            let state = rec.itype().state;
+            if pass.missing.is_none() && state != StateCode::CLOCK && state != StateCode::GAP {
+                pass.missing = add(&mut pass.programs, &ctx, &rec, &mut key).err();
+            }
+        }
+        Ok(pass)
+    }
+}
+
+/// Adds one record to every program it matches.
+fn add(
+    programs: &mut [Program],
+    ctx: &EvalContext,
+    rec: &impl RecordFields,
+    key: &mut Vec<Key>,
+) -> Result<()> {
+    for prog in programs {
+        if let Some(cond) = &prog.condition {
+            // A record type that lacks a field named in the condition
+            // cannot match it — skip rather than error, so one program
+            // can range over heterogeneous record types.
+            match cond.eval(ctx, rec) {
+                Ok(v) if v != 0.0 => {}
+                _ => continue,
+            }
+        }
+        key.clear();
+        for e in &prog.xs {
+            key.push(Key(e.eval(ctx, rec).map_err(|m| m.on(rec))?));
+        }
+        let cells = match prog.groups.get_mut(key.as_slice()) {
+            Some(cells) => cells,
+            None => prog
+                .groups
+                .entry(key.clone())
+                .or_insert_with(|| vec![Cell::default(); prog.ys.len()]),
+        };
+        for (e, cell) in prog.ys.iter().zip(cells) {
+            cell.add(e.eval(ctx, rec).map_err(|m| m.on(rec))?);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

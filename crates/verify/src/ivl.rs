@@ -20,6 +20,7 @@ use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
 use ute_format::thread_table::ThreadTable;
+use ute_format::RecordFields;
 
 use crate::finding::{run_rule, ArtifactKind, Finding, Report};
 use ute_core::bebits::BeBits;

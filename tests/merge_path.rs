@@ -4,10 +4,17 @@
 //! decoded [`Interval`]s produces — `adjust_node` → `IvSource` →
 //! `LoserTreeMerge` → `write_merged_stream` / `SlogBuilder::build` — byte
 //! for byte, error for error, whichever entry point and job count ran it.
+//! `ute pipeline` builds `run.slog` from the merged file it published
+//! ([`slog_of_merged`] over [`merged_stream`], the inverse of
+//! `write_merged_stream`) instead of merging twice: that must be the SLOG
+//! the merge of the per-node files builds.
 
 mod common;
 
+use std::path::PathBuf;
 use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use ute::cluster::Simulator;
 use ute::convert::{convert_job_pooled, ConvertOptions};
@@ -25,16 +32,16 @@ use ute::format::thread_table::ThreadTable;
 use ute::format::value::Value;
 use ute::format::{Record, RecordFields, Retimed};
 use ute::merge::{
-    absorb_file_header, adjust_node, adjust_node_records, merge_files, merge_files_jobs, slogmerge,
-    slogmerge_jobs, write_merged_stream, IvSource, LoserTreeMerge, MergeOptions, MergeStats,
-    VecSource,
+    absorb_file_header, adjust_node, adjust_node_records, merge_files, merge_files_jobs,
+    merged_stream, slog_of_merged, slogmerge, slogmerge_jobs, write_merged_stream, IvSource,
+    LoserTreeMerge, MergeOptions, MergeStats, VecSource,
 };
 use ute::scenario::{generate, ScenarioSpec};
 use ute::slog::builder::{BuildOptions, SlogBuilder};
 use ute::workloads::scaling::scaled_job;
 use ute::workloads::{micro, Workload};
 
-use common::{random_file, Rng};
+use common::{random_file, random_interval, Rng};
 
 const BUILD: BuildOptions = BuildOptions {
     nframes: 16,
@@ -755,4 +762,183 @@ fn slog_built_from_any_record_form_is_the_slog_built_from_intervals() {
 fn the_item_the_merge_moves_is_smaller_than_an_interval() {
     assert!(std::mem::size_of::<Retimed>() <= 48);
     assert_eq!(std::mem::size_of::<Interval>(), 56);
+}
+
+#[test]
+fn the_slog_of_a_merged_file_is_the_slog_its_merge_builds() {
+    let corpora = [
+        ("scaling", scaling(), option_sets()),
+        ("stencil", stencil(), option_sets()),
+        (
+            "torture",
+            torture(),
+            vec![("defaults", MergeOptions::default())],
+        ),
+    ];
+    for (name, c, sets) in corpora {
+        for (what, opts) in sets {
+            let merged = merge_files(&c.refs(), &c.profile, &opts).unwrap().merged;
+            let r = IntervalFileReader::open(&merged, &c.profile).unwrap();
+            let (slog, records) = slog_of_merged(&r, &c.profile, &opts, BUILD).unwrap();
+            let (expected, stats) = slogmerge_jobs(&c.refs(), &c.profile, &opts, BUILD, 2).unwrap();
+            assert_eq!(records, stats.records_out, "{name}, {what}");
+            assert!(slog.to_bytes() == expected.to_bytes(), "{name}, {what}");
+        }
+    }
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ute_merge_path_{name}_{}", std::process::id()))
+}
+
+/// `ute pipeline`'s `run.slog`, built from its `merged.ivl`, is the file
+/// standalone `ute slogmerge` builds by merging the per-node files —
+/// under seeded faults, `--strict`, and with a node missing.
+#[test]
+fn the_pipeline_slog_is_the_standalone_slogmerge_slog() {
+    // Seeded faults on stencil (on scaling some leave a trace convert
+    // refuses); the open marker of scaling puts continuations at every
+    // frame head.
+    let runs: [&[&str]; 5] = [
+        &["--workload", "stencil", "--fault-seed", "1"],
+        &["--workload", "stencil", "--fault-seed", "2"],
+        &["--workload", "stencil", "--fault-seed", "3"],
+        &["--workload", "scaling", "--iterations", "60", "--strict"],
+        &[
+            "--workload",
+            "scaling",
+            "--iterations",
+            "60",
+            "--fault-plan",
+            "1:missing",
+        ],
+    ];
+    for (k, extra) in runs.iter().enumerate() {
+        let dir = tmp(&format!("slog_{k}"));
+        let d = dir.to_str().unwrap();
+        let run = |tokens: &[&str]| {
+            let argv: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+            ute::cli::run(&argv).unwrap()
+        };
+        let mut pipeline = vec!["pipeline", "--out", d];
+        pipeline.extend(*extra);
+        run(&pipeline);
+        let alone = dir.join("alone.slog");
+        let mut slogmerge = vec!["slogmerge", "--in", d, "--out", alone.to_str().unwrap()];
+        if extra.contains(&"--strict") {
+            slogmerge.push("--strict");
+        }
+        run(&slogmerge);
+        let (a, b) = (std::fs::read(dir.join("run.slog")), std::fs::read(&alone));
+        assert!(a.unwrap() == b.unwrap(), "{extra:?}");
+        let missing = !dir.join("trace.1.ivl").exists();
+        assert_eq!(missing, extra.contains(&"1:missing"), "{extra:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A merged file written under `opts`, and the stream [`merged_stream`]
+/// reads back from it.
+fn round_trip(stream: &[Interval], opts: &MergeOptions) -> (Vec<Interval>, MergeStats) {
+    let p = Profile::standard();
+    let mut stats = MergeStats::default();
+    let bytes = write_merged_stream(
+        &p,
+        &ThreadTable::new(),
+        &[],
+        opts,
+        stream.to_vec(),
+        &mut stats,
+    )
+    .unwrap();
+    let r = IntervalFileReader::open(&bytes, &p).unwrap();
+    let back = merged_stream(&r, opts).map(|rec| rec.unwrap().into_interval());
+    (back.collect(), stats)
+}
+
+/// Four records to a frame, so frame heads come often.
+fn four_per_frame(gap_nodes: Vec<u16>, frame_pseudo_intervals: bool) -> MergeOptions {
+    MergeOptions {
+        policy: FramePolicy {
+            max_records_per_frame: 4,
+            max_frames_per_dir: 3,
+        },
+        gap_nodes,
+        frame_pseudo_intervals,
+        ..MergeOptions::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reading a merged file back through `merged_stream` returns the
+    /// stream it was written from: the gap records and frame-head
+    /// continuations the writer added are exactly what is skipped.
+    #[test]
+    fn reading_a_merged_file_back_returns_the_stream_written(
+        seed in any::<u64>(),
+        n in 0usize..300,
+        gaps in 0u16..7,
+        pseudo in any::<bool>(),
+    ) {
+        let p = Profile::standard();
+        let mut rng = Rng(seed | 1);
+        let mut stream: Vec<Interval> = (0..n)
+            .map(|_| {
+                let node = rng.below(6) as u16;
+                random_interval(&mut rng, &p, node)
+            })
+            .collect();
+        stream.sort_by_key(|iv| iv.end());
+        let (back, _) = round_trip(&stream, &four_per_frame((0..gaps).rev().collect(), pseudo));
+        prop_assert_eq!(back, stream);
+    }
+}
+
+#[test]
+fn more_open_states_than_a_frame_holds_read_back_whole() {
+    // Six threads open a marker each, then 40 short records run under
+    // them: every frame head after the first carries six continuations,
+    // more than the four records a frame holds.
+    let p = Profile::standard();
+    let piece = |bebits, thread: u16, start: u64, duration: u64| {
+        Interval::basic(
+            IntervalType {
+                state: StateCode::MARKER,
+                bebits,
+            },
+            start,
+            duration,
+            CpuId(0),
+            NodeId(thread % 2),
+            LogicalThreadId(thread),
+        )
+        .with_extra(&p, "markerId", Value::Uint(thread as u64))
+        .with_extra(&p, "address", Value::Uint(0))
+        .with_extra(&p, "addressEnd", Value::Uint(0))
+    };
+    let mut stream: Vec<Interval> = (0..6)
+        .map(|t| piece(BeBits::Begin, t, t as u64, 1))
+        .collect();
+    for i in 0..40u64 {
+        stream.push(Interval::basic(
+            IntervalType::complete(StateCode::RUNNING),
+            10 + i * 10,
+            10,
+            CpuId(0),
+            NodeId(0),
+            LogicalThreadId((i % 6) as u16),
+        ));
+    }
+    stream.extend((0..6).map(|t| piece(BeBits::End, t, 500, 10 + t as u64)));
+    for gaps in [vec![], vec![3, 1], vec![0, 1, 2, 3, 4, 5, 6, 7]] {
+        let (back, stats) = round_trip(&stream, &four_per_frame(gaps.clone(), true));
+        assert!(
+            stats.pseudo_added >= 6 * 5,
+            "{} pseudo records",
+            stats.pseudo_added
+        );
+        assert!(back == stream, "gaps {gaps:?}");
+    }
 }

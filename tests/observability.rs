@@ -481,3 +481,35 @@ fn metrics_snapshot_tsv_lists_stage_spans() {
     assert!(snap.counter("rawtrace/records_cut").unwrap_or(0) > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `ute report` run merges once: `ute pipeline` builds `run.slog` from
+/// the merged file instead of merging the per-node files a second time,
+/// so the merge counters describe exactly the one merged file.
+#[test]
+fn report_counts_one_merge() {
+    let _serial = SERIAL.lock().unwrap();
+    let dir = tmpdir("one_merge");
+    let out = dir.to_str().unwrap().to_string();
+    run(&argv(&[
+        "report",
+        "--workload",
+        "stencil",
+        "--out",
+        &out,
+        "--stable",
+    ]))
+    .unwrap();
+    let snap = ute::obs::snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    let profile = Profile::standard();
+    let records = |name: &str| {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        let reader = IntervalFileReader::open(&bytes, &profile).unwrap();
+        reader.total_records().unwrap()
+    };
+    let converted: u64 = (0..4).map(|n| records(&format!("trace.{n}.ivl"))).sum();
+    assert_eq!(counter("convert/intervals_out"), converted);
+    assert_eq!(counter("merge/records_out"), records("merged.ivl"));
+    assert_eq!(counter("merge/records_in"), converted);
+    std::fs::remove_dir_all(&dir).ok();
+}

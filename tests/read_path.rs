@@ -2,10 +2,14 @@
 //! ([`ute::format::RecordView`]) must be the records the reference
 //! decoder decodes, wherever a consumer stands on them — the analyze
 //! table load, the compiled statistics programs, the clock fit — and
-//! must fail where it fails, in its words.
+//! must fail where it fails, in its words. Statistics over a merged
+//! file's records where they lie allocate less than once per fifty
+//! records: a counting global allocator, armed on one thread, counts.
 
 mod common;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell as Counted;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -27,9 +31,63 @@ use ute::merge::clockfit::{extract_clock_samples, fit_node, fit_node_intervals};
 use ute::stats::expr::{BinOp, EvalContext, Expr};
 use ute::stats::predefined::predefined_tables;
 use ute::stats::table::{Agg, Cell, Key, Table, TableSpec};
-use ute::stats::{parse_program, run_tables};
+use ute::stats::{parse_program, run_tables, run_tables_over};
+
+use ute::cluster::{ClusterConfig, JobProgram, Simulator};
+use ute::convert::{convert_job_pooled, ConvertOptions};
+use ute::format::datatype::FieldType;
+use ute::format::profile::{FieldSpec, RecordSpec, MASK_MERGED};
+use ute::format::{Record, RecordFields, Retimed};
+use ute::merge::{merge_files, MergeOptions};
+use ute::scenario::{generate, ScenarioSpec};
+use ute_workloads::{flash, micro, patterns, scaling, sppm};
 
 use common::{random_file, random_interval, Rng};
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Whether this thread's allocations are being counted, and how many.
+    static ARMED: Counted<bool> = const { Counted::new(false) };
+    static ALLOCS: Counted<u64> = const { Counted::new(0) };
+}
+
+fn count() {
+    // Const-initialized, no destructor: safe to touch from the allocator.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes inside `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Counted::get))
+}
 
 /// Every record of a file through the reference decoder alone.
 fn reference_intervals(bytes: &[u8], p: &Profile) -> Result<Vec<Interval>> {
@@ -573,5 +631,310 @@ fn both_readers_check_a_frame_against_its_entry() {
         let b = r.frame_intervals(e).unwrap_err().to_string();
         assert!(a.contains(&expect), "{a}");
         assert!(b.contains(&expect), "{b}");
+    }
+}
+
+/// `query4`'s statistics program: three tables, one binned over the span.
+const QUERY4_PROGRAM: &str = r#"
+table name=mpi_time_by_node condition=(state >= 256)
+      x=("node", node) y=("calls", dura, count) y=("time", dura, sum)
+table name=busy_by_node_bin condition=(interesting)
+      x=("node", node) x=("bin", bin(start, 20))
+      y=("time", dura, sum) y=("longest", dura, max)
+table name=sent_by_thread condition=(state >= 256 && msgSizeSent > 0)
+      x=("node", node) x=("thread", thread)
+      y=("bytes", msgSizeSent, sum) y=("avg", msgSizeSent, avg)
+"#;
+
+/// An `x` every record type without a `peer` fails.
+const MISSING_X_PROGRAM: &str = r#"table name=t x=("peer", peer) y=("n", dura, count)"#;
+
+/// The merged file `ute merge` makes of one simulated run, with the
+/// per-node file of `drop` missing (a salvaged merge: a GAP record
+/// leads the stream).
+fn merged_file(cfg: ClusterConfig, job: &JobProgram, drop: Option<usize>) -> Vec<u8> {
+    let run = Simulator::new(cfg, job).unwrap().run().unwrap();
+    let p = Profile::standard();
+    let converted = convert_job_pooled(
+        &run.raw_files,
+        &run.threads,
+        &p,
+        &ConvertOptions::default(),
+        1,
+    )
+    .unwrap();
+    let files: Vec<&[u8]> = converted
+        .iter()
+        .enumerate()
+        .filter(|(n, _)| Some(*n) != drop)
+        .map(|(_, c)| c.interval_file.as_slice())
+        .collect();
+    let opts = MergeOptions {
+        salvage: drop.is_some(),
+        gap_nodes: drop.map(|n| n as u16).into_iter().collect(),
+        ..MergeOptions::default()
+    };
+    merge_files(&files, &p, &opts).unwrap().merged
+}
+
+/// Every stock workload's merged file, `scenario:7`'s, and a salvaged
+/// merge with a node missing.
+fn merged_corpus() -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = [
+        sppm::workload(sppm::SppmParams::default()),
+        flash::workload(flash::FlashParams::default()),
+        micro::ping_pong(32, 1 << 14),
+        micro::stencil(4, 16, 1 << 12),
+        micro::allreduce_sweep(4, 10),
+        patterns::wavefront(6, 12, 4096),
+        micro::sendrecv_shift(4, 12, 4096),
+        patterns::master_worker(4, 8, 8192),
+        micro::straggler(4, 8, 2, 4),
+        scaling::scaled_job(200),
+    ]
+    .into_iter()
+    .map(|w| (w.name.to_string(), merged_file(w.config, &w.job, None)))
+    .collect();
+    let sc = generate(&ScenarioSpec::from_seed(7)).unwrap();
+    out.push(("scenario:7".into(), merged_file(sc.config, &sc.job, None)));
+    let w = scaling::scaled_job(200);
+    out.push((
+        "node 1 missing".into(),
+        merged_file(w.config, &w.job, Some(1)),
+    ));
+    out
+}
+
+/// Tables as the TSV they print as (NaN cells compare as printed), or
+/// the error's text.
+fn printed(r: Result<Vec<Table>>) -> std::result::Result<Vec<String>, String> {
+    r.map(|ts| ts.iter().map(Table::to_tsv).collect())
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn stats_over_record_views_equals_stats_over_decoded_records() {
+    let p = Profile::standard();
+    let programs = [
+        ("predefined", predefined_tables()),
+        ("query4", parse_program(QUERY4_PROGRAM).unwrap()),
+        ("missing x", parse_program(MISSING_X_PROGRAM).unwrap()),
+    ];
+    let mut gaps = 0;
+    for (name, merged) in merged_corpus() {
+        let r = IntervalFileReader::open(&merged, &p).unwrap();
+        let decoded: Vec<Interval> = r.intervals().map(|iv| iv.unwrap()).collect();
+        gaps += decoded
+            .iter()
+            .filter(|iv| iv.itype.state == StateCode::GAP)
+            .count();
+        let span = r.time_span().unwrap();
+        for (program, specs) in &programs {
+            let what = format!("{name}, {program}");
+            let viewed = printed(run_tables_over(specs, &p, span, || r.records()));
+            assert_eq!(viewed, printed(run_tables(specs, &p, &decoded)), "{what}");
+            let reference = reference_run_tables(specs, &p, &decoded);
+            assert_eq!(viewed, printed(reference), "{what}");
+            assert_eq!(viewed.is_err(), *program == "missing x", "{what}");
+        }
+        // A span the records do not have (a damaged directory): the tables
+        // are made over the records' own.
+        let specs = &programs[1].1;
+        let viewed = run_tables_over(specs, &p, Some((0, 1)), || r.records());
+        assert_eq!(
+            printed(viewed),
+            printed(run_tables(specs, &p, &decoded)),
+            "{name}"
+        );
+    }
+    assert_eq!(gaps, 1, "the salvaged merge leads with its GAP record");
+}
+
+#[test]
+fn a_damaged_merged_file_fails_stats_with_its_decode_error_first() {
+    let p = Profile::standard();
+    let w = micro::stencil(4, 16, 1 << 12);
+    let merged = merged_file(w.config, &w.job, None);
+    let dir = tmp("cut_stats");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (cut, profile) = (dir.join("cut.ivl"), dir.join("profile.ute"));
+    std::fs::write(&cut, &merged[..merged.len() / 2]).unwrap();
+    std::fs::write(&profile, p.to_bytes()).unwrap();
+    let program = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let programs = [
+        None,
+        Some(program("missing_x.uts", MISSING_X_PROGRAM)),
+        Some(program("query4.uts", QUERY4_PROGRAM)),
+        Some(program("unparsable.uts", "table name=t x=(")),
+        Some(dir.join("absent.uts").to_str().unwrap().to_string()),
+    ];
+    // The decode error of the whole file, named as `ute stats` names it.
+    let r = IntervalFileReader::open(&merged[..merged.len() / 2], &p).unwrap();
+    let decode = r
+        .intervals()
+        .find_map(Result::err)
+        .expect("a cut file fails");
+    let expected = decode.in_file(&cut).to_string();
+    let specs = parse_program(MISSING_X_PROGRAM).unwrap();
+    let viewed = run_tables_over(&specs, &p, r.time_span().ok().flatten(), || r.records());
+    assert_eq!(
+        viewed.unwrap_err().to_string(),
+        r.intervals().find_map(Result::err).unwrap().to_string()
+    );
+    for program in &programs {
+        let mut argv = vec!["stats", "--merged", cut.to_str().unwrap()];
+        argv.extend(["--profile", profile.to_str().unwrap()]);
+        if let Some(path) = program {
+            argv.extend(["--program", path]);
+        }
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let got = ute::cli::run(&argv).unwrap_err().to_string();
+        assert_eq!(got, expected, "{program:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A profile holding, beside the standard types, one type with a field
+/// of every scalar and vector kind a layout expresses.
+fn every_kind_profile() -> Profile {
+    let mut p = Profile::standard();
+    let mut name = |n: &str| p.intern_field_name(n);
+    let common: Vec<FieldSpec> = ["recType", "start", "dura", "cpu", "node", "thread"]
+        .iter()
+        .zip([
+            FieldType::U32,
+            FieldType::U64,
+            FieldType::U64,
+            FieldType::U16,
+            FieldType::U16,
+            FieldType::U16,
+        ])
+        .map(|(n, t)| FieldSpec::scalar(name(n), t))
+        .collect();
+    let mut fields = common;
+    fields[4].select_bit = ute::format::profile::SELECT_NODE;
+    fields.extend([
+        FieldSpec::scalar(name("small"), FieldType::U8),
+        FieldSpec::scalar(name("signed"), FieldType::I64),
+        FieldSpec::scalar(name("weight"), FieldType::F64),
+        FieldSpec::scalar(name("letter"), FieldType::Char),
+        FieldSpec::vector(name("samples"), FieldType::F64, 1),
+        FieldSpec::vector(name("label"), FieldType::Char, 2),
+        // The same name twice: the first is the one read.
+        FieldSpec::scalar(name("small"), FieldType::U8),
+    ]);
+    let name_idx = p.intern_record_name("EveryKind");
+    p.add_record(RecordSpec {
+        itype: IntervalType::complete(StateCode(0x7e)),
+        name_idx,
+        fields,
+    });
+    p
+}
+
+/// A record of type `spec` with every field set from `rng`.
+fn record_of(rng: &mut Rng, spec: &RecordSpec) -> Interval {
+    let mut iv = Interval::basic(
+        spec.itype,
+        rng.below(1 << 30),
+        rng.below(1 << 20),
+        CpuId(rng.below(8) as u16),
+        NodeId(rng.below(4) as u16),
+        LogicalThreadId(rng.below(4) as u16),
+    );
+    for f in spec.fields.iter().skip(6) {
+        let v = match (f.vector, f.ftype) {
+            (false, FieldType::I64) => Value::Int(rng.next() as i64),
+            (false, FieldType::F64) => Value::Float(rng.below(1 << 40) as f64 / 7.0),
+            (false, t) => Value::Uint(rng.next() >> (64 - 8 * t.elem_len() as u32)),
+            (true, FieldType::F64) => {
+                Value::FloatVec((0..rng.below(4)).map(|i| i as f64).collect())
+            }
+            (true, FieldType::Char) => Value::Str("ω".repeat(rng.below(3) as usize).into()),
+            (true, _) => Value::UintVec((0..rng.below(4)).collect()),
+        };
+        iv.extras.push((f.name_idx, v));
+    }
+    iv
+}
+
+#[test]
+fn extra_f64_is_value_as_float_for_every_field_of_every_record_type() {
+    for p in [Profile::standard(), every_kind_profile()] {
+        let mut rng = Rng(0xf10a7);
+        let mut ivs: Vec<Interval> = p
+            .specs
+            .values()
+            .flat_map(|spec| [record_of(&mut rng, spec), record_of(&mut rng, spec)])
+            .collect();
+        ivs.sort_by_key(|iv| iv.end());
+        let mut w = IntervalFileWriter::new(
+            &p,
+            MASK_MERGED,
+            MERGED_NODE,
+            &ThreadTable::new(),
+            &[],
+            FramePolicy::default(),
+        );
+        for iv in &ivs {
+            w.push(iv).unwrap();
+        }
+        let bytes = w.finish();
+        let r = IntervalFileReader::open(&bytes, &p).unwrap();
+        let mut viewed = 0;
+        for (rec, iv) in r.records().zip(&ivs) {
+            let rec = rec.unwrap();
+            viewed += matches!(rec, Record::View(_)) as usize;
+            // The first extra of that name, as `Value::as_float` reads it.
+            let expected = |idx: u16| {
+                let (_, v) = iv.extras.iter().find(|(i, _)| *i == idx)?;
+                v.as_float().map(f64::to_bits)
+            };
+            let bits = |got: Option<f64>| got.map(f64::to_bits);
+            let names = 0..=p.field_names.len() as u16;
+            for idx in names.clone() {
+                let what = format!("{:?} field {idx}", iv.itype);
+                assert_eq!(bits(iv.extra_f64(idx)), expected(idx), "Interval, {what}");
+                assert_eq!(bits(rec.extra_f64(idx)), expected(idx), "Record, {what}");
+                if let Record::View(v) = &rec {
+                    assert_eq!(bits(v.extra_f64(idx)), expected(idx), "RecordView, {what}");
+                }
+            }
+            let retimed = Retimed::new(rec, 1, 2);
+            for idx in names {
+                let what = format!("{:?} field {idx}", iv.itype);
+                assert_eq!(
+                    bits(retimed.extra_f64(idx)),
+                    expected(idx),
+                    "Retimed, {what}"
+                );
+            }
+        }
+        assert_eq!(viewed, ivs.len(), "every record of these types has a view");
+    }
+}
+
+#[test]
+fn stats_over_a_merged_file_allocate_less_than_once_per_fifty_records() {
+    let p = Profile::standard();
+    let w = scaling::scaled_job(3000);
+    let merged = merged_file(w.config, &w.job, None);
+    let r = IntervalFileReader::open(&merged, &p).unwrap();
+    let records = r.total_records().unwrap();
+    for specs in [predefined_tables(), parse_program(QUERY4_PROGRAM).unwrap()] {
+        let (tables, allocs) = allocations(|| {
+            let span = r.time_span().unwrap();
+            run_tables_over(&specs, &p, span, || r.records()).unwrap()
+        });
+        assert!(!tables.is_empty());
+        let per_record = allocs as f64 / records as f64;
+        assert!(
+            per_record < 0.02,
+            "{allocs} allocations over {records} records: {per_record:.4} per record"
+        );
     }
 }
