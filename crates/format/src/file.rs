@@ -16,6 +16,8 @@
 //! The reader mirrors the paper's API (§2.4): `read_header` →
 //! `read_frame_dir` → `get_interval` loop, plus random access by time.
 
+use std::sync::Arc;
+
 use ute_core::codec::{ByteReader, ByteWriter};
 use ute_core::error::{Result, UteError};
 
@@ -77,11 +79,12 @@ struct PendingFrame {
 pub struct IntervalFileWriter<'p> {
     profile: &'p Profile,
     mask: u32,
-    /// Precompiled field plans — the per-record encode path writes
+    /// Precompiled field plans, shared with every other file of the
+    /// `(profile, mask)` pair — the per-record encode path writes
     /// straight into the frame buffer with no name lookups and no
     /// intermediate body allocation. Record types without a plan fall
     /// back to [`Interval::encode_body`].
-    plans: PlanSet,
+    plans: Arc<PlanSet>,
     /// How to write a viewed record of another file by copying its bytes,
     /// per source layout seen ([`IntervalFileWriter::push_retimed`]).
     transcodes: TranscodeCache,
@@ -132,7 +135,7 @@ impl<'p> IntervalFileWriter<'p> {
         IntervalFileWriter {
             profile,
             mask,
-            plans: PlanSet::build(profile, mask),
+            plans: PlanSet::shared(profile, mask),
             transcodes: TranscodeCache::default(),
             policy,
             out,

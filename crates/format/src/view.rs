@@ -30,6 +30,7 @@
 //! what the merge moves instead of decoded [`Interval`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ute_core::codec::ByteReader;
 use ute_core::error::{Result, UteError};
@@ -649,12 +650,12 @@ impl RecordFields for Retimed<'_> {
 }
 
 /// Everything needed to read the records of one interval file: the
-/// profile and mask it was written under, the plans compiled for them,
+/// profile and mask it was written under, the plans shared for them,
 /// and the node its per-node records belong to.
 pub(crate) struct RecordDecoder<'p> {
     profile: &'p Profile,
     mask: u32,
-    plans: PlanSet,
+    plans: Arc<PlanSet>,
     default_node: NodeId,
 }
 
@@ -665,7 +666,7 @@ impl<'p> RecordDecoder<'p> {
         RecordDecoder {
             profile,
             mask,
-            plans: PlanSet::build(profile, mask),
+            plans: PlanSet::shared(profile, mask),
             default_node: NodeId(if node == MERGED_NODE { 0 } else { node }),
         }
     }

@@ -590,8 +590,10 @@ pub fn merged_stream<'a>(
             if leading {
                 continue;
             }
+            // Only a frame head has continuations before it: counting
+            // the open states for every record costs a walk of them all.
             let head = at_frame_head(&opts, pushed - 1);
-            let left = pseudo.get_or_insert_with(|| tracker.open().filter(|_| head).count());
+            let left = pseudo.get_or_insert_with(|| if head { tracker.open().count() } else { 0 });
             if *left == 0 {
                 tracker.observe(&rec, |_| ());
                 return Some(Ok(rec));

@@ -942,3 +942,60 @@ fn more_open_states_than_a_frame_holds_read_back_whole() {
         assert!(back == stream, "gaps {gaps:?}");
     }
 }
+
+#[test]
+fn a_wide_merged_file_reads_back_whole() {
+    // 80 timelines — 8 nodes of 10 threads — each open a marker, then
+    // 2,000 records run under them, 64 to a frame: every frame head
+    // carries 80 continuations, and most records are not at one.
+    let p = Profile::standard();
+    let (nodes, threads) = (8u16, 10u16);
+    let marker = |bebits, node: u16, thread: u16, start: u64, duration: u64| {
+        Interval::basic(
+            IntervalType {
+                state: StateCode::MARKER,
+                bebits,
+            },
+            start,
+            duration,
+            CpuId(thread % 4),
+            NodeId(node),
+            LogicalThreadId(thread),
+        )
+        .with_extra(
+            &p,
+            "markerId",
+            Value::Uint((node * threads + thread) as u64),
+        )
+        .with_extra(&p, "address", Value::Uint(0))
+        .with_extra(&p, "addressEnd", Value::Uint(0))
+    };
+    let timelines = || (0..nodes).flat_map(|n| (0..threads).map(move |t| (n, t)));
+    let mut stream: Vec<Interval> = timelines()
+        .map(|(n, t)| marker(BeBits::Begin, n, t, 0, 1))
+        .collect();
+    let mut rng = Rng(0x77de);
+    for i in 0..2_000u64 {
+        let node = rng.below(nodes as u64) as u16;
+        stream.push(random_interval(&mut rng, &p, node));
+        stream.last_mut().unwrap().start = 10 + i * 10;
+        stream.last_mut().unwrap().duration = 10;
+    }
+    stream.extend(timelines().map(|(n, t)| marker(BeBits::End, n, t, 30_000, 1)));
+    let opts = MergeOptions {
+        policy: FramePolicy {
+            max_records_per_frame: 64,
+            max_frames_per_dir: 8,
+        },
+        gap_nodes: vec![9],
+        frame_pseudo_intervals: true,
+        ..MergeOptions::default()
+    };
+    let (back, stats) = round_trip(&stream, &opts);
+    assert!(
+        stats.pseudo_added >= 80 * 20,
+        "{} pseudo records",
+        stats.pseudo_added
+    );
+    assert!(back == stream);
+}
