@@ -724,7 +724,7 @@ pub(crate) fn cmd_clockfit(args: &Args) -> Result<String> {
         let nf = match fit {
             Ok(nf) => nf,
             Err(e) if salvage => {
-                msg.push_str(&format!("node ?: unfittable ({e})\n"));
+                msg.push_str(&format!("{}: unfittable ({e})\n", path.display()));
                 continue;
             }
             Err(e) => return Err(e.in_file(path)),

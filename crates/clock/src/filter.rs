@@ -35,12 +35,10 @@ pub fn filter_outliers(samples: &[ClockSample], tolerance_ppm: f64) -> Vec<Clock
     let slopes: Vec<f64> = samples
         .windows(2)
         .map(|w| {
-            let dg = (w[1].global.ticks() - w[0].global.ticks()) as f64;
-            let dl = (w[1].local.ticks() as i128 - w[0].local.ticks() as i128) as f64;
-            if dl <= 0.0 {
-                f64::INFINITY
+            if w[1].local > w[0].local {
+                w[0].slope_to(&w[1])
             } else {
-                dg / dl
+                f64::INFINITY
             }
         })
         .collect();
@@ -50,7 +48,7 @@ pub fn filter_outliers(samples: &[ClockSample], tolerance_ppm: f64) -> Vec<Clock
     }
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = sorted[sorted.len() / 2];
-    let tol = median * tolerance_ppm * 1e-6;
+    let tol = median.abs() * tolerance_ppm * 1e-6;
     let deviant = |s: f64| -> bool { !s.is_finite() || (s - median).abs() > tol };
 
     let mut keep = vec![true; samples.len()];
@@ -138,6 +136,24 @@ mod tests {
         }
         let f = filter_outliers_default(&s);
         assert_eq!(f.len(), s.len() - 3);
+    }
+
+    #[test]
+    fn a_global_time_that_falls_is_a_deviant_sample() {
+        let mut s = clean_run(30, 25.0);
+        // Sample 10's global time falls below sample 9's.
+        s[10].global = Time(s[9].global.ticks() - 500);
+        let f = filter_outliers_default(&s);
+        assert_eq!(f.len(), s.len() - 1);
+        assert!(!f.contains(&s[10]));
+        assert!(f.windows(2).all(|w| w[0].global <= w[1].global));
+        // Falling nearly everywhere: the samples that agree with the
+        // falling median stay, for the fit to refuse.
+        let falling: Vec<ClockSample> = clean_run(30, 25.0)
+            .iter()
+            .map(|x| ClockSample::new(Time((1 << 40) - x.global.ticks()), x.local))
+            .collect();
+        assert!(filter_outliers_default(&falling).len() > falling.len() / 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! which has its own global to local clock ratio".
 
 use ute_core::error::{Result, UteError};
-use ute_core::time::{Duration, LocalTime, Time};
+use ute_core::time::{LocalTime, Time};
 
 use crate::sample::ClockSample;
 
@@ -58,9 +58,10 @@ impl ClockFit {
     /// Fits the samples with the requested estimator.
     ///
     /// Needs at least two samples with strictly increasing local
-    /// timestamps; for [`RatioEstimator::Piecewise`] use
-    /// [`PiecewiseFit::fit`] instead (this function falls back to
-    /// [`RatioEstimator::RmsSegments`] for that variant).
+    /// timestamps and no falling global one; for
+    /// [`RatioEstimator::Piecewise`] use [`PiecewiseFit::fit`] instead
+    /// (this function falls back to [`RatioEstimator::RmsSegments`] for
+    /// that variant).
     pub fn fit(samples: &[ClockSample], estimator: RatioEstimator) -> Result<ClockFit> {
         validate(samples)?;
         let ratio = match estimator {
@@ -83,12 +84,11 @@ impl ClockFit {
             return self.origin_global;
         }
         let dl = (local.ticks() - self.origin_local.ticks()) as f64;
-        Time(self.origin_global.ticks() + (self.ratio * dl).round() as u64)
-    }
-
-    /// Scales a local duration onto the global axis (`R·D`, §2.2).
-    pub fn adjust_duration(&self, d: Duration) -> Duration {
-        Duration((self.ratio * d.ticks() as f64).round() as u64)
+        Time(
+            self.origin_global
+                .ticks()
+                .saturating_add((self.ratio * dl).round() as u64),
+        )
     }
 }
 
@@ -105,6 +105,16 @@ fn validate(samples: &[ClockSample]) -> Result<()> {
                 "clock samples must have strictly increasing local timestamps".into(),
             ));
         }
+        // A fit through a falling pair would map later local times
+        // earlier: every fit is monotone because this never passes.
+        if w[1].global < w[0].global {
+            return Err(UteError::corrupt(format!(
+                "clock records: global time falls from {} to {} at local {}",
+                w[0].global.ticks(),
+                w[1].global.ticks(),
+                w[1].local.ticks()
+            )));
+        }
     }
     Ok(())
 }
@@ -114,12 +124,8 @@ pub fn rms_segments(samples: &[ClockSample]) -> f64 {
     let n = samples.len() - 1;
     let sum_sq: f64 = samples
         .windows(2)
-        .map(|w| {
-            let dg = (w[1].global.ticks() - w[0].global.ticks()) as f64;
-            let dl = (w[1].local.ticks() - w[0].local.ticks()) as f64;
-            let s = dg / dl;
-            s * s
-        })
+        .map(|w| w[0].slope_to(&w[1]))
+        .map(|s| s * s)
         .sum();
     (sum_sq / n as f64).sqrt()
 }
@@ -130,23 +136,15 @@ pub fn rms_all_slopes(samples: &[ClockSample]) -> f64 {
     let n = samples.len() - 1;
     let sum_sq: f64 = samples[1..]
         .iter()
-        .map(|s| {
-            let dg = (s.global.ticks() - first.global.ticks()) as f64;
-            let dl = (s.local.ticks() - first.local.ticks()) as f64;
-            let r = dg / dl;
-            r * r
-        })
+        .map(|s| first.slope_to(s))
+        .map(|r| r * r)
         .sum();
     (sum_sq / n as f64).sqrt()
 }
 
 /// The slope of the whole span (first to last pair).
 pub fn last_pair(samples: &[ClockSample]) -> f64 {
-    let first = samples[0];
-    let last = samples[samples.len() - 1];
-    let dg = (last.global.ticks() - first.global.ticks()) as f64;
-    let dl = (last.local.ticks() - first.local.ticks()) as f64;
-    dg / dl
+    samples[0].slope_to(&samples[samples.len() - 1])
 }
 
 /// Piecewise adjustment: "it is also possible to adjust local timestamps
@@ -165,18 +163,16 @@ impl PiecewiseFit {
     /// Fits one ratio per adjacent sample pair.
     pub fn fit(samples: &[ClockSample]) -> Result<PiecewiseFit> {
         validate(samples)?;
-        let ratios = samples
-            .windows(2)
-            .map(|w| {
-                let dg = (w[1].global.ticks() - w[0].global.ticks()) as f64;
-                let dl = (w[1].local.ticks() - w[0].local.ticks()) as f64;
-                dg / dl
-            })
-            .collect();
+        let ratios = samples.windows(2).map(|w| w[0].slope_to(&w[1])).collect();
         Ok(PiecewiseFit {
             anchors: samples.to_vec(),
             ratios,
         })
+    }
+
+    /// The mean of the segment ratios: the one ratio a report shows.
+    pub fn mean_ratio(&self) -> f64 {
+        self.ratios.iter().sum::<f64>() / self.ratios.len() as f64
     }
 
     /// Number of segments.
@@ -209,12 +205,6 @@ impl PiecewiseFit {
         let dl = local.ticks() as f64 - a.local.ticks() as f64;
         let g = a.global.ticks() as f64 + self.ratios[i] * dl;
         Time(if g <= 0.0 { 0 } else { g.round() as u64 })
-    }
-
-    /// Scales a duration starting at `local` using that segment's ratio.
-    pub fn adjust_duration(&self, local: LocalTime, d: Duration) -> Duration {
-        let i = self.segment_for(local);
-        Duration((self.ratios[i] * d.ticks() as f64).round() as u64)
     }
 }
 
@@ -306,15 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn duration_scaling_uses_ratio() {
+    fn ratio_of_a_half_speed_local_clock_is_two() {
         let s = vec![
             ClockSample::new(Time(0), LocalTime(0)),
             ClockSample::new(Time(2_000_000), LocalTime(1_000_000)),
         ];
-        // Local clock runs at half speed: R = 2.
         let fit = ClockFit::fit(&s, RatioEstimator::RmsSegments).unwrap();
         assert!((fit.ratio - 2.0).abs() < 1e-12);
-        assert_eq!(fit.adjust_duration(Duration(500)).ticks(), 1_000);
     }
 
     #[test]
@@ -379,14 +367,54 @@ mod tests {
         assert_eq!(pw.adjust(LocalTime(3_500)).ticks(), 5_000);
         // Before the first anchor, clamp to the aligned start.
         assert_eq!(pw.adjust(LocalTime(0)).ticks(), 1_000);
-        // Duration scaling picks the right segment.
-        assert_eq!(
-            pw.adjust_duration(LocalTime(2_500), Duration(100)).ticks(),
-            200
-        );
-        assert_eq!(
-            pw.adjust_duration(LocalTime(1_500), Duration(100)).ticks(),
-            100
-        );
+        // The reported ratio is the mean of the segments' 1.0 and 2.0.
+        assert_eq!(pw.mean_ratio(), 1.5);
+    }
+
+    /// G falls from 1000 to 500 at the middle sample.
+    fn falling_at_middle() -> Vec<ClockSample> {
+        vec![
+            ClockSample::new(Time(0), LocalTime(0)),
+            ClockSample::new(Time(1_000), LocalTime(1_000)),
+            ClockSample::new(Time(500), LocalTime(2_000)),
+        ]
+    }
+
+    #[test]
+    fn estimators_take_a_falling_global_time_without_overflow() {
+        let s = falling_at_middle();
+        assert_eq!(last_pair(&s), 0.25);
+        assert_eq!(rms_segments(&s), (0.5f64 * (1.0 + 0.25)).sqrt());
+        assert_eq!(rms_all_slopes(&s), (0.5f64 * (1.0 + 0.0625)).sqrt());
+    }
+
+    #[test]
+    fn a_fit_through_a_falling_global_time_is_refused() {
+        let s = falling_at_middle();
+        for est in [
+            RatioEstimator::RmsSegments,
+            RatioEstimator::RmsAllSlopes,
+            RatioEstimator::LastPair,
+        ] {
+            let e = ClockFit::fit(&s, est).unwrap_err();
+            assert!(matches!(e, UteError::Corrupt { .. }), "{est:?}: {e}");
+            assert!(e.to_string().contains("falls from 1000 to 500"), "{e}");
+        }
+        let e = PiecewiseFit::fit(&s).unwrap_err();
+        assert!(matches!(e, UteError::Corrupt { .. }), "{e}");
+        // A level global time is not a fall.
+        let mut level = s.clone();
+        level[2].global = Time(1_000);
+        assert!(PiecewiseFit::fit(&level).is_ok());
+    }
+
+    #[test]
+    fn an_overflowing_mapping_saturates() {
+        let fit = ClockFit {
+            origin_global: Time(u64::MAX - 10),
+            origin_local: LocalTime(0),
+            ratio: 1e12,
+        };
+        assert_eq!(fit.adjust(LocalTime(1_000)), Time(u64::MAX));
     }
 }

@@ -31,6 +31,14 @@ impl ClockSample {
     pub fn new(global: Time, local: LocalTime) -> ClockSample {
         ClockSample { global, local }
     }
+
+    /// The slope `(G₁ − G₀) / (L₁ − L₀)` from this sample to `later`,
+    /// both differences signed: a damaged sample may run backwards.
+    pub fn slope_to(&self, later: &ClockSample) -> f64 {
+        let dg = later.global.ticks() as i128 - self.global.ticks() as i128;
+        let dl = later.local.ticks() as i128 - self.local.ticks() as i128;
+        dg as f64 / dl as f64
+    }
 }
 
 /// Configuration of a node's clock-sampling thread.

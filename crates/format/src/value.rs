@@ -13,9 +13,9 @@ use crate::datatype::FieldType;
 /// A decoded field value.
 ///
 /// The vector variants box their payloads so a `Value` is 24 bytes
-/// instead of 32: values travel by the hundred-thousand inside
-/// [`crate::record::Interval`] through the reorder buffer and the k-way
-/// merge, where element size is memory traffic. Scalars — the
+/// instead of 32: values travel by the hundred-thousand inside the
+/// [`crate::record::Interval`]s that the converter's matcher and decoded
+/// readers sort and collect, where element size is memory traffic. Scalars — the
 /// overwhelming majority — never touch the heap either way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

@@ -11,7 +11,7 @@ use ute_clock::filter::filter_outliers_default;
 use ute_clock::ratio::{ClockFit, PiecewiseFit, RatioEstimator};
 use ute_clock::sample::ClockSample;
 use ute_core::error::{Result, UteError};
-use ute_core::time::{Duration, LocalTime, Time};
+use ute_core::time::{LocalTime, Time};
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
 use ute_format::state::StateCode;
@@ -38,20 +38,12 @@ impl FitKind {
         }
     }
 
-    /// Scales a local duration starting at `local` to the global axis.
-    pub fn adjust_duration(&self, local: LocalTime, d: Duration) -> Duration {
-        match self {
-            FitKind::Linear(f) => f.adjust_duration(d),
-            FitKind::Piecewise(f) => f.adjust_duration(local, d),
-        }
-    }
-
     /// The effective single ratio, for reporting (piecewise reports the
     /// mean of its segment ratios).
     pub fn ratio(&self) -> f64 {
         match self {
             FitKind::Linear(f) => f.ratio,
-            FitKind::Piecewise(_) => f64::NAN,
+            FitKind::Piecewise(f) => f.mean_ratio(),
         }
     }
 }
@@ -167,9 +159,16 @@ fn fit_from_samples(
     };
     let fit = if samples.len() >= 2 {
         match estimator {
-            RatioEstimator::Piecewise => FitKind::Piecewise(PiecewiseFit::fit(&samples)?),
-            other => FitKind::Linear(ClockFit::fit(&samples, other)?),
+            RatioEstimator::Piecewise => PiecewiseFit::fit(&samples).map(FitKind::Piecewise),
+            other => ClockFit::fit(&samples, other).map(FitKind::Linear),
         }
+        .map_err(|e| match e {
+            UteError::Corrupt { what, offset } => UteError::Corrupt {
+                what: format!("node {node} {what}"),
+                offset,
+            },
+            e => e,
+        })?
     } else {
         let anchor = samples
             .first()
@@ -326,13 +325,13 @@ mod piecewise_tests {
         let lin_err = (lin.fit.adjust(LocalTime(probe.1)).ticks() as i64 - probe.0 as i64).abs();
         assert!(pw_err <= 1);
         assert!(lin_err > 1_000, "linear error only {lin_err}");
-        // Durations scale by the segment's own ratio.
-        let d1 = nf.fit.adjust_duration(LocalTime(pairs[2].1), Duration(100));
-        let d2 = nf
-            .fit
-            .adjust_duration(LocalTime(pairs[15].1), Duration(100));
-        assert_eq!(d1.ticks(), 200); // first half: local runs at half speed
-        assert_eq!(d2.ticks(), 50); // second half: local runs at double speed
+        // The reported ratio is the mean of ten segments at 2.0 (local at
+        // half speed) and nine at 0.5.
+        assert!(
+            (nf.fit.ratio() - 24.5 / 19.0).abs() < 1e-12,
+            "{}",
+            nf.fit.ratio()
+        );
     }
 }
 

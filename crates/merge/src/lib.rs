@@ -7,8 +7,12 @@
 //!    in each trace file";
 //! 2. **Drift adjustment** — subsequent clock records give the
 //!    global-to-local ratio `R` (RMS of slope segments by default; see
-//!    [`ute_clock::ratio`] for the alternatives), and every record's
-//!    local start `S` and duration `D` become `R·S`-style global values;
+//!    [`ute_clock::ratio`] for the alternatives), and both ends of every
+//!    record are mapped through that fit, the duration being their
+//!    difference. A fit through a falling global time is refused, so
+//!    every fit is monotone and an end-ordered file stays end-ordered;
+//!    only a damaged time field can break that, and the node's records
+//!    are then stably sorted by end;
 //! 3. **K-way merge** — "a balanced tree in which each tree node holds
 //!    the pointer to the next interval in the corresponding interval
 //!    file. Tree nodes are sorted by end time";
@@ -34,7 +38,6 @@
 pub mod clockfit;
 pub mod kway;
 pub mod merger;
-pub mod stream;
 
 pub use clockfit::{
     clock_samples_of, extract_clock_samples, fit_node, fit_node_intervals, NodeFit,
@@ -45,4 +48,3 @@ pub use merger::{
     merge_files_jobs, merged_stream, slog_of_merged, slogmerge, slogmerge_jobs, testhook,
     write_merged_stream, IvSource, MergeItem, MergeOptions, MergeOutput, MergeStats, VecSource,
 };
-pub use stream::{ReorderBuffer, REORDER_WINDOW};

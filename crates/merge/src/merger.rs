@@ -19,7 +19,6 @@ use ute_slog::file::SlogFile;
 
 use crate::clockfit::{fit_node, NodeFit};
 use crate::kway::{LoserTreeMerge, MergeSource};
-use crate::stream::ReorderBuffer;
 
 /// Merge configuration.
 #[derive(Debug, Clone)]
@@ -184,10 +183,9 @@ pub fn absorb_file_header(
 }
 
 /// The per-node stage of the merge: fits the node's clock, then reads,
-/// filters, and clock-adjusts its records, streaming them end-ordered
-/// into `sink` (via a [`ReorderBuffer`], so the emitted sequence is the
-/// stable end-time sort regardless of rounding jitter). Returns the
-/// node's fit and its raw record count.
+/// filters, and clock-adjusts its records into a vector ordered by
+/// adjusted end — the stable sort by end, so ties keep file order.
+/// Returns it with the node's fit and its raw record count.
 ///
 /// A record goes out as a [`Retimed`]: still the bytes `reader` holds,
 /// with the adjusted start and duration beside them.
@@ -195,42 +193,14 @@ pub fn adjust_node_records<'r>(
     reader: &'r IntervalFileReader<'_>,
     profile: &Profile,
     opts: &MergeOptions,
-    sink: impl FnMut(Retimed<'r>) -> Result<()>,
-) -> Result<(NodeFit, u64)> {
+) -> Result<(Vec<Retimed<'r>>, NodeFit, u64)> {
     let _span = ute_obs::Span::enter("merge", format!("merge node {}", reader.node));
+    if testhook::take_adjust_panic(reader.node) {
+        panic!("testhook: injected adjust panic on node {}", reader.node);
+    }
     let nf = fit_node(reader, profile, opts.estimator, opts.filter_outliers)?;
-    let records_in = adjust_stream(reader, &nf, opts, sink)?;
-    Ok((nf, records_in))
-}
-
-/// [`adjust_node_records`] with every record decoded on its way out: the
-/// route the merge took before it carried bytes, kept as the reference
-/// its output is compared with.
-pub fn adjust_node(
-    reader: &IntervalFileReader<'_>,
-    profile: &Profile,
-    opts: &MergeOptions,
-    mut sink: impl FnMut(Interval) -> Result<()>,
-) -> Result<(NodeFit, u64)> {
-    adjust_node_records(reader, profile, opts, |rec| sink(rec.into_interval()))
-}
-
-/// The loop of [`adjust_node_records`]: filter, clock-adjust, and
-/// end-order every record of one node.
-fn adjust_stream<'r>(
-    reader: &'r IntervalFileReader<'_>,
-    nf: &NodeFit,
-    opts: &MergeOptions,
-    mut sink: impl FnMut(Retimed<'r>) -> Result<()>,
-) -> Result<u64> {
-    let obs_in = ute_obs::counter("merge/records_in");
+    let mut adjusted = Vec::new();
     let mut records_in = 0u64;
-    let mut emitted = 0u64;
-    let mut counted_sink = |item: Retimed<'r>| {
-        emitted += 1;
-        sink(item)
-    };
-    let mut reorder = ReorderBuffer::new();
     for rec in reader.records() {
         let rec = rec?;
         records_in += 1;
@@ -263,21 +233,35 @@ fn adjust_stream<'r>(
         let end = start.saturating_add(rec.duration());
         let gend = nf.fit.adjust(LocalTime(end)).ticks();
         let gstart = nf.fit.adjust(LocalTime(start)).ticks().min(gend);
-        reorder.push(
-            gend,
-            Retimed::new(rec, gstart, gend - gstart),
-            &mut counted_sink,
-        )?;
+        adjusted.push(Retimed::new(rec, gstart, gend - gstart));
     }
-    reorder.finish(&mut counted_sink)?;
-    obs_in.add(emitted);
+    // The file is end-ordered and the fit monotone, so the adjusted ends
+    // are too — unless a damaged time field broke the file's order. Look
+    // before sorting: a stable sort takes a scratch the size of the
+    // vector even when there is nothing to move.
+    if !adjusted.is_sorted_by_key(|r| r.end()) {
+        adjusted.sort_by_key(|r| r.end());
+    }
+    ute_obs::counter("merge/records_in").add(adjusted.len() as u64);
     ute_obs::gauge("merge/clock_fit_residual_ns").set_max(nf.max_residual as f64);
-    Ok(records_in)
+    Ok((adjusted, nf, records_in))
 }
 
-/// One node's share of the merge: its adjusted records, end-ordered, with
-/// its clock fit and input record count.
-type Staged<'r> = (Vec<Retimed<'r>>, NodeFit, u64);
+/// [`adjust_node_records`] with every record decoded on its way out: the
+/// route the merge took before it carried bytes, kept as the reference
+/// its output is compared with.
+pub fn adjust_node(
+    reader: &IntervalFileReader<'_>,
+    profile: &Profile,
+    opts: &MergeOptions,
+    mut sink: impl FnMut(Interval) -> Result<()>,
+) -> Result<(NodeFit, u64)> {
+    let (adjusted, nf, records_in) = adjust_node_records(reader, profile, opts)?;
+    for rec in adjusted {
+        sink(rec.into_interval())?;
+    }
+    Ok((nf, records_in))
+}
 
 /// The per-node stage as the merge runs it: all or nothing. Every record
 /// is adjusted into a vector before any is used, so a node that fails
@@ -288,19 +272,8 @@ fn stage_node<'r>(
     reader: &'r IntervalFileReader<'_>,
     profile: &Profile,
     opts: &MergeOptions,
-) -> Result<Staged<'r>> {
-    let attempt = || {
-        let injected_panic = testhook::take_adjust_panic(reader.node);
-        let mut adjusted = Vec::new();
-        let (nf, records_in) = adjust_node_records(reader, profile, opts, |rec| {
-            if injected_panic {
-                panic!("testhook: injected adjust panic on node {}", reader.node);
-            }
-            adjusted.push(rec);
-            Ok(())
-        })?;
-        Ok((adjusted, nf, records_in))
-    };
+) -> Result<(Vec<Retimed<'r>>, NodeFit, u64)> {
+    let attempt = || adjust_node_records(reader, profile, opts);
     if !opts.salvage {
         return attempt();
     }
@@ -417,7 +390,7 @@ fn merge_core<T>(
 }
 
 /// Fault-injection hook for regression tests: arms a one-shot panic
-/// inside the per-node merge stage's record sink, so tests can verify
+/// inside the per-node merge stage, so tests can verify
 /// that salvage mode's `catch_unwind` isolation closes (marks aborted)
 /// the open spans and that the retry still produces clean output, and
 /// that strict mode surfaces the panic as an error. Disarmed, it costs
@@ -430,7 +403,7 @@ pub mod testhook {
     static PANIC_NODE: AtomicI64 = AtomicI64::new(-1);
 
     /// Arms a one-shot panic in the per-node merge stage for `node`: its
-    /// next attempt panics at its first record.
+    /// next attempt panics as it starts, inside its `merge node` span.
     pub fn arm_adjust_panic(node: u16) {
         PANIC_NODE.store(node as i64, Ordering::SeqCst);
     }

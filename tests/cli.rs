@@ -420,6 +420,96 @@ fn the_standalone_chain_and_the_readers_work_from_a_shell() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+const ESTIMATORS: [&str; 4] = ["rms", "rmsall", "last", "piecewise"];
+
+/// A traced and converted `scaling` run: nine clock records per node, so
+/// every estimator has segments to fit and the filter a median to hold.
+fn clocked(name: &str) -> PathBuf {
+    let dir = tmpdir(name);
+    let d = dir.to_str().unwrap();
+    let trace = ["trace", "--workload", "scaling", "--iterations", "1500"];
+    run(&argv(&[&trace[..], &["--out", d]].concat())).unwrap();
+    run(&argv(&["convert", "--in", d])).unwrap();
+    dir
+}
+
+/// Rewrites `trace.1.ivl` in `dir` with the global time of its fifth
+/// clock record 500 ticks below the fourth's.
+fn lower_a_global_time(dir: &Path) {
+    use ute::format::file::{FramePolicy, IntervalFileReader, IntervalFileWriter};
+    use ute::format::profile::{Profile, MASK_PER_NODE};
+    use ute::format::state::StateCode;
+    use ute::format::value::Value;
+    let profile = Profile::read_from(&dir.join("profile.ute")).unwrap();
+    let g = profile.field_name_index("globalTime").unwrap();
+    let path = dir.join("trace.1.ivl");
+    let bytes = std::fs::read(&path).unwrap();
+    let r = IntervalFileReader::open(&bytes, &profile).unwrap();
+    let policy = FramePolicy::default();
+    let mut w = IntervalFileWriter::new(&profile, MASK_PER_NODE, 1, &r.threads, &r.markers, policy);
+    let mut clocks = Vec::new();
+    for iv in r.intervals() {
+        let mut iv = iv.unwrap();
+        if iv.itype.state == StateCode::CLOCK {
+            let (_, v) = iv.extras.iter_mut().find(|(i, _)| *i == g).unwrap();
+            clocks.push(v.as_uint().unwrap());
+            if clocks.len() == 5 {
+                *v = Value::Uint(clocks[3] - 500);
+            }
+        }
+        w.push(&iv).unwrap();
+    }
+    assert!(clocks.len() >= 8, "{} clock records", clocks.len());
+    std::fs::write(&path, w.finish()).unwrap();
+}
+
+#[test]
+fn every_estimator_reports_a_ratio_and_refuses_a_falling_global_time() {
+    let dir = clocked("estimators");
+    let d = dir.to_str().unwrap();
+    let out = dir.join("m.ivl");
+    let o = out.to_str().unwrap();
+    for est in ESTIMATORS {
+        let c = run(&argv(&["clockfit", "--in", d, "--estimator", est])).unwrap();
+        let m = run(&argv(&["merge", "--in", d, "--out", o, "--estimator", est])).unwrap();
+        for text in [&c, &m] {
+            assert!(text.contains("node 3: ratio 1.0000"), "{est}: {text}");
+            assert!(!text.contains("NaN"), "{est}: {text}");
+        }
+    }
+
+    // One falling pair: the filter drops the sample as it drops a
+    // deschedule; unfiltered, no fit through it is made — salvage drops
+    // the node, strict names its file — and nothing panics.
+    lower_a_global_time(&dir);
+    let file = dir.join("trace.1.ivl");
+    let named = format!("{}: corrupt node 1 clock records", file.display());
+    for est in ESTIMATORS {
+        for filter in [&[][..], &["--no-filter"][..]] {
+            let what = format!("{est} {filter:?}");
+            let with = |cmd: &[&str]| argv(&[cmd, &["--estimator", est], filter].concat());
+            let c = run(&with(&["clockfit", "--in", d])).unwrap();
+            let m = run(&with(&["merge", "--in", d, "--out", o])).unwrap();
+            let strict = run(&with(&["merge", "--in", d, "--out", o, "--strict"]));
+            if filter.is_empty() {
+                assert!(c.contains("node 1: ratio"), "{what}: {c}");
+                assert!(!m.contains("degraded"), "{what}: {m}");
+                strict.unwrap();
+            } else {
+                let line = format!("{}: unfittable (corrupt node 1 clock", file.display());
+                assert!(c.contains(&line), "{what}: {c}");
+                assert!(m.contains("1 dropped in merge"), "{what}: {m}");
+                assert!(!m.contains("node 1: ratio"), "{what}: {m}");
+                let e = strict.unwrap_err().to_string();
+                assert!(e.starts_with(&named), "{what}: {e}");
+                let e = run(&with(&["clockfit", "--in", d, "--strict"])).unwrap_err();
+                assert!(e.to_string().starts_with(&named), "{what}: {e}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 const PLAN: &str = "0:truncate@800,1:bitflip@200.3,2:missing";
 
 fn faulted(cmd: &str, out: &Path, more: &[&str]) -> ute::core::error::Result<String> {

@@ -717,12 +717,7 @@ fn slog_built_from_any_record_form_is_the_slog_built_from_intervals() {
     let mut streams = Vec::new();
     for r in &readers {
         absorb_file_header(r, &mut threads, &mut markers).unwrap();
-        let mut recs = Vec::new();
-        adjust_node_records(r, p, &opts, |rec| {
-            recs.push(rec);
-            Ok(())
-        })
-        .unwrap();
+        let (recs, _, _) = adjust_node_records(r, p, &opts).unwrap();
         streams.push(recs);
     }
     let sources = streams.into_iter().map(VecSource::new).collect();
