@@ -15,22 +15,13 @@ use ute_clock::ratio::{ClockFit, PiecewiseFit, RatioEstimator};
 use ute_clock::sample::{sample_clocks, ClockSample, SamplerConfig};
 use ute_core::time::{Duration, LocalTime, Time};
 
-/// Mean absolute adjustment error (ns) of a fit over probe points with
-/// known ground truth (true time t ↔ exact local reading).
-fn eval_linear(fit: &ClockFit, truth: &[(Time, LocalTime)]) -> f64 {
-    truth
-        .iter()
-        .map(|(g, l)| (fit.adjust(*l).ticks() as i64 - g.ticks() as i64).abs() as f64)
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
-fn eval_piecewise(fit: &PiecewiseFit, truth: &[(Time, LocalTime)]) -> f64 {
-    truth
-        .iter()
-        .map(|(g, l)| (fit.adjust(*l).ticks() as i64 - g.ticks() as i64).abs() as f64)
-        .sum::<f64>()
-        / truth.len() as f64
+/// Mean absolute adjustment error (ns) of a fit's `adjust` over probe
+/// points with known ground truth (true time t ↔ exact local reading).
+fn mean_error(adjust: impl Fn(LocalTime) -> Time, truth: &[(Time, LocalTime)]) -> f64 {
+    let total: f64 = (truth.iter())
+        .map(|(g, l)| (adjust(*l).ticks() as i64 - g.ticks() as i64).abs() as f64)
+        .sum();
+    total / truth.len() as f64
 }
 
 fn scenario(
@@ -72,12 +63,12 @@ fn report(samples: &[ClockSample], truth: &[(Time, LocalTime)]) -> Vec<(String, 
         ("last-pair", RatioEstimator::LastPair),
     ] {
         let fit = ClockFit::fit(samples, est).unwrap();
-        let err = eval_linear(&fit, truth);
+        let err = mean_error(|l| fit.adjust(l), truth);
         println!("  {name:<24} mean |error| = {err:>10.1} ns");
         rows.push((name.to_string(), err));
     }
     let pw = PiecewiseFit::fit(samples).unwrap();
-    let err = eval_piecewise(&pw, truth);
+    let err = mean_error(|l| pw.adjust(l), truth);
     println!("  {:<24} mean |error| = {err:>10.1} ns", "piecewise");
     rows.push(("piecewise".to_string(), err));
     rows

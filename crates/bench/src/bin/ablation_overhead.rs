@@ -19,8 +19,11 @@ use ute_workloads::scaling::scaled_job;
 fn run(label: &str, trace: TraceOptions) -> (u64, f64, f64) {
     let mut w = scaled_job(512);
     w.config.trace = trace;
-    let res = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
-    let events: u64 = res.raw_files.iter().map(|f| f.events.len() as u64).sum();
+    let res = Simulator::new(w.config, &w.job)
+        .unwrap()
+        .run_bytes()
+        .unwrap();
+    let events = res.stats.events_cut;
     let overhead = res.stats.trace_overhead.as_secs_f64();
     let end = res.stats.end_time.as_secs_f64();
     println!(

@@ -7,40 +7,32 @@
 //! read off "the time ranges of a time-space diagram that are likely to
 //! be interesting".
 //!
+//! The table, its heatmap and its SVG are `ute stats --out`'s own.
+//!
 //! Run: `cargo run -p ute-bench --bin fig6_stats_view`
 
-use ute_bench::{merged_intervals, run_pipeline};
-use ute_slog::builder::BuildOptions;
-use ute_stats::predefined::predefined_tables;
-use ute_stats::run_tables;
-use ute_stats::viewer::{heatmap_ascii, heatmap_svg};
-use ute_workloads::flash::{workload, FlashParams};
+use ute_bench::RunDir;
 
 fn main() {
-    let run = run_pipeline(workload(FlashParams::default()), BuildOptions::default()).unwrap();
-    let intervals = merged_intervals(&run).unwrap();
-    let tables = run_tables(&predefined_tables(), &run.profile, &intervals).unwrap();
-    let fig6 = tables
-        .iter()
-        .find(|t| t.name == "interesting_by_node_bin")
+    let run = RunDir::fresh("fig6_stats_view");
+    let [.., (_, stats)] = run.pipeline("flash", &[]);
+    // `ute stats` prints each table as `=== name ===`, its TSV, the
+    // statistics viewer's heatmap and the files it wrote.
+    let fig6 = stats
+        .text
+        .split("=== ")
+        .find_map(|t| t.strip_prefix("interesting_by_node_bin ===\n"))
         .expect("predefined Figure 6 table");
+    println!("# Figure 6 — sum of interesting durations per node x 50 bins, from `ute stats`\n");
+    print!("{fig6}");
 
-    println!("# Figure 6 — sum of interesting durations per node x 50 bins (TSV)\n");
-    print!("{}", fig6.to_tsv());
-
-    println!("\n# statistics viewer rendering:\n");
-    print!("{}", heatmap_ascii(fig6, 0).unwrap());
-
-    let out = std::path::Path::new("target/figures");
-    std::fs::create_dir_all(out).unwrap();
-    let svg_path = out.join("fig6_stats_view.svg");
-    std::fs::write(&svg_path, heatmap_svg(fig6, 0, 10).unwrap()).unwrap();
-    println!("\nwrote {}", svg_path.display());
-
-    // Shape check: busy and quiet bins both exist (phase structure).
+    // Shape check on the TSV the command wrote: busy and quiet bins both
+    // exist (phase structure).
+    let tsv = std::fs::read_to_string(run.dir.join("stats/interesting_by_node_bin.tsv")).unwrap();
     let mut per_bin = vec![0.0f64; 50];
-    for (key, ys) in &fig6.rows {
-        per_bin[key[1].0 as usize] += ys[0];
+    for row in tsv.lines().skip(1) {
+        let cols: Vec<&str> = row.split('\t').collect();
+        per_bin[cols[1].parse::<usize>().unwrap()] += cols[2].parse::<f64>().unwrap();
     }
     let busy = per_bin.iter().filter(|&&v| v > 0.0).count();
     let quiet = per_bin.iter().filter(|&&v| v == 0.0).count();

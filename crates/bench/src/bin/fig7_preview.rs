@@ -9,27 +9,19 @@
 //!
 //! Run: `cargo run -p ute-bench --bin fig7_preview`
 
-use ute_bench::run_pipeline;
-use ute_slog::builder::BuildOptions;
+use ute_bench::RunDir;
 use ute_view::model::{frame_view, ViewConfig};
 use ute_view::preview::{interesting_ranges, render_ascii, render_svg};
-use ute_workloads::flash::{workload, FlashParams};
 
 fn main() {
-    let run = run_pipeline(
-        workload(FlashParams::default()),
-        BuildOptions {
-            nframes: 48,
-            preview_bins: 96,
-            arrows: true,
-        },
-    )
-    .unwrap();
+    let run = RunDir::fresh("fig7_preview");
+    run.pipeline("flash", &["--frames", "48", "--bins", "96"]);
+    let slog = run.slog();
 
     println!("# Figure 7 — whole-run preview\n");
-    print!("{}", render_ascii(&run.slog.preview, 8));
+    print!("{}", render_ascii(&slog.preview, 8));
 
-    let ranges = interesting_ranges(&run.slog.preview, 0.2);
+    let ranges = interesting_ranges(&slog.preview, 0.2);
     println!("\ninteresting ranges (the phases the caption points at):");
     for (a, b) in &ranges {
         println!("  {a:.3}s – {b:.3}s");
@@ -41,7 +33,7 @@ fn main() {
     // instant."
     let pick = (ranges[1].0 + ranges[1].1) / 2.0;
     let t = (pick * 1e9) as u64;
-    let frame = run.slog.frame_at(t).expect("frame index finds the instant");
+    let frame = slog.frame_at(t).expect("frame index finds the instant");
     println!(
         "\nselected t = {pick:.3}s -> frame [{:.3}s, {:.3}s) with {} records ({} pseudo)",
         frame.t_start as f64 / 1e9,
@@ -49,21 +41,10 @@ fn main() {
         frame.records.len(),
         frame.pseudo_count(),
     );
-    let view = frame_view(&run.slog, t, &ViewConfig::default()).unwrap();
-    print!("{}", ute_view::ascii::render(&view, 100));
-
-    let out = std::path::Path::new("target/figures");
-    std::fs::create_dir_all(out).unwrap();
-    std::fs::write(
-        out.join("fig7_preview.svg"),
-        render_svg(&run.slog.preview, 700, 120),
-    )
-    .unwrap();
-    std::fs::write(
-        out.join("fig7_frame.svg"),
-        ute_view::svg::render(&view, &ute_view::svg::SvgOptions::default()),
-    )
-    .unwrap();
-    println!("\nwrote target/figures/fig7_preview.svg and fig7_frame.svg");
+    let view = frame_view(&slog, t, &ViewConfig::default()).unwrap();
+    run.show(&view, 100, "frame.svg");
+    let preview_svg = run.dir.join("preview.svg");
+    std::fs::write(&preview_svg, render_svg(&slog.preview, 700, 120)).unwrap();
+    println!("wrote {}", preview_svg.display());
     println!("# OK: preview -> frame index -> self-contained frame display");
 }

@@ -8,17 +8,14 @@
 //!
 //! Run: `cargo run -p ute-bench --bin fig8_thread_view`
 
-use std::collections::HashMap;
-
-use ute_bench::run_pipeline;
-use ute_slog::builder::BuildOptions;
+use ute_bench::RunDir;
 use ute_view::model::{build_view, ViewConfig, ViewKind};
-use ute_workloads::sppm::{workload, SppmParams};
 
 fn main() {
-    let run = run_pipeline(workload(SppmParams::default()), BuildOptions::default()).unwrap();
+    let run = RunDir::fresh("fig8_thread_view");
+    run.pipeline("sppm", &[]);
     let view = build_view(
-        &run.slog,
+        &run.slog(),
         &ViewConfig {
             kind: ViewKind::ThreadActivity,
             ..ViewConfig::default()
@@ -27,16 +24,7 @@ fn main() {
     .unwrap();
 
     println!("# Figure 8 — thread-activity view of the sPPM-like run\n");
-    print!("{}", ute_view::ascii::render(&view, 110));
-
-    let out = std::path::Path::new("target/figures");
-    std::fs::create_dir_all(out).unwrap();
-    std::fs::write(
-        out.join("fig8_thread_view.svg"),
-        ute_view::svg::render(&view, &ute_view::svg::SvgOptions::default()),
-    )
-    .unwrap();
-    println!("\nwrote target/figures/fig8_thread_view.svg");
+    run.show(&view, 110, "thread_view.svg");
 
     // Shape checks against the caption.
     // 4 tasks × 4 threads + 4 daemon timelines.
@@ -53,18 +41,13 @@ fn main() {
         view.legend
     );
     // The idle thread: one user thread per task has (almost) no activity.
-    let mut busy_per_row: HashMap<usize, u64> = HashMap::new();
+    let mut busy = vec![0u64; view.rows.len()];
     for b in &view.bars {
-        *busy_per_row.entry(b.row).or_insert(0) += b.end - b.start;
+        busy[b.row] += b.end - b.start;
     }
     let span = view.t1 - view.t0;
-    let idle_rows = view
-        .rows
-        .iter()
-        .enumerate()
-        .filter(|(i, label)| {
-            label.contains("user") && busy_per_row.get(i).copied().unwrap_or(0) < span / 50
-        })
+    let idle_rows = (view.rows.iter().zip(&busy))
+        .filter(|(label, &b)| label.contains("user") && b < span / 50)
         .count();
     assert!(
         idle_rows >= 4,

@@ -9,18 +9,18 @@
 
 use std::collections::{HashMap, HashSet};
 
-use ute_bench::run_pipeline;
-use ute_slog::builder::BuildOptions;
+use ute_bench::RunDir;
 use ute_slog::record::SlogRecord;
 use ute_view::model::{build_view, ViewConfig, ViewKind};
 use ute_workloads::sppm::{workload, SppmParams};
 
 fn main() {
-    let w = workload(SppmParams::default());
-    let cpus = w.config.cpus_per_node;
-    let run = run_pipeline(w, BuildOptions::default()).unwrap();
+    let cpus = workload(SppmParams::default()).config.cpus_per_node;
+    let run = RunDir::fresh("fig9_cpu_view");
+    run.pipeline("sppm", &[]);
+    let slog = run.slog();
     let view = build_view(
-        &run.slog,
+        &slog,
         &ViewConfig {
             kind: ViewKind::ProcessorActivity,
             cpus_per_node: Some(cpus),
@@ -30,16 +30,7 @@ fn main() {
     .unwrap();
 
     println!("# Figure 9 — processor-activity view of the sPPM-like run\n");
-    print!("{}", ute_view::ascii::render(&view, 110));
-
-    let out = std::path::Path::new("target/figures");
-    std::fs::create_dir_all(out).unwrap();
-    std::fs::write(
-        out.join("fig9_cpu_view.svg"),
-        ute_view::svg::render(&view, &ute_view::svg::SvgOptions::default()),
-    )
-    .unwrap();
-    println!("\nwrote target/figures/fig9_cpu_view.svg");
+    run.show(&view, 110, "cpu_view.svg");
 
     // Shape checks against the caption.
     // 4 nodes × 8 CPUs = 32 timelines.
@@ -48,15 +39,13 @@ fn main() {
     // under half the CPU-seconds are used. Check both that at least a
     // third of the CPU rows are near-idle and that aggregate utilization
     // is below 50%.
-    let mut busy_per_row: HashMap<usize, u64> = HashMap::new();
+    let mut busy = vec![0u64; view.rows.len()];
     for b in &view.bars {
-        *busy_per_row.entry(b.row).or_insert(0) += b.end - b.start;
+        busy[b.row] += b.end - b.start;
     }
     let span = view.t1 - view.t0;
-    let idle_cpus = (0..view.rows.len())
-        .filter(|i| busy_per_row.get(i).copied().unwrap_or(0) < span / 10)
-        .count();
-    let total_busy: u64 = busy_per_row.values().sum();
+    let idle_cpus = busy.iter().filter(|&&b| b < span / 10).count();
+    let total_busy: u64 = busy.iter().sum();
     let utilization = total_busy as f64 / (span as f64 * view.rows.len() as f64);
     assert!(
         idle_cpus >= 10,
@@ -70,7 +59,7 @@ fn main() {
     // "MPI threads jump from one CPU to another": at least one MPI
     // thread's pieces appear on more than one CPU of its node.
     let mut cpus_of_thread: HashMap<u32, HashSet<(u16, u16)>> = HashMap::new();
-    for f in &run.slog.frames {
+    for f in &slog.frames {
         for r in &f.records {
             if let SlogRecord::State(s) = r {
                 if !s.pseudo && s.state.as_mpi().is_some() {

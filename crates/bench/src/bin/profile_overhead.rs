@@ -1,5 +1,6 @@
 //! Profiling overhead gate for the convert → merge path the CLI runs
-//! (`convert_job_pooled`, then `merge_files_jobs` over its files).
+//! (`convert_nodes` over views of the raw bytes, then `merge_files_jobs`
+//! over its files), in memory so no disk I/O enters the denominator.
 //!
 //! Two measurements, the same interleaved A/B discipline as the obs
 //! overhead ablation (alternating runs so drift hits both arms):
@@ -24,9 +25,10 @@
 use std::time::Instant;
 
 use ute_cluster::Simulator;
-use ute_convert::{convert_job_pooled, ConvertOptions};
+use ute_convert::{convert_nodes, ConvertOptions};
 use ute_format::profile::Profile;
 use ute_merge::{merge_files_jobs, MergeOptions};
+use ute_rawtrace::RawTraceView;
 use ute_workloads::micro;
 
 fn median(mut v: Vec<u64>) -> u64 {
@@ -45,7 +47,10 @@ fn main() {
         (8, 384, 16 << 10, 9)
     };
     let w = micro::stencil(nodes, steps, bytes);
-    let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
+    let result = Simulator::new(w.config, &w.job)
+        .unwrap()
+        .run_bytes()
+        .unwrap();
     let profile = Profile::standard();
     let copts = ConvertOptions::default();
     let mopts = MergeOptions::default();
@@ -53,8 +58,10 @@ fn main() {
 
     let run = || {
         let t = Instant::now();
-        let converted =
-            convert_job_pooled(&result.raw_files, &result.threads, &profile, &copts, jobs).unwrap();
+        let views: Vec<RawTraceView> = (result.raw_bytes.iter())
+            .map(|b| RawTraceView::open(b).unwrap())
+            .collect();
+        let converted = convert_nodes(&views, &result.threads, &profile, &copts, jobs).unwrap();
         let refs: Vec<&[u8]> = converted
             .iter()
             .map(|c| c.interval_file.as_slice())

@@ -7,103 +7,81 @@
 //! slogmerge costs a small constant factor more than convert.
 //!
 //! Absolute numbers will differ from the paper's 2000-era PowerPC; the
-//! claim under test is the *flatness*.
+//! claim under test is the *flatness*. Each size is traced by `ute trace`
+//! and timed as the standalone `ute convert` and `ute slogmerge` a user
+//! runs, published files and all; raw events are counted in the trace
+//! files the first command wrote.
 //!
 //! Run: `cargo run -p ute-bench --bin table1_utility_speed --release`
 //! (pass `--quick` to run only the first four sizes)
 
-use std::time::Instant;
-
-use ute_cluster::Simulator;
-use ute_convert::convert_job;
-use ute_format::file::FramePolicy;
-use ute_format::profile::Profile;
-use ute_merge::{slogmerge, MergeOptions};
-use ute_slog::builder::BuildOptions;
-use ute_workloads::scaling::{iterations_for_events, scaled_job, TABLE1_EVENT_COUNTS};
+use ute_bench::RunDir;
+use ute_workloads::scaling::{iterations_for_events, TABLE1_EVENT_COUNTS};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[u64] = if quick {
-        &TABLE1_EVENT_COUNTS[..4]
-    } else {
-        &TABLE1_EVENT_COUNTS
-    };
-    let profile = Profile::standard();
+    let sizes = &TABLE1_EVENT_COUNTS[..if quick { 4 } else { 6 }];
 
+    // Each utility's seconds per raw event, size by size. `ute merge` is
+    // the half of slogmerge that `ute pipeline` runs once, building the
+    // SLOG file from its output.
+    let utilities: [(&str, &[&str]); 3] = [
+        ("convert", &[]),
+        ("merge", &["--out", "@merged.ivl"]),
+        ("slogmerge", &["--out", "@run.slog"]),
+    ];
     let mut raw_counts = Vec::new();
-    let mut convert_costs = Vec::new();
-    let mut slogmerge_costs = Vec::new();
-
+    let mut costs = vec![Vec::new(); utilities.len()];
     for &target in sizes {
-        let w = scaled_job(iterations_for_events(target));
-        let sim = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
-        let raw_events: u64 = sim.raw_files.iter().map(|f| f.events.len() as u64).sum();
-
-        // convert: time per raw event.
-        let t0 = Instant::now();
-        let converted = convert_job(
-            &sim.raw_files,
-            &sim.threads,
-            &profile,
-            FramePolicy::default(),
-            false,
-        )
-        .unwrap();
-        let convert_s = t0.elapsed().as_secs_f64();
-
-        // slogmerge (merge + SLOG conversion): time per raw event, as in
-        // the paper ("the slogmerge utility also converts the file format
-        // to SLOG").
-        let refs: Vec<&[u8]> = converted
-            .iter()
-            .map(|c| c.interval_file.as_slice())
-            .collect();
-        let t0 = Instant::now();
-        let (_slog, _stats) = slogmerge(
-            &refs,
-            &profile,
-            &MergeOptions::default(),
-            BuildOptions::default(),
-        )
-        .unwrap();
-        let slogmerge_s = t0.elapsed().as_secs_f64();
-
-        raw_counts.push(raw_events);
-        convert_costs.push(convert_s / raw_events as f64);
-        slogmerge_costs.push(slogmerge_s / raw_events as f64);
+        let run = RunDir::fresh("table1_utility_speed");
+        let iterations = iterations_for_events(target).to_string();
+        let trace = ["--workload", "scaling", "--iterations", &iterations];
+        run.ute("trace", &[&trace[..], &["--out", "@"]].concat());
+        let raw_events = run.raw_events() as f64;
+        for ((cmd, out), costs) in utilities.iter().zip(&mut costs) {
+            let args = [&["--in", "@", "--jobs", "1"][..], out].concat();
+            costs.push(run.ute(cmd, &args).secs / raw_events);
+        }
+        raw_counts.push(raw_events as u64);
     }
 
-    println!("# Table 1 — utility speed (sec/event)\n");
-    print!("{:<24}", "# raw events");
-    for n in &raw_counts {
-        print!("{n:>14}");
-    }
-    println!();
-    print!("{:<24}", "sec/event in convert");
-    for c in &convert_costs {
-        print!("{c:>14.9}");
-    }
-    println!();
-    print!("{:<24}", "sec/event in slogmerge");
-    for c in &slogmerge_costs {
-        print!("{c:>14.9}");
-    }
-    println!();
-
-    // Shape checks: per-event cost roughly flat (within 3x across ≥100x
-    // event-count growth), slogmerge ≥ convert per event on the largest
-    // size (it does strictly more work).
-    let flatness = |costs: &[f64]| -> f64 {
-        let min = costs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = costs.iter().cloned().fold(0.0, f64::max);
-        max / min
+    let deviation: Vec<f64> = (raw_counts.iter().zip(sizes))
+        .map(|(&n, &paper)| (n as f64 / paper as f64 - 1.0) * 100.0)
+        .collect();
+    println!("# Table 1 — utility speed (sec/event), each `ute` utility at --jobs 1\n");
+    let row = |label: &str, cells: Vec<String>| {
+        let cells: String = cells.iter().map(|c| format!("{c:>14}")).collect();
+        println!("{label:<24}{cells}");
     };
-    let cf = flatness(&convert_costs);
-    let sf = flatness(&slogmerge_costs);
-    println!("\n# convert per-event cost spread: {cf:.2}x (paper: ~1.1x)");
-    println!("# slogmerge per-event cost spread: {sf:.2}x (paper: ~1.4x)");
-    assert!(cf < 4.0, "convert cost is not flat: {convert_costs:?}");
-    assert!(sf < 4.0, "slogmerge cost is not flat: {slogmerge_costs:?}");
+    row(
+        "# raw events",
+        raw_counts.iter().map(u64::to_string).collect(),
+    );
+    row(
+        "  vs the paper's",
+        deviation.iter().map(|d| format!("{d:+.2}%")).collect(),
+    );
+    for ((name, _), c) in utilities.iter().zip(&costs) {
+        row(
+            &format!("sec/event in {name}"),
+            c.iter().map(|c| format!("{c:.9}")).collect(),
+        );
+    }
+
+    // Shape checks: every size within 2 % of the paper's count, and each
+    // utility's per-event cost roughly flat (within 4x across ≥100x
+    // event-count growth; the paper saw ~1.1x for convert and ~1.4x for
+    // slogmerge).
+    assert!(
+        deviation.iter().all(|d| d.abs() < 2.0),
+        "sizes drifted from the paper's: {deviation:?} %"
+    );
+    println!();
+    for ((name, _), c) in utilities.iter().zip(&costs) {
+        let max = c.iter().cloned().fold(0.0, f64::max);
+        let spread = max / c.iter().cloned().fold(f64::INFINITY, f64::min);
+        println!("# {name} per-event cost spread: {spread:.2}x");
+        assert!(spread < 4.0, "{name} cost is not flat: {c:?}");
+    }
     println!("# OK: per-event cost stays roughly constant as traces grow");
 }

@@ -892,16 +892,19 @@ pub(crate) fn cmd_scenario(args: &Args) -> Result<String> {
         out_dir,
     )?);
     // The plain commands back to back, no journal (`ute pipeline` runs
-    // the same stage functions through `crate::stages`).
+    // the same stage functions through `crate::stages`). Like the
+    // pipeline, `run.slog` is built from the `merged.ivl` just written:
+    // one merge per run.
     let merged = out_dir.join("merged.ivl");
     msg.push_str(&convert(&ing)?);
     msg.push_str(&merge(&ing, MergeOptions::default(), &merged)?);
-    msg.push_str(&slogmerge(
-        &ing,
-        MergeOptions::default(),
-        BuildOptions::default(),
-        &out_dir.join("run.slog"),
-    )?);
+    {
+        let _span = ute_obs::Span::stage("slogmerge");
+        let (bytes, text) =
+            slog_of_merged_outputs(out_dir, MergeOptions::default(), BuildOptions::default())?;
+        ute_store::atomic_write(&out_dir.join("run.slog"), &bytes)?;
+        msg.push_str(&text);
+    }
     msg.push_str(&stats(&StatsPaths {
         merged,
         ..StatsPaths::default()

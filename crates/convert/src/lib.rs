@@ -29,8 +29,7 @@ pub mod matcher;
 
 use ute_core::error::Result;
 use ute_core::ids::NodeId;
-use ute_core::pool::{default_jobs, map_ordered};
-use ute_format::file::FramePolicy;
+use ute_core::pool::map_ordered;
 use ute_format::profile::Profile;
 use ute_format::thread_table::ThreadTable;
 use ute_rawtrace::file::RawTraceFile;
@@ -39,28 +38,6 @@ pub use marker::MarkerMap;
 pub use matcher::{
     convert_node, convert_node_opts, ConvertOptions, ConvertOutput, ConvertStats, RawRecords,
 };
-
-/// Converts a whole job's raw trace files into per-node interval files
-/// under the default [`ConvertOptions`] and the given frame policy: on
-/// one worker, or on as many as the machine has cores when `parallel`.
-///
-/// `threads` supplies process/thread identity, which the AIX trace
-/// facility recorded as side metadata; our simulator hands over its
-/// ground-truth table.
-pub fn convert_job(
-    files: &[RawTraceFile],
-    threads: &ThreadTable,
-    profile: &Profile,
-    policy: FramePolicy,
-    parallel: bool,
-) -> Result<Vec<ConvertOutput>> {
-    let opts = ConvertOptions {
-        policy,
-        ..ConvertOptions::default()
-    };
-    let jobs = if parallel { default_jobs() } else { 1 };
-    convert_job_pooled(files, threads, profile, &opts, jobs)
-}
 
 /// [`convert_nodes`] over decoded files: the owned adapter, kept for
 /// the benchmark and as the oracle the view route is compared against.
@@ -82,6 +59,10 @@ pub fn convert_job_pooled(
 /// is then a pure function of `(file, tables, opts)` — workers share no
 /// mutable state — so the output vector is identical for every `jobs`
 /// value; only wall time changes.
+///
+/// `threads` supplies process/thread identity, which the AIX trace
+/// facility recorded as side metadata; the simulator hands over its
+/// ground-truth table.
 pub fn convert_nodes<R: RawRecords>(
     files: &[R],
     threads: &ThreadTable,

@@ -4,8 +4,9 @@
 //! Run with: `cargo run --example custom_stats`
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
-use ute::format::file::{FramePolicy, IntervalFileReader};
+use ute::convert::{convert_job_pooled, ConvertOptions};
+use ute::core::pool::default_jobs;
+use ute::format::file::IntervalFileReader;
 use ute::format::profile::Profile;
 use ute::merge::{merge_files, MergeOptions};
 use ute::stats::{parse_program, run_tables};
@@ -40,12 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = stencil(4, 20, 32 << 10);
     let result = Simulator::new(w.config, &w.job)?.run()?;
     let profile = Profile::standard();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy::default(),
-        true,
+        &ConvertOptions::default(),
+        default_jobs(),
     )?;
     let files: Vec<&[u8]> = converted
         .iter()

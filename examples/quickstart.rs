@@ -13,8 +13,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
-use ute::format::file::{FramePolicy, IntervalFileReader};
+use ute::convert::{convert_job_pooled, ConvertOptions};
+use ute::core::pool::default_jobs;
+use ute::format::file::IntervalFileReader;
 use ute::format::profile::Profile;
 use ute::workloads::micro::ping_pong;
 
@@ -31,12 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- convert: event trace files → interval files ------------------
     let profile = Profile::standard();
-    let outputs = convert_job(
+    let outputs = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy::default(),
-        true,
+        &ConvertOptions::default(),
+        default_jobs(),
     )?;
 
     // ---- Figure 5: total bytes sent, straight off the record bytes ----

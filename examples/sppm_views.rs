@@ -6,8 +6,8 @@
 //! SVG output lands in `target/examples/`.
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
-use ute::format::file::FramePolicy;
+use ute::convert::{convert_job_pooled, ConvertOptions};
+use ute::core::pool::default_jobs;
 use ute::format::profile::Profile;
 use ute::merge::{slogmerge, MergeOptions};
 use ute::slog::builder::BuildOptions;
@@ -26,12 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = Simulator::new(w.config, &w.job)?.run()?;
 
     let profile = Profile::standard();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy::default(),
-        true,
+        &ConvertOptions::default(),
+        default_jobs(),
     )?;
     let files: Vec<&[u8]> = converted
         .iter()

@@ -5,9 +5,10 @@
 //! Run with: `cargo run --example wavefront_arrows`
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::core::mmap::map_file;
-use ute::format::file::{FramePolicy, IntervalFileReader};
+use ute::core::pool::default_jobs;
+use ute::format::file::IntervalFileReader;
 use ute::format::profile::Profile;
 use ute::format::RecordFields;
 use ute::merge::{merge_files, slogmerge, MergeOptions};
@@ -22,12 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = Simulator::new(w.config, &w.job)?.run()?;
 
     let profile = Profile::standard();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy::default(),
-        true,
+        &ConvertOptions::default(),
+        default_jobs(),
     )?;
     let files: Vec<&[u8]> = converted
         .iter()

@@ -417,6 +417,26 @@ fn the_standalone_chain_and_the_readers_work_from_a_shell() {
     ]))
     .unwrap();
     assert!(m.contains("merged"), "{m}");
+
+    // stencil carries one clock record per node, so every fit above is
+    // the identity fallback; a `scaling` trace of 2048 iterations carries
+    // twelve, and the piecewise fit must find each node's drift.
+    let sc = at("scaling");
+    let trace = ["trace", "--workload", "scaling", "--iterations", "2048"];
+    run(&argv(&[&trace[..], &["--out", &sc]].concat())).unwrap();
+    run(&argv(&["convert", "--in", &sc])).unwrap();
+    let fit = ["clockfit", "--estimator", "piecewise", "--in"];
+    let c = run(&argv(&[&fit[..], &[&sc]].concat())).unwrap();
+    assert_eq!(c.lines().count(), 4, "{c}");
+    for line in c.lines() {
+        let ratio = line
+            .split("ratio ")
+            .nth(1)
+            .and_then(|r| r.split(' ').next());
+        let ratio: f64 = ratio.and_then(|r| r.parse().ok()).expect(line);
+        assert!(ratio.is_finite() && ratio != 1.0, "{line}");
+        assert!(line.ends_with(", 12 samples"), "{line}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

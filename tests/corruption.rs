@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::format::file::{FramePolicy, IntervalFileReader};
 use ute::format::profile::Profile;
 use ute::merge::{merge_files, MergeOptions};
@@ -20,12 +20,15 @@ fn artifacts() -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     let sim = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
     let profile = Profile::standard();
     let raw = sim.raw_files[0].to_bytes().unwrap();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &sim.raw_files,
         &sim.threads,
         &profile,
-        FramePolicy::tiny(),
-        false,
+        &ConvertOptions {
+            policy: FramePolicy::tiny(),
+            ..ConvertOptions::default()
+        },
+        1,
     )
     .unwrap();
     let ivl = converted[0].interval_file.clone();

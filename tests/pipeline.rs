@@ -6,7 +6,7 @@ mod common;
 use std::collections::HashMap;
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::core::bebits::{count_states, BeBits};
 use ute::core::event::MpiOp;
 use ute::format::file::{FramePolicy, IntervalFileReader};
@@ -28,15 +28,18 @@ struct Pipeline {
 fn run_pipeline(w: ute::workloads::Workload) -> Pipeline {
     let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
     let profile = Profile::standard();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy {
-            max_records_per_frame: 64,
-            max_frames_per_dir: 4,
+        &ConvertOptions {
+            policy: FramePolicy {
+                max_records_per_frame: 64,
+                max_frames_per_dir: 4,
+            },
+            ..ConvertOptions::default()
         },
-        true,
+        2,
     )
     .unwrap();
     let per_node: Vec<Vec<u8>> = converted.into_iter().map(|c| c.interval_file).collect();

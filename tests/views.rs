@@ -6,9 +6,8 @@
 //! snapshot of a tiny deterministic view.
 
 use ute::cluster::Simulator;
-use ute::convert::convert_job;
+use ute::convert::{convert_job_pooled, ConvertOptions};
 use ute::core::bebits::BeBits;
-use ute::format::file::FramePolicy;
 use ute::format::profile::Profile;
 use ute::format::state::StateCode;
 use ute::merge::{slogmerge, MergeOptions};
@@ -24,12 +23,12 @@ use ute::workloads::{sppm, Workload};
 fn workload_slog(w: Workload) -> (Profile, SlogFile) {
     let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
     let profile = Profile::standard();
-    let converted = convert_job(
+    let converted = convert_job_pooled(
         &result.raw_files,
         &result.threads,
         &profile,
-        FramePolicy::default(),
-        true,
+        &ConvertOptions::default(),
+        2,
     )
     .unwrap();
     let files: Vec<&[u8]> = converted
