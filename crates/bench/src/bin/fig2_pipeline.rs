@@ -19,7 +19,9 @@ fn main() {
     println!("# Figure 2 — the pipeline, stage by stage\n");
     println!("[source code] -> compile/link -> [program] -> execute ...");
     let run = RunDir::fresh("fig2_pipeline");
-    let calls = run.pipeline("flash", &[]);
+    // `scaling`'s node clocks drift and each node records its clock more
+    // than once, so the merge fits every clock from several samples.
+    let calls = run.pipeline("scaling", &[]);
     let heading = [
         "raw trace files (one per node)",
         "convert (event matching, marker unification)",
@@ -41,10 +43,23 @@ fn main() {
         }
         match *name {
             "trace" => println!("   {} raw events in the trace files", run.raw_events()),
-            "merge" => println!(
-                "   merged.ivl reads back: {} records",
-                reader.records().count()
-            ),
+            "merge" => {
+                println!(
+                    "   merged.ivl reads back: {} records",
+                    reader.records().count()
+                );
+                // `  node N: ratio R from K samples`: clock alignment must
+                // have corrected a drift it measured more than once.
+                let fitted = call.text.lines().filter_map(|l| {
+                    let (_, fit) = l.split_once(": ratio ")?;
+                    let (ratio, samples) = fit.split_once(" from ")?;
+                    let samples = samples.strip_suffix(" samples")?;
+                    Some((ratio.parse::<f64>().ok()?, samples.parse::<u32>().ok()?))
+                });
+                let drifts = fitted.filter(|&(r, k)| r != 1.0 && k > 1).count();
+                assert!(drifts > 0, "no node's clock fit corrects a drift");
+                println!("   {drifts} node clock(s) fitted to a drift from > 1 sample");
+            }
             _ => {}
         }
     }

@@ -7,6 +7,7 @@ use ute_core::error::{Result, UteError};
 use ute_core::mmap::map_file;
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
+use ute_obs::Span;
 use ute_slog::builder::BuildOptions;
 use ute_slog::file::SlogFile;
 use ute_view::model::{build_view, ViewConfig, ViewKind};
@@ -17,46 +18,74 @@ use crate::Args;
 /// standard-profile interval file (`--ivl`, e.g. a `--self-trace`
 /// output) by building an in-memory SLOG from it first.
 pub(crate) fn cmd_preview(args: &Args) -> Result<String> {
-    let slog = match args.get("ivl") {
-        Some(ivl) => {
-            let bytes = map_file(Path::new(ivl))?;
-            // A zero-length file is a trace that never got written;
-            // say so instead of failing on a header short-read.
-            if bytes.is_empty() {
-                return Ok(format!("empty trace: {ivl} has no data\n"));
+    let _stage = Span::stage("view");
+    let slog = {
+        let _s = Span::enter("slog", "read slog frames");
+        match args.get("ivl") {
+            Some(ivl) => {
+                let bytes = map_file(Path::new(ivl))?;
+                // A zero-length file is a trace that never got written;
+                // say so instead of failing on a header short-read.
+                if bytes.is_empty() {
+                    return Ok(format!("empty trace: {ivl} has no data\n"));
+                }
+                let profile = Profile::standard();
+                let reader = IntervalFileReader::open(&bytes, &profile)?;
+                let intervals: Result<Vec<_>> = reader.intervals().collect();
+                let intervals = intervals?;
+                // Header-only: structurally valid but nothing to preview.
+                if intervals.is_empty() {
+                    return Ok(format!("empty trace: {ivl} contains no intervals\n"));
+                }
+                ute_slog::builder::SlogBuilder::new(&profile, BuildOptions::default()).build(
+                    &intervals,
+                    &reader.threads,
+                    &reader.markers,
+                )?
             }
-            let profile = Profile::standard();
-            let reader = IntervalFileReader::open(&bytes, &profile)?;
-            let intervals: Result<Vec<_>> = reader.intervals().collect();
-            let intervals = intervals?;
-            // Header-only: structurally valid but nothing to preview.
-            if intervals.is_empty() {
-                return Ok(format!("empty trace: {ivl} contains no intervals\n"));
-            }
-            ute_slog::builder::SlogBuilder::new(&profile, BuildOptions::default()).build(
-                &intervals,
-                &reader.threads,
-                &reader.markers,
-            )?
+            // Only the preview is drawn: no frame is decoded.
+            None => SlogFile::read_from_in(Path::new(args.require("slog")?), Some((0, 0)))?,
         }
-        // Only the preview is drawn: no frame is decoded.
-        None => SlogFile::read_from_in(Path::new(args.require("slog")?), Some((0, 0)))?,
     };
-    let mut msg = ute_view::preview::render_ascii(&slog.preview, 8);
-    let ranges = ute_view::preview::interesting_ranges(&slog.preview, 0.25);
-    msg.push_str("interesting ranges:");
-    for (a, b) in ranges {
-        msg.push_str(&format!(" [{a:.3}s..{b:.3}s]"));
-    }
-    msg.push('\n');
+    let mut msg = {
+        let _s = Span::enter("ascii", "render ascii");
+        let mut msg = ute_view::preview::render_ascii(&slog.preview, 8);
+        let ranges = ute_view::preview::interesting_ranges(&slog.preview, 0.25);
+        msg.push_str("interesting ranges:");
+        for (a, b) in ranges {
+            msg.push_str(&format!(" [{a:.3}s..{b:.3}s]"));
+        }
+        msg.push('\n');
+        msg
+    };
     if let Some(svg_path) = args.get("svg") {
-        std::fs::write(
-            svg_path,
-            ute_view::preview::render_svg(&slog.preview, 600, 120),
-        )?;
+        write_svg(svg_path, || {
+            ute_view::preview::render_svg(&slog.preview, 600, 120)
+        })?;
         msg.push_str(&format!("wrote {svg_path}\n"));
     }
     Ok(msg)
+}
+
+/// Renders an SVG and writes it to `path`, each under its own span.
+fn write_svg(path: &str, render: impl FnOnce() -> String) -> Result<()> {
+    let svg = {
+        let _s = Span::enter("svg", "render svg");
+        render()
+    };
+    let _s = Span::enter("io", "write svg");
+    Ok(std::fs::write(path, svg)?)
+}
+
+/// A `--window`/`--frame-at` value in seconds, as ns: a finite,
+/// non-negative number or an error naming the option.
+fn secs_ns(v: &str, what: &str) -> Result<u64> {
+    match v.parse::<f64>() {
+        Ok(s) if s.is_finite() && s >= 0.0 => Ok((s * 1e9) as u64),
+        _ => Err(UteError::Invalid(format!(
+            "{what}: `{v}` is not a finite, non-negative number of seconds"
+        ))),
+    }
 }
 
 /// `ute view`: render a time-space diagram of a SLOG file.
@@ -80,45 +109,43 @@ pub(crate) fn cmd_view(args: &Args) -> Result<String> {
             let (a, b) = w
                 .split_once(',')
                 .ok_or_else(|| UteError::Invalid("--window wants `start,end` seconds".into()))?;
-            let a: f64 = a
-                .parse()
-                .map_err(|_| UteError::Invalid("bad window start".into()))?;
-            let b: f64 = b
-                .parse()
-                .map_err(|_| UteError::Invalid("bad window end".into()))?;
-            Some(((a * 1e9) as u64, (b * 1e9) as u64))
+            Some((secs_ns(a, "--window start")?, secs_ns(b, "--window end")?))
         }
     };
+    let frame_at = (args.get("frame-at").map(|t| secs_ns(t, "--frame-at"))).transpose()?;
+    let width = args.num("width", 100usize)?;
     let cfg = ViewConfig {
         kind,
         window,
         connected: args.has("connected"),
         hide_running: args.has("hide-running"),
-        cpus_per_node: args
-            .get("cpus")
-            .map(|c| c.parse().unwrap_or(0))
-            .filter(|&c| c > 0),
+        cpus_per_node: args.opt_num("cpus")?.filter(|&c| c > 0),
         ..ViewConfig::default()
     };
-    // Only the frames the view walks are decoded: those a `--window`
-    // overlaps, or the one holding `--frame-at`.
-    let view = match args.get("frame-at") {
-        Some(t) => {
-            let secs: f64 = t
-                .parse()
-                .map_err(|_| UteError::Invalid("--frame-at wants seconds".into()))?;
-            let t = (secs * 1e9) as u64;
-            let slog = SlogFile::read_from_in(slog_path, Some((t, t.saturating_add(1))))?;
-            ute_view::model::frame_view(&slog, t, &cfg)?
-        }
-        None => build_view(&SlogFile::read_from_in(slog_path, window)?, &cfg)?,
+    let _stage = Span::stage("view");
+    // Only the frames the view walks are decoded: the one holding
+    // `--frame-at`, or those a `--window` overlaps.
+    let slog = {
+        let _s = Span::enter("slog", "read slog frames");
+        let frame = frame_at.map(|t| (t, t.saturating_add(1)));
+        SlogFile::read_from_in(slog_path, frame.or(window))?
     };
-    let mut msg = ute_view::ascii::render(&view, args.num("width", 100usize)?);
+    let view = {
+        let _s = Span::enter("model", "build view");
+        match frame_at {
+            Some(t) => ute_view::model::frame_view(&slog, t, &cfg)?,
+            None => build_view(&slog, &cfg)?,
+        }
+    };
+    ute_obs::counter("view/bars").add(view.bars.len() as u64);
+    let mut msg = {
+        let _s = Span::enter("ascii", "render ascii");
+        ute_view::ascii::render(&view, width)
+    };
     if let Some(svg_path) = args.get("svg") {
-        std::fs::write(
-            svg_path,
-            ute_view::svg::render(&view, &ute_view::svg::SvgOptions::default()),
-        )?;
+        write_svg(svg_path, || {
+            ute_view::svg::render(&view, &ute_view::svg::SvgOptions::default())
+        })?;
         msg.push_str(&format!("wrote {svg_path}\n"));
     }
     Ok(msg)

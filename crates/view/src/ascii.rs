@@ -18,22 +18,26 @@ pub fn render(view: &View, width: usize) -> String {
         (((t.saturating_sub(view.t0)) as u128 * width as u128 / span as u128) as usize)
             .min(width - 1)
     };
-    let fill_of: HashMap<&str, char> = view
-        .legend
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.as_str(), FILLS[i % FILLS.len()]))
+    // A key fills with the character of its last legend entry; each bar
+    // finds its key's entry once per distinct key.
+    let last: HashMap<&str, usize> = (view.legend.iter().enumerate())
+        .map(|(i, k)| (k.as_str(), i))
         .collect();
+    let fills: Vec<char> = (view.legend.iter())
+        .map(|k| FILLS[last[k.as_str()] % FILLS.len()])
+        .collect();
+    let slots = view.bar_legend();
 
     let label_w = view.rows.iter().map(|r| r.len()).max().unwrap_or(0).min(28);
     let mut grid = vec![vec![' '; width]; view.rows.len()];
     // Paint shallow (outer) bars first so nested states overwrite them.
-    let mut bars = view.bars.clone();
-    bars.sort_by_key(|b| b.depth);
-    for b in &bars {
+    let mut order: Vec<usize> = (0..view.bars.len()).collect();
+    order.sort_by_key(|&i| view.bars[i].depth);
+    for i in order {
+        let b = &view.bars[i];
         let c0 = col_of(b.start);
         let c1 = col_of(b.end.max(b.start)).max(c0);
-        let ch = fill_of.get(b.color.as_str()).copied().unwrap_or('#');
+        let ch = slots[i].map_or('#', |k| fills[k]);
         for cell in &mut grid[b.row][c0..=c1] {
             *cell = ch;
         }
@@ -63,8 +67,8 @@ pub fn render(view: &View, width: usize) -> String {
         w2 = width.saturating_sub(8),
     ));
     out.push_str("legend:");
-    for k in &view.legend {
-        out.push_str(&format!(" [{}]={}", fill_of[k.as_str()], k));
+    for (k, fill) in view.legend.iter().zip(&fills) {
+        out.push_str(&format!(" [{fill}]={k}"));
     }
     out.push('\n');
     out

@@ -1,6 +1,7 @@
 //! View construction: from SLOG records to rows, bars and arrows.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use ute_core::error::{Result, UteError};
 use ute_format::state::StateCode;
@@ -64,8 +65,9 @@ pub struct Bar {
     pub start: u64,
     /// End tick.
     pub end: u64,
-    /// Legend key the bar is colored by.
-    pub color: String,
+    /// Legend key the bar is colored by: [`build_view`] makes one per
+    /// legend entry and every bar of that key shares it.
+    pub color: Arc<str>,
     /// Nesting depth (connected mode; 0 otherwise).
     pub depth: u8,
     /// Whether the bar came from a pseudo record or was clipped.
@@ -106,6 +108,77 @@ pub struct View {
     pub legend: Vec<String>,
 }
 
+impl View {
+    /// Per bar, the legend entry its key first appears at (`None` when
+    /// the legend lacks it). Found once per distinct key: the bars
+    /// [`build_view`] makes share one `Arc` per key, so the rest are a
+    /// lookup by pointer.
+    pub(crate) fn bar_legend(&self) -> Vec<Option<usize>> {
+        let mut by_ptr = Ids::default();
+        let first = |key: &str| self.legend.iter().position(|k| k == key);
+        (self.bars.iter())
+            .map(|b| by_ptr.get(b.color.as_ptr() as u64, || first(&b.color)))
+            .collect()
+    }
+}
+
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Dense indices for the integer ids a view looks up once per state.
+/// The map keeps its default hasher, safe from ids a file crafts to
+/// collide; a direct-mapped cache in front answers the ids that repeat.
+struct Ids<T> {
+    map: HashMap<u64, T>,
+    cache: Vec<Option<(u64, T)>>,
+}
+
+impl<T: Copy> Default for Ids<T> {
+    fn default() -> Self {
+        Ids {
+            map: HashMap::new(),
+            cache: vec![None; 256],
+        }
+    }
+}
+
+impl<T: Copy> Ids<T> {
+    /// The index of `id`, made by `new` the first time it is asked for.
+    fn get(&mut self, id: u64, new: impl FnOnce() -> T) -> T {
+        let slot = &mut self.cache[(id.wrapping_mul(MIX) >> 56) as usize];
+        match *slot {
+            Some((k, v)) if k == id => v,
+            _ => {
+                let v = *self.map.entry(id).or_insert_with(new);
+                *slot = Some((id, v));
+                v
+            }
+        }
+    }
+}
+
+/// Legend keys in first-use order. A state's integer colour id finds its
+/// entry; a new id names it once, and ids that name alike share it.
+#[derive(Default)]
+struct Legend {
+    names: Vec<String>,
+    keys: Vec<Arc<str>>,
+    ids: Ids<usize>,
+}
+
+impl Legend {
+    fn key(&mut self, id: u64, name: impl FnOnce() -> String) -> Arc<str> {
+        let i = self.ids.get(id, || {
+            let name = name();
+            (self.names.iter().position(|n| *n == name)).unwrap_or_else(|| {
+                self.keys.push(name.as_str().into());
+                self.names.push(name);
+                self.names.len() - 1
+            })
+        });
+        self.keys[i].clone()
+    }
+}
+
 fn thread_label(slog: &SlogFile, timeline: u32) -> String {
     match slog.threads.entries().get(timeline as usize) {
         Some(e) => format!(
@@ -137,15 +210,10 @@ pub fn build_view(slog: &SlogFile, cfg: &ViewConfig) -> Result<View> {
     // Collect the states (and arrows) that overlap the window. When a
     // window is given, walk only the frames it touches — the §4
     // scalability property.
-    let mut states: Vec<SlogState> = Vec::new();
+    let mut states: Vec<&SlogState> = Vec::new();
     let mut arrows_raw = Vec::new();
-    let mut seen_arrows = std::collections::HashSet::new();
-    let frames: Vec<&ute_slog::file::SlogFrame> = slog
-        .frames
-        .iter()
-        .filter(|f| f.t_start < window.1 && f.t_end > window.0)
-        .collect();
-    let mut seen_states = std::collections::HashSet::new();
+    let mut seen_arrows = HashSet::new();
+    let frames = (slog.frames.iter()).filter(|f| f.t_start < window.1 && f.t_end > window.0);
     for f in frames {
         for rec in &f.records {
             match rec {
@@ -157,18 +225,7 @@ pub fn build_view(slog: &SlogFile, cfg: &ViewConfig) -> Result<View> {
                         continue;
                     }
                     if overlaps(s, window) {
-                        // The same state may appear in several frames
-                        // (pseudo copies) — dedup by identity.
-                        let key = (
-                            s.timeline,
-                            s.start,
-                            s.duration,
-                            s.state.0,
-                            s.bebits.to_bits(),
-                        );
-                        if seen_states.insert(key) {
-                            states.push(*s);
-                        }
+                        states.push(s);
                     }
                 }
                 SlogRecord::Arrow(a) => {
@@ -182,6 +239,31 @@ pub fn build_view(slog: &SlogFile, cfg: &ViewConfig) -> Result<View> {
             }
         }
     }
+    // The same state may appear in several frames (pseudo copies): keep
+    // the first of each identity. Only states whose hashes meet in a
+    // bitmap can be copies, so only those go through an exact set.
+    let key = |s: &SlogState| {
+        let id = (s.timeline as u64) << 32 | (s.state.0 as u64) << 8;
+        (id | s.bebits.to_bits() as u64, s.start, s.duration)
+    };
+    let bits = (states.len() * 8).next_power_of_two().max(64);
+    let bit = |s: &SlogState| {
+        let (a, b, c) = key(s);
+        let h = [b, c]
+            .iter()
+            .fold(a, |h, &x| (h ^ x).wrapping_mul(MIX).rotate_left(29));
+        h as usize & (bits - 1)
+    };
+    let (mut once, mut twice) = (vec![0u64; bits / 64], vec![0u64; bits / 64]);
+    for b in states.iter().map(|s| bit(s)) {
+        twice[b / 64] |= once[b / 64] & 1 << (b % 64);
+        once[b / 64] |= 1 << (b % 64);
+    }
+    let mut seen = HashSet::new();
+    states.retain(|s| {
+        let b = bit(s);
+        twice[b / 64] & 1 << (b % 64) == 0 || seen.insert(key(s))
+    });
 
     build_from_states(slog, cfg, window, states, arrows_raw)
 }
@@ -202,25 +284,30 @@ fn build_from_states(
     slog: &SlogFile,
     cfg: &ViewConfig,
     window: (u64, u64),
-    states: Vec<SlogState>,
+    states: Vec<&SlogState>,
     arrows_raw: Vec<ute_slog::record::SlogArrow>,
 ) -> Result<View> {
-    // Row key → (sort key, label).
-    let mut rows: BTreeMap<(u32, u32), String> = BTreeMap::new();
-    let row_key = |s: &SlogState| -> (u32, u32) {
+    let thread_rows = matches!(
+        cfg.kind,
+        ViewKind::ThreadActivity | ViewKind::ThreadProcessor
+    );
+    // Rows as (sort key, label), numbered in first-use order while bars
+    // are made and put in key order at the end.
+    let row_key = |s: &SlogState| -> u64 {
         match cfg.kind {
-            ViewKind::ThreadActivity | ViewKind::ThreadProcessor => (0, s.timeline),
+            ViewKind::ThreadActivity | ViewKind::ThreadProcessor => s.timeline as u64,
             ViewKind::ProcessorActivity | ViewKind::ProcessorThread => {
-                (s.node as u32, s.cpu as u32)
+                (s.node as u64) << 32 | s.cpu as u64
             }
-            ViewKind::TypeActivity => (0, s.state.0 as u32),
+            ViewKind::TypeActivity => s.state.0 as u64,
         }
     };
+    let mut rows: Vec<(u64, String)> = Vec::new();
     // Pre-seed rows so empty timelines still render.
     match cfg.kind {
         ViewKind::ThreadActivity | ViewKind::ThreadProcessor => {
             for (i, _) in slog.threads.entries().iter().enumerate() {
-                rows.insert((0, i as u32), thread_label(slog, i as u32));
+                rows.push((i as u64, thread_label(slog, i as u32)));
             }
         }
         ViewKind::ProcessorActivity | ViewKind::ProcessorThread => {
@@ -233,139 +320,143 @@ fn build_from_states(
                     .collect();
                 for node in nodes {
                     for cpu in 0..ncpu {
-                        rows.insert((node as u32, cpu as u32), format!("n{node} cpu{cpu}"));
+                        rows.push((
+                            (node as u64) << 32 | cpu as u64,
+                            format!("n{node} cpu{cpu}"),
+                        ));
                     }
                 }
             }
         }
         ViewKind::TypeActivity => {}
     }
-    for s in &states {
-        rows.entry(row_key(s)).or_insert_with(|| match cfg.kind {
-            ViewKind::ThreadActivity | ViewKind::ThreadProcessor => thread_label(slog, s.timeline),
-            ViewKind::ProcessorActivity | ViewKind::ProcessorThread => {
-                format!("n{} cpu{}", s.node, s.cpu)
-            }
-            ViewKind::TypeActivity => s.state.name(),
-        });
-    }
-    let row_index: BTreeMap<(u32, u32), usize> =
-        rows.keys().enumerate().map(|(i, k)| (*k, i)).collect();
-
-    let color_of = |s: &SlogState| -> String {
-        match cfg.kind {
-            ViewKind::ThreadActivity | ViewKind::ProcessorActivity => {
-                if s.state == StateCode::MARKER {
-                    let name = slog
-                        .markers
-                        .iter()
-                        .find(|(id, _)| *id == s.marker_id)
-                        .map(|(_, n)| n.as_str())
-                        .unwrap_or("Marker");
-                    format!("Marker:{name}")
-                } else {
-                    s.state.name()
-                }
-            }
-            ViewKind::ThreadProcessor => format!("n{} cpu{}", s.node, s.cpu),
-            ViewKind::ProcessorThread => format!("t{}", s.timeline),
-            ViewKind::TypeActivity => format!("node {}", s.node),
-        }
+    let mut row_of = Ids {
+        map: (rows.iter().enumerate()).map(|(i, r)| (r.0, i)).collect(),
+        ..Ids::default()
+    };
+    let mut row = |s: &SlogState| -> usize {
+        row_of.get(row_key(s), || {
+            rows.push((
+                row_key(s),
+                match cfg.kind {
+                    ViewKind::ThreadActivity | ViewKind::ThreadProcessor => {
+                        thread_label(slog, s.timeline)
+                    }
+                    ViewKind::ProcessorActivity | ViewKind::ProcessorThread => {
+                        format!("n{} cpu{}", s.node, s.cpu)
+                    }
+                    ViewKind::TypeActivity => s.state.name(),
+                },
+            ));
+            rows.len() - 1
+        })
     };
 
-    let mut bars = Vec::new();
-    let mut legend: Vec<String> = Vec::new();
-    let mut push_bar = |bar: Bar, legend: &mut Vec<String>| {
-        if !legend.contains(&bar.color) {
-            legend.push(bar.color.clone());
+    let activity = |state: StateCode, marker_id: u32| -> String {
+        if state == StateCode::MARKER {
+            let name = (slog.markers.iter().find(|(id, _)| *id == marker_id))
+                .map_or("Marker", |(_, n)| n.as_str());
+            format!("Marker:{name}")
+        } else {
+            state.name()
         }
-        bars.push(bar);
     };
+    let activity_id = |state: StateCode, marker_id: u32| -> u64 {
+        if state == StateCode::MARKER {
+            1 << 32 | marker_id as u64
+        } else {
+            state.0 as u64
+        }
+    };
+    let mut legend = Legend::default();
+    let mut bars = Vec::with_capacity(states.len());
 
     if cfg.connected && cfg.kind == ViewKind::ThreadActivity {
         // Group pieces per timeline and connect them.
         let mut per_row: BTreeMap<u32, Vec<SlogState>> = BTreeMap::new();
         for s in &states {
-            per_row.entry(s.timeline).or_default().push(*s);
+            per_row.entry(s.timeline).or_default().push(**s);
         }
-        for (timeline, pieces) in per_row {
-            let row = row_index[&(0, timeline)];
-            for span in connect_pieces(&pieces, window.0, window.1) {
+        for pieces in per_row.values() {
+            let row = row(&pieces[0]);
+            for span in connect_pieces(pieces, window.0, window.1) {
                 if cfg.hide_running && span.state == StateCode::RUNNING {
                     continue;
                 }
-                let color = if span.state == StateCode::MARKER {
-                    let name = slog
-                        .markers
-                        .iter()
-                        .find(|(id, _)| *id == span.marker_id)
-                        .map(|(_, n)| n.as_str())
-                        .unwrap_or("Marker");
-                    format!("Marker:{name}")
-                } else {
-                    span.state.name()
-                };
-                push_bar(
-                    Bar {
-                        row,
-                        start: span.start.max(window.0),
-                        end: span.end.min(window.1),
-                        color,
-                        depth: span.depth,
-                        pseudo: span.clipped,
-                    },
-                    &mut legend,
-                );
+                let id = activity_id(span.state, span.marker_id);
+                bars.push(Bar {
+                    row,
+                    start: span.start.max(window.0),
+                    end: span.end.min(window.1),
+                    color: legend.key(id, || activity(span.state, span.marker_id)),
+                    depth: span.depth,
+                    pseudo: span.clipped,
+                });
             }
         }
     } else {
         for s in &states {
-            let row = row_index[&row_key(s)];
-            push_bar(
-                Bar {
-                    row,
-                    start: s.start.max(window.0),
-                    end: s.end().min(window.1).max(s.start.max(window.0)),
-                    color: color_of(s),
-                    depth: 0,
-                    pseudo: s.pseudo,
-                },
-                &mut legend,
-            );
+            let color = match cfg.kind {
+                ViewKind::ThreadActivity | ViewKind::ProcessorActivity => {
+                    let id = activity_id(s.state, s.marker_id);
+                    legend.key(id, || activity(s.state, s.marker_id))
+                }
+                ViewKind::ThreadProcessor => {
+                    let id = (s.node as u64) << 16 | s.cpu as u64;
+                    legend.key(id, || format!("n{} cpu{}", s.node, s.cpu))
+                }
+                ViewKind::ProcessorThread => {
+                    legend.key(s.timeline.into(), || format!("t{}", s.timeline))
+                }
+                ViewKind::TypeActivity => legend.key(s.node.into(), || format!("node {}", s.node)),
+            };
+            bars.push(Bar {
+                row: row(s),
+                start: s.start.max(window.0),
+                end: s.end().min(window.1).max(s.start.max(window.0)),
+                color,
+                depth: 0,
+                pseudo: s.pseudo,
+            });
         }
     }
 
+    // Put the rows in key order and renumber what points at them.
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by_key(|&i| rows[i].0);
+    let mut renumber = vec![0; rows.len()];
+    for (to, &from) in order.iter().enumerate() {
+        renumber[from] = to;
+    }
+    for b in &mut bars {
+        b.row = renumber[b.row];
+    }
     // Arrows only make sense on thread timelines.
-    let arrows = if matches!(
-        cfg.kind,
-        ViewKind::ThreadActivity | ViewKind::ThreadProcessor
-    ) {
-        arrows_raw
-            .iter()
-            .filter_map(|a| {
-                let from_row = *row_index.get(&(0, a.src_timeline))?;
-                let to_row = *row_index.get(&(0, a.dst_timeline))?;
-                Some(ArrowLine {
-                    from_row,
-                    to_row,
-                    t0: a.send_time.max(window.0),
-                    t1: a.recv_time.min(window.1),
-                    pseudo: a.pseudo,
-                })
+    let arrows = (arrows_raw.iter().filter(|_| thread_rows))
+        .filter_map(|a| {
+            let from_row = renumber[*row_of.map.get(&(a.src_timeline as u64))?];
+            let to_row = renumber[*row_of.map.get(&(a.dst_timeline as u64))?];
+            Some(ArrowLine {
+                from_row,
+                to_row,
+                t0: a.send_time.max(window.0),
+                t1: a.recv_time.min(window.1),
+                pseudo: a.pseudo,
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
+        })
+        .collect();
 
     Ok(View {
         kind: cfg.kind,
-        rows: rows.into_values().collect(),
+        rows: order
+            .iter()
+            .map(|&i| std::mem::take(&mut rows[i].1))
+            .collect(),
         bars,
         arrows,
         t0: window.0,
         t1: window.1,
-        legend,
+        legend: legend.names,
     })
 }
 
@@ -584,7 +675,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(v.bars.iter().all(|b| b.color != "Running"));
+        assert!(v.bars.iter().all(|b| &*b.color != "Running"));
         assert_eq!(v.bars.len(), 3);
     }
 }

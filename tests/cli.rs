@@ -291,6 +291,26 @@ fn arguments_are_checked_before_anything_is_read() {
             format!("invalid request: missing value for --{key}")
         );
     }
+    // `ute view` refuses a number it cannot use, before opening the file:
+    // no count that is not one, no seconds that are not finite and ≥ 0.
+    let secs = "is not a finite, non-negative number of seconds";
+    for (key, value, want) in [
+        ("cpus", "abc", "--cpus: bad value `abc`".to_string()),
+        ("width", "x", "--width: bad value `x`".to_string()),
+        ("window", "nan,1", format!("--window start: `nan` {secs}")),
+        ("window", "0,inf", format!("--window end: `inf` {secs}")),
+        ("frame-at", "-3", format!("--frame-at: `-3` {secs}")),
+    ] {
+        let tokens = [
+            "view",
+            "--slog",
+            "/nonexistent.slog",
+            &format!("--{key}"),
+            value,
+        ];
+        let e = run(&argv(&tokens)).unwrap_err();
+        assert_eq!(e.to_string(), format!("invalid request: {want}"));
+    }
 }
 
 #[test]

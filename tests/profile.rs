@@ -225,3 +225,48 @@ fn ute_profile_publishes_ranked_report_and_folded_stacks() {
     assert_eq!(stack_keys(), first, "stack keys differ between two runs");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn view_and_preview_time_each_layer_under_one_view_span() {
+    let _g = lock();
+    let dir = std::env::temp_dir().join(format!("ute_profile_view_{}", std::process::id()));
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |tokens: &[&str]| {
+        let argv: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+        ute::cli::run(&argv).unwrap()
+    };
+    let d = dir.to_str().unwrap();
+    run(&[
+        "pipeline",
+        "--workload",
+        "pingpong",
+        "--out",
+        d,
+        "--jobs",
+        "1",
+    ]);
+    let bars = ute::obs::counter("view/bars");
+    let (slog, svg) = (at("run.slog"), at("view.svg"));
+    let before = bars.get();
+    let (_, spans) = captured(|| run(&["view", "--slog", &slog, "--svg", &svg]));
+    assert!(bars.get() > before, "view/bars not counted");
+    let (_, preview) = captured(|| run(&["preview", "--slog", &slog, "--svg", &svg]));
+    let layers = [
+        "read slog frames",
+        "render ascii",
+        "render svg",
+        "write svg",
+    ];
+    for (spans, extra) in [(spans, Some("build view")), (preview, None)] {
+        let view = spans.iter().find(|s| s.stage == "view").expect("view span");
+        let mut children: Vec<&str> = (spans.iter())
+            .filter(|s| s.parent == view.id)
+            .map(|s| s.label.as_str())
+            .collect();
+        children.sort_unstable();
+        let mut want: Vec<&str> = layers.iter().copied().chain(extra).collect();
+        want.sort_unstable();
+        assert_eq!(children, want);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
