@@ -13,11 +13,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ute_core::event::MpiOp;
+use ute_core::event::Messages;
 use ute_format::state::StateCode;
 
 use crate::findings::{Finding, Severity};
-use crate::table::{TraceTable, NO_FIELD};
+use crate::table::TraceTable;
 use crate::{ms, DiagOptions};
 
 /// Runs the diagnostic over a table. Emits one info finding with the
@@ -31,7 +31,7 @@ pub fn critical_path(t: &TraceTable, _opts: &DiagOptions) -> Vec<Finding> {
     let mut cp = vec![0u64; t.len()];
     let mut pred = vec![usize::MAX; t.len()];
     let mut last_on: HashMap<(u16, u16), usize> = HashMap::new();
-    let mut sends: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut sends: Messages<usize> = Messages::default();
     let (mut best_row, mut best_cp) = (usize::MAX, 0u64);
     for i in 0..t.len() {
         let state = t.state_code(i);
@@ -45,21 +45,9 @@ pub fn critical_path(t: &TraceTable, _opts: &DiagOptions) -> Vec<Finding> {
             // always a legal predecessor.
             (from, p) = (cp[j], j);
         }
-        if let Some(op) = state.as_mpi() {
-            let ends = t.bebits[i].ends_state();
-            if ends
-                && matches!(op, MpiOp::Recv | MpiOp::Irecv | MpiOp::Wait)
-                && t.seq[i] > 0
-                && t.peer[i] != NO_FIELD
-            {
-                if let Some(&j) = sends.get(&(t.peer[i], t.seq[i])) {
-                    if cp[j] > from {
-                        (from, p) = (cp[j], j);
-                    }
-                }
-            }
-            if ends && op.is_p2p_send() && t.seq[i] > 0 && t.rank[i] != NO_FIELD {
-                sends.insert((t.rank[i], t.seq[i]), i);
+        if let Some(&j) = sends.pair(t.message_end(i), || i) {
+            if cp[j] > from {
+                (from, p) = (cp[j], j);
             }
         }
         cp[i] = from + t.duration[i];

@@ -5,7 +5,7 @@
 //! sender; that stall is charged to the sender. Pairs are matched on the
 //! job-wide `(sender rank, seq)` key that the tracing facility stamps on
 //! every message and the converter carries onto the completed call's
-//! interval record — the same key `ute-slog` uses to draw arrows.
+//! interval record — the rule `ute-slog` draws arrows by too.
 //!
 //! Record fields consumed: `rank`, `peer`, `seq` on completed
 //! point-to-point intervals, plus the piece structure (a Begin piece
@@ -14,16 +14,11 @@
 use std::collections::{BTreeMap, HashMap};
 
 use ute_core::bebits::BeBits;
-use ute_core::event::MpiOp;
+use ute_core::event::Messages;
 
 use crate::findings::{Finding, Severity};
-use crate::table::{TraceTable, NO_FIELD};
+use crate::table::TraceTable;
 use crate::{ms, DiagOptions};
-
-struct SendRec {
-    node: u16,
-    call_start: u64,
-}
 
 #[derive(Default)]
 struct Blame {
@@ -39,7 +34,8 @@ pub fn late_sender(t: &TraceTable, opts: &DiagOptions) -> Vec<Finding> {
     // a split call's wait is measured from its Begin piece, not from
     // whichever End piece carries the arguments.
     let mut open: HashMap<(u16, u16, u16), u64> = HashMap::new();
-    let mut sends: HashMap<(u64, u64), SendRec> = HashMap::new();
+    // Sends by key, as (node, call entry time).
+    let mut sends: Messages<(u16, u64)> = Messages::default();
     let mut blame: BTreeMap<u64, Blame> = BTreeMap::new();
     let mut matched = 0u64;
     for i in 0..t.len() {
@@ -53,36 +49,16 @@ pub fn late_sender(t: &TraceTable, opts: &DiagOptions) -> Vec<Finding> {
             BeBits::End => open.remove(&key).unwrap_or(t.start[i]),
             BeBits::Complete => t.start[i],
         };
-        let Some(op) = t.state_code(i).as_mpi() else {
-            continue;
-        };
-        let call_end = t.end(i);
-        if op.is_p2p_send() && t.seq[i] > 0 && t.rank[i] != NO_FIELD {
-            sends.insert(
-                (t.rank[i], t.seq[i]),
-                SendRec {
-                    node: t.node[i],
-                    call_start,
-                },
-            );
-        }
-        // Sendrecv's seq is its *outgoing* message, so only pure receive
-        // completions match here. (Irecv ends carry no seq; the matched
-        // Wait does.)
-        if matches!(op, MpiOp::Recv | MpiOp::Irecv | MpiOp::Wait)
-            && t.seq[i] > 0
-            && t.peer[i] != NO_FIELD
-        {
-            if let Some(s) = sends.get(&(t.peer[i], t.seq[i])) {
-                matched += 1;
-                if s.call_start > call_start {
-                    let wait = s.call_start.min(call_end) - call_start;
-                    let b = blame.entry(t.peer[i]).or_default();
-                    b.node = s.node;
-                    b.total_wait = b.total_wait.saturating_add(wait);
-                    b.late += 1;
-                    b.max_wait = b.max_wait.max(wait);
-                }
+        let send = || (t.node[i], call_start);
+        if let Some(&(node, send_start)) = sends.pair(t.message_end(i), send) {
+            matched += 1;
+            if send_start > call_start {
+                let wait = send_start.min(t.end(i)) - call_start;
+                let b = blame.entry(t.peer[i]).or_default();
+                b.node = node;
+                b.total_wait = b.total_wait.saturating_add(wait);
+                b.late += 1;
+                b.max_wait = b.max_wait.max(wait);
             }
         }
     }

@@ -12,6 +12,7 @@ use std::path::Path;
 
 use ute_core::bebits::BeBits;
 use ute_core::error::{PathContext, Result};
+use ute_core::event::MessageEnd;
 use ute_core::mmap::map_file;
 use ute_format::file::IntervalFileReader;
 use ute_format::profile::Profile;
@@ -123,6 +124,13 @@ impl TraceTable {
     #[inline]
     pub fn state_code(&self, i: usize) -> StateCode {
         StateCode(self.state[i])
+    }
+
+    /// Row `i`'s message end ([`ute_core::event::MpiOp::message_end`]).
+    pub(crate) fn message_end(&self, i: usize) -> Option<MessageEnd> {
+        let some = |v: u64| (v != NO_FIELD).then_some(v);
+        let (op, ends) = (self.state_code(i).as_mpi()?, self.bebits[i].ends_state());
+        op.message_end(ends, some(self.rank[i]), some(self.peer[i]), self.seq[i])
     }
 
     /// Marker name for a marker id, if known.

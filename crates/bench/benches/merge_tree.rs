@@ -1,8 +1,9 @@
-//! Ablation bench: the paper's balanced-tree k-way merge vs a naive
-//! rescan of all stream heads, as the number of input files grows (§3.1).
+//! Ablation bench: the shipped k-way merge — a loser tree, the balanced
+//! tournament tree of §3.1 — vs a naive rescan of all stream heads, as
+//! the number of input files grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ute_merge::kway::{BalancedTreeMerge, NaiveMerge, VecSource};
+use ute_merge::kway::{LoserTreeMerge, NaiveMerge, VecSource};
 
 fn streams(k: usize, per_stream: usize) -> Vec<VecSource> {
     let mut state = 0x2468_ace0u64;
@@ -30,10 +31,10 @@ fn bench_merge(c: &mut Criterion) {
     let per_stream = 10_000;
     for k in [4usize, 16, 64] {
         group.throughput(Throughput::Elements((k * per_stream) as u64));
-        group.bench_with_input(BenchmarkId::new("balanced_tree", k), &k, |b, &k| {
+        group.bench_with_input(BenchmarkId::new("loser_tree", k), &k, |b, &k| {
             b.iter_batched(
                 || streams(k, per_stream),
-                |s| BalancedTreeMerge::new(s).count(),
+                |s| LoserTreeMerge::new(s).count(),
                 criterion::BatchSize::LargeInput,
             )
         });

@@ -6,8 +6,8 @@
 //! overhead ablation (alternating runs so drift hits both arms):
 //!
 //! * **off-state bound** — spans are always compiled in; with capture
-//!   off, what capture would add costs one relaxed atomic load per span
-//!   open. The gate bounds it from above: microbenchmark the *full*
+//!   off, a span reads no clock, allocates nothing and takes no lock.
+//!   The gate bounds its cost from above: microbenchmark the *full*
 //!   cost of an open+close span cycle with capture off, multiply by the
 //!   spans one run creates, and require that ceiling to stay under 3%
 //!   of the run's wall time.
@@ -92,10 +92,8 @@ fn main() {
     let on_ns = median(on);
 
     // Upper bound on the compiled-in-but-off cost: the full open+close
-    // cycle (label allocation, clock reads, histogram record — all of
-    // which a build without capture would pay too) times the spans per
-    // run. The real off-state addition is one relaxed load per open,
-    // far below this ceiling — so a pass here is conservative.
+    // cycle (span id, thread span stack, the capture check) times the
+    // spans per run.
     let cycles = 200_000u64;
     let t = Instant::now();
     for _ in 0..cycles {

@@ -152,12 +152,10 @@ pub enum Run {
     /// Reads its [`Args`] only; under `--profiler` the dispatcher prints
     /// the ranked stage table to stderr once it returns.
     Plain(fn(&Args) -> Result<String>),
-    /// Renders the run's profile itself, from the still-open root span
-    /// (`report`, when `--profiler` is given).
-    Profiled(fn(&Args, &ute_obs::Span) -> Result<String>),
-    /// As `Profiled`, with span capture on whether or not an option
-    /// asks for it (`profile`).
-    Profiler(fn(&Args, &ute_obs::Span) -> Result<String>),
+    /// Runs with span capture on whether or not an option asks for it,
+    /// and renders what it captured itself, from the still-open root
+    /// span (`report`, `profile`).
+    Captured(fn(&Args, &ute_obs::Span) -> Result<String>),
 }
 
 /// One command of [`run`], declared once: [`Args::parse`] accepts
@@ -388,7 +386,7 @@ pub const COMMANDS: &[Command] = &[
              percentiles — so output is byte-comparable across runs and
              --jobs; salvage/* and obs/* totals are kept)
 ",
-        run: Run::Profiled(observe::cmd_report),
+        run: Run::Captured(observe::cmd_report),
     },
     Command {
         name: "profile",
@@ -407,7 +405,7 @@ pub const COMMANDS: &[Command] = &[
              journaled stage. --json prints the report JSON instead of
              the text table)
 ",
-        run: Run::Profiler(observe::cmd_profile),
+        run: Run::Captured(observe::cmd_profile),
     },
     Command {
         name: "analyze",
@@ -483,8 +481,9 @@ pub fn help() -> String {
 /// `--self-trace FILE` writes the run's own spans as a UTE interval file
 /// (or Chrome trace JSON with `--self-trace-format chrome`), and
 /// `--profiler` prints their fold — the ranked stage table — to stderr.
-/// The last two (and `ute profile`) render the same capture, drained
-/// once here.
+/// All three (and `ute report`, `ute profile`) render the same capture,
+/// drained once here: the `<stage>/span_ns` rows of `--metrics` are the
+/// spans of this command.
 pub fn run(argv: &[String]) -> Result<String> {
     let (name, rest) = argv
         .split_first()
@@ -507,8 +506,10 @@ pub fn run(argv: &[String]) -> Result<String> {
             .map_err(|_| UteError::Invalid(format!("bad --self-trace-limit `{limit}`")))?;
         ute_obs::set_capture_limit(limit);
     }
-    let capture =
-        self_trace.is_some() || args.has("profiler") || matches!(cmd.run, Run::Profiler(_));
+    let capture = self_trace.is_some()
+        || args.has("profiler")
+        || args.has("metrics")
+        || matches!(cmd.run, Run::Captured(_));
     if capture {
         ute_obs::set_capture(true);
         ute_obs::drain_spans();
@@ -521,7 +522,7 @@ pub fn run(argv: &[String]) -> Result<String> {
         let root = ute_obs::Span::enter("cli", cmd.name);
         match cmd.run {
             Run::Plain(f) => f(&args),
-            Run::Profiled(f) | Run::Profiler(f) => f(&args, &root),
+            Run::Captured(f) => f(&args, &root),
         }
     };
     let (spans, flows) = if capture {
@@ -545,7 +546,7 @@ pub fn run(argv: &[String]) -> Result<String> {
         ));
     }
     if args.has("metrics") {
-        eprint!("{}", ute_obs::snapshot().to_tsv());
+        eprint!("{}", ute_obs::snapshot().with_spans(&spans).to_tsv());
     }
     Ok(msg)
 }

@@ -40,12 +40,14 @@ pub(crate) const BASELINE_COUNTERS: &[&str] = &[
 ];
 
 /// `ute report`: run the full pipeline with metrics from zero and emit
-/// every counter, gauge, and histogram as machine-readable JSON,
-/// including p50/p95/p99 estimates per histogram. `--stable` drops
-/// wall-clock and `--jobs`-dependent metrics (and the percentiles) so
-/// the output is byte-comparable across runs and thread counts (the
-/// form the CI determinism job diffs); deterministic `salvage/*` and
-/// `obs/*` totals are kept and always present.
+/// every counter and gauge, and a `<stage>/span_ns` row per stage from
+/// the spans captured so far (exact count, sum, min, max, mean,
+/// nearest-rank p50/p95/p99, log₂ buckets), as machine-readable JSON.
+/// `--stable` drops wall-clock and `--jobs`-dependent metrics (every
+/// span row among them) so the output is byte-comparable across runs
+/// and thread counts (the form the CI determinism job diffs);
+/// deterministic `salvage/*` and `obs/*` totals are kept and always
+/// present.
 pub(crate) fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
     ute_obs::reset();
     for name in BASELINE_COUNTERS {
@@ -69,7 +71,7 @@ pub(crate) fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
         ute_analyze::summary_json(ute_analyze::DIAGNOSTICS, &findings)
     };
     let stable = args.has("stable");
-    let snap = ute_obs::snapshot();
+    let snap = ute_obs::snapshot().with_spans(&ute_obs::captured_spans());
     let snap = if stable { snap.stable() } else { snap };
     // The diagnostics and, outside --stable, the profile of the run so
     // far (under `--profiler`; the root span is still open) close the
@@ -86,11 +88,7 @@ pub(crate) fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
             },
         ));
     }
-    let opts = ute_obs::ReportOptions {
-        percentiles: !stable,
-        extra: &extra,
-    };
-    let mut json = snap.render_json(&opts);
+    let mut json = snap.to_json(&extra);
     json.push('\n');
     Ok(json)
 }
@@ -100,7 +98,7 @@ pub(crate) fn cmd_report(args: &Args, root: &ute_obs::Span) -> Result<String> {
 /// its thread that none of them covers.
 fn profile_so_far(workload: &str, root: &ute_obs::Span) -> ute_profile::ProfileReport {
     let spans = ute_obs::captured_spans();
-    ute_profile::build_report(workload, ute_profile::fold(&spans, Some(root.so_far())))
+    ute_profile::build_report(workload, ute_profile::fold(&spans, root.so_far()))
 }
 
 /// `ute profile`: run the journaled pipeline with span capture on (the

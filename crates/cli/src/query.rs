@@ -159,37 +159,15 @@ pub(crate) fn cmd_view(args: &Args) -> Result<String> {
 /// frame directory and skips frames outside the window without decoding
 /// them. `--json` emits the structured findings report instead of text.
 pub(crate) fn cmd_analyze(args: &Args) -> Result<String> {
+    // Every number and name is checked before a file is touched.
     let input = PathBuf::from(args.require("in")?);
-    let (merged, default_profile) = if input.is_dir() {
-        (input.join("merged.ivl"), input.join("profile.ute"))
-    } else {
-        let dir = input.parent().unwrap_or(Path::new(".")).to_path_buf();
-        (input.clone(), dir.join("profile.ute"))
-    };
-    if !merged.exists() {
-        return Err(UteError::NotFound(format!(
-            "{} (run `ute pipeline` or `ute merge` first)",
-            merged.display()
-        )));
-    }
-    let profile = match args.get("profile") {
-        Some(p) => Profile::read_from(Path::new(p))?,
-        None if default_profile.exists() => Profile::read_from(&default_profile)?,
-        None => Profile::standard(),
-    };
     let window = match args.get("window") {
         None => None,
         Some(w) => {
             let (a, b) = w
                 .split_once(':')
                 .ok_or_else(|| UteError::Invalid("--window wants `T0:T1` seconds".into()))?;
-            let a: f64 = a
-                .parse()
-                .map_err(|_| UteError::Invalid("bad window start".into()))?;
-            let b: f64 = b
-                .parse()
-                .map_err(|_| UteError::Invalid("bad window end".into()))?;
-            Some(((a * 1e9) as u64, (b * 1e9) as u64))
+            Some((secs_ns(a, "--window start")?, secs_ns(b, "--window end")?))
         }
     };
     let nodes = match args.get("nodes") {
@@ -207,8 +185,6 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<String> {
             Some((a, b))
         }
     };
-    let load = ute_analyze::LoadOptions { window, nodes };
-    let table = ute_analyze::load_table(&merged, &profile, &load)?;
     let diags: Vec<&str> = match args.get("diag") {
         Some(d) if ute_analyze::DIAGNOSTICS.contains(&d) => vec![d],
         Some(d) => {
@@ -218,10 +194,36 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<String> {
         }
         None => ute_analyze::DIAGNOSTICS.to_vec(),
     };
+    let imbalance_threshold = args.num("imbalance-threshold", 1.25f64)?;
+    if !imbalance_threshold.is_finite() {
+        return Err(UteError::Invalid(format!(
+            "--imbalance-threshold: `{}` is not a finite number",
+            args.get("imbalance-threshold").unwrap_or_default()
+        )));
+    }
     let dopts = ute_analyze::DiagOptions {
-        imbalance_threshold: args.num("imbalance-threshold", 1.25f64)?,
+        imbalance_threshold,
         ..ute_analyze::DiagOptions::default()
     };
+    let (merged, default_profile) = if input.is_dir() {
+        (input.join("merged.ivl"), input.join("profile.ute"))
+    } else {
+        let dir = input.parent().unwrap_or(Path::new(".")).to_path_buf();
+        (input.clone(), dir.join("profile.ute"))
+    };
+    if !merged.exists() {
+        return Err(UteError::NotFound(format!(
+            "{} (run `ute pipeline` or `ute merge` first)",
+            merged.display()
+        )));
+    }
+    let profile = match args.get("profile") {
+        Some(p) => Profile::read_from(Path::new(p))?,
+        None if default_profile.exists() => Profile::read_from(&default_profile)?,
+        None => Profile::standard(),
+    };
+    let load = ute_analyze::LoadOptions { window, nodes };
+    let table = ute_analyze::load_table(&merged, &profile, &load)?;
     let mut findings = Vec::new();
     for d in &diags {
         findings.extend(ute_analyze::run_diagnostic(d, &table, &dopts)?);

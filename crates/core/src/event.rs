@@ -8,6 +8,31 @@
 
 use std::fmt;
 
+/// One end of a message, keyed job-wide by `(sender rank, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessageEnd {
+    Send((u64, u64)),
+    Recv((u64, u64)),
+}
+
+/// The sends seen so far by key, to pair each receive with its send.
+#[derive(Default)]
+pub struct Messages<S>(std::collections::HashMap<(u64, u64), S>);
+
+impl<S> Messages<S> {
+    /// Takes one piece's `end`: a send stores `send()` under its key, a
+    /// receive gets the send stored under its key, if any.
+    pub fn pair(&mut self, end: Option<MessageEnd>, send: impl FnOnce() -> S) -> Option<&S> {
+        match end? {
+            MessageEnd::Send(key) => {
+                self.0.insert(key, send());
+                None
+            }
+            MessageEnd::Recv(key) => self.0.get(&key),
+        }
+    }
+}
+
 /// MPI operations modelled by the tracing environment.
 ///
 /// The set covers the point-to-point and collective calls exercised by the
@@ -115,6 +140,27 @@ impl MpiOp {
     /// Whether this call receives point-to-point payload bytes.
     pub fn is_p2p_recv(self) -> bool {
         matches!(self, MpiOp::Recv | MpiOp::Irecv | MpiOp::Sendrecv)
+    }
+
+    /// The message end a piece of this call is — the one matching rule
+    /// of SLOG arrows, late-sender and the critical path. A piece that
+    /// ends the call with `seq > 0` is a send keyed on its `rank`, or a
+    /// receive (`Recv`, `Irecv`, the `Wait` completing one) keyed on its
+    /// `peer`, the sender. `Sendrecv`'s `seq` numbers its outgoing
+    /// message, so it is only a send. A missing rank or peer is no end.
+    pub fn message_end(
+        self,
+        ends: bool,
+        rank: Option<u64>,
+        peer: Option<u64>,
+        seq: u64,
+    ) -> Option<MessageEnd> {
+        let key = |who: Option<u64>| who.filter(|_| ends && seq > 0).map(|w| (w, seq));
+        match self {
+            _ if self.is_p2p_send() => key(rank).map(MessageEnd::Send),
+            MpiOp::Recv | MpiOp::Irecv | MpiOp::Wait => key(peer).map(MessageEnd::Recv),
+            _ => None,
+        }
     }
 
     /// Whether this is a collective operation over a communicator.
@@ -377,5 +423,26 @@ mod tests {
         assert!(!MpiOp::Barrier.is_p2p_send());
         assert!(MpiOp::Allreduce.is_collective());
         assert!(!MpiOp::Wait.is_collective());
+    }
+
+    #[test]
+    fn message_ends_pair_on_sender_rank_and_seq() {
+        use MessageEnd::{Recv, Send};
+        let (r, p) = (Some(3), Some(5));
+        assert_eq!(MpiOp::Isend.message_end(true, r, p, 7), Some(Send((3, 7))));
+        assert_eq!(
+            MpiOp::Sendrecv.message_end(true, r, p, 7),
+            Some(Send((3, 7)))
+        );
+        for op in [MpiOp::Recv, MpiOp::Irecv, MpiOp::Wait] {
+            assert_eq!(op.message_end(true, r, p, 7), Some(Recv((5, 7))));
+        }
+        // Not an end: a piece before the call ends, no seq, a missing
+        // rank or peer, a call that moves no message.
+        assert_eq!(MpiOp::Send.message_end(false, r, p, 7), None);
+        assert_eq!(MpiOp::Send.message_end(true, r, p, 0), None);
+        assert_eq!(MpiOp::Send.message_end(true, None, p, 7), None);
+        assert_eq!(MpiOp::Recv.message_end(true, r, None, 7), None);
+        assert_eq!(MpiOp::Barrier.message_end(true, r, p, 7), None);
     }
 }

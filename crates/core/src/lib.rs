@@ -27,6 +27,6 @@ pub mod time;
 
 pub use bebits::BeBits;
 pub use error::{Result, UteError};
-pub use event::{EventCode, MpiOp};
+pub use event::{EventCode, MessageEnd, Messages, MpiOp};
 pub use ids::{CpuId, LogicalThreadId, NodeId, Pid, SystemThreadId, TaskId, ThreadType};
 pub use time::{Duration, LocalTime, Time, TICKS_PER_SEC};

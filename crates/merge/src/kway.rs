@@ -6,20 +6,16 @@
 //! into the merged file, the next interval is fetched from the same file
 //! and its tree node moves in the tree."
 //!
-//! [`BalancedTreeMerge`] is that structure (a `BTreeMap` keyed by
-//! (end time, stream index)). [`NaiveMerge`] is the straw-man that
-//! re-scans every stream head on each pop — kept for the ablation bench
-//! that shows why the paper bothered with a tree.
+//! [`LoserTreeMerge`] is that structure and the production merge: a
+//! tournament *loser tree*, the balanced tree of §3.1 with one leaf per
+//! stream head, ordered by `(end time, stream index)` — the
+//! jobs-determinism oracle depends on that order. A pop replays one root
+//! path: ⌈log₂ k⌉ integer-key comparisons and **zero allocation**.
 //!
-//! [`LoserTreeMerge`] is the production merge: a tournament *loser tree*
-//! over the k stream heads. It pops in exactly the same `(end time,
-//! stream index)` order as the balanced tree — the jobs-determinism
-//! oracle depends on that — but a pop costs ⌈log₂ k⌉ integer-key
-//! comparisons along one root path with **zero allocation**, where every
-//! `BTreeMap` pop pays a node removal plus a node insertion. The
-//! balanced tree is kept as the reference for the merge ablation bench.
-
-use std::collections::BTreeMap;
+//! [`NaiveMerge`] is the straw-man that re-scans every stream head on
+//! each pop. It is the loser tree's test reference and the baseline of
+//! the `merge_tree` ablation bench, which shows why the paper bothered
+//! with a tree.
 
 /// A source of end-time-ordered items.
 pub trait MergeSource {
@@ -29,55 +25,6 @@ pub trait MergeSource {
     fn next_item(&mut self) -> Option<Self::Item>;
     /// The sort key (end time) of an item.
     fn end_of(item: &Self::Item) -> u64;
-}
-
-/// Balanced-tree k-way merge (the paper's design).
-pub struct BalancedTreeMerge<S: MergeSource> {
-    sources: Vec<S>,
-    /// (end time, source index) → buffered head item.
-    tree: BTreeMap<(u64, usize), S::Item>,
-    /// Cached metric handles — one registry lookup per merge, not per pop.
-    obs_comparisons: &'static ute_obs::Counter,
-    obs_heap: &'static ute_obs::Gauge,
-}
-
-impl<S: MergeSource> BalancedTreeMerge<S> {
-    /// Builds the merge, priming one tree node per non-empty source.
-    pub fn new(mut sources: Vec<S>) -> Self {
-        let mut tree = BTreeMap::new();
-        for (i, s) in sources.iter_mut().enumerate() {
-            if let Some(item) = s.next_item() {
-                tree.insert((S::end_of(&item), i), item);
-            }
-        }
-        let obs_heap = ute_obs::gauge("merge/heap_size_max");
-        obs_heap.set_max(tree.len() as f64);
-        BalancedTreeMerge {
-            sources,
-            tree,
-            obs_comparisons: ute_obs::counter("merge/comparisons"),
-            obs_heap,
-        }
-    }
-}
-
-impl<S: MergeSource> Iterator for BalancedTreeMerge<S> {
-    type Item = S::Item;
-
-    fn next(&mut self) -> Option<S::Item> {
-        let key = *self.tree.keys().next()?;
-        let item = self.tree.remove(&key).expect("head exists");
-        let idx = key.1;
-        if let Some(next) = self.sources[idx].next_item() {
-            self.tree.insert((S::end_of(&next), idx), next);
-            self.obs_heap.set_max(self.tree.len() as f64);
-        }
-        // A pop is a remove + (usually) a re-insert into a tree of k
-        // stream heads: ~log₂(k) key comparisons each.
-        self.obs_comparisons
-            .add(u64::from((self.tree.len() as u64).max(1).ilog2()) + 1);
-        Some(item)
-    }
 }
 
 /// Key of an exhausted stream: sorts after every live key, including a
@@ -269,60 +216,37 @@ impl MergeSource for VecSource {
 mod tests {
     use super::*;
 
-    fn streams() -> Vec<VecSource> {
-        vec![
-            VecSource::new(vec![(1, 0), (5, 0), (9, 0)]),
-            VecSource::new(vec![(2, 1), (3, 1), (10, 1)]),
-            VecSource::new(vec![]),
-            VecSource::new(vec![(4, 3)]),
-        ]
+    /// The loser tree's merge of `streams`, checked against the naive
+    /// rescan.
+    fn merged(streams: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
+        let sources = || streams.iter().cloned().map(VecSource::new).collect();
+        let out: Vec<(u64, u64)> = LoserTreeMerge::new(sources()).collect();
+        let naive: Vec<(u64, u64)> = NaiveMerge::new(sources()).collect();
+        assert_eq!(out, naive, "loser tree and naive rescan disagree");
+        out
     }
 
     #[test]
-    fn balanced_tree_merges_in_end_order() {
-        let out: Vec<(u64, u64)> = BalancedTreeMerge::new(streams()).collect();
+    fn loser_tree_merges_in_end_order() {
+        let out = merged(&[
+            vec![(1, 0), (5, 0), (9, 0)],
+            vec![(2, 1), (3, 1), (10, 1)],
+            vec![],
+            vec![(4, 3)],
+        ]);
         let ends: Vec<u64> = out.iter().map(|x| x.0).collect();
         assert_eq!(ends, vec![1, 2, 3, 4, 5, 9, 10]);
     }
 
     #[test]
-    fn naive_agrees_with_tree() {
-        let a: Vec<(u64, u64)> = BalancedTreeMerge::new(streams()).collect();
-        let b: Vec<(u64, u64)> = NaiveMerge::new(streams()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ties_resolved_by_stream_index() {
-        let s = vec![
-            VecSource::new(vec![(5, 100)]),
-            VecSource::new(vec![(5, 200)]),
-        ];
-        let out: Vec<(u64, u64)> = BalancedTreeMerge::new(s).collect();
-        assert_eq!(out, vec![(5, 100), (5, 200)]);
-    }
-
-    #[test]
-    fn empty_everything() {
-        let out: Vec<(u64, u64)> = BalancedTreeMerge::new(Vec::<VecSource>::new()).collect();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn loser_tree_agrees_with_balanced_tree() {
-        let a: Vec<(u64, u64)> = BalancedTreeMerge::new(streams()).collect();
-        let b: Vec<(u64, u64)> = LoserTreeMerge::new(streams()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn loser_tree_ties_resolved_by_stream_index() {
-        let s = vec![
-            VecSource::new(vec![(5, 100), (5, 101)]),
-            VecSource::new(vec![(5, 200)]),
-            VecSource::new(vec![(5, 300), (5, 301)]),
-        ];
-        let out: Vec<(u64, u64)> = LoserTreeMerge::new(s).collect();
+        let out = merged(&[vec![(5, 100)], vec![(5, 200)]]);
+        assert_eq!(out, vec![(5, 100), (5, 200)]);
+        let out = merged(&[
+            vec![(5, 100), (5, 101)],
+            vec![(5, 200)],
+            vec![(5, 300), (5, 301)],
+        ]);
         // All ends equal: every record of stream 0 drains before stream 1
         // sees the light, etc. — the (end, source index) total order.
         assert_eq!(out, vec![(5, 100), (5, 101), (5, 200), (5, 300), (5, 301)]);
@@ -331,27 +255,18 @@ mod tests {
     #[test]
     fn loser_tree_degenerate_shapes() {
         // k = 0
-        let out: Vec<(u64, u64)> = LoserTreeMerge::new(Vec::<VecSource>::new()).collect();
-        assert!(out.is_empty());
+        assert!(merged(&[]).is_empty());
         // k = 1
-        let out: Vec<(u64, u64)> =
-            LoserTreeMerge::new(vec![VecSource::new(vec![(1, 1), (2, 2)])]).collect();
-        assert_eq!(out, vec![(1, 1), (2, 2)]);
+        assert_eq!(merged(&[vec![(1, 1), (2, 2)]]), vec![(1, 1), (2, 2)]);
         // all sources empty
-        let out: Vec<(u64, u64)> =
-            LoserTreeMerge::new(vec![VecSource::new(vec![]), VecSource::new(vec![])]).collect();
-        assert!(out.is_empty());
+        assert!(merged(&[vec![], vec![]]).is_empty());
         // max end-time record still merges ahead of exhausted sentinels
-        let out: Vec<(u64, u64)> = LoserTreeMerge::new(vec![
-            VecSource::new(vec![(u64::MAX, 7)]),
-            VecSource::new(vec![(3, 1)]),
-        ])
-        .collect();
+        let out = merged(&[vec![(u64::MAX, 7)], vec![(3, 1)]]);
         assert_eq!(out, vec![(3, 1), (u64::MAX, 7)]);
     }
 
     #[test]
-    fn loser_tree_matches_balanced_for_every_stream_count() {
+    fn loser_tree_matches_naive_for_every_stream_count() {
         // Exercise every non-power-of-two shape up to 17 sources.
         let mut state = 0xfeed_f00du64;
         let mut xorshift = || {
@@ -370,12 +285,12 @@ mod tests {
                     v
                 })
                 .collect();
-            let a: Vec<(u64, u64)> =
-                BalancedTreeMerge::new(streams.iter().cloned().map(VecSource::new).collect())
-                    .collect();
-            let b: Vec<(u64, u64)> =
-                LoserTreeMerge::new(streams.into_iter().map(VecSource::new).collect()).collect();
-            assert_eq!(a, b, "divergence at k={k}");
+            let out = merged(&streams);
+            assert_eq!(
+                out.len(),
+                streams.iter().map(Vec::len).sum::<usize>(),
+                "k={k}"
+            );
         }
     }
 
@@ -401,7 +316,7 @@ mod tests {
                 VecSource::new(v)
             })
             .collect();
-        let out: Vec<(u64, u64)> = BalancedTreeMerge::new(sources).collect();
+        let out: Vec<(u64, u64)> = LoserTreeMerge::new(sources).collect();
         assert_eq!(out.len(), 4000);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
     }

@@ -42,7 +42,7 @@ pub mod merger;
 pub use clockfit::{
     clock_samples_of, extract_clock_samples, fit_node, fit_node_intervals, NodeFit,
 };
-pub use kway::{BalancedTreeMerge, LoserTreeMerge, MergeSource, NaiveMerge};
+pub use kway::{LoserTreeMerge, MergeSource, NaiveMerge};
 pub use merger::{
     absorb_file_header, adjust_node, adjust_node_records, gap_record, merge_files,
     merge_files_jobs, merged_stream, slog_of_merged, slogmerge, slogmerge_jobs, testhook,

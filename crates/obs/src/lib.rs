@@ -3,8 +3,9 @@
 //! The paper's thesis is that you cannot tune what you cannot observe.
 //! This crate turns that lens back on the reproduction: every stage of
 //! the Figure-2 pipeline (simulate → trace → convert → merge → SLOG →
-//! stats → view) reports counters, gauges, log₂-bucket histograms, and
-//! wall-clock spans into one process-global [`MetricsRegistry`].
+//! stats → view) reports counters and gauges into one process-global
+//! [`MetricsRegistry`], and opens wall-clock spans whose one record of
+//! time is the span log.
 //!
 //! Design rules:
 //!
@@ -23,11 +24,14 @@
 //!   when it closes. When each stage did its work is in the span log
 //!   exactly; there is no sampler to race the workers.
 //! * **Always on, nearly free.** Counters are maintained
-//!   unconditionally (an uncontended atomic add is ~1 ns). Span
-//!   *capture* allocates and reads the thread CPU clock, so it is gated
-//!   behind [`span::set_capture`] — the one switch: the self-trace
-//!   sinks, `--profiler` and `ute profile` all render the same captured
-//!   log (the profile is a fold over it, in `ute-profile`).
+//!   unconditionally (an uncontended atomic add is ~1 ns). A span with
+//!   capture off reads no clock, allocates nothing and takes no lock.
+//!   *Capture* reads the wall and thread CPU clocks and logs each span,
+//!   so it is gated behind [`span::set_capture`] — the one switch: the
+//!   self-trace sinks, `--profiler`, `ute profile`, and the
+//!   `<stage>/span_ns` rows of `--metrics` and `ute report`
+//!   ([`MetricsSnapshot::with_spans`]) all render the same captured log
+//!   (the profile is a fold over it, in `ute-profile`).
 //!
 //! ```
 //! use ute_obs as obs;
@@ -45,12 +49,12 @@ pub mod prof;
 pub mod report;
 pub mod span;
 
-pub use metrics::{counter, gauge, histogram, reset, Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{counter, gauge, reset, Counter, Gauge, MetricsRegistry};
 pub use prof::{
     cpu_clock_supported, current_stage_slot, stage_slot_name, stage_slot_of, thread_cpu_ns,
     MAX_STAGE_SLOTS,
 };
-pub use report::{json_escape, snapshot, MetricsSnapshot, ReportOptions};
+pub use report::{json_escape, snapshot, MetricsSnapshot};
 pub use span::{
     capture_enabled, captured_spans, current_span, drain_flows, drain_spans, flow_begin, flow_end,
     new_link, set_capture, set_capture_limit, thread_index, FinishedSpan, FlowPoint, Span,

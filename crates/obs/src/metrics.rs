@@ -1,5 +1,6 @@
-//! The global metrics registry: named counters, gauges, and
-//! log₂-bucket histograms.
+//! The global metrics registry: named counters and gauges. (How long
+//! each stage took is not kept here: it is in the span log, see
+//! [`crate::span`].)
 //!
 //! Handles are `&'static` references to leaked atomic cells, so the
 //! hot path is a single relaxed atomic operation with no locking.
@@ -91,119 +92,12 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets: bucket 0 holds zeros, bucket `i` holds
-/// values in `[2^(i-1), 2^i)`, up to the full `u64` range.
-pub const HIST_BUCKETS: usize = 65;
-
-/// Lock-free histogram with power-of-two bucket boundaries.
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// The bucket a value lands in: 0 for 0, else `floor(log2(v)) + 1`.
-    #[inline]
-    pub fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Inclusive-exclusive value range `[lo, hi)` of a bucket
-    /// (bucket 0 is the singleton `[0, 1)`).
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        match i {
-            0 => (0, 1),
-            64 => (1 << 63, u64::MAX),
-            _ => (1 << (i - 1), 1 << i),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Smallest observation, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        let v = self.min.load(Ordering::Relaxed);
-        if v == u64::MAX && self.count() == 0 {
-            0
-        } else {
-            v
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Per-bucket observation counts.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Name → handle maps. One per metric kind so a counter and a
-/// histogram may not collide under one name.
+/// Name → handle maps. One per metric kind so a counter and a gauge
+/// may not collide under one name.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<HashMap<String, &'static Counter>>,
     gauges: Mutex<HashMap<String, &'static Gauge>>,
-    histograms: Mutex<HashMap<String, &'static Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -229,17 +123,6 @@ impl MetricsRegistry {
         g
     }
 
-    /// Resolves (registering on first use) a histogram.
-    pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut map = self.histograms.lock();
-        if let Some(h) = map.get(name) {
-            return h;
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::default()));
-        map.insert(name.to_string(), h);
-        h
-    }
-
     /// Zeroes every registered metric (names stay registered). Used by
     /// `ute report` so one process can measure several runs, and by
     /// tests.
@@ -249,9 +132,6 @@ impl MetricsRegistry {
         }
         for g in self.gauges.lock().values() {
             g.reset();
-        }
-        for h in self.histograms.lock().values() {
-            h.reset();
         }
     }
 
@@ -264,12 +144,6 @@ impl MetricsRegistry {
     pub(crate) fn visit_gauges(&self, mut f: impl FnMut(&str, f64)) {
         for (name, g) in self.gauges.lock().iter() {
             f(name, g.get());
-        }
-    }
-
-    pub(crate) fn visit_histograms(&self, mut f: impl FnMut(&str, &'static Histogram)) {
-        for (name, h) in self.histograms.lock().iter() {
-            f(name, h);
         }
     }
 }
@@ -288,11 +162,6 @@ pub fn counter(name: &str) -> &'static Counter {
 /// Global gauge by name.
 pub fn gauge(name: &str) -> &'static Gauge {
     global().gauge(name)
-}
-
-/// Global histogram by name.
-pub fn histogram(name: &str) -> &'static Histogram {
-    global().histogram(name)
 }
 
 /// Zeroes every metric in the global registry.
@@ -329,67 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stats() {
-        let h = histogram("test/metrics/hist_stats");
-        for v in [0u64, 1, 2, 3, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1024);
-        let buckets = h.bucket_counts();
-        assert_eq!(buckets[0], 1); // 0
-        assert_eq!(buckets[1], 1); // 1
-        assert_eq!(buckets[2], 2); // 2, 3
-        assert_eq!(buckets[11], 1); // 1024
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        // Bucket i (i ≥ 1) holds [2^(i-1), 2^i - 1]; bucket 0 holds {0}.
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        for i in 1..=63u32 {
-            let lo = 1u64 << (i - 1);
-            let hi = (1u64 << i).wrapping_sub(1).max(lo);
-            assert_eq!(Histogram::bucket_of(lo), i as usize, "low edge of {i}");
-            assert_eq!(Histogram::bucket_of(hi), i as usize, "high edge of {i}");
-            if i < 63 {
-                assert_eq!(Histogram::bucket_of(hi + 1), i as usize + 1);
-            }
-            // bucket_bounds is [lo, hi): hi is one past the last value.
-            let (blo, bhi) = Histogram::bucket_bounds(i as usize);
-            assert_eq!((blo, bhi), (lo, 1u64 << i), "bounds of {i}");
-        }
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-    }
-
-    #[test]
-    fn concurrent_counters_and_histograms_are_exact() {
+    fn concurrent_counters_are_exact() {
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
         let c = counter("test/metrics/concurrent_total");
-        let h = histogram("test/metrics/concurrent_hist");
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 s.spawn(|| {
-                    for v in 0..PER_THREAD {
+                    for _ in 0..PER_THREAD {
                         c.inc();
-                        h.record(v % 16);
                     }
                 });
             }
         });
-        let n = THREADS as u64 * PER_THREAD;
-        assert_eq!(c.get(), n);
-        assert_eq!(h.count(), n);
-        // Each thread records 0..16 uniformly: sum is exactly known.
-        assert_eq!(
-            h.sum(),
-            THREADS as u64 * (PER_THREAD / 16) * (0..16).sum::<u64>()
-        );
-        assert_eq!(h.max(), 15);
+        assert_eq!(c.get(), THREADS as u64 * PER_THREAD);
     }
 
     #[test]

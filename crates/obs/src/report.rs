@@ -1,106 +1,102 @@
-//! Snapshots of the global registry, rendered as a per-stage TSV
-//! table (for `--metrics` on stderr) or machine-readable JSON (for
-//! `ute report`). JSON is hand-rolled: the report shape is flat and
-//! this crate stays dependency-free.
+//! Snapshots of the global registry plus the span rows of one command,
+//! rendered as a per-stage TSV table (for `--metrics` on stderr) or
+//! machine-readable JSON (for `ute report`). A `<stage>/span_ns` row is
+//! computed from the spans the command captured — exact durations, so
+//! its percentiles are durations that were measured. JSON is
+//! hand-rolled: the report shape is flat and this crate stays
+//! dependency-free.
 
-use crate::metrics::{self, Histogram, HIST_BUCKETS};
+use std::collections::HashMap;
 
-/// One histogram, frozen.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    /// Per-bucket counts (see [`Histogram::bucket_bounds`]).
-    pub buckets: Vec<u64>,
+use crate::metrics;
+use crate::span::FinishedSpan;
+
+/// The durations of one stage's spans, sorted ascending: the stage's
+/// `<stage>/span_ns` row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SpanTimes {
+    sorted: Vec<u64>,
 }
 
-impl HistogramSnapshot {
-    /// Mean observation, or 0.0 when empty.
+impl SpanTimes {
+    /// Number of spans.
+    pub fn count(&self) -> u64 {
+        self.sorted.len() as u64
+    }
+
+    /// Total duration.
+    pub fn sum(&self) -> u64 {
+        self.sorted.iter().sum()
+    }
+
+    /// Shortest duration, or 0 when empty.
+    pub fn min(&self) -> u64 {
+        self.sorted.first().copied().unwrap_or(0)
+    }
+
+    /// Longest duration, or 0 when empty.
+    pub fn max(&self) -> u64 {
+        self.sorted.last().copied().unwrap_or(0)
+    }
+
+    /// Mean duration, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.sorted.is_empty() {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum() as f64 / self.sorted.len() as f64
         }
     }
 
-    /// Estimated `q`-quantile (`0.0 ..= 1.0`) from the log₂ buckets:
-    /// find the bucket holding the rank-`⌈q·count⌉` observation and
-    /// interpolate linearly inside it, clamped to the observed
-    /// `[min, max]` so the tails never overshoot the true extremes.
-    /// Returns 0 when empty. Log₂ buckets bound the relative error at
-    /// 2× within a bucket; in practice the min/max clamp and the
-    /// interpolation keep p50/p95/p99 well inside that.
+    /// The nearest-rank `q`-quantile (`0.0 ..= 1.0`): the
+    /// `⌈q·count⌉`-th shortest duration, or 0 when empty.
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let n = self.sorted.len();
+        if n == 0 {
             return 0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        self.sorted[rank - 1]
+    }
+
+    /// The non-empty log₂ buckets, ascending, as `(lo, hi, count)` with
+    /// `[lo, hi)` the bucket's range: `[0, 1)` holds zeros, then
+    /// `[2^(i-1), 2^i)` for `i` in 1..64, then `[2^63, u64::MAX)`.
+    pub fn buckets(&self) -> Vec<(u64, u64, u64)> {
+        let mut out: Vec<(u64, u64, u64)> = Vec::new();
+        for &v in &self.sorted {
+            let (lo, hi) = match 64 - v.leading_zeros() {
+                0 => (0, 1),
+                64 => (1 << 63, u64::MAX),
+                i => (1 << (i - 1), 1 << i),
+            };
+            match out.last_mut() {
+                Some(b) if b.0 == lo => b.2 += 1,
+                _ => out.push((lo, hi, 1)),
             }
-            if seen + c >= rank {
-                let (lo, hi) = Histogram::bucket_bounds(i);
-                // Position of the rank within this bucket, in (0, 1].
-                let frac = (rank - seen) as f64 / c as f64;
-                let est = lo as f64 + frac * (hi - lo) as f64;
-                return (est as u64).clamp(self.min, self.max);
-            }
-            seen += c;
         }
-        self.max
-    }
-
-    /// p50 shorthand.
-    pub fn p50(&self) -> u64 {
-        self.percentile(0.50)
-    }
-
-    /// p95 shorthand.
-    pub fn p95(&self) -> u64 {
-        self.percentile(0.95)
-    }
-
-    /// p99 shorthand.
-    pub fn p99(&self) -> u64 {
-        self.percentile(0.99)
+        out
     }
 }
 
-/// Every metric in the registry, frozen at one instant, sorted by name.
+/// Every metric in the registry, frozen at one instant, and the span
+/// rows of one command, each sorted by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    /// `<stage>/span_ns` rows (see [`MetricsSnapshot::with_spans`]).
+    pub spans: Vec<(String, SpanTimes)>,
 }
 
-/// Takes a snapshot of the global registry.
+/// Takes a snapshot of the global registry (no span rows).
 pub fn snapshot() -> MetricsSnapshot {
     let reg = metrics::global();
     let mut snap = MetricsSnapshot::default();
     reg.visit_counters(|name, v| snap.counters.push((name.to_string(), v)));
     reg.visit_gauges(|name, v| snap.gauges.push((name.to_string(), v)));
-    reg.visit_histograms(|name, h| {
-        snap.histograms.push((
-            name.to_string(),
-            HistogramSnapshot {
-                count: h.count(),
-                sum: h.sum(),
-                min: h.min(),
-                max: h.max(),
-                buckets: h.bucket_counts(),
-            },
-        ))
-    });
     snap.counters.sort();
     snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     snap
 }
 
@@ -115,27 +111,32 @@ impl MetricsSnapshot {
     /// output is byte-comparable across runs and across `--jobs` values
     /// — the form the CI determinism gate diffs.
     pub fn stable(&self) -> MetricsSnapshot {
-        let keep = |name: &str| !name.ends_with("_ns") && !name.starts_with("pipeline/");
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(n, _)| keep(n))
-                .cloned()
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(n, _)| keep(n))
-                .cloned()
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(n, _)| keep(n))
-                .cloned()
-                .collect(),
+        fn kept<T: Clone>(rows: &[(String, T)]) -> Vec<(String, T)> {
+            let keep = |name: &str| !name.ends_with("_ns") && !name.starts_with("pipeline/");
+            rows.iter().filter(|(n, _)| keep(n)).cloned().collect()
         }
+        MetricsSnapshot {
+            counters: kept(&self.counters),
+            gauges: kept(&self.gauges),
+            spans: kept(&self.spans),
+        }
+    }
+
+    /// This snapshot with one `<stage>/span_ns` row per stage of
+    /// `spans`, replacing any it had.
+    pub fn with_spans(mut self, spans: &[FinishedSpan]) -> MetricsSnapshot {
+        let mut by_stage: HashMap<&str, Vec<u64>> = HashMap::new();
+        for s in spans {
+            by_stage.entry(s.stage).or_default().push(s.dur_ns);
+        }
+        self.spans = (by_stage.into_iter())
+            .map(|(stage, mut sorted)| {
+                sorted.sort_unstable();
+                (format!("{stage}/span_ns"), SpanTimes { sorted })
+            })
+            .collect();
+        self.spans.sort_by(|a, b| a.0.cmp(&b.0));
+        self
     }
 
     /// Value of a counter, if registered.
@@ -151,19 +152,11 @@ impl MetricsSnapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// A histogram, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
     /// The `--metrics` table: one `kind<TAB>name<TAB>value...` row per
     /// metric, grouped by pipeline stage (the `stage/` name prefix).
-    /// Histograms render as count/mean/min/max/percentiles in
-    /// nanosecond-friendly units. Zero-valued metrics are kept: "this
-    /// never happened" is information.
+    /// A span row (kind `histogram`) renders as count, then
+    /// mean/min/max/sum/percentiles in nanoseconds. Zero-valued metrics
+    /// are kept: "this never happened" is information.
     pub fn to_tsv(&self) -> String {
         let mut out = String::from("kind\tname\tvalue\tdetail\n");
         for (name, v) in &self.counters {
@@ -172,36 +165,28 @@ impl MetricsSnapshot {
         for (name, v) in &self.gauges {
             out.push_str(&format!("gauge\t{name}\t{}\t\n", fmt_f64(*v)));
         }
-        for (name, h) in &self.histograms {
+        for (name, t) in &self.spans {
             out.push_str(&format!(
                 "histogram\t{name}\t{}\tmean={} min={} max={} sum={} p50={} p95={} p99={}\n",
-                h.count,
-                fmt_f64(h.mean()),
-                h.min,
-                h.max,
-                h.sum,
-                h.p50(),
-                h.p95(),
-                h.p99(),
+                t.count(),
+                fmt_f64(t.mean()),
+                t.min(),
+                t.max(),
+                t.sum(),
+                t.percentile(0.50),
+                t.percentile(0.95),
+                t.percentile(0.99),
             ));
         }
         out
     }
 
-    /// The `ute report` JSON object (`{"counters": {...}, "gauges":
-    /// {...}, "histograms": {...}}`) with percentile fields; see
-    /// [`MetricsSnapshot::render_json`].
-    pub fn to_json(&self) -> String {
-        self.render_json(&ReportOptions::default())
-    }
-
-    /// Renders the report JSON. Histogram buckets serialize sparsely
-    /// as `[lo, hi, count]` triples; `opts.percentiles` adds
-    /// p50/p95/p99 fields (off under `--stable`: the estimates are
-    /// interpolated floats of wall-clock data and would defeat
-    /// byte-comparability); `opts.extra` blocks close the object, in
+    /// The `ute report` JSON object: `{"counters": {...}, "gauges":
+    /// {...}, "histograms": {...}}`, a span row carrying its
+    /// percentiles and its log₂ buckets as sparse `[lo, hi, count]`
+    /// triples, then the `extra` `(key, raw JSON value)` blocks, in
     /// order, as further top-level keys.
-    pub fn render_json(&self, opts: &ReportOptions<'_>) -> String {
+    pub fn to_json(&self, extra: &[(&str, String)]) -> String {
         let mut s = String::from("{\n  \"counters\": {");
         push_entries(&mut s, self.counters.iter(), |s, v| {
             s.push_str(&v.to_string())
@@ -209,55 +194,32 @@ impl MetricsSnapshot {
         s.push_str("},\n  \"gauges\": {");
         push_entries(&mut s, self.gauges.iter(), |s, v| s.push_str(&fmt_f64(*v)));
         s.push_str("},\n  \"histograms\": {");
-        push_entries(&mut s, self.histograms.iter(), |s, h| {
+        push_entries(&mut s, self.spans.iter(), |s, t| {
             s.push_str(&format!(
-                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, ",
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                fmt_f64(h.mean()),
+                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
+                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
+                t.count(),
+                t.sum(),
+                t.min(),
+                t.max(),
+                fmt_f64(t.mean()),
+                t.percentile(0.50),
+                t.percentile(0.95),
+                t.percentile(0.99),
             ));
-            if opts.percentiles {
-                s.push_str(&format!(
-                    "\"p50\": {}, \"p95\": {}, \"p99\": {}, ",
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                ));
-            }
-            s.push_str("\"buckets\": [");
-            let mut first = true;
-            for (i, &c) in h.buckets.iter().enumerate().take(HIST_BUCKETS) {
-                if c == 0 {
-                    continue;
-                }
-                if !first {
-                    s.push_str(", ");
-                }
-                first = false;
-                let (lo, hi) = Histogram::bucket_bounds(i);
-                s.push_str(&format!("[{lo}, {hi}, {c}]"));
-            }
+            let buckets: Vec<String> = (t.buckets().iter())
+                .map(|(lo, hi, c)| format!("[{lo}, {hi}, {c}]"))
+                .collect();
+            s.push_str(&buckets.join(", "));
             s.push_str("]}");
         });
         s.push('}');
-        for (key, json) in opts.extra {
+        for (key, json) in extra {
             s.push_str(&format!(",\n  \"{}\": {json}", json_escape(key)));
         }
         s.push_str("\n}\n");
         s
     }
-}
-
-/// Options for [`MetricsSnapshot::render_json`].
-#[derive(Debug, Default)]
-pub struct ReportOptions<'a> {
-    /// Include p50/p95/p99 estimates on histograms.
-    pub percentiles: bool,
-    /// Further top-level `(key, raw JSON value)` blocks, rendered last
-    /// in this order (`ute report`'s diagnostics and profile).
-    pub extra: &'a [(&'a str, String)],
 }
 
 /// Writes `"name": <value>` entries joined by commas.
@@ -310,23 +272,40 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{counter, gauge, histogram};
+    use crate::metrics::{counter, gauge};
+
+    fn span(stage: &'static str, dur_ns: u64) -> FinishedSpan {
+        FinishedSpan {
+            stage,
+            label: stage.to_string(),
+            start_ns: 0,
+            dur_ns,
+            id: 1,
+            parent: 0,
+            tid: 0,
+            cpu_ns: 0,
+            aborted: false,
+        }
+    }
 
     #[test]
     fn snapshot_finds_metrics_and_renders() {
         counter("test/report/c").add(7);
         gauge("test/report/g").set(2.5);
-        histogram("test/report/h").record(100);
-        let snap = snapshot();
+        let snap = snapshot().with_spans(&[span("test-report", 100)]);
         assert_eq!(snap.counter("test/report/c"), Some(7));
         assert_eq!(snap.gauge("test/report/g"), Some(2.5));
-        assert_eq!(snap.histogram("test/report/h").unwrap().count, 1);
+        assert_eq!(snap.spans.len(), 1);
 
         let tsv = snap.to_tsv();
         assert!(tsv.contains("counter\ttest/report/c\t7"));
         assert!(tsv.starts_with("kind\tname\tvalue"));
+        assert!(tsv.ends_with(
+            "histogram\ttest-report/span_ns\t1\tmean=100 min=100 max=100 sum=100 \
+             p50=100 p95=100 p99=100\n"
+        ));
 
-        let json = snap.to_json();
+        let json = snap.to_json(&[]);
         assert!(json.contains("\"test/report/c\": 7"));
         assert!(json.contains("\"gauges\""));
         // Buckets are sparse [lo, hi, count] triples.
@@ -345,68 +324,50 @@ mod tests {
         counter("salvage/test_stable_kept").add(2);
         counter("obs/test_stable_kept").add(4);
         gauge("test/stable/span_ns").set(123.0);
-        histogram("teststage/span_ns").record(55);
-        let snap = snapshot().stable();
+        let snap = snapshot().with_spans(&[span("teststage", 55)]).stable();
         assert_eq!(snap.counter("test/stable/kept"), Some(1));
         assert_eq!(snap.counter("pipeline/test_stable_batches"), None);
         assert_eq!(snap.gauge("test/stable/span_ns"), None);
-        assert!(snap.histogram("teststage/span_ns").is_none());
+        assert!(snap.spans.is_empty());
         // Deterministic salvage/obs totals survive the filter.
         assert_eq!(snap.counter("salvage/test_stable_kept"), Some(2));
         assert_eq!(snap.counter("obs/test_stable_kept"), Some(4));
     }
 
     #[test]
-    fn percentiles_from_log2_buckets() {
-        let empty = HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: vec![0; HIST_BUCKETS],
-        };
-        assert_eq!(empty.p50(), 0);
-
-        // A point mass: every percentile is the value itself (the
-        // min/max clamp collapses the bucket interpolation).
-        let h = histogram("test/report/pct_point");
-        for _ in 0..100 {
-            h.record(1000);
-        }
-        let snap = snapshot();
-        let hs = snap.histogram("test/report/pct_point").unwrap();
-        assert_eq!(hs.p50(), 1000);
-        assert_eq!(hs.p99(), 1000);
-
-        // A two-mode distribution: p50 sits in the low mode, p99 in
-        // the high one, and everything stays within [min, max].
-        let h = histogram("test/report/pct_bimodal");
-        for _ in 0..95 {
-            h.record(100);
-        }
-        for _ in 0..5 {
-            h.record(100_000);
-        }
-        let snap = snapshot();
-        let hs = snap.histogram("test/report/pct_bimodal").unwrap();
-        assert!(hs.p50() >= 64 && hs.p50() < 128, "p50 = {}", hs.p50());
-        assert!(hs.p99() >= 65_536, "p99 = {}", hs.p99());
-        assert!(hs.p99() <= 100_000);
-        // Monotone in q.
-        assert!(hs.p50() <= hs.p95() && hs.p95() <= hs.p99());
+    fn span_rows_are_exact_per_stage() {
+        let spans: Vec<FinishedSpan> = (1..=100)
+            .map(|i| span("b", i * 10))
+            .chain([span("a", 0), span("a", 1 << 63)])
+            .collect();
+        let snap = MetricsSnapshot::default().with_spans(&spans);
+        let names: Vec<&str> = snap.spans.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a/span_ns", "b/span_ns"]);
+        let (a, b) = (&snap.spans[0].1, &snap.spans[1].1);
+        assert_eq!(
+            (b.count(), b.sum(), b.min(), b.max()),
+            (100, 50_500, 10, 1000)
+        );
+        // Nearest rank: each percentile is one of the durations.
+        assert_eq!(b.percentile(0.50), 500);
+        assert_eq!(b.percentile(0.95), 950);
+        assert_eq!(b.percentile(0.99), 990);
+        assert_eq!(b.percentile(0.0), 10);
+        assert_eq!(SpanTimes::default().percentile(0.5), 0);
+        // Buckets are counted from the exact durations.
+        assert_eq!(a.buckets(), [(0, 1, 1), (1 << 63, u64::MAX, 1)]);
+        let total: u64 = b.buckets().iter().map(|b| b.2).sum();
+        assert_eq!(total, 100);
+        assert_eq!(b.buckets()[0], (8, 16, 1));
+        assert!(b.buckets().iter().all(|&(lo, hi, _)| hi == 2 * lo));
     }
 
     #[test]
-    fn render_json_options_add_percentiles_and_extra_blocks() {
-        histogram("test/report/opts_h").record(512);
-        let snap = snapshot();
-        let plain = snap.to_json();
-        assert!(!plain.contains("\"p95\""), "percentiles off by default");
-        let full = snap.render_json(&ReportOptions {
-            percentiles: true,
-            extra: &[("diagnostics", "{\"findings\": 0}".to_string())],
-        });
-        assert!(full.ends_with("]}\n  },\n  \"diagnostics\": {\"findings\": 0}\n}\n"));
-        assert!(full.contains("\"p50\""), "{full}");
+    fn extra_blocks_close_the_object() {
+        let full =
+            MetricsSnapshot::default().to_json(&[("diagnostics", "{\"findings\": 0}".into())]);
+        assert!(
+            full.ends_with("\"histograms\": {\n  },\n  \"diagnostics\": {\"findings\": 0}\n}\n")
+        );
     }
 }

@@ -15,11 +15,12 @@
 //! [`flow_end`]), which the Chrome-trace exporter turns into flow
 //! arrows.
 //!
-//! Dropping a span records its duration into the histogram
-//! `"<stage>/span_ns"` — always — and, when capture was on at its open,
-//! appends a [`FinishedSpan`] (wall time, thread CPU time, hierarchy) to
-//! a process-global log that `ute-cli` drains once per run. The log is
-//! bounded
+//! A span opened with capture off costs an id and a push on its
+//! thread's span stack: it reads no clock, allocates nothing and takes
+//! no lock. When capture was on at its open, dropping it appends a
+//! [`FinishedSpan`] (wall time, thread CPU time, hierarchy) to a
+//! process-global log that `ute-cli` drains once per run — the one
+//! record of how long anything took. The log is bounded
 //! ([`set_capture_limit`]): once full, further spans are dropped and
 //! counted in `obs/spans_dropped` instead of growing without bound on
 //! huge runs. A span closed while its thread is panicking (a pipeline
@@ -229,64 +230,60 @@ pub struct FlowPoint {
 #[must_use = "a span measures the scope it is alive in"]
 pub struct Span {
     stage: &'static str,
+    id: u64,
+    parent: u64,
+    /// What open measured, when capture was on at open (capture may
+    /// toggle mid-span; the close side must match what open did).
+    capture: Option<Capture>,
+}
+
+/// What a captured span read at open, and gives back at close.
+struct Capture {
     /// `None` when the label equals the stage name (saves the
     /// allocation on the common whole-stage spans).
     label: Option<String>,
-    start_ns: u64,
     start: Instant,
-    id: u64,
-    parent: u64,
-    /// Whether capture was on at open: the span then took the stage
-    /// slot and read the CPU clock, and its close gives the slot back
-    /// and logs it (capture may toggle mid-span; the close side must
-    /// match what open actually did).
-    captured: bool,
-    /// Thread CPU clock at open (captured spans only).
+    /// Thread CPU clock at open.
     cpu_start: u64,
-    /// Stage slot to restore on close (captured spans only).
+    /// Stage slot to restore on close.
     prev_slot: usize,
 }
 
 impl Span {
-    fn open(stage: &'static str, label: Option<String>, parent: u64) -> Span {
+    fn open(stage: &'static str, label: Option<impl Into<String>>, parent: u64) -> Span {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        let captured = capture_enabled();
-        let (cpu_start, prev_slot) = if captured {
-            (crate::prof::thread_cpu_ns(), crate::prof::slot_enter(stage))
-        } else {
-            (0, 0)
-        };
+        let capture = capture_enabled().then(|| Capture {
+            label: label.map(Into::into),
+            cpu_start: crate::prof::thread_cpu_ns(),
+            prev_slot: crate::prof::slot_enter(stage),
+            start: Instant::now(),
+        });
         Span {
             stage,
-            label,
-            start_ns: now_ns(),
-            start: Instant::now(),
             id,
             parent,
-            captured,
-            cpu_start,
-            prev_slot,
+            capture,
         }
     }
 
     /// Opens a span for a unit of work within a stage. Its parent is
     /// the innermost span open on the calling thread.
     pub fn enter(stage: &'static str, label: impl Into<String>) -> Span {
-        Span::open(stage, Some(label.into()), current_span())
+        Span::open(stage, Some(label), current_span())
     }
 
     /// Opens a whole-stage span (label = stage name), parented like
     /// [`Span::enter`].
     pub fn stage(stage: &'static str) -> Span {
-        Span::open(stage, None, current_span())
+        Span::open(stage, None::<String>, current_span())
     }
 
     /// Opens a span under an explicit parent id — the cross-thread
     /// form: a spawning thread captures [`current_span`] and hands it
     /// to its workers so their spans nest under the pipeline span.
     pub fn enter_under(stage: &'static str, label: impl Into<String>, parent: u64) -> Span {
-        Span::open(stage, Some(label.into()), parent)
+        Span::open(stage, Some(label), parent)
     }
 
     /// This span's stable id (pass to [`Span::enter_under`] on another
@@ -296,26 +293,24 @@ impl Span {
     }
 
     /// What this span would log if it closed now, on the calling thread
-    /// (which must be the one that opened it). How a mid-run consumer
-    /// accounts for the root span it is still running inside.
-    pub fn so_far(&self) -> FinishedSpan {
-        self.finished(self.label.clone(), self.start.elapsed().as_nanos() as u64)
+    /// (which must be the one that opened it), or `None` when it is not
+    /// captured. How a mid-run consumer accounts for the root span it is
+    /// still running inside.
+    pub fn so_far(&self) -> Option<FinishedSpan> {
+        let c = self.capture.as_ref()?;
+        Some(self.finished(c, c.label.clone()))
     }
 
-    fn finished(&self, label: Option<String>, dur_ns: u64) -> FinishedSpan {
+    fn finished(&self, c: &Capture, label: Option<String>) -> FinishedSpan {
         FinishedSpan {
             stage: self.stage,
             label: label.unwrap_or_else(|| self.stage.to_string()),
-            start_ns: self.start_ns,
-            dur_ns,
+            start_ns: c.start.saturating_duration_since(epoch()).as_nanos() as u64,
+            dur_ns: c.start.elapsed().as_nanos() as u64,
             id: self.id,
             parent: self.parent,
             tid: thread_index(),
-            cpu_ns: if self.captured {
-                crate::prof::thread_cpu_ns().saturating_sub(self.cpu_start)
-            } else {
-                0
-            },
+            cpu_ns: crate::prof::thread_cpu_ns().saturating_sub(c.cpu_start),
             aborted: std::thread::panicking(),
         }
     }
@@ -323,7 +318,6 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
         // Pop this span from the thread stack. Spans are scoped, so it
         // is almost always on top; searching from the top keeps the
         // stack consistent even under unusual drop orders.
@@ -333,11 +327,10 @@ impl Drop for Span {
                 stack.remove(pos);
             }
         });
-        metrics::histogram(&format!("{}/span_ns", self.stage)).record(dur_ns);
-        if self.captured {
-            let label = self.label.take();
-            let finished = self.finished(label, dur_ns);
-            crate::prof::slot_restore(self.prev_slot);
+        if let Some(mut c) = self.capture.take() {
+            let label = c.label.take();
+            let finished = self.finished(&c, label);
+            crate::prof::slot_restore(c.prev_slot);
             let mut log = span_log().lock();
             if log.len() >= capture_limit() {
                 drop(log);
@@ -361,7 +354,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn spans_record_histogram_and_capture() {
+    fn spans_are_captured_with_their_hierarchy() {
         let _guard = capture_lock();
         set_capture(true);
         {
@@ -377,7 +370,6 @@ pub(crate) mod tests {
         // Inner span ends first.
         assert_eq!(spans[0].label, "unit 1");
         assert_eq!(spans[1].label, "test-span-stage");
-        assert!(metrics::histogram("test-span-stage/span_ns").count() >= 2);
         // And the hierarchy is recorded: the unit nests under the stage.
         assert_eq!(spans[0].parent, spans[1].id);
         assert_eq!(spans[0].tid, spans[1].tid);

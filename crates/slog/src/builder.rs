@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use ute_core::error::{Result, UteError};
-use ute_core::event::MpiOp;
+use ute_core::event::Messages;
 use ute_format::profile::Profile;
 use ute_format::record::Interval;
 use ute_format::state::StateCode;
@@ -140,13 +140,8 @@ impl<'a> SlogBuilder<'a> {
             .map(|(i, e)| ((e.node.raw(), e.logical.raw()), i as u32))
             .collect();
 
-        // Send/recv matching state for arrows.
-        struct SendInfo {
-            timeline: u32,
-            start: u64,
-            bytes: u64,
-        }
-        let mut sends: HashMap<(u64, u64), SendInfo> = HashMap::new();
+        // Sends by message key, as (timeline, start, bytes), for arrows.
+        let mut sends: Messages<(u32, u64, u64)> = Messages::default();
         let mut arrows: Vec<SlogArrow> = Vec::new();
 
         for iv in records {
@@ -188,35 +183,22 @@ impl<'a> SlogBuilder<'a> {
             }
 
             // Arrow matching on completed pieces that carry a sequence.
-            if self.opts.arrows && itype.bebits.ends_state() {
-                if let Some(op) = itype.state.as_mpi() {
-                    let seq = uint(f_seq).unwrap_or(0);
-                    if seq > 0 {
-                        if op.is_p2p_send() {
-                            sends.insert(
-                                (uint(f_rank).unwrap_or(u64::MAX), seq),
-                                SendInfo {
-                                    timeline,
-                                    start,
-                                    bytes: uint(f_sent).unwrap_or(0),
-                                },
-                            );
-                        } else if op.is_p2p_recv() || op == MpiOp::Wait {
-                            // peer = the sender's rank on the receive side.
-                            let peer = uint(f_peer).unwrap_or(u64::MAX);
-                            if let Some(s) = sends.get(&(peer, seq)) {
-                                arrows.push(SlogArrow {
-                                    pseudo: false,
-                                    src_timeline: s.timeline,
-                                    dst_timeline: timeline,
-                                    send_time: s.start,
-                                    recv_time: iv.end(),
-                                    bytes: s.bytes,
-                                    seq,
-                                });
-                            }
-                        }
-                    }
+            if self.opts.arrows {
+                let seq = uint(f_seq).unwrap_or(0);
+                let end = (itype.state.as_mpi()).and_then(|op| {
+                    op.message_end(itype.bebits.ends_state(), uint(f_rank), uint(f_peer), seq)
+                });
+                let send = || (timeline, start, uint(f_sent).unwrap_or(0));
+                if let Some(&(src_timeline, send_time, bytes)) = sends.pair(end, send) {
+                    arrows.push(SlogArrow {
+                        pseudo: false,
+                        src_timeline,
+                        dst_timeline: timeline,
+                        send_time,
+                        recv_time: iv.end(),
+                        bytes,
+                        seq,
+                    });
                 }
             }
         }
@@ -252,6 +234,7 @@ impl<'a> SlogBuilder<'a> {
 mod tests {
     use super::*;
 
+    use ute_core::event::MpiOp;
     use ute_core::ids::{CpuId, LogicalThreadId, NodeId, Pid, SystemThreadId, TaskId, ThreadType};
     use ute_format::record::IntervalType;
     use ute_format::thread_table::ThreadEntry;

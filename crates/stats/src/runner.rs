@@ -50,7 +50,6 @@ pub fn run_tables_over<R: RecordFields, I: Iterator<Item = Result<R>>>(
     walk: impl Fn() -> I,
 ) -> Result<Vec<Table>> {
     let _span = ute_obs::Span::enter("stats", format!("run {} tables", specs.len()));
-    let eval_start = std::time::Instant::now();
     let mut pass = Pass::over(specs, profile, span, walk())?;
     if pass.span != span {
         pass = Pass::over(specs, profile, pass.span, walk())?;
@@ -84,7 +83,6 @@ pub fn run_tables_over<R: RecordFields, I: Iterator<Item = Result<R>>>(
         .collect();
     ute_obs::counter("stats/rows_emitted")
         .add(tables.iter().map(|t| t.rows.len() as u64).sum::<u64>());
-    ute_obs::histogram("stats/eval_ns").record(eval_start.elapsed().as_nanos() as u64);
     Ok(tables)
 }
 

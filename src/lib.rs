@@ -42,7 +42,8 @@
 //!   numbered abort points the chaos harness kills at.
 //! * [`obs`] — the self-observability layer: global metrics registry,
 //!   RAII span timers, and the one span capture (wall, thread CPU,
-//!   hierarchy) behind `--self-trace`, `--profiler` and `ute profile`.
+//!   hierarchy) behind `--self-trace`, `--profiler`, `ute profile` and
+//!   the span rows of `--metrics` and `ute report`.
 //! * [`profile`] — the profile as a fold over that capture: exact self
 //!   time per stage, flamegraph stacks, and the ranked bottleneck
 //!   report behind `ute profile`.

@@ -311,6 +311,40 @@ fn arguments_are_checked_before_anything_is_read() {
         let e = run(&argv(&tokens)).unwrap_err();
         assert_eq!(e.to_string(), format!("invalid request: {want}"));
     }
+    // So does `ute analyze`, before `merged.ivl` or `profile.ute` is
+    // looked for.
+    for (key, value, want) in [
+        ("window", "nan:1", format!("--window start: `nan` {secs}")),
+        ("window", "-3:inf", format!("--window start: `-3` {secs}")),
+        ("window", "0:inf", format!("--window end: `inf` {secs}")),
+        ("window", "1", "--window wants `T0:T1` seconds".to_string()),
+        ("nodes", "x..1", "bad node range start".to_string()),
+        (
+            "diag",
+            "bogus",
+            "unknown diagnostic `bogus` (late_sender|imbalance|comm_pattern|critical_path)"
+                .to_string(),
+        ),
+        (
+            "imbalance-threshold",
+            "inf",
+            "--imbalance-threshold: `inf` is not a finite number".to_string(),
+        ),
+        (
+            "imbalance-threshold",
+            "NaN",
+            "--imbalance-threshold: `NaN` is not a finite number".to_string(),
+        ),
+        (
+            "imbalance-threshold",
+            "abc",
+            "--imbalance-threshold: bad value `abc`".to_string(),
+        ),
+    ] {
+        let tokens = ["analyze", "/nonexistent", &format!("--{key}"), value];
+        let e = run(&argv(&tokens)).unwrap_err();
+        assert_eq!(e.to_string(), format!("invalid request: {want}"));
+    }
 }
 
 #[test]

@@ -466,12 +466,17 @@ fn report_percentiles_timeseries_and_stable_baselines() {
 fn metrics_snapshot_tsv_lists_stage_spans() {
     let _serial = SERIAL.lock().unwrap();
     // Drive one conversion directly and check the TSV surface used by
-    // `--metrics` carries the per-stage span histogram.
+    // `--metrics`, rendered over the spans of that run, carries the
+    // per-stage span row.
     let dir = tmpdir("tsv");
     let out = dir.to_str().unwrap().to_string();
     run(&argv(&["trace", "--workload", "pingpong", "--out", &out])).unwrap();
-    run(&argv(&["convert", "--in", &out])).unwrap();
-    let snap = ute::obs::snapshot();
+    ute::obs::set_capture(true);
+    ute::obs::drain_spans();
+    let converted = run(&argv(&["convert", "--in", &out]));
+    ute::obs::set_capture(false);
+    converted.unwrap();
+    let snap = ute::obs::snapshot().with_spans(&ute::obs::drain_spans());
     let tsv = snap.to_tsv();
     assert!(tsv.starts_with("kind\tname\tvalue"), "{tsv}");
     assert!(
@@ -479,6 +484,89 @@ fn metrics_snapshot_tsv_lists_stage_spans() {
         "no convert span histogram in:\n{tsv}"
     );
     assert!(snap.counter("rawtrace/records_cut").unwrap_or(0) > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `<stage>/span_ns` rows of `ute report` are the spans the same
+/// invocation writes to its self-trace: the same count, sum, min and
+/// max per stage, and percentiles that are measured durations.
+#[test]
+fn report_span_rows_are_the_captured_spans() {
+    let _serial = SERIAL.lock().unwrap();
+    let dir = tmpdir("rows_are_spans");
+    let out = dir.join("run");
+    let trace = dir.join("self.json");
+    let msg = run(&argv(&[
+        "report",
+        "--workload",
+        "stencil",
+        "--out",
+        out.to_str().unwrap(),
+        "--self-trace",
+        trace.to_str().unwrap(),
+        "--self-trace-format",
+        "chrome",
+    ]))
+    .unwrap();
+
+    // Every span's duration in ns, by stage: `dur` is µs to three
+    // decimals, so the digits are the exact ns.
+    let ns = |line: &str, key: &str| -> u64 {
+        let at = line.find(key).unwrap() + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.')
+            .filter(|c| *c != '.')
+            .collect();
+        digits.parse().unwrap()
+    };
+    let mut spans: std::collections::BTreeMap<String, Vec<u64>> = Default::default();
+    for line in std::fs::read_to_string(&trace).unwrap().lines() {
+        if line.contains("\"ph\":\"X\"") {
+            let at = line.find("\"cat\":\"").unwrap() + 7;
+            let stage = &line[at..at + line[at..].find('"').unwrap()];
+            spans
+                .entry(stage.to_string())
+                .or_default()
+                .push(ns(line, "\"dur\":"));
+        }
+    }
+    spans.remove("cli");
+
+    let mut rows = std::collections::BTreeMap::new();
+    for line in msg.lines() {
+        let Some(name) = line.trim().strip_prefix('"') else {
+            continue;
+        };
+        let Some((stage, _)) = name.split_once("/span_ns\": {\"count\"") else {
+            continue;
+        };
+        let field = |key: &str| num_after(line, &format!("\"{key}\": ")).unwrap() as u64;
+        let durs = spans
+            .get(stage)
+            .unwrap_or_else(|| panic!("{stage} has a row and no spans"));
+        let (count, sum) = (durs.len() as u64, durs.iter().sum::<u64>());
+        let (min, max) = (*durs.iter().min().unwrap(), *durs.iter().max().unwrap());
+        assert_eq!(
+            [field("count"), field("sum"), field("min"), field("max")],
+            [count, sum, min, max],
+            "{stage}: count, sum, min, max"
+        );
+        for p in ["p50", "p95", "p99"] {
+            assert!(
+                durs.contains(&field(p)),
+                "{stage}: {p} = {} is not a span duration",
+                field(p)
+            );
+        }
+        rows.insert(stage.to_string(), count);
+    }
+    assert!(rows.len() >= 5, "too few span rows: {rows:?}");
+    assert_eq!(
+        rows.keys().collect::<Vec<_>>(),
+        spans.keys().collect::<Vec<_>>(),
+        "a stage has spans and no row, or a row and no spans"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
